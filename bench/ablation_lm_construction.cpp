@@ -8,7 +8,7 @@
 
 #include "bench_common.h"
 #include "graph/algorithms.h"
-#include "mcf/throughput.h"
+#include "mcf/engine.h"
 #include "tm/synthetic.h"
 #include "topo/hypercube.h"
 #include "topo/jellyfish.h"
@@ -43,7 +43,7 @@ int main() {
     for (const TrafficMatrix& tm :
          {longest_matching(net), longest_matching_greedy(net),
           random_matching(net, 1, 13)}) {
-      const double thr = mcf::compute_throughput(net, tm, opts).throughput;
+      const double thr = mcf::ThroughputEngine(net).solve(tm, opts).throughput;
       table.add_row({net.name, tm.name, Table::fmt(tm_path_length(net, tm), 1),
                      Table::fmt(thr, 4)});
     }

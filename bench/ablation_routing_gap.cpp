@@ -9,8 +9,8 @@
 
 #include "bench_common.h"
 #include "core/registry.h"
+#include "mcf/engine.h"
 #include "mcf/routing.h"
-#include "mcf/throughput.h"
 #include "tm/synthetic.h"
 
 int main() {
@@ -24,7 +24,7 @@ int main() {
     const TrafficMatrix tm = longest_matching(net);
     mcf::SolveOptions opts;
     opts.epsilon = eps;
-    const double opt = mcf::compute_throughput(net, tm, opts).throughput;
+    const double opt = mcf::ThroughputEngine(net).solve(tm, opts).throughput;
     const double ecmp = mcf::ecmp_throughput(net.graph, tm).throughput;
     const double sp = mcf::single_path_throughput(net.graph, tm).throughput;
     const double vlb = mcf::vlb_throughput(net.graph, tm).throughput;

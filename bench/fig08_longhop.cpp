@@ -1,7 +1,7 @@
 // Figure 8: Long Hop networks' relative throughput under the longest-
 // matching TM, for three construction richness levels ("dimension" = the
-// number of extra long-hop code generators; see DESIGN.md substitution
-// note) across network sizes.
+// number of extra long-hop code generators; see "Substitutions" in
+// docs/ARCHITECTURE.md) across network sizes.
 //
 // Paper claims reproduced: Long Hop tracks the same-equipment random graph
 // closely, approaching relative throughput 1 at larger sizes — i.e. high

@@ -10,7 +10,7 @@
 #include <string>
 
 #include "bench_common.h"
-#include "mcf/throughput.h"
+#include "mcf/engine.h"
 #include "tm/synthetic.h"
 #include "topo/fattree.h"
 #include "topo/hypercube.h"
@@ -34,8 +34,8 @@ int main() {
       const TrafficMatrix tm = with_elephants(base, frac, 10.0, /*seed=*/31);
       mcf::SolveOptions opts;
       opts.epsilon = eps;
-      row.push_back(
-          Table::fmt(mcf::compute_throughput(*net, tm, opts).throughput, 3));
+      const double thr = mcf::ThroughputEngine(*net).solve(tm, opts).throughput;
+      row.push_back(Table::fmt(thr, 3));
     }
     table.add_row(std::move(row));
   }

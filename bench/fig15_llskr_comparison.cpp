@@ -10,7 +10,7 @@
 //     the gap widens further.
 //
 // Path sets: k shortest paths per commodity (LLSKR-style subflow spreading;
-// DESIGN.md records the substitution).
+// "Substitutions" in docs/ARCHITECTURE.md records the choice).
 #include <iostream>
 #include <string>
 

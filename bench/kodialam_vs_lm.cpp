@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "mcf/throughput.h"
+#include "mcf/engine.h"
 #include "tm/synthetic.h"
 #include "topo/hypercube.h"
 #include "topo/jellyfish.h"
@@ -38,8 +38,9 @@ int main() {
 
     mcf::SolveOptions opts;
     opts.epsilon = eps;
-    const double lm_thr = mcf::compute_throughput(net, lm, opts).throughput;
-    const double kod_thr = mcf::compute_throughput(net, kod, opts).throughput;
+    mcf::ThroughputEngine engine(net);
+    const double lm_thr = engine.solve(lm, opts).throughput;
+    const double kod_thr = engine.solve(kod, opts).throughput;
     table.add_row({net.name, std::to_string(net.host_nodes().size()),
                    Table::fmt(lm_thr, 3), Table::fmt(kod_thr, 3),
                    std::to_string(lm.num_flows()),

@@ -29,7 +29,7 @@ void BM_GkAllToAll(benchmark::State& state) {
   mcf::GkOptions opts;
   opts.epsilon = 0.05;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mcf::max_concurrent_flow(net.graph, tm, opts));
+    benchmark::DoNotOptimize(mcf::GkSolver(net.graph).solve(tm, opts));
   }
   state.SetComplexityN(n);
 }
@@ -42,7 +42,7 @@ void BM_GkLongestMatching(benchmark::State& state) {
   mcf::GkOptions opts;
   opts.epsilon = 0.05;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mcf::max_concurrent_flow(net.graph, tm, opts));
+    benchmark::DoNotOptimize(mcf::GkSolver(net.graph).solve(tm, opts));
   }
 }
 BENCHMARK(BM_GkLongestMatching)->Arg(32)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);

@@ -13,7 +13,7 @@
 #include "bench_common.h"
 #include "core/registry.h"
 #include "cuts/sparsest_cut.h"
-#include "mcf/throughput.h"
+#include "mcf/engine.h"
 #include "tm/synthetic.h"
 #include "topo/natural.h"
 
@@ -35,7 +35,7 @@ int main() {
     const TrafficMatrix tm = longest_matching(net);
     mcf::SolveOptions opts;
     opts.epsilon = eps;
-    const double thr = mcf::compute_throughput(net, tm, opts).throughput;
+    const double thr = mcf::ThroughputEngine(net).solve(tm, opts).throughput;
     const cuts::SparseCutSurvey survey = cuts::best_sparse_cut(net.graph, tm);
     FamilyStats& fs = stats[family];
     ++fs.total;

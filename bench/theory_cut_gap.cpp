@@ -11,6 +11,7 @@
 
 #include "bench_common.h"
 #include "cuts/sparsest_cut.h"
+#include "mcf/engine.h"
 #include "mcf/throughput.h"
 #include "tm/synthetic.h"
 #include "topo/flattened_butterfly.h"
@@ -34,8 +35,9 @@ int main() {
     const auto add = [&](const Network& net) {
       mcf::SolveOptions opts;
       opts.epsilon = eps;
-      const double thr =
-          mcf::compute_throughput(net, longest_matching(net), opts).throughput;
+      const double thr = mcf::ThroughputEngine(net)
+                             .solve(longest_matching(net), opts)
+                             .throughput;
       const double cut =
           cuts::best_sparse_cut(net.graph, all_to_all(net)).best.sparsity;
       table.add_row({net.name, std::to_string(net.graph.num_nodes()),

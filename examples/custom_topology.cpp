@@ -18,7 +18,7 @@
 
 #include "core/evaluator.h"
 #include "cuts/sparsest_cut.h"
-#include "mcf/throughput.h"
+#include "mcf/engine.h"
 #include "tm/synthetic.h"
 #include "topo/io.h"
 #include "util/table.h"
@@ -85,8 +85,9 @@ int main(int argc, char** argv) {
   opts.epsilon = 0.03;
   const TrafficMatrix a2a = all_to_all(net);
   const TrafficMatrix lm = longest_matching(net);
-  const double t_a2a = mcf::compute_throughput(net, a2a, opts).throughput;
-  const double t_lm = mcf::compute_throughput(net, lm, opts).throughput;
+  mcf::ThroughputEngine engine(net);
+  const double t_a2a = engine.solve(a2a, opts).throughput;
+  const double t_lm = engine.solve(lm, opts).throughput;
   const cuts::SparseCutSurvey cut = cuts::best_sparse_cut(net.graph, lm);
 
   RelativeOptions ropts;

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "core/registry.h"
-#include "mcf/throughput.h"
+#include "mcf/engine.h"
 #include "tm/facebook.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -31,14 +31,14 @@ int main(int argc, char** argv) {
   Table table({"topology", "as-placed", "shuffled(mean)", "gain"});
   for (const Family f : all_families()) {
     const Network net = family_representative(f, racks, /*seed=*/1);
+    mcf::ThroughputEngine engine(net);
     const double base =
-        mcf::compute_throughput(net, map_rack_tm(net, rack_tm, racks, 0), opts)
-            .throughput;
+        engine.solve(map_rack_tm(net, rack_tm, racks, 0), opts).throughput;
     std::vector<double> shuffled;
     for (int s = 1; s <= shuffles; ++s) {
       const TrafficMatrix tm =
           map_rack_tm(net, rack_tm, racks, 700 + static_cast<std::uint64_t>(s));
-      shuffled.push_back(mcf::compute_throughput(net, tm, opts).throughput);
+      shuffled.push_back(engine.solve(tm, opts).throughput);
     }
     const double mean = mean_of(shuffled);
     table.add_row({family_name(f), Table::fmt(base, 3), Table::fmt(mean, 3),

@@ -21,7 +21,7 @@
 
 #include "core/registry.h"
 #include "mcf/adversary.h"
-#include "mcf/throughput.h"
+#include "mcf/engine.h"
 #include "tm/synthetic.h"
 #include "util/table.h"
 
@@ -140,8 +140,8 @@ int main(int argc, char** argv) {
             << net.total_servers() << " servers\n\n";
 
   wc.solve.epsilon = 0.04;
-  const double a2a =
-      mcf::compute_throughput(net, all_to_all(net), wc.solve).throughput;
+  mcf::ThroughputEngine engine(net);
+  const double a2a = engine.solve(all_to_all(net), wc.solve).throughput;
   const double bound = mcf::theorem2_lower_bound(a2a);
 
   Table table({"traffic matrix", "throughput", "vs lower bound"});
@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
   add(all_to_all(net), a2a);
   {
     const TrafficMatrix rm = random_matching(net, 1, 7);
-    add(rm, mcf::compute_throughput(net, rm, wc.solve).throughput);
+    add(rm, engine.solve(rm, wc.solve).throughput);
   }
   const mcf::WorstCaseResult worst = mcf::worst_case_matching(net, wc);
   {

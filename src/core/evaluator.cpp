@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "cuts/bisection.h"
+#include "mcf/engine.h"
 #include "topo/jellyfish.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -18,7 +19,7 @@ RelativeResult relative_throughput(const Network& net, const TrafficMatrix& tm,
   RelativeResult res;
   {
     const mcf::ThroughputResult topo =
-        mcf::compute_throughput(net, tm, opts.solve);
+        mcf::ThroughputEngine(net).solve(tm, opts.solve);
     res.topo_throughput = topo.throughput;
     res.topo_stats = topo.stats;
   }
@@ -32,7 +33,8 @@ RelativeResult relative_throughput(const Network& net, const TrafficMatrix& tm,
   const auto run_trial = [&](std::size_t trial) {
     const Network rnd = make_same_equipment_random(
         net, mix_seed(opts.seed, static_cast<std::uint64_t>(trial) + 1));
-    samples[trial] = mcf::compute_throughput(rnd, tm, opts.solve).throughput;
+    samples[trial] =
+        mcf::ThroughputEngine(rnd).solve(tm, opts.solve).throughput;
   };
   ThreadPool& pool = ThreadPool::shared();
   if (opts.solve.parallel && opts.random_trials > 1 && pool.size() > 1) {
@@ -81,41 +83,6 @@ CutBoundResult cut_upper_bound(const Network& net, const TrafficMatrix& tm,
     }
   }
   return r;
-}
-
-DegradedResult degraded_throughput(const Network& net, const TrafficMatrix& tm,
-                                   const mcf::ScenarioSpec& scenario,
-                                   const mcf::SolveOptions& solve) {
-  mcf::ThroughputEngine engine(net);
-  DegradedResult res;
-  res.baseline = engine.solve(tm, solve).throughput;
-  engine.apply_scenario(scenario);
-  const mcf::ThroughputResult deg = engine.warm_solve(tm, solve);
-  res.degraded = deg.throughput;
-  res.stats = deg.stats;
-  res.failed_links = engine.failed_edge_count();
-  res.failed_groups = engine.failed_group_count();
-  res.drop = res.baseline > 0.0 ? 1.0 - res.degraded / res.baseline : 0.0;
-  return res;
-}
-
-std::vector<DegradedResult> degraded_throughput_batch(
-    const Network& net, const TrafficMatrix& tm,
-    const std::vector<mcf::ScenarioSpec>& scenarios,
-    const mcf::SolveOptions& solve, bool parallel_cells) {
-  mcf::ScenarioFleet fleet(net);
-  const std::vector<mcf::FleetCell> cells =
-      fleet.evaluate(tm, scenarios, solve, parallel_cells);
-  std::vector<DegradedResult> out(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    out[i].baseline = cells[i].baseline;
-    out[i].degraded = cells[i].result.throughput;
-    out[i].drop = cells[i].drop;
-    out[i].failed_links = cells[i].failed_links;
-    out[i].failed_groups = cells[i].failed_groups;
-    out[i].stats = cells[i].result.stats;
-  }
-  return out;
 }
 
 }  // namespace tb

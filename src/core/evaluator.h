@@ -10,7 +10,6 @@
 #include <string>
 
 #include "cuts/sparsest_cut.h"
-#include "mcf/engine.h"
 #include "mcf/throughput.h"
 #include "tm/traffic_matrix.h"
 #include "topo/network.h"
@@ -71,44 +70,5 @@ struct CutBoundResult {
 /// for a fixed seed.
 CutBoundResult cut_upper_bound(const Network& net, const TrafficMatrix& tm,
                                const CutBoundOptions& opts = {});
-
-// --- degraded-network throughput ------------------------------------------
-// The paper's robustness discussion motivates throughput under failures;
-// the engine's scenario layer makes it a cheap incremental perturbation of
-// one solver session instead of a fresh network build per scenario.
-
-struct DegradedResult {
-  double baseline = 0.0;      ///< throughput of the intact network
-  double degraded = 0.0;      ///< throughput under the scenario
-  /// 1 - degraded/baseline. Usually in [0, 1]; the GK solver's certified
-  /// gap can make it marginally negative on easier degraded instances.
-  double drop = 0.0;
-  int failed_links = 0;       ///< edges at zero capacity under the scenario
-  int failed_groups = 0;      ///< distinct risk groups failed by the scenario
-  mcf::SolverStats stats;     ///< work counters of the degraded solve
-};
-
-/// Throughput of (net, tm) intact and under `scenario`, evaluated on one
-/// ThroughputEngine: the baseline solves cold, the scenario is applied as
-/// an incremental perturbation, and the degraded instance solves warm from
-/// the baseline solution. A scenario that disconnects a demand (or fails
-/// every demand endpoint) yields degraded == 0, drop == 1. Deterministic
-/// for a fixed scenario seed.
-DegradedResult degraded_throughput(const Network& net, const TrafficMatrix& tm,
-                                   const mcf::ScenarioSpec& scenario,
-                                   const mcf::SolveOptions& solve = {});
-
-/// Batch form on mcf::ScenarioFleet: one cold baseline solve for the whole
-/// batch, every scenario warm-solved from a forked clone of the baseline
-/// session, clones distributed over the shared pool (`parallel_cells`
-/// false keeps the fan-out on the calling thread — see
-/// ScenarioFleet::evaluate). Per-scenario results are bitwise identical to
-/// calling degraded_throughput once per scenario (any thread count); only
-/// the wall clock and the baseline solve count differ. Results are in
-/// scenario order.
-std::vector<DegradedResult> degraded_throughput_batch(
-    const Network& net, const TrafficMatrix& tm,
-    const std::vector<mcf::ScenarioSpec>& scenarios,
-    const mcf::SolveOptions& solve = {}, bool parallel_cells = true);
 
 }  // namespace tb

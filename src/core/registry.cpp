@@ -45,7 +45,7 @@ namespace {
 
 /// Each family's ladder, largest instances capped so the whole benchmark
 /// suite solves in minutes with the GK engine (shape, not absolute scale;
-/// see DESIGN.md).
+/// see "Substitutions" in docs/ARCHITECTURE.md).
 std::vector<Network> ladder(Family f, std::uint64_t seed) {
   std::vector<Network> nets;
   Rng rng(mix_seed(seed, static_cast<std::uint64_t>(f)));

@@ -245,7 +245,7 @@ CellResult Runner::eval_cell(const Sweep& sweep,
     const mcf::ThroughputResult t =
         engine != nullptr
             ? (warm ? engine->warm_solve(tm, solve) : engine->solve(tm, solve))
-            : mcf::compute_throughput(net, tm, solve);
+            : mcf::ThroughputEngine(net).solve(tm, solve);
     r.throughput = t.throughput;
     record_stats(r, t.stats);
   } else {
@@ -328,8 +328,9 @@ void Runner::eval_failure_group(const Sweep& sweep,
   // parallel_ gates the fleet's per-scenario fan-out too: a cell-serial
   // runner keeps every cell on the calling thread (the solvers still
   // honor solve.parallel / solver_threads independently).
-  const std::vector<DegradedResult> deg =
-      degraded_throughput_batch(net, tm, specs, solve, parallel_);
+  mcf::ScenarioFleet fleet(net);
+  const std::vector<mcf::FleetCell> cells =
+      fleet.evaluate(tm, specs, solve, parallel_);
   for (std::size_t k = 0; k < cell_indices.size(); ++k) {
     const std::size_t index = cell_indices[k];
     const std::size_t step = index % num_scenarios;
@@ -341,22 +342,17 @@ void Runner::eval_failure_group(const Sweep& sweep,
     c.index = index;
     c.scenario = step;
     r.scenario = scenario_label_of(sweep, c);
-    r.throughput = deg[k].degraded;
-    r.failed_links = deg[k].failed_links;
-    r.throughput_drop = deg[k].drop;
+    r.throughput = cells[k].result.throughput;
+    r.failed_links = cells[k].failed_links;
+    r.throughput_drop = cells[k].drop;
     // Structured-scenario columns: fleet cells record their actual values
     // (0 failed groups and tm_scale 1 are legitimate data, unlike the NA
     // sentinels non-fleet cells keep).
-    r.risk_group = deg[k].failed_groups;
+    r.risk_group = cells[k].failed_groups;
     r.tm_scale = specs[k].tm_scale;
     r.growth_step = growth ? static_cast<int>(step) : -1;
-    record_stats(r, deg[k].stats);
+    record_stats(r, cells[k].result.stats);
   }
-}
-
-ResultSet Runner::run(const Sweep& sweep) {
-  // Deprecated shim: the env contract lives in RunOptions::from_env().
-  return run(sweep, RunOptions::from_env());
 }
 
 ResultSet Runner::run(const Sweep& sweep, const RunOptions& opts) {

@@ -156,17 +156,10 @@ class Runner {
   Runner(const Runner&) = delete;
   Runner& operator=(const Runner&) = delete;
 
-  /// Deprecated shim, kept for source compatibility: identical to
-  /// run(sweep, RunOptions::from_env()) — honors TOPOBENCH_SHARD,
-  /// TOPOBENCH_SOLVER_THREADS and TOPOBENCH_STORE, throwing
-  /// std::invalid_argument when any is set but malformed. New code should
-  /// call the options-taking overload with an explicit RunOptions (use
-  /// RunOptions::from_env() to keep the env contract).
-  ResultSet run(const Sweep& sweep);
-
-  /// Evaluate `sweep` under `opts` and return results in cell order.
-  /// Throws std::invalid_argument on an empty grid, an invalid mode
-  /// combination (see the failures / warm-start contracts above), or an
+  /// Evaluate `sweep` under `opts` and return results in cell order (pass
+  /// RunOptions::from_env() for the environment contract). Throws
+  /// std::invalid_argument on an empty grid, an invalid mode combination
+  /// (see the failures / warm-start contracts above), or an
   /// engaged-but-invalid opts.shard.
   ResultSet run(const Sweep& sweep, const RunOptions& opts);
 

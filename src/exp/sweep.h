@@ -65,7 +65,7 @@ struct Sweep {
   CutBoundOptions cut_bound_opts;  ///< seed is overridden per cell
   /// Failures mode: when non-empty, the grid gains a scenario axis — each
   /// (topology, TM) pair is evaluated once per scenario via
-  /// core's degraded_throughput, filling the scenario / failed_links /
+  /// mcf::ScenarioFleet, filling the scenario / failed_links /
   /// throughput_drop columns (throughput is the degraded value). Requires
   /// absolute mode (trials == 0) without cut bounds; the runner throws
   /// otherwise.

@@ -6,7 +6,7 @@
 // pair swaps and keeping strict throughput decreases — reports the worst
 // matching TM found and its throughput. Every candidate is solved on one
 // ThroughputEngine session (warm-start chaining), so the search costs far
-// less than independent compute_throughput calls.
+// less than a fresh engine per candidate.
 //
 // Determinism: the proposal stream is Rng(mix_seed(seed, restart)); ties
 // never move (strict-decrease acceptance); aggregation orders demands by

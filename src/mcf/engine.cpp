@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -12,7 +10,6 @@
 
 #include "util/rng.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace tb::mcf {
 
@@ -295,9 +292,9 @@ ThroughputResult ThroughputEngine::run(const TrafficMatrix& tm,
     return zero;
   }
 
-  // Auto dispatch, as in compute_throughput: the dense simplex degrades
-  // steeply with LP size (sources x arcs flow variables), so ExactLP is
-  // only picked when the instance is genuinely small.
+  // Auto dispatch: the dense simplex degrades steeply with LP size
+  // (sources x arcs flow variables), so ExactLP is only picked when the
+  // instance is genuinely small.
   long num_sources = 0;
   {
     std::vector<char> seen(static_cast<std::size_t>(net_->graph.num_nodes()),
@@ -350,22 +347,8 @@ ThroughputResult ThroughputEngine::run(const TrafficMatrix& tm,
                    static_cast<std::uint64_t>(d.dst));
   }
   const bool seed_lengths = warm && fp == gk_tm_fingerprint_;
-  const Timer timer;
   const GkResult r = gk_.solve(*effective, gkopts, seed_lengths);
   gk_tm_fingerprint_ = fp;
-  static const bool debug = [] {
-    const char* s = std::getenv("TOPOBENCH_DEBUG");
-    return s != nullptr && s[0] == '1';
-  }();
-  if (debug) {
-    std::fprintf(stderr,
-                 "[gk] %-28s tm=%-12s flows=%-6zu phases=%-7ld gap=%.3f "
-                 "t=%.4f warm=%d %.2fs\n",
-                 net_->name.c_str(), effective->name.c_str(),
-                 effective->num_flows(), r.phases,
-                 r.throughput > 0 ? r.upper_bound / r.throughput - 1.0 : -1.0,
-                 r.throughput, r.warm_started ? 1 : 0, timer.seconds());
-  }
   ThroughputResult res;
   res.throughput = r.throughput;
   res.upper_bound = r.upper_bound;
@@ -384,8 +367,8 @@ std::vector<FleetCell> ScenarioFleet::evaluate(
     const SolveOptions& opts, bool parallel_cells) {
   std::vector<FleetCell> out(specs.size());
   if (specs.empty()) return out;
-  // One cold baseline per batch; it is bitwise the baseline every
-  // one-at-a-time degraded_throughput call would compute for this TM.
+  // One cold baseline per batch; it is bitwise the cold solve a fresh
+  // engine would compute for this TM.
   ThroughputEngine base(*net_);
   const ThroughputResult baseline = base.solve(tm, opts);
   // Each scenario gets a fresh fork of the intact baseline session, so its

@@ -1,10 +1,10 @@
-// ThroughputEngine — a reusable solver session bound to one topology.
+// ThroughputEngine — the one way to get a throughput number: a reusable
+// solver session bound to one topology.
 //
 // Every figure in the paper is a sweep in which the topology stays fixed
-// while the TM, scale factor, or solver varies. The stateless
-// compute_throughput free function rebuilds adjacency, commodity
-// aggregation, and solver state per call; the engine is constructed once
-// per topology and keeps all of that alive across solves:
+// while the TM, scale factor, or solver varies. The engine is constructed
+// once per topology (a one-off number is just a short-lived engine) and
+// keeps its state alive across solves:
 //
 //   * the preprocessed CSR graph (borrowed from the Network, which must
 //     outlive the engine);
@@ -12,13 +12,15 @@
 //     every arc-length / flow / Dijkstra buffer, reused between solves;
 //   * the last ExactLP optimal basis, reused as a simplex warm start.
 //
-// solve() is a cold solve — bitwise identical to compute_throughput on an
-// unperturbed engine. warm_solve() seeds the solver from the previous
-// solution (GK arc lengths; the LP basis): for ladders of nearby instances
-// (TM families on one topology, degraded-capacity variants) the certified
-// gap closes in far fewer phases. Warm results agree with cold ones within
-// the certified primal/dual gap, not bitwise — the ExactLP path stays
-// exact either way.
+// Auto dispatch between the two kernels (GkSolver::solve and
+// throughput_exact_lp) happens only here. solve() is a cold solve: on an
+// unperturbed engine it is bitwise identical to a fresh engine's solve,
+// whatever the engine solved before. warm_solve() seeds the solver from
+// the previous solution (GK arc lengths; the LP basis): for ladders of
+// nearby instances (TM families on one topology, degraded-capacity
+// variants) the certified gap closes in far fewer phases. Warm results
+// agree with cold ones within the certified primal/dual gap, not bitwise —
+// the ExactLP path stays exact either way.
 //
 // The scenario layer models degraded networks (paper's robustness
 // discussion): ScenarioSpec describes link/node failure sets, uniform
@@ -114,7 +116,7 @@ class ThroughputEngine {
   ThroughputEngine& operator=(const ThroughputEngine&) = delete;
 
   /// Cold solve under the current (possibly scenario-degraded) capacities.
-  /// Equivalent to compute_throughput when no scenario is active.
+  /// With no scenario active it equals a fresh engine's solve bitwise.
   ThroughputResult solve(const TrafficMatrix& tm,
                          const SolveOptions& opts = {});
 
@@ -205,7 +207,9 @@ class ThroughputEngine {
 struct FleetCell {
   ThroughputResult result;  ///< degraded solve (value, solver, stats)
   double baseline = 0.0;    ///< intact cold throughput of the batch
-  double drop = 0.0;        ///< 1 - degraded/baseline (0 when baseline is 0)
+  /// 1 - degraded/baseline (0 when baseline is 0). Usually in [0, 1]; the
+  /// GK certified gap can make it marginally negative on easy instances.
+  double drop = 0.0;
   int failed_links = 0;     ///< edges at zero capacity under the scenario
   int failed_groups = 0;    ///< distinct risk groups failed by the scenario
 };
@@ -216,10 +220,11 @@ struct FleetCell {
 /// of the baseline session (sharing the immutable topology, copying only
 /// per-arc working state) and warm-solved from the baseline solution, with
 /// the clones distributed over the shared thread pool. Per-scenario results
-/// are bitwise identical to evaluating each scenario one-at-a-time through
-/// core's degraded_throughput, for any thread count — only the wall clock
-/// and the number of baseline solves change. Nests safely under runner
-/// parallelism: on a pool worker the fleet's parallel_for runs inline.
+/// are bitwise identical to evaluating each scenario one-at-a-time on a
+/// fresh engine (cold solve, apply_scenario, warm_solve), for any thread
+/// count — only the wall clock and the number of baseline solves change.
+/// Nests safely under runner parallelism: on a pool worker the fleet's
+/// parallel_for runs inline.
 class ScenarioFleet {
  public:
   /// `net` must outlive the fleet.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <queue>
 #include <stdexcept>
@@ -158,7 +156,7 @@ double GkSolver::bidirectional_path(int s, int t, double vol,
   }
   if (meet < 0 || !(mu < kInf)) {
     throw std::runtime_error(
-        "max_concurrent_flow: demand between disconnected nodes");
+        "GkSolver::solve: demand between disconnected nodes");
   }
   // Sink-to-source arc order (the TreeCache convention): the backward half
   // t..meet reversed, then the forward half meet..s in walking order.
@@ -184,7 +182,7 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
   const int num_arcs = g.num_arcs();
   const auto n = static_cast<std::size_t>(g.num_nodes());
   if (tm.demands.empty()) {
-    throw std::invalid_argument("max_concurrent_flow: empty traffic matrix");
+    throw std::invalid_argument("GkSolver::solve: empty traffic matrix");
   }
 
   const auto alive = [this](int a) {
@@ -195,7 +193,7 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
     if (alive(a)) ++num_alive;
   }
   if (num_alive == 0) {
-    throw std::invalid_argument("max_concurrent_flow: no arcs with capacity");
+    throw std::invalid_argument("GkSolver::solve: no arcs with capacity");
   }
 
   // Group demands by source (reusing the session's group storage).
@@ -214,7 +212,7 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
     }
   }
   if (groups_.empty()) {
-    throw std::invalid_argument("max_concurrent_flow: no routable demands");
+    throw std::invalid_argument("GkSolver::solve: no routable demands");
   }
 
   // Pre-scale so every source's per-phase volume fits the smallest live
@@ -328,7 +326,7 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
       (void)demand;
       if (dist[static_cast<std::size_t>(dst)] >= kInf) {
         throw std::runtime_error(
-            "max_concurrent_flow: demand between disconnected nodes");
+            "GkSolver::solve: demand between disconnected nodes");
       }
       cache.build_dist[i] = dist[static_cast<std::size_t>(dst)];
     }
@@ -489,7 +487,7 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
             const double d_scaled = demand * demand_scale;
             if (dist[static_cast<std::size_t>(dst)] >= kInf) {
               throw std::runtime_error(
-                  "max_concurrent_flow: demand between disconnected nodes");
+                  "GkSolver::solve: demand between disconnected nodes");
             }
             alpha += d_scaled * dist[static_cast<std::size_t>(dst)];
             sc.node_vol[static_cast<std::size_t>(dst)] += d_scaled;
@@ -639,18 +637,6 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
     res.throughput = primal;
     res.max_congestion = cong_total;
 
-    static const bool trace = [] {
-      const char* s = std::getenv("TOPOBENCH_GK_TRACE");
-      return s != nullptr && s[0] == '1';
-    }();
-    if (trace && phase % 500 == 0) {
-      std::fprintf(stderr,
-                   "[gk-trace] phase=%ld primal=%.5f (win=%d) upper=%.5f "
-                   "D=%.3e\n",
-                   phase, primal, best_is_window ? 1 : 0, res.upper_bound,
-                   sum_cl);
-    }
-
     if (res.upper_bound < kInf && primal > 0.0) {
       const double gap = res.upper_bound / primal - 1.0;
       if (gap < best_gap_seen - 1e-4) {
@@ -706,12 +692,6 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
   }
   has_warm_ = true;  // length_ now holds this solve's final lengths
   return res;
-}
-
-GkResult max_concurrent_flow(const Graph& g, const TrafficMatrix& tm,
-                             const GkOptions& opts) {
-  GkSolver solver(g);
-  return solver.solve(tm, opts);
 }
 
 }  // namespace tb::mcf

@@ -193,9 +193,4 @@ class GkSolver {
   bool has_warm_ = false;
 };
 
-/// Demands must connect nodes of a connected `g`; amounts > 0. One-shot
-/// form: equivalent to GkSolver(g).solve(tm, opts).
-GkResult max_concurrent_flow(const Graph& g, const TrafficMatrix& tm,
-                             const GkOptions& opts = {});
-
 }  // namespace tb::mcf

@@ -3,8 +3,8 @@
 //
 // Fig 15 replicates [48]'s fat-tree-vs-Jellyfish comparison: flows are split
 // into subflows over a fixed path set (we use k shortest paths per
-// commodity as the LLSKR-style path set; see DESIGN.md). Throughput is then
-// measured two ways:
+// commodity as the LLSKR-style path set; see "Substitutions" in
+// docs/ARCHITECTURE.md). Throughput is then measured two ways:
 //  * counting estimate — each subflow's rate is the inverse of the maximum
 //    number of subflows sharing a link on its path ([48]'s method);
 //  * exact path-restricted LP — maximize the minimum flow subject to link

@@ -6,13 +6,8 @@
 
 #include "graph/algorithms.h"
 #include "lp/simplex.h"
-#include "mcf/engine.h"
 
 namespace tb::mcf {
-
-ThroughputResult throughput_exact_lp(const Graph& g, const TrafficMatrix& tm) {
-  return throughput_exact_lp(g, tm, ExactLpSession{});
-}
 
 ThroughputResult throughput_exact_lp(const Graph& g, const TrafficMatrix& tm,
                                      const ExactLpSession& session) {
@@ -117,15 +112,6 @@ double volumetric_upper_bound(const Graph& g, const TrafficMatrix& tm) {
   }
   if (weighted_len <= 0.0) throw std::invalid_argument("volumetric bound: no demand");
   return g.total_capacity() / weighted_len;
-}
-
-ThroughputResult compute_throughput(const Network& net, const TrafficMatrix& tm,
-                                    const SolveOptions& opts) {
-  // One-shot session: all preprocessing (dispatch, commodity grouping,
-  // solver buffers) lives in the engine; sweeps over a fixed topology
-  // should construct their own ThroughputEngine and reuse it.
-  ThroughputEngine engine(net);
-  return engine.solve(tm, opts);
 }
 
 }  // namespace tb::mcf

@@ -10,6 +10,8 @@
 // SolverKind::Auto (the default) picks ExactLP only when the instance is
 // genuinely small — at most `exact_max_switches` switches (36 by default)
 // AND sources*arcs at most `exact_max_lp_size` (4096) — and GK otherwise.
+// The dispatch lives in ThroughputEngine (mcf/engine.h), the one solve
+// entry point; this header holds the shared types and the ExactLP kernel.
 #pragma once
 
 #include <string>
@@ -74,12 +76,6 @@ inline bool lp_size_within(long num_sources, int num_arcs,
          static_cast<long long>(max_lp_size);
 }
 
-/// Compute throughput of `tm` on the switch graph of `net`. One-shot form:
-/// constructs a ThroughputEngine (see mcf/engine.h) for the single solve;
-/// sweeps over a fixed topology should hold their own engine instead.
-ThroughputResult compute_throughput(const Network& net, const TrafficMatrix& tm,
-                                    const SolveOptions& opts = {});
-
 /// Session hooks for the exact LP, used by ThroughputEngine: degraded
 /// per-arc capacities (scenario layer) and simplex basis reuse between
 /// nearby solves. All pointers are optional and may be null.
@@ -99,12 +95,11 @@ struct ExactLpSession {
   ThreadPool* pool = nullptr;
 };
 
-/// Exact LP on a bare graph (used by tests and the theory benches).
-ThroughputResult throughput_exact_lp(const Graph& g, const TrafficMatrix& tm);
-
-/// Exact LP with engine session hooks (capacity override + basis reuse).
+/// The ExactLP kernel on a bare graph. ThroughputEngine calls it with its
+/// session hooks (capacity override + basis reuse); tests and the theory
+/// benches call it with none.
 ThroughputResult throughput_exact_lp(const Graph& g, const TrafficMatrix& tm,
-                                     const ExactLpSession& session);
+                                     const ExactLpSession& session = {});
 
 /// Volumetric upper bound from §II-B: total capacity divided by total
 /// demand-weighted shortest-path length. Any feasible throughput is <= this.

@@ -3,7 +3,7 @@
 // The measured rack-to-rack matrices are not public — the paper itself
 // recovered order-of-magnitude weights from color-coded plot images. We
 // generate synthetic rack matrices reproducing the published structure
-// (DESIGN.md records the substitution):
+// ("Substitutions" in docs/ARCHITECTURE.md records this):
 //
 //  * TM-H (Hadoop cluster): near-uniform all-rack communication with mild
 //    log-scale jitter.

@@ -3,7 +3,7 @@
 // hypercube's unit generators plus extra "long hop" generators that boost
 // expansion/bisection.
 //
-// Substitution note (see DESIGN.md): instead of shipping fixed BCH-code
+// Substitution (see docs/ARCHITECTURE.md): instead of shipping fixed BCH-code
 // tables, we select the extra generators greedily from a deterministic
 // candidate pool to maximize the normalized spectral gap, which reproduces
 // the construction's intent (optimized Cayley expanders over Z_2^dim at a

@@ -4,7 +4,8 @@
 // generate graphs with the same qualitative character the paper relies on
 // ("denser at the core, sparse at the edges"): small-world rewired rings
 // (Watts-Strogatz), preferential-attachment trees-plus (Barabasi-Albert)
-// and planted-partition community graphs. See DESIGN.md.
+// and planted-partition community graphs. See "Substitutions" in
+// docs/ARCHITECTURE.md.
 #pragma once
 
 #include <cstdint>

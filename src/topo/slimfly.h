@@ -11,8 +11,8 @@
 // Router degree is (3q - 1)/2 and the diameter is exactly 2.
 //
 // We support prime q with q % 4 == 1 (q = 5, 13, 17, 29, ...), which covers
-// the sizes evaluated; prime powers and the q%4==3 variant are documented
-// substitutions (DESIGN.md).
+// the sizes evaluated; prime powers and the q%4==3 variant are not built
+// (see "Substitutions" in docs/ARCHITECTURE.md).
 #pragma once
 
 #include "topo/network.h"

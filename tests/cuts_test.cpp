@@ -5,6 +5,7 @@
 #include "cuts/bisection.h"
 #include "cuts/exact_cuts.h"
 #include "cuts/sparsest_cut.h"
+#include "mcf/engine.h"
 #include "mcf/throughput.h"
 #include "tm/synthetic.h"
 #include "topo/hypercube.h"
@@ -128,7 +129,7 @@ TEST(SparsestCut, UpperBoundsThroughput) {
   for (const std::uint64_t seed : {1ULL, 5ULL, 7ULL}) {
     const Network jf = make_jellyfish(14, 3, 1, seed);
     const TrafficMatrix tm = longest_matching(jf);
-    const double thr = mcf::compute_throughput(jf, tm).throughput;
+    const double thr = mcf::ThroughputEngine(jf).solve(tm).throughput;
     const cuts::SparseCutSurvey survey = cuts::best_sparse_cut(jf.graph, tm);
     EXPECT_GE(survey.best.sparsity * (1.0 + 1e-9), thr) << "seed " << seed;
   }
@@ -234,7 +235,7 @@ TEST(ExactCuts, StMincutUpperBoundsThroughput) {
   for (const std::uint64_t seed : {3ULL, 8ULL}) {
     const Network jf = make_jellyfish(14, 3, 1, seed);
     const TrafficMatrix tm = longest_matching(jf);
-    const double thr = mcf::compute_throughput(jf, tm).throughput;
+    const double thr = mcf::ThroughputEngine(jf).solve(tm).throughput;
     const cuts::CutResult st = cuts::sparsest_cut_st_mincut(jf.graph, tm);
     EXPECT_GE(st.sparsity * (1.0 + 1e-9), thr) << "seed " << seed;
   }

@@ -9,9 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
-#include "core/evaluator.h"
+#include "fleet_reference.h"
 #include "mcf/engine.h"
 #include "pool_test_env.h"
 #include "tm/synthetic.h"
@@ -119,15 +120,13 @@ TEST(EngineStress, InterleavedWarmScenarioAndFleetOperations) {
         specs[0].random_edge_fraction = rng.next_double(0.05, 0.15);
         specs[0].seed = rng();
         specs[1].capacity_factor = rng.next_double(0.5, 0.9);
-        const std::vector<DegradedResult> batch =
-            degraded_throughput_batch(net, tm, specs, gk_opts());
+        mcf::ScenarioFleet fleet(net);
+        const std::vector<mcf::FleetCell> batch =
+            fleet.evaluate(tm, specs, gk_opts());
         for (std::size_t i = 0; i < specs.size(); ++i) {
-          const DegradedResult one =
-              degraded_throughput(net, tm, specs[i], gk_opts());
-          EXPECT_EQ(batch[i].degraded, one.degraded) << step << ':' << i;
-          EXPECT_EQ(batch[i].drop, one.drop) << step << ':' << i;
-          EXPECT_EQ(batch[i].failed_links, one.failed_links)
-              << step << ':' << i;
+          test_ref::expect_same_cell(
+              batch[i], test_ref::one_at_a_time(net, tm, specs[i], gk_opts()),
+              std::to_string(step) + ':' + std::to_string(i));
         }
         const auto after = engine.solve(tm, gk_opts());
         EXPECT_EQ(after.throughput, cold_ref[which].throughput) << step;

@@ -2,8 +2,8 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
-#include "core/evaluator.h"
 #include "mcf/engine.h"
 #include "mcf/throughput.h"
 #include "pool_test_env.h"
@@ -24,27 +24,37 @@ mcf::SolveOptions gk_opts(double eps = 0.05) {
   return o;
 }
 
-TEST(Engine, ColdSolveMatchesFreeFunctionBitwise) {
-  // compute_throughput is a thin wrapper over a one-shot engine; an
-  // explicit engine's cold solve must agree bitwise on both solver paths.
+TEST(Engine, ReusedColdSolveMatchesFreshEngineBitwise) {
+  // A cold solve depends only on (topology, capacities, TM, options): an
+  // engine that has warm-solved another TM and applied and cleared a
+  // scenario must cold-solve bitwise like a fresh engine, on both solver
+  // paths. This is what lets a caller hold one engine per topology.
+  const auto check = [](const Network& net, const TrafficMatrix& tm,
+                        const mcf::SolveOptions& opts, const char* solver) {
+    mcf::ThroughputEngine reused(net);
+    (void)reused.solve(tm, opts);
+    (void)reused.warm_solve(random_matching(net, 1, 3), opts);
+    mcf::ScenarioSpec spec;
+    spec.random_edge_fraction = 0.1;
+    spec.seed = 5;
+    reused.apply_scenario(spec);
+    (void)reused.warm_solve(tm, opts);
+    reused.clear_scenario();
+    const auto again = reused.solve(tm, opts);
+    const auto fresh = mcf::ThroughputEngine(net).solve(tm, opts);
+    EXPECT_EQ(fresh.solver, solver);
+    EXPECT_EQ(again.solver, fresh.solver) << solver;
+    EXPECT_EQ(again.throughput, fresh.throughput) << solver;
+    EXPECT_EQ(again.upper_bound, fresh.upper_bound) << solver;
+    EXPECT_EQ(again.stats.pivots, fresh.stats.pivots) << solver;
+    EXPECT_EQ(again.stats.phases, fresh.stats.phases) << solver;
+    EXPECT_EQ(again.stats.dijkstras, fresh.stats.dijkstras) << solver;
+    EXPECT_FALSE(again.stats.warm_start) << solver;
+  };
   const Network jf = make_jellyfish(24, 5, 1, 21);
-  const TrafficMatrix tm = longest_matching(jf);
-  mcf::ThroughputEngine engine(jf);
-  const auto direct = mcf::compute_throughput(jf, tm, gk_opts());
-  const auto viaEngine = engine.solve(tm, gk_opts());
-  EXPECT_EQ(direct.throughput, viaEngine.throughput);
-  EXPECT_EQ(direct.upper_bound, viaEngine.upper_bound);
-  EXPECT_EQ(direct.stats.phases, viaEngine.stats.phases);
-  EXPECT_EQ(direct.stats.dijkstras, viaEngine.stats.dijkstras);
-
+  check(jf, longest_matching(jf), gk_opts(), "garg-konemann");
   const Network hc = make_hypercube(3);
-  const TrafficMatrix a2a = all_to_all(hc);
-  mcf::ThroughputEngine lp_engine(hc);
-  const auto lp_direct = mcf::compute_throughput(hc, a2a);
-  const auto lp_engine_res = lp_engine.solve(a2a);
-  EXPECT_EQ(lp_direct.solver, "exact-lp");
-  EXPECT_EQ(lp_direct.throughput, lp_engine_res.throughput);
-  EXPECT_EQ(lp_direct.stats.pivots, lp_engine_res.stats.pivots);
+  check(hc, all_to_all(hc), mcf::SolveOptions{}, "exact-lp");
 }
 
 TEST(Engine, WarmSolveWithinCertifiedGapOfCold) {
@@ -59,7 +69,7 @@ TEST(Engine, WarmSolveWithinCertifiedGapOfCold) {
   mcf::ThroughputResult prev = engine.solve(tms[0], gk_opts(eps));
   for (const TrafficMatrix& tm : {tms[1], tms[2]}) {
     const auto warm = engine.warm_solve(tm, gk_opts(eps));
-    const auto cold = mcf::compute_throughput(jf, tm, gk_opts(eps));
+    const auto cold = mcf::ThroughputEngine(jf).solve(tm, gk_opts(eps));
     EXPECT_TRUE(warm.stats.warm_start);
     EXPECT_GT(warm.throughput, 0.0);
     // Certified feasibility/upper-bound crosschecks.
@@ -219,28 +229,29 @@ TEST(Engine, CapacityDegradationScalesLpThroughputExactly) {
   EXPECT_NEAR(half.throughput, base.throughput / 2.0, 1e-9);
 }
 
-TEST(Evaluator, DegradedThroughputReportsDropAndStats) {
+TEST(Engine, FleetCellReportsDropAndStats) {
   const Network jf = make_jellyfish(20, 4, 1, 11);
   const TrafficMatrix tm = all_to_all(jf);
-  mcf::ScenarioSpec spec;
-  spec.random_edge_fraction = 0.1;
-  spec.seed = 99;
-  mcf::SolveOptions solve = gk_opts(0.05);
-  const DegradedResult res = degraded_throughput(jf, tm, spec, solve);
+  std::vector<mcf::ScenarioSpec> specs(2);
+  specs[0].random_edge_fraction = 0.1;
+  specs[0].seed = 99;
+  // Disconnecting scenario: every link fails, so no demand can be served.
+  specs[1].random_edge_fraction = 1.0;
+  mcf::ScenarioFleet fleet(jf);
+  const std::vector<mcf::FleetCell> cells =
+      fleet.evaluate(tm, specs, gk_opts(0.05));
+  ASSERT_EQ(cells.size(), 2u);
+  const mcf::FleetCell& res = cells[0];
   EXPECT_GT(res.baseline, 0.0);
   EXPECT_GT(res.failed_links, 0);
-  EXPECT_LE(res.degraded, res.baseline * (1.0 + 0.11));
-  EXPECT_NEAR(res.drop, 1.0 - res.degraded / res.baseline, 1e-12);
-  EXPECT_TRUE(res.stats.warm_start);  // degraded solve seeds from baseline
-  EXPECT_GT(res.stats.phases, 0);
+  EXPECT_LE(res.result.throughput, res.baseline * (1.0 + 0.11));
+  EXPECT_NEAR(res.drop, 1.0 - res.result.throughput / res.baseline, 1e-12);
+  EXPECT_TRUE(res.result.stats.warm_start);  // seeds from the baseline
+  EXPECT_GT(res.result.stats.phases, 0);
 
-  // Disconnecting scenario: every link of a node fails with demands kept
-  // via drop=false semantics exercised above; here drop the whole graph's
-  // connectivity instead.
-  mcf::ScenarioSpec all_fail;
-  all_fail.random_edge_fraction = 1.0;
-  const DegradedResult dead = degraded_throughput(jf, tm, all_fail, solve);
-  EXPECT_EQ(dead.degraded, 0.0);
+  const mcf::FleetCell& dead = cells[1];
+  EXPECT_EQ(dead.result.throughput, 0.0);
+  EXPECT_EQ(dead.result.solver, "disconnected");
   EXPECT_NEAR(dead.drop, 1.0, 1e-12);
 }
 

@@ -72,10 +72,10 @@ TEST(Sweep, TmSpecsAreSeedDriven) {
 TEST(Runner, CacheAnswersRepeatedCellsWithoutReevaluating) {
   const exp::Sweep sweep = tiny_sweep(/*trials=*/0);
   exp::Runner runner;
-  const exp::ResultSet first = runner.run(sweep);
+  const exp::ResultSet first = runner.run(sweep, exp::RunOptions{});
   EXPECT_EQ(runner.cache_stats().misses, 2u);
   EXPECT_EQ(runner.cache_stats().hits, 0u);
-  const exp::ResultSet second = runner.run(sweep);
+  const exp::ResultSet second = runner.run(sweep, exp::RunOptions{});
   EXPECT_EQ(runner.cache_stats().misses, 2u);  // same cells evaluated once
   EXPECT_EQ(runner.cache_stats().hits, 2u);
   EXPECT_EQ(first.to_csv(), second.to_csv());
@@ -90,7 +90,7 @@ TEST(Runner, CacheAnswersRepeatedCellsWithoutReevaluating) {
 TEST(Runner, CacheInsertionOrderCannotLeakIntoCsvBytes) {
   const exp::Sweep sweep = tiny_sweep(/*trials=*/0);
   exp::Runner forward;
-  const std::string baseline = forward.run(sweep).to_csv();
+  const std::string baseline = forward.run(sweep, exp::RunOptions{}).to_csv();
 
   exp::Runner reversed;
   exp::RunOptions back;
@@ -99,7 +99,7 @@ TEST(Runner, CacheInsertionOrderCannotLeakIntoCsvBytes) {
   front.shard = exp::ShardSpec{0, 2};
   (void)reversed.run(sweep, back);   // cell 1 inserted first
   (void)reversed.run(sweep, front);  // then cell 0
-  const std::string replayed = reversed.run(sweep).to_csv();
+  const std::string replayed = reversed.run(sweep, exp::RunOptions{}).to_csv();
   EXPECT_EQ(reversed.cache_stats().hits, 2u);  // pure cache replay
   EXPECT_EQ(replayed, baseline);
 }
@@ -107,10 +107,10 @@ TEST(Runner, CacheInsertionOrderCannotLeakIntoCsvBytes) {
 TEST(Runner, CacheDistinguishesSolverAndTrialConfig) {
   exp::Sweep sweep = tiny_sweep(/*trials=*/0);
   exp::Runner runner;
-  (void)runner.run(sweep);
+  (void)runner.run(sweep, exp::RunOptions{});
   exp::Sweep tighter = sweep;
   tighter.solve.kind = mcf::SolverKind::ExactLP;
-  (void)runner.run(tighter);
+  (void)runner.run(tighter, exp::RunOptions{});
   // Different solver configuration must not be answered from the cache.
   EXPECT_EQ(runner.cache_stats().misses, 4u);
 }
@@ -126,7 +126,8 @@ TEST(Runner, SerialAndParallelProduceIdenticalCsv) {
   const exp::Sweep sweep = tiny_sweep(/*trials=*/2);
   exp::Runner serial(/*parallel=*/false);
   exp::Runner parallel(/*parallel=*/true);
-  EXPECT_EQ(serial.run(sweep).to_csv(), parallel.run(sweep).to_csv());
+  EXPECT_EQ(serial.run(sweep, exp::RunOptions{}).to_csv(),
+            parallel.run(sweep, exp::RunOptions{}).to_csv());
 }
 
 TEST(Runner, RelativeCellsMatchDirectEvaluatorCall) {
@@ -135,7 +136,7 @@ TEST(Runner, RelativeCellsMatchDirectEvaluatorCall) {
   // (cell_seed = mix_seed(base, cell), trial t = mix_seed(base, cell, t)).
   const exp::Sweep sweep = tiny_sweep(/*trials=*/2, /*base_seed=*/42);
   exp::Runner runner;
-  const exp::ResultSet rs = runner.run(sweep);
+  const exp::ResultSet rs = runner.run(sweep, exp::RunOptions{});
   ASSERT_EQ(rs.size(), 2u);
   const std::shared_ptr<const Network> built = sweep.topologies[0].build();
   const Network& net = *built;
@@ -251,7 +252,7 @@ TEST(Runner, CallerAuthoredSpecLabelIsRowIdentity) {
   sweep.topologies = {{"hc16", registry.build}};
   sweep.tms = {exp::a2a_tm()};
   exp::Runner runner;
-  const exp::ResultSet rs = runner.run(sweep);
+  const exp::ResultSet rs = runner.run(sweep, exp::RunOptions{});
   ASSERT_EQ(rs.size(), 1u);
   EXPECT_EQ(rs.rows()[0].topology, "hc16");
   EXPECT_GT(rs.at("hc16", "A2A").throughput, 0.0);
@@ -288,7 +289,7 @@ TEST(Results, JsonEscapesControlCharactersAndNonFinite) {
 TEST(Results, AtFindsCellAndThrowsOnMiss) {
   const exp::Sweep sweep = tiny_sweep(/*trials=*/0);
   exp::Runner runner;
-  const exp::ResultSet rs = runner.run(sweep);
+  const exp::ResultSet rs = runner.run(sweep, exp::RunOptions{});
   const exp::CellResult& cell = rs.at(sweep.topologies[0].label, "LM");
   EXPECT_EQ(cell.tm, "LM");
   EXPECT_GT(cell.throughput, 0.0);
@@ -299,7 +300,7 @@ TEST(Runner, CutBoundColumnsFilledWhenEnabled) {
   exp::Sweep sweep = tiny_sweep(/*trials=*/0);
   sweep.cut_bounds = true;
   exp::Runner runner;
-  const exp::ResultSet rs = runner.run(sweep);
+  const exp::ResultSet rs = runner.run(sweep, exp::RunOptions{});
   ASSERT_EQ(rs.size(), 2u);
   for (const exp::CellResult& r : rs.rows()) {
     // Hypercube(16) under A2A/LM solves via ExactLP, so the certified cut
@@ -312,7 +313,7 @@ TEST(Runner, CutBoundColumnsFilledWhenEnabled) {
   }
   // Disabled sweeps must keep the sentinel (and a distinct cache entry).
   exp::Sweep off = tiny_sweep(/*trials=*/0);
-  const exp::ResultSet rs_off = runner.run(off);
+  const exp::ResultSet rs_off = runner.run(off, exp::RunOptions{});
   EXPECT_TRUE(std::isnan(rs_off.rows()[0].cut_bound));
   EXPECT_TRUE(rs_off.rows()[0].cut_method.empty());
   EXPECT_EQ(runner.cache_stats().hits, 0u);
@@ -343,7 +344,7 @@ TEST(Runner, FailureCellsFillScenarioColumnsDeterministically) {
   sweep.scenarios = exp::random_failure_scenarios({0.15});
   sweep.scenarios.push_back(exp::degrade_scenario(0.5));
   exp::Runner serial(/*parallel=*/false);
-  const exp::ResultSet rs = serial.run(sweep);
+  const exp::ResultSet rs = serial.run(sweep, exp::RunOptions{});
   ASSERT_EQ(rs.size(), 4u);  // 1 topo x 2 tms x 2 scenarios
   for (const exp::CellResult& r : rs.rows()) {
     EXPECT_FALSE(r.scenario.empty());
@@ -362,7 +363,7 @@ TEST(Runner, FailureCellsFillScenarioColumnsDeterministically) {
   // single byte of the emitted CSV (failure sampling is per-cell seeded).
   if (ThreadPool::shared().size() > 1) {
     exp::Runner parallel(/*parallel=*/true);
-    EXPECT_EQ(parallel.run(sweep).to_csv(), rs.to_csv());
+    EXPECT_EQ(parallel.run(sweep, exp::RunOptions{}).to_csv(), rs.to_csv());
   }
 }
 
@@ -382,10 +383,11 @@ TEST(Runner, FailureCacheKeysIncludeScenarioAxisShape) {
   b.scenarios = {exp::degrade_scenario(0.8), exp::degrade_scenario(0.5)};
 
   exp::Runner shared_runner;
-  (void)shared_runner.run(a);
-  const std::string b_after_a = shared_runner.run(b).to_csv();
+  (void)shared_runner.run(a, exp::RunOptions{});
+  const std::string b_after_a =
+      shared_runner.run(b, exp::RunOptions{}).to_csv();
   exp::Runner fresh_runner;
-  EXPECT_EQ(fresh_runner.run(b).to_csv(), b_after_a);
+  EXPECT_EQ(fresh_runner.run(b, exp::RunOptions{}).to_csv(), b_after_a);
 }
 
 TEST(Runner, WarmChainsAreDeterministicAndFlagged) {
@@ -393,7 +395,7 @@ TEST(Runner, WarmChainsAreDeterministicAndFlagged) {
   sweep.solve.kind = mcf::SolverKind::GargKonemann;  // exercise GK sessions
   sweep.warm_start = true;
   exp::Runner serial(/*parallel=*/false);
-  const exp::ResultSet rs = serial.run(sweep);
+  const exp::ResultSet rs = serial.run(sweep, exp::RunOptions{});
   ASSERT_EQ(rs.size(), 2u);
   for (const exp::CellResult& r : rs.rows()) {
     EXPECT_EQ(r.warm, 1);  // whole chain runs in session mode
@@ -402,18 +404,18 @@ TEST(Runner, WarmChainsAreDeterministicAndFlagged) {
   }
   if (ThreadPool::shared().size() > 1) {
     exp::Runner parallel(/*parallel=*/true);
-    EXPECT_EQ(parallel.run(sweep).to_csv(), rs.to_csv());
+    EXPECT_EQ(parallel.run(sweep, exp::RunOptions{}).to_csv(), rs.to_csv());
   }
   // Warm results are cached under a distinct fingerprint: a cold re-run of
   // the same grid must not be answered from warm entries (or vice versa).
   exp::Sweep cold = sweep;
   cold.warm_start = false;
   exp::Runner runner;
-  (void)runner.run(sweep);
-  (void)runner.run(cold);
+  (void)runner.run(sweep, exp::RunOptions{});
+  (void)runner.run(cold, exp::RunOptions{});
   EXPECT_EQ(runner.cache_stats().misses, 4u);
   // A warm re-run hits only when the whole chain is cached.
-  (void)runner.run(sweep);
+  (void)runner.run(sweep, exp::RunOptions{});
   EXPECT_EQ(runner.cache_stats().hits, 2u);
 }
 
@@ -428,11 +430,12 @@ TEST(Runner, WarmCacheKeysIncludeChainIdentity) {
   exp::Sweep b = a;
   b.tms = {exp::random_matching_tm(1), exp::longest_matching_tm()};
   exp::Runner runner;
-  (void)runner.run(a);
-  const std::string b_first = runner.run(b).to_csv();
+  (void)runner.run(a, exp::RunOptions{});
+  const std::string b_first = runner.run(b, exp::RunOptions{}).to_csv();
   EXPECT_EQ(runner.cache_stats().hits, 0u);  // no cross-chain answers
   EXPECT_EQ(runner.cache_stats().misses, 4u);
-  EXPECT_EQ(runner.run(b).to_csv(), b_first);  // exact re-run, b's own bytes
+  // Exact re-run: b's own bytes.
+  EXPECT_EQ(runner.run(b, exp::RunOptions{}).to_csv(), b_first);
   EXPECT_EQ(runner.cache_stats().hits, 2u);
 }
 
@@ -440,23 +443,26 @@ TEST(Runner, ModeValidationRejectsUnsupportedCombinations) {
   exp::Runner runner;
   exp::Sweep failures = tiny_sweep(/*trials=*/2);
   failures.scenarios = exp::random_failure_scenarios({0.1});
-  EXPECT_THROW(runner.run(failures), std::invalid_argument);  // trials > 0
+  EXPECT_THROW(runner.run(failures, exp::RunOptions{}),
+               std::invalid_argument);  // trials > 0
   failures.trials = 0;
   failures.cut_bounds = true;
-  EXPECT_THROW(runner.run(failures), std::invalid_argument);
+  EXPECT_THROW(runner.run(failures, exp::RunOptions{}), std::invalid_argument);
   failures.cut_bounds = false;
   failures.warm_start = true;
-  EXPECT_THROW(runner.run(failures), std::invalid_argument);
+  EXPECT_THROW(runner.run(failures, exp::RunOptions{}), std::invalid_argument);
   failures.warm_start = false;
   failures.scenarios[0].label.clear();
-  EXPECT_THROW(runner.run(failures), std::invalid_argument);  // empty label
+  EXPECT_THROW(runner.run(failures, exp::RunOptions{}),
+               std::invalid_argument);  // empty label
 
   exp::Sweep warm = tiny_sweep(/*trials=*/2);
   warm.warm_start = true;
-  EXPECT_THROW(runner.run(warm), std::invalid_argument);  // relative + warm
+  EXPECT_THROW(runner.run(warm, exp::RunOptions{}),
+               std::invalid_argument);  // relative + warm
   warm.trials = 0;
   warm.cut_bounds = true;
-  EXPECT_THROW(runner.run(warm), std::invalid_argument);
+  EXPECT_THROW(runner.run(warm, exp::RunOptions{}), std::invalid_argument);
 }
 
 TEST(Rng, ThreeWayMixMatchesNestedTwoWayMix) {

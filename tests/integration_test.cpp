@@ -7,6 +7,7 @@
 #include "core/evaluator.h"
 #include "core/registry.h"
 #include "cuts/sparsest_cut.h"
+#include "mcf/engine.h"
 #include "mcf/paths.h"
 #include "mcf/throughput.h"
 #include "tm/facebook.h"
@@ -42,14 +43,14 @@ TEST(Integration, FatTreeElephantAnomaly) {
 
   const TrafficMatrix ft_base = longest_matching(ft);
   const TrafficMatrix jf_base = longest_matching(jf);
-  const double ft_plain = mcf::compute_throughput(ft, ft_base, opts).throughput;
-  const double jf_plain = mcf::compute_throughput(jf, jf_base, opts).throughput;
+  mcf::ThroughputEngine ft_engine(ft);
+  mcf::ThroughputEngine jf_engine(jf);
+  const double ft_plain = ft_engine.solve(ft_base, opts).throughput;
+  const double jf_plain = jf_engine.solve(jf_base, opts).throughput;
   const double ft_eleph =
-      mcf::compute_throughput(ft, with_elephants(ft_base, 0.05, 10.0, 5), opts)
-          .throughput;
+      ft_engine.solve(with_elephants(ft_base, 0.05, 10.0, 5), opts).throughput;
   const double jf_eleph =
-      mcf::compute_throughput(jf, with_elephants(jf_base, 0.05, 10.0, 5), opts)
-          .throughput;
+      jf_engine.solve(with_elephants(jf_base, 0.05, 10.0, 5), opts).throughput;
 
   const double ft_drop = ft_eleph / ft_plain;
   const double jf_drop = jf_eleph / jf_plain;
@@ -66,14 +67,14 @@ TEST(Integration, ShufflingSkewedTmHelpsStructuredTopology) {
   const std::vector<double> rack = synth_tm_frontend(32, 3);
   mcf::SolveOptions opts;
   opts.epsilon = 0.05;
+  mcf::ThroughputEngine engine(hc);
   const double sampled =
-      mcf::compute_throughput(hc, map_rack_tm(hc, rack, 32, 0), opts).throughput;
+      engine.solve(map_rack_tm(hc, rack, 32, 0), opts).throughput;
   double shuffled_best = 0.0;
   for (const std::uint64_t s : {11ULL, 12ULL, 13ULL}) {
     shuffled_best = std::max(
         shuffled_best,
-        mcf::compute_throughput(hc, map_rack_tm(hc, rack, 32, s), opts)
-            .throughput);
+        engine.solve(map_rack_tm(hc, rack, 32, s), opts).throughput);
   }
   EXPECT_GE(shuffled_best, sampled * 0.95);
 }
@@ -88,8 +89,9 @@ TEST(Integration, TheoryGraphsCutThroughputInversion) {
   mcf::SolveOptions opts;
   opts.epsilon = 0.04;
   const auto ratio = [&](const Network& net) {
-    const double thr =
-        mcf::compute_throughput(net, longest_matching(net), opts).throughput;
+    const double thr = mcf::ThroughputEngine(net)
+                           .solve(longest_matching(net), opts)
+                           .throughput;
     const double cut =
         cuts::best_sparse_cut(net.graph, all_to_all(net)).best.sparsity;
     return cut / thr;

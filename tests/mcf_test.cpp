@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "mcf/engine.h"
 #include "mcf/garg_konemann.h"
 #include "mcf/paths.h"
 #include "mcf/throughput.h"
@@ -108,7 +109,7 @@ TEST(GargKonemann, MatchesExactOnSmallInstances) {
     mcf::GkOptions opts;
     opts.plateau_guard = false;  // strict-epsilon certificate test
     opts.epsilon = 0.02;
-    const mcf::GkResult gk = mcf::max_concurrent_flow(hc.graph, tm, opts);
+    const mcf::GkResult gk = mcf::GkSolver(hc.graph).solve(tm, opts);
     EXPECT_GE(gk.throughput, exact * (1.0 - 0.025)) << tm_name;
     EXPECT_LE(gk.throughput, exact * (1.0 + 1e-6)) << tm_name;
     EXPECT_GE(gk.upper_bound, exact * (1.0 - 1e-6)) << tm_name;
@@ -121,7 +122,7 @@ TEST(GargKonemann, CertifiedGapHolds) {
   mcf::GkOptions opts;
   opts.plateau_guard = false;  // strict-epsilon certificate tests
   opts.epsilon = 0.05;
-  const mcf::GkResult r = mcf::max_concurrent_flow(jf.graph, tm, opts);
+  const mcf::GkResult r = mcf::GkSolver(jf.graph).solve(tm, opts);
   EXPECT_GT(r.throughput, 0.0);
   EXPECT_LE(r.throughput, r.upper_bound * (1.0 + 1e-9));
   EXPECT_LE(r.upper_bound, r.throughput * (1.0 + opts.epsilon + 1e-9));
@@ -130,7 +131,7 @@ TEST(GargKonemann, CertifiedGapHolds) {
 TEST(GargKonemann, FlowIsFeasible) {
   const Network jf = make_jellyfish(24, 4, 1, 5);
   const TrafficMatrix tm = random_matching(jf, 2, 7);
-  const mcf::GkResult r = mcf::max_concurrent_flow(jf.graph, tm);
+  const mcf::GkResult r = mcf::GkSolver(jf.graph).solve(tm);
   for (int a = 0; a < jf.graph.num_arcs(); ++a) {
     EXPECT_LE(r.arc_flow[static_cast<std::size_t>(a)],
               jf.graph.arc_cap(a) * (1.0 + 1e-9));
@@ -146,8 +147,8 @@ TEST(GargKonemann, ParallelAndSerialAgree) {
   mcf::GkOptions parallel;
   parallel.parallel = true;
   parallel.epsilon = 0.05;
-  const double a = mcf::max_concurrent_flow(jf.graph, tm, serial).throughput;
-  const double b = mcf::max_concurrent_flow(jf.graph, tm, parallel).throughput;
+  const double a = mcf::GkSolver(jf.graph).solve(tm, serial).throughput;
+  const double b = mcf::GkSolver(jf.graph).solve(tm, parallel).throughput;
   // Identical: the block structure, not the thread count, defines routing.
   EXPECT_DOUBLE_EQ(a, b);
 }
@@ -156,18 +157,18 @@ TEST(GargKonemann, DemandScalingIsLinear) {
   // Throughput of c*TM must be throughput(TM)/c.
   const Network hc = make_hypercube(4);
   TrafficMatrix tm = longest_matching(hc);
-  const double base = mcf::max_concurrent_flow(hc.graph, tm).throughput;
+  const double base = mcf::GkSolver(hc.graph).solve(tm).throughput;
   tm.scale(4.0);
-  const double quarter = mcf::max_concurrent_flow(hc.graph, tm).throughput;
+  const double quarter = mcf::GkSolver(hc.graph).solve(tm).throughput;
   EXPECT_NEAR(quarter, base / 4.0, base * 0.02);
 }
 
 TEST(Throughput, AutoDispatchesBySize) {
   const Network small = make_hypercube(3);
-  const auto rs = mcf::compute_throughput(small, all_to_all(small));
+  const auto rs = mcf::ThroughputEngine(small).solve(all_to_all(small));
   EXPECT_EQ(rs.solver, "exact-lp");
   const Network big = make_jellyfish(64, 5, 1, 2);
-  const auto rb = mcf::compute_throughput(big, longest_matching(big));
+  const auto rb = mcf::ThroughputEngine(big).solve(longest_matching(big));
   EXPECT_EQ(rb.solver, "garg-konemann");
 }
 
@@ -176,14 +177,14 @@ TEST(Throughput, SolverStatsSplitPivotsFromPhases) {
   // pivots and no GK counters; a GK solve reports phases and Dijkstra
   // counts and no pivots. Cold one-shot solves are never warm-started.
   const Network small = make_hypercube(3);
-  const auto lp = mcf::compute_throughput(small, all_to_all(small));
+  const auto lp = mcf::ThroughputEngine(small).solve(all_to_all(small));
   EXPECT_GT(lp.stats.pivots, 0);
   EXPECT_EQ(lp.stats.phases, 0);
   EXPECT_EQ(lp.stats.dijkstras, 0);
   EXPECT_FALSE(lp.stats.warm_start);
 
   const Network big = make_jellyfish(64, 5, 1, 2);
-  const auto gk = mcf::compute_throughput(big, longest_matching(big));
+  const auto gk = mcf::ThroughputEngine(big).solve(longest_matching(big));
   EXPECT_EQ(gk.stats.pivots, 0);
   EXPECT_GT(gk.stats.phases, 0);
   EXPECT_GT(gk.stats.dijkstras, gk.stats.phases);  // >= one per source/phase
@@ -194,7 +195,7 @@ TEST(Throughput, VolumetricBoundDominates) {
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
     const Network jf = make_jellyfish(20, 4, 1, seed);
     const TrafficMatrix tm = longest_matching(jf);
-    const auto r = mcf::compute_throughput(jf, tm);
+    const auto r = mcf::ThroughputEngine(jf).solve(tm);
     EXPECT_LE(r.throughput,
               mcf::volumetric_upper_bound(jf.graph, tm) * (1.0 + 1e-9));
   }
@@ -204,9 +205,9 @@ TEST(Throughput, Theorem2LowerBoundHolds) {
   // Any hose TM achieves >= T_A2A / 2: check LM against it.
   for (const std::uint64_t seed : {4ULL, 9ULL}) {
     const Network jf = make_jellyfish(16, 4, 1, seed);
-    const double a2a = mcf::compute_throughput(jf, all_to_all(jf)).throughput;
-    const double lm =
-        mcf::compute_throughput(jf, longest_matching(jf)).throughput;
+    mcf::ThroughputEngine engine(jf);
+    const double a2a = engine.solve(all_to_all(jf)).throughput;
+    const double lm = engine.solve(longest_matching(jf)).throughput;
     EXPECT_GE(lm, a2a / 2.0 * (1.0 - 1e-6));
   }
 }
@@ -214,11 +215,10 @@ TEST(Throughput, Theorem2LowerBoundHolds) {
 TEST(Throughput, TmOrderingA2aRmLm) {
   // Paper Fig 4: T_A2A >= T_RM >= T_LM for every network.
   const Network jf = make_jellyfish(24, 5, 1, 21);
-  const double a2a = mcf::compute_throughput(jf, all_to_all(jf)).throughput;
-  const double rm =
-      mcf::compute_throughput(jf, random_matching(jf, 1, 3)).throughput;
-  const double lm =
-      mcf::compute_throughput(jf, longest_matching(jf)).throughput;
+  mcf::ThroughputEngine engine(jf);
+  const double a2a = engine.solve(all_to_all(jf)).throughput;
+  const double rm = engine.solve(random_matching(jf, 1, 3)).throughput;
+  const double lm = engine.solve(longest_matching(jf)).throughput;
   EXPECT_GE(a2a * (1.0 + 0.05), rm);
   EXPECT_GE(rm * (1.0 + 0.05), lm);
 }

@@ -9,9 +9,9 @@
 #include <string>
 #include <vector>
 
-#include "core/evaluator.h"
 #include "core/registry.h"
 #include "exp/runner.h"
+#include "fleet_reference.h"
 #include "mcf/engine.h"
 #include "pool_test_env.h"
 #include "tm/synthetic.h"
@@ -116,7 +116,7 @@ TEST(ThreadedEquivalence, ExactLpSolveIsBitwiseIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// ScenarioFleet == one-at-a-time degraded_throughput, bitwise.
+// ScenarioFleet == one-at-a-time engine sequence, bitwise.
 
 TEST(ScenarioFleet, MatchesOneAtATimeDegradedThroughputBitwise) {
   const Network jf = make_jellyfish(20, 4, 1, 33);
@@ -130,18 +130,13 @@ TEST(ScenarioFleet, MatchesOneAtATimeDegradedThroughputBitwise) {
   specs[2].capacity_factor = 0.6;
   specs[3].failed_nodes = {1};
 
-  const std::vector<DegradedResult> batch =
-      degraded_throughput_batch(jf, tm, specs, solve);
+  mcf::ScenarioFleet fleet(jf);
+  const std::vector<mcf::FleetCell> batch = fleet.evaluate(tm, specs, solve);
   ASSERT_EQ(batch.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    const DegradedResult one = degraded_throughput(jf, tm, specs[i], solve);
-    EXPECT_EQ(batch[i].baseline, one.baseline) << i;
-    EXPECT_EQ(batch[i].degraded, one.degraded) << i;
-    EXPECT_EQ(batch[i].drop, one.drop) << i;
-    EXPECT_EQ(batch[i].failed_links, one.failed_links) << i;
-    EXPECT_EQ(batch[i].stats.phases, one.stats.phases) << i;
-    EXPECT_EQ(batch[i].stats.dijkstras, one.stats.dijkstras) << i;
-    EXPECT_EQ(batch[i].stats.warm_start, one.stats.warm_start) << i;
+    test_ref::expect_same_cell(
+        batch[i], test_ref::one_at_a_time(jf, tm, specs[i], solve),
+        std::to_string(i));
   }
 }
 
@@ -177,7 +172,7 @@ TEST(ScenarioFleet, NestedInRunnerFailuresSweepEmitsIdenticalCsv) {
     for (const int threads : {1, 4}) {
       sweep.solve.solver_threads = threads;
       exp::Runner runner(parallel_cells);
-      const std::string csv = runner.run(sweep).to_csv();
+      const std::string csv = runner.run(sweep, exp::RunOptions{}).to_csv();
       // The configuration echo column is the only allowed difference.
       exp::ResultSet rs = exp::ResultSet::from_csv(csv);
       for (const exp::CellResult& r : rs.rows()) {

@@ -11,6 +11,7 @@
 #include "core/registry.h"
 #include "cuts/sparsest_cut.h"
 #include "graph/algorithms.h"
+#include "mcf/engine.h"
 #include "mcf/garg_konemann.h"
 #include "mcf/throughput.h"
 #include "tm/synthetic.h"
@@ -48,13 +49,11 @@ TEST_P(FamilyInvariants, TmHardnessLadderHolds) {
   const Network net = family_representative(GetParam(), 40, 1);
   mcf::SolveOptions opts;
   opts.epsilon = 0.04;
-  const double a2a = mcf::compute_throughput(net, all_to_all(net), opts).throughput;
-  const double rm5 =
-      mcf::compute_throughput(net, random_matching(net, 5, 3), opts).throughput;
-  const double rm1 =
-      mcf::compute_throughput(net, random_matching(net, 1, 3), opts).throughput;
-  const double lm =
-      mcf::compute_throughput(net, longest_matching(net), opts).throughput;
+  mcf::ThroughputEngine engine(net);
+  const double a2a = engine.solve(all_to_all(net), opts).throughput;
+  const double rm5 = engine.solve(random_matching(net, 5, 3), opts).throughput;
+  const double rm1 = engine.solve(random_matching(net, 1, 3), opts).throughput;
+  const double lm = engine.solve(longest_matching(net), opts).throughput;
   const double tol = 1.10;  // solver gap headroom (two 4% solves compound)
   EXPECT_GE(a2a * tol, rm5) << net.name;
   EXPECT_GE(rm5 * tol, rm1) << net.name;
@@ -67,7 +66,7 @@ TEST_P(FamilyInvariants, VolumetricAndCutBoundsDominateThroughput) {
   const TrafficMatrix tm = longest_matching(net);
   mcf::SolveOptions opts;
   opts.epsilon = 0.04;
-  const double thr = mcf::compute_throughput(net, tm, opts).throughput;
+  const double thr = mcf::ThroughputEngine(net).solve(tm, opts).throughput;
   EXPECT_LE(thr, mcf::volumetric_upper_bound(net.graph, tm) * 1.001) << net.name;
   const double cut = cuts::best_sparse_cut(net.graph, tm).best.sparsity;
   EXPECT_LE(thr, cut * 1.001) << net.name;
@@ -94,7 +93,7 @@ TEST_P(GkCertificate, GapAndFeasibilityHold) {
   mcf::GkOptions opts;
   opts.plateau_guard = false;  // strict-epsilon certificate tests
   opts.epsilon = 0.06;
-  const mcf::GkResult r = mcf::max_concurrent_flow(net.graph, tm, opts);
+  const mcf::GkResult r = mcf::GkSolver(net.graph).solve(tm, opts);
   EXPECT_GT(r.throughput, 0.0);
   EXPECT_LE(r.throughput, r.upper_bound * (1.0 + 1e-9));
   EXPECT_LE(r.upper_bound, r.throughput * (1.0 + opts.epsilon + 1e-9));
@@ -122,7 +121,7 @@ TEST_P(SolverAgreement, GkWithinEpsilonOfSimplex) {
   mcf::GkOptions opts;
   opts.plateau_guard = false;  // strict-epsilon certificate tests
   opts.epsilon = 0.03;
-  const mcf::GkResult gk = mcf::max_concurrent_flow(net.graph, tm, opts);
+  const mcf::GkResult gk = mcf::GkSolver(net.graph).solve(tm, opts);
   EXPECT_LE(gk.throughput, exact * (1.0 + 1e-6)) << "primal must lower-bound";
   EXPECT_GE(gk.throughput, exact * (1.0 - 0.035)) << "primal within gap";
   EXPECT_GE(gk.upper_bound, exact * (1.0 - 1e-6)) << "dual must upper-bound";
@@ -145,7 +144,7 @@ TEST_P(HypercubeClosedForm, LongestMatchingSaturatesAllLinks) {
   mcf::SolveOptions opts;
   opts.epsilon = 0.03;
   opts.kind = d <= 4 ? mcf::SolverKind::ExactLP : mcf::SolverKind::GargKonemann;
-  const double thr = mcf::compute_throughput(hc, tm, opts).throughput;
+  const double thr = mcf::ThroughputEngine(hc).solve(tm, opts).throughput;
   if (d <= 4) {
     EXPECT_NEAR(thr, 1.0, 1e-6);
   } else {
@@ -162,7 +161,8 @@ TEST_P(HypercubeClosedForm, AllToAllIsTwoish) {
   mcf::SolveOptions opts;
   opts.epsilon = 0.03;
   opts.kind = d <= 4 ? mcf::SolverKind::ExactLP : mcf::SolverKind::GargKonemann;
-  const double thr = mcf::compute_throughput(hc, all_to_all(hc), opts).throughput;
+  const double thr =
+      mcf::ThroughputEngine(hc).solve(all_to_all(hc), opts).throughput;
   const double expected = mcf::volumetric_upper_bound(hc.graph, all_to_all(hc));
   EXPECT_NEAR(thr / expected, 1.0, d <= 4 ? 1e-6 : 0.04);
 }
@@ -177,7 +177,7 @@ TEST(FailureInjection, EdgeRemovalIsMonotone) {
   const TrafficMatrix tm = random_matching(base, 1, 5);
   mcf::SolveOptions opts;
   opts.epsilon = 0.03;
-  const double full = mcf::compute_throughput(base, tm, opts).throughput;
+  const double full = mcf::ThroughputEngine(base).solve(tm, opts).throughput;
 
   // Halve the capacity of five edges (keeps connectivity trivially).
   Network degraded = base;
@@ -188,7 +188,7 @@ TEST(FailureInjection, EdgeRemovalIsMonotone) {
   }
   g.finalize();
   degraded.graph = std::move(g);
-  const double cut = mcf::compute_throughput(degraded, tm, opts).throughput;
+  const double cut = mcf::ThroughputEngine(degraded).solve(tm, opts).throughput;
   EXPECT_LE(cut, full * (1.0 + 0.07));
 }
 
@@ -199,7 +199,7 @@ TEST(FailureInjection, DisconnectedDemandThrows) {
   g.finalize();
   TrafficMatrix tm;
   tm.demands = {{0, 3, 1.0}};
-  EXPECT_THROW(mcf::max_concurrent_flow(g, tm), std::runtime_error);
+  EXPECT_THROW(mcf::GkSolver(g).solve(tm), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -219,7 +219,7 @@ TEST_P(SeededInvariants, ThroughputNeverExceedsCutUpperBound) {
       random_matching(net, 1 + GetParam() % 3, mix_seed(seed, 1));
   mcf::SolveOptions opts;
   opts.epsilon = 0.05;
-  const double thr = mcf::compute_throughput(net, tm, opts).throughput;
+  const double thr = mcf::ThroughputEngine(net).solve(tm, opts).throughput;
   // Any CutBound is an upper bound on the optimum, hence on every
   // certified-feasible value — the whole battery must dominate.
   CutBoundOptions cb;
@@ -274,8 +274,8 @@ TEST_P(SeededInvariants, ThroughputInvariantUnderArcPermutation) {
   mcf::GkOptions opts;
   opts.epsilon = 0.05;
   opts.plateau_guard = false;
-  const mcf::GkResult gk = mcf::max_concurrent_flow(net.graph, tm, opts);
-  const mcf::GkResult gk_perm = mcf::max_concurrent_flow(shuffled, tm, opts);
+  const mcf::GkResult gk = mcf::GkSolver(net.graph).solve(tm, opts);
+  const mcf::GkResult gk_perm = mcf::GkSolver(shuffled).solve(tm, opts);
   EXPECT_LE(gk.throughput, gk_perm.upper_bound * (1.0 + 1e-9));
   EXPECT_LE(gk_perm.throughput, gk.upper_bound * (1.0 + 1e-9));
 }

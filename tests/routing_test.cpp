@@ -162,7 +162,7 @@ TEST(Decompose, GkFlowDecomposesWithinCapacity) {
   const Network jf = make_jellyfish(16, 4, 1, 3);
   TrafficMatrix tm;
   tm.demands = {{0, 9, 1.0}};
-  const mcf::GkResult r = mcf::max_concurrent_flow(jf.graph, tm);
+  const mcf::GkResult r = mcf::GkSolver(jf.graph).solve(tm);
   // Extract only commodity flow from source 0 (single source, so all).
   const auto paths = mcf::decompose_flow(jf.graph, 0, r.arc_flow);
   double total = 0.0;

@@ -17,11 +17,11 @@
 #include <string>
 #include <vector>
 
-#include "core/evaluator.h"
 #include "core/registry.h"
 #include "exp/runner.h"
 #include "exp/shard.h"
 #include "exp/sweep.h"
+#include "fleet_reference.h"
 #include "mcf/adversary.h"
 #include "mcf/engine.h"
 #include "pool_test_env.h"
@@ -301,10 +301,10 @@ TEST(ScenarioEngine, SupersetOfFailedGroupsIsMonotone) {
     failed.push_back(gi);
     mcf::ScenarioSpec spec;
     spec.failed_groups = failed;
-    const DegradedResult r = degraded_throughput(jf, tm, spec, lp_opts());
+    const mcf::FleetCell r = test_ref::one_at_a_time(jf, tm, spec, lp_opts());
     EXPECT_EQ(r.failed_groups, gi + 1);
-    EXPECT_LE(r.degraded, prev + 1e-9);
-    prev = r.degraded;
+    EXPECT_LE(r.result.throughput, prev + 1e-9);
+    prev = r.result.throughput;
   }
 }
 
@@ -329,20 +329,18 @@ std::vector<mcf::ScenarioSpec> structured_specs() {
 TEST(ScenarioFleet, BatchMatchesSerialBitwiseForStructuredScenarios) {
   // The fleet contract extended to the new scenario kinds: one shared
   // baseline + forked warm solves must be bitwise the one-at-a-time
-  // degraded_throughput answers, for groups, surge, hotspot and compound.
+  // engine answers, for groups, surge, hotspot and compound.
   const Network jf = make_jellyfish(16, 4, 1, /*seed=*/3);
   const TrafficMatrix tm = random_matching(jf, 2, /*seed=*/7);
   const std::vector<mcf::ScenarioSpec> specs = structured_specs();
-  const std::vector<DegradedResult> batch =
-      degraded_throughput_batch(jf, tm, specs, lp_opts());
+  mcf::ScenarioFleet fleet(jf);
+  const std::vector<mcf::FleetCell> batch =
+      fleet.evaluate(tm, specs, lp_opts());
   ASSERT_EQ(batch.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    const DegradedResult one = degraded_throughput(jf, tm, specs[i], lp_opts());
-    EXPECT_EQ(batch[i].baseline, one.baseline) << i;
-    EXPECT_EQ(batch[i].degraded, one.degraded) << i;
-    EXPECT_EQ(batch[i].drop, one.drop) << i;
-    EXPECT_EQ(batch[i].failed_links, one.failed_links) << i;
-    EXPECT_EQ(batch[i].failed_groups, one.failed_groups) << i;
+    test_ref::expect_same_cell(
+        batch[i], test_ref::one_at_a_time(jf, tm, specs[i], lp_opts()),
+        std::to_string(i));
   }
   // The fleet records the resolved group count of each cell.
   EXPECT_EQ(batch[0].failed_groups,
@@ -358,15 +356,14 @@ TEST(ScenarioFleet, ParallelAndInlineFanoutAgree) {
   const Network jf = make_jellyfish(16, 4, 1, /*seed=*/3);
   const TrafficMatrix tm = random_matching(jf, 2, /*seed=*/7);
   const std::vector<mcf::ScenarioSpec> specs = structured_specs();
-  const std::vector<DegradedResult> parallel = degraded_throughput_batch(
-      jf, tm, specs, lp_opts(), /*parallel_cells=*/true);
-  const std::vector<DegradedResult> inline_run = degraded_throughput_batch(
-      jf, tm, specs, lp_opts(), /*parallel_cells=*/false);
+  mcf::ScenarioFleet fleet(jf);
+  const std::vector<mcf::FleetCell> parallel =
+      fleet.evaluate(tm, specs, lp_opts(), /*parallel_cells=*/true);
+  const std::vector<mcf::FleetCell> inline_run =
+      fleet.evaluate(tm, specs, lp_opts(), /*parallel_cells=*/false);
   ASSERT_EQ(parallel.size(), inline_run.size());
   for (std::size_t i = 0; i < parallel.size(); ++i) {
-    EXPECT_EQ(parallel[i].degraded, inline_run[i].degraded) << i;
-    EXPECT_EQ(parallel[i].drop, inline_run[i].drop) << i;
-    EXPECT_EQ(parallel[i].failed_groups, inline_run[i].failed_groups) << i;
+    test_ref::expect_same_cell(parallel[i], inline_run[i], std::to_string(i));
   }
 }
 
@@ -386,7 +383,7 @@ exp::Sweep growth_sweep() {
 TEST(GrowthSweep, FillsColumnsAndFinalStageMatchesIntact) {
   const exp::Sweep sweep = growth_sweep();
   exp::Runner runner;
-  const exp::ResultSet rs = runner.run(sweep);
+  const exp::ResultSet rs = runner.run(sweep, exp::RunOptions{});
   ASSERT_EQ(rs.size(), 3u);
   for (int g = 0; g < 3; ++g) {
     const exp::CellResult& r = rs.rows()[static_cast<std::size_t>(g)];
@@ -401,7 +398,7 @@ TEST(GrowthSweep, FillsColumnsAndFinalStageMatchesIntact) {
   exp::Sweep plain = growth_sweep();
   plain.growth_steps = 0;
   exp::Runner plain_runner;
-  const exp::ResultSet intact = plain_runner.run(plain);
+  const exp::ResultSet intact = plain_runner.run(plain, exp::RunOptions{});
   ASSERT_EQ(intact.size(), 1u);
   EXPECT_NEAR(rs.rows()[2].throughput, intact.rows()[0].throughput, 1e-9);
   EXPECT_EQ(intact.rows()[0].growth_step, -1);  // non-fleet cell keeps NA
@@ -411,14 +408,15 @@ TEST(GrowthSweep, SerialAndParallelCsvIdentical) {
   const exp::Sweep sweep = growth_sweep();
   exp::Runner serial(/*parallel=*/false);
   exp::Runner parallel(/*parallel=*/true);
-  EXPECT_EQ(serial.run(sweep).to_csv(), parallel.run(sweep).to_csv());
+  EXPECT_EQ(serial.run(sweep, exp::RunOptions{}).to_csv(),
+            parallel.run(sweep, exp::RunOptions{}).to_csv());
 }
 
 TEST(GrowthSweep, ShardedMergeReproducesUnshardedBytes) {
   const exp::Sweep sweep = growth_sweep();
   exp::Runner whole;
   const std::string expected =
-      "# growth\n" + whole.run(sweep).to_csv() + "\n";
+      "# growth\n" + whole.run(sweep, exp::RunOptions{}).to_csv() + "\n";
   std::string cat;
   for (std::size_t i = 0; i < 2; ++i) {
     exp::Runner shard_runner;  // fresh runner: a separate machine
@@ -436,29 +434,29 @@ TEST(GrowthSweep, ModeValidationRejectsBadCombos) {
   exp::Runner runner;
   exp::Sweep s = growth_sweep();
   s.scenarios = exp::random_failure_scenarios({0.1});
-  EXPECT_THROW(runner.run(s), std::invalid_argument);
+  EXPECT_THROW(runner.run(s, exp::RunOptions{}), std::invalid_argument);
   s = growth_sweep();
   s.trials = 2;
-  EXPECT_THROW(runner.run(s), std::invalid_argument);
+  EXPECT_THROW(runner.run(s, exp::RunOptions{}), std::invalid_argument);
   s = growth_sweep();
   s.warm_start = true;
-  EXPECT_THROW(runner.run(s), std::invalid_argument);
+  EXPECT_THROW(runner.run(s, exp::RunOptions{}), std::invalid_argument);
   s = growth_sweep();
   s.cut_bounds = true;
-  EXPECT_THROW(runner.run(s), std::invalid_argument);
+  EXPECT_THROW(runner.run(s, exp::RunOptions{}), std::invalid_argument);
   s = growth_sweep();
   s.growth_start = 0.0;
-  EXPECT_THROW(runner.run(s), std::invalid_argument);
+  EXPECT_THROW(runner.run(s, exp::RunOptions{}), std::invalid_argument);
   s = growth_sweep();
   s.growth_steps = -1;
-  EXPECT_THROW(runner.run(s), std::invalid_argument);
+  EXPECT_THROW(runner.run(s, exp::RunOptions{}), std::invalid_argument);
 }
 
 // --- correlated failures through the sweep --------------------------------
 
 TEST(ScenarioSweep, CorrelatedFailuresColumnsAndThreadInvariance) {
   exp::Sweep sweep;
-  sweep.topologies = {exp::representative_spec(Family::Jellyfish, 16, 1)};
+  sweep.topologies = {exp::instance_spec(make_jellyfish(16, 4, 1, 3))};
   sweep.tms = {exp::a2a_tm()};
   sweep.solve.kind = mcf::SolverKind::ExactLP;
   sweep.scenarios = exp::correlated_group_scenarios({0.25});
@@ -468,8 +466,8 @@ TEST(ScenarioSweep, CorrelatedFailuresColumnsAndThreadInvariance) {
 
   exp::Runner serial(/*parallel=*/false);
   exp::Runner parallel(/*parallel=*/true);
-  const exp::ResultSet rs = parallel.run(sweep);
-  EXPECT_EQ(serial.run(sweep).to_csv(), rs.to_csv());
+  const exp::ResultSet rs = parallel.run(sweep, exp::RunOptions{});
+  EXPECT_EQ(serial.run(sweep, exp::RunOptions{}).to_csv(), rs.to_csv());
 
   ASSERT_EQ(rs.size(), 3u);
   const std::size_t groups =

@@ -82,7 +82,8 @@ exp::Sweep failures_sweep() {
 /// reproduce these bytes exactly.
 std::string unsharded_emission(exp::Runner& runner, const exp::Sweep& sweep,
                                const std::string& caption) {
-  return "# " + caption + "\n" + runner.run(sweep).to_csv() + "\n";
+  return "# " + caption + "\n" +
+         runner.run(sweep, exp::RunOptions{}).to_csv() + "\n";
 }
 
 /// Emit every shard of an n-way split, each from its own fresh Runner (a
@@ -405,12 +406,12 @@ TEST(ShardMerge, RejectsUnshardedInputAndEmptyInput) {
 TEST(ShardRun, EnvKnobShardsARunIntoASlice) {
   const exp::Sweep sweep = grid_sweep();
   exp::Runner base;
-  const exp::ResultSet whole = base.run(sweep);
+  const exp::ResultSet whole = base.run(sweep, exp::RunOptions::from_env());
   EXPECT_FALSE(whole.slice().has_value());  // unsharded emission unchanged
 
   ScopedEnv env("TOPOBENCH_SHARD", "1/2");
   exp::Runner runner;
-  const exp::ResultSet slice = runner.run(sweep);
+  const exp::ResultSet slice = runner.run(sweep, exp::RunOptions::from_env());
   ASSERT_TRUE(slice.slice().has_value());
   EXPECT_EQ(slice.slice()->grid, exp::grid_fingerprint(sweep));
   EXPECT_EQ(slice.slice()->total, 6u);
@@ -432,7 +433,9 @@ TEST(ShardRun, MalformedEnvKnobFailsTheRunLoudly) {
   for (const char* bad : {"0/0", "3/2", "-1/4", "garbage"}) {
     ScopedEnv env("TOPOBENCH_SHARD", bad);
     exp::Runner runner;
-    EXPECT_THROW((void)runner.run(sweep), std::invalid_argument) << bad;
+    EXPECT_THROW((void)runner.run(sweep, exp::RunOptions::from_env()),
+                 std::invalid_argument)
+        << bad;
   }
 }
 
@@ -451,14 +454,14 @@ TEST(ShardRun, CacheKeysUseGlobalCellIndices) {
   // shard's cells and still reproduces the unsharded bytes.
   const exp::Sweep sweep = grid_sweep();
   exp::Runner fresh;
-  const std::string expected = fresh.run(sweep).to_csv();
+  const std::string expected = fresh.run(sweep, exp::RunOptions{}).to_csv();
 
   exp::Runner runner;
   exp::RunOptions opts;
   opts.shard = exp::ShardSpec{1, 3};  // cells [2, 4)
   (void)runner.run(sweep, opts);
   EXPECT_EQ(runner.cache_stats().misses, 2u);
-  const exp::ResultSet full = runner.run(sweep);
+  const exp::ResultSet full = runner.run(sweep, exp::RunOptions{});
   EXPECT_EQ(runner.cache_stats().hits, 2u);    // the shard's cells
   EXPECT_EQ(runner.cache_stats().misses, 6u);  // 2 sharded + 4 remaining
   EXPECT_EQ(full.to_csv(), expected);
@@ -468,7 +471,7 @@ TEST(ShardRun, WarmChainsCrossingTheBoundaryRunWholeButReturnTheRange) {
   exp::Sweep sweep = grid_sweep();
   sweep.warm_start = true;
   exp::Runner fresh;
-  const exp::ResultSet whole = fresh.run(sweep);
+  const exp::ResultSet whole = fresh.run(sweep, exp::RunOptions{});
 
   // Shard 1/3 covers cells [2, 4): the tail of topology 0's chain and the
   // head of topology 1's. Both chains evaluate whole (6 misses), but only
@@ -488,7 +491,7 @@ TEST(ShardRun, WarmChainsCrossingTheBoundaryRunWholeButReturnTheRange) {
   // The out-of-range chain cells landed in the cache: a full warm run on
   // the same Runner is answered entirely from it (all-or-nothing per
   // chain, and both chains are complete).
-  const exp::ResultSet full = runner.run(sweep);
+  const exp::ResultSet full = runner.run(sweep, exp::RunOptions{});
   EXPECT_EQ(runner.cache_stats().hits, 6u);
   EXPECT_EQ(runner.cache_stats().misses, 6u);
   EXPECT_EQ(full.to_csv(), whole.to_csv());
