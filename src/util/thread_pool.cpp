@@ -1,7 +1,9 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
+#include <limits>
 #include <map>
 #include <memory>
 
@@ -11,6 +13,49 @@ namespace tb {
 
 namespace {
 thread_local bool t_in_worker = false;
+
+// One parallel_for call. Helpers claim chunk numbers from `cursor` until it
+// passes `chunks`; the caller sleeps on `done_cv` until every chunk has run.
+// Held by shared_ptr: a helper dequeued after the call returned still finds
+// the job alive, claims nothing, and never dereferences `body`.
+struct ForJob {
+  const std::function<void(std::size_t)>* body = nullptr;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::size_t grain = 1;
+  std::size_t chunks = 0;
+  std::atomic<std::size_t> cursor{0};
+  std::mutex mu;
+  std::condition_variable done_cv;
+  std::size_t done = 0;  // chunks run to their end or to a throw
+  std::size_t error_index = std::numeric_limits<std::size_t>::max();
+  std::exception_ptr error;  // from the lowest throwing index so far
+};
+
+void claim_chunks(ForJob& job) {
+  std::size_t ran = 0;
+  for (;; ++ran) {
+    const std::size_t c = job.cursor.fetch_add(1);
+    if (c >= job.chunks) break;
+    const std::size_t lo = job.begin + c * job.grain;
+    const std::size_t hi = std::min(job.end, lo + job.grain);
+    std::size_t i = lo;
+    try {
+      for (; i < hi; ++i) (*job.body)(i);
+    } catch (...) {
+      // A throw ends its own chunk only; the other chunks still run.
+      const std::lock_guard<std::mutex> lock(job.mu);
+      if (i < job.error_index) {
+        job.error_index = i;
+        job.error = std::current_exception();
+      }
+    }
+  }
+  if (ran == 0) return;
+  const std::lock_guard<std::mutex> lock(job.mu);
+  job.done += ran;
+  if (job.done == job.chunks) job.done_cv.notify_one();
+}
 }  // namespace
 
 bool ThreadPool::in_worker() noexcept { return t_in_worker; }
@@ -55,30 +100,26 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }
-  const std::size_t chunks = std::min(workers * 4, (n + grain - 1) / grain);
-  const std::size_t chunk = (n + chunks - 1) / chunks;
-  std::vector<std::future<void>> futs;
-  futs.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * chunk;
-    if (lo >= end) break;
-    const std::size_t hi = std::min(end, lo + chunk);
-    futs.push_back(submit([&body, lo, hi] {
-      for (std::size_t i = lo; i < hi; ++i) body(i);
-    }));
-  }
-  // Drain every chunk before letting an exception escape: rethrowing while
-  // chunks still run would unwind the caller's frame (and `body`'s captures)
-  // under live workers. The first failure wins; later ones are dropped.
-  std::exception_ptr first_error;
-  for (auto& f : futs) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+  auto job = std::make_shared<ForJob>();
+  job->body = &body;
+  job->begin = begin;
+  job->end = end;
+  job->grain = grain;
+  job->chunks = (n + grain - 1) / grain;
+  const std::size_t helpers = std::min(workers, job->chunks);
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t h = 0; h < helpers; ++h) {
+      tasks_.emplace([job] { claim_chunks(*job); });
     }
   }
-  if (first_error) std::rethrow_exception(first_error);
+  for (std::size_t h = 0; h < helpers; ++h) cv_.notify_one();
+  // Wait for every chunk, not just the first failure: rethrowing while
+  // chunks still run would unwind the caller's frame (and `body`'s
+  // captures) under live workers.
+  std::unique_lock<std::mutex> lock(job->mu);
+  job->done_cv.wait(lock, [&job] { return job->done == job->chunks; });
+  if (job->error) std::rethrow_exception(job->error);
 }
 
 ThreadPool& ThreadPool::shared() {

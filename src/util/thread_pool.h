@@ -3,14 +3,16 @@
 // The solvers parallelize per-source shortest-path batches and the experiment
 // runner parallelizes independent trials. We deliberately keep the model
 // simple: submit closures, or run an index-range parallel_for that blocks
-// until every index is processed. Workers never touch overlapping state;
-// reductions are performed by the caller after the barrier, which keeps
-// results deterministic for a fixed partitioning.
+// until every index is processed. parallel_for schedules dynamically:
+// workers claim `grain`-sized chunks from one shared cursor until none
+// remain, so which thread runs which index varies from run to run. Bodies
+// never touch overlapping state and reductions are performed by the caller
+// after the barrier, so results never depend on that assignment.
 //
 // Nested-submit safety: parallel_for called from a pool worker (e.g. the
 // GK solver invoked from an experiment-runner cell) runs its whole range
-// inline instead of submitting, so a worker never blocks on futures that
-// only another worker could satisfy — the classic self-deadlock of
+// inline instead of enqueuing helpers, so a worker never blocks on chunks
+// that only another worker could run — the classic self-deadlock of
 // fixed-size pools. The outer level already saturates the pool, so the
 // inner level losing parallelism costs nothing. The guard is
 // pool-AGNOSTIC (in_worker() is a process-wide thread_local): a worker of
@@ -47,10 +49,15 @@ class ThreadPool {
   /// propagates exceptions.
   std::future<void> submit(std::function<void()> task);
 
-  /// Run body(i) for every i in [begin, end), distributing contiguous chunks
-  /// over the pool, and block until all complete. `grain` is the minimum
-  /// chunk size. Runs inline when the range is small or the pool has a
-  /// single worker.
+  /// Run body(i) for every i in [begin, end) and block until all complete.
+  /// The range is cut into `grain`-sized chunks, the claim unit: up to
+  /// size() helper tasks claim chunks one at a time from a shared cursor
+  /// until none remain, so a slow index never strands the ones after it.
+  /// The calling thread only waits. Runs inline when the range fits in one
+  /// chunk, the pool has a single worker, or the caller is a pool worker.
+  /// If indices throw, every claimed chunk still drains (a throw ends only
+  /// its own chunk) and the exception of the lowest throwing index is
+  /// rethrown.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body,
                     std::size_t grain = 1);

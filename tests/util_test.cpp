@@ -3,9 +3,14 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "util/env.h"
@@ -203,20 +208,60 @@ TEST(ThreadPool, ParallelForPropagatesExceptionAfterDrainingChunks) {
   ThreadPool pool(4);
   std::atomic<int> ran{0};
   std::vector<int> sink(256, 0);
-  EXPECT_THROW(pool.parallel_for(0, sink.size(),
-                                 [&](std::size_t i) {
-                                   if (i % 64 == 1) {
-                                     throw std::runtime_error("boom");
-                                   }
-                                   sink[i] = 1;
-                                   ran.fetch_add(1);
-                                 }),
-               std::runtime_error);
+  // Each throwing index has its own message; the lowest one is rethrown no
+  // matter which worker fails first in time; index 1 sleeps so that the
+  // others throw before it.
+  try {
+    pool.parallel_for(0, sink.size(), [&](std::size_t i) {
+      if (i == 1) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      if (i % 64 == 1) throw std::runtime_error("boom " + std::to_string(i));
+      sink[i] = 1;
+      ran.fetch_add(1);
+    });
+    ADD_FAILURE() << "parallel_for swallowed the exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom 1");
+  }
   EXPECT_GT(ran.load(), 0);
   // Every chunk was drained before the rethrow, so nothing still touches
   // `sink` and the pool stays usable.
   pool.parallel_for(0, sink.size(), [&](std::size_t i) { sink[i] = 2; });
   for (const int v : sink) EXPECT_EQ(v, 2);
+}
+
+TEST(ThreadPool, ParallelForKeepsClaimingWhileOneIndexBlocks) {
+  // Index 0 blocks until the other 63 finish. Workers claim indices one
+  // chunk at a time, so the other workers run 1..63 while 0 waits; a pool
+  // that pre-cuts contiguous chunks strands 0's neighbours behind it.
+  ThreadPool pool(4);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t others = 0;
+  bool all_others_ran = false;
+  pool.parallel_for(0, 64, [&](std::size_t i) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (i == 0) {
+      const auto others_done = [&] { return others == 63; };
+      all_others_ran = cv.wait_for(lock, std::chrono::seconds(5), others_done);
+    } else if (++others == 63) {
+      cv.notify_one();
+    }
+  });
+  EXPECT_TRUE(all_others_ran);
+}
+
+TEST(ThreadPool, LateHelpersNeverTouchAFinishedCall) {
+  // Two indices, up to two helpers: one helper often runs both and the
+  // call returns before the other is dequeued. That late helper must find
+  // the range exhausted and leave the (by then reused) stack frame alone.
+  ThreadPool pool(4);
+  for (int call = 0; call < 20000; ++call) {
+    std::array<int, 2> slots{};
+    const auto fill = [&slots, call](std::size_t i) { slots[i] = call; };
+    pool.parallel_for(0, slots.size(), fill);
+    ASSERT_EQ(slots[0], call);
+    ASSERT_EQ(slots[1], call);
+  }
 }
 
 TEST(ThreadPool, NestedParallelForRunsInlineOnWorkers) {
