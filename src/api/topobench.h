@@ -55,7 +55,7 @@ using Topology = exp::TopoSpec;      ///< label + lazy deterministic builder
 using Traffic = exp::TmSpec;         ///< label + TM builder
 using Scenario = exp::ScenarioPoint; ///< label + failure/degradation spec
 using Result = exp::CellResult;      ///< the uniform result record
-using ResultSet = exp::ResultSet;    ///< ordered records, CSV/JSON emission
+using ResultSet = exp::ResultSet;    ///< ordered records, CSV emission
 
 /// Solver selection (mirrors the internal SolverKind without exposing it).
 enum class Solver { Auto, ExactLP, GargKonemann };

@@ -1,12 +1,15 @@
 #include "exp/results.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
+#include <variant>
 
 #include "util/env.h"
 #include "util/table.h"
@@ -14,30 +17,85 @@
 namespace tb::exp {
 namespace {
 
-constexpr const char* kCsvHeader =
-    "cell,topology,servers,switches,tm,seed,solver,trials,throughput,"
-    "random_mean,random_ci95,relative,relative_ci95,cut_bound,cut_gap,"
-    "cut_method,scenario,failed_links,throughput_drop,risk_group,tm_scale,"
-    "growth_step,pivots,phases,dijkstras,pushes,relabels,global_relabels,"
-    "warm,solver_threads";
+/// How a column renders beyond its member's type, and its NA sentinel.
+enum class Kind {
+  Int,       ///< integer; a JSON number
+  Seed,      ///< 64-bit seed; a JSON decimal string (a double cannot hold it)
+  IntOrNa,   ///< integer whose -1 (any negative) is NA: "na" / null
+  Real,      ///< double; NaN is "na" in text, null in JSON
+  Label,     ///< string; always a JSON string
+  OptLabel,  ///< string whose empty value means NA: "na" / null
+};
 
-constexpr std::size_t kNumColumns = 30;
+// Both unsigned alternatives exist because std::size_t (cell) and
+// std::uint64_t (seed) are each one of them, the same one or not by ABI.
+using Member =
+    std::variant<int CellResult::*, long CellResult::*,
+                 unsigned long CellResult::*, unsigned long long CellResult::*,
+                 double CellResult::*, std::string CellResult::*>;
 
-/// failed_links uses -1 as its NA sentinel (0 is a real count).
-std::string int_or_na(int v) { return v < 0 ? "na" : std::to_string(v); }
+struct Column {
+  const char* name;
+  Kind kind;
+  Member member;
+};
 
-/// %.17g round-trips every finite double exactly; NaN becomes "na".
+/// The uniform record's columns, in CSV order: the one place a column is
+/// spelled. The header, CSV row, parser, table view and JSON object are all
+/// loops over this list, and the store's schema hash is the header's hash,
+/// so adding a column is adding one entry here.
+constexpr Column kColumns[] = {
+    {"cell", Kind::Int, &CellResult::cell},
+    {"topology", Kind::Label, &CellResult::topology},
+    {"servers", Kind::Int, &CellResult::servers},
+    {"switches", Kind::Int, &CellResult::switches},
+    {"tm", Kind::Label, &CellResult::tm},
+    {"seed", Kind::Seed, &CellResult::seed},
+    {"solver", Kind::Label, &CellResult::solver},
+    {"trials", Kind::Int, &CellResult::trials},
+    {"throughput", Kind::Real, &CellResult::throughput},
+    {"random_mean", Kind::Real, &CellResult::random_mean},
+    {"random_ci95", Kind::Real, &CellResult::random_ci95},
+    {"relative", Kind::Real, &CellResult::relative},
+    {"relative_ci95", Kind::Real, &CellResult::relative_ci95},
+    {"cut_bound", Kind::Real, &CellResult::cut_bound},
+    {"cut_gap", Kind::Real, &CellResult::cut_gap},
+    {"cut_method", Kind::OptLabel, &CellResult::cut_method},
+    {"scenario", Kind::OptLabel, &CellResult::scenario},
+    {"failed_links", Kind::IntOrNa, &CellResult::failed_links},
+    {"throughput_drop", Kind::Real, &CellResult::throughput_drop},
+    {"risk_group", Kind::IntOrNa, &CellResult::risk_group},
+    {"tm_scale", Kind::Real, &CellResult::tm_scale},
+    {"growth_step", Kind::IntOrNa, &CellResult::growth_step},
+    {"pivots", Kind::Int, &CellResult::pivots},
+    {"phases", Kind::Int, &CellResult::phases},
+    {"dijkstras", Kind::Int, &CellResult::dijkstras},
+    {"pushes", Kind::Int, &CellResult::pushes},
+    {"relabels", Kind::Int, &CellResult::relabels},
+    {"global_relabels", Kind::Int, &CellResult::global_relabels},
+    {"warm", Kind::Int, &CellResult::warm},
+    {"solver_threads", Kind::Int, &CellResult::solver_threads},
+};
+
+/// Each kind names its member's type, so a mismatched entry fails the build.
+constexpr bool kinds_match_members() {
+  for (const Column& c : kColumns) {
+    const bool text = c.kind == Kind::Label || c.kind == Kind::OptLabel;
+    if (text != std::holds_alternative<std::string CellResult::*>(c.member) ||
+        (c.kind == Kind::Real) !=
+            std::holds_alternative<double CellResult::*>(c.member)) {
+      return false;
+    }
+  }
+  return true;
+}
+static_assert(kinds_match_members());
+
+/// %.17g round-trips every finite double exactly.
 std::string num(double v) {
-  if (std::isnan(v)) return "na";
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
-}
-
-/// Shorter rendering for the human-readable table view.
-std::string num_short(double v) {
-  if (std::isnan(v)) return "na";
-  return Table::fmt(v, 4);
 }
 
 std::string csv_quote(const std::string& s) {
@@ -82,50 +140,92 @@ std::vector<std::string> csv_split(const std::string& line) {
   return fields;
 }
 
-double parse_num(const std::string& s) {
-  if (s == "na") return std::numeric_limits<double>::quiet_NaN();
-  return std::strtod(s.c_str(), nullptr);
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        // Remaining control characters are illegal raw inside a JSON
-        // string literal; labels can legally contain them (the CSV path
-        // round-trips them), so escape rather than reject.
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
+/// True when `v` is column `c`'s NA sentinel: NaN, the -1 of an IntOrNa
+/// column, or the empty string of an OptLabel column.
+template <class T>
+bool is_na(const Column& c, const T& v) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return c.kind == Kind::OptLabel && v.empty();
+  } else if constexpr (std::is_same_v<T, double>) {
+    return std::isnan(v);
+  } else if constexpr (std::is_signed_v<T>) {
+    return c.kind == Kind::IntOrNa && v < 0;
+  } else {
+    return false;
   }
-  return out;
 }
 
-/// JSON has no NaN or Infinity literals; non-finite values become null
-/// (infinite cut bounds arise from TMs no cut separates).
-std::string json_num(double v) { return std::isfinite(v) ? num(v) : "null"; }
+/// Column `c` of `r` as text: the CSV field (doubles %.17g, labels quoted,
+/// an empty label empty), or with `table` the human-readable cell (doubles
+/// to 4 significant digits). Other NA sentinels are "na" in both.
+std::string field_text(const Column& c, const CellResult& r, bool table) {
+  return std::visit(
+      [&](auto m) -> std::string {
+        const auto& v = r.*m;
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          if (!table) return csv_quote(v);
+          return is_na(c, v) ? "na" : v;
+        } else if (is_na(c, v)) {
+          return "na";
+        } else if constexpr (std::is_same_v<T, double>) {
+          return table ? Table::fmt(v, 4) : num(v);
+        } else {
+          return std::to_string(v);
+        }
+      },
+      c.member);
+}
+
+json::Value field_json(const Column& c, const CellResult& r) {
+  return std::visit(
+      [&](auto m) {
+        const auto& v = r.*m;
+        using T = std::decay_t<decltype(v)>;
+        if (is_na(c, v)) return json::Value::null();
+        if constexpr (std::is_same_v<T, std::string>) {
+          return json::Value::string_v(v);
+        } else if constexpr (std::is_same_v<T, double>) {
+          return json::Value::number_v(v);  // an infinity dumps as null
+        } else if (c.kind == Kind::Seed) {
+          return json::Value::string_v(std::to_string(v));
+        } else {
+          return json::Value::number_v(static_cast<double>(v));
+        }
+      },
+      c.member);
+}
+
+/// Strict inverse of field_text's CSV form: a numeric field must be
+/// consumed whole ("0.5x" and "abc" are errors, an unsigned column rejects
+/// a sign), and "na" is the only spelling of NA, accepted only by the kinds
+/// that have a sentinel.
+void parse_field(const Column& c, const std::string& s, CellResult& r) {
+  std::visit(
+      [&](auto m) {
+        auto& v = r.*m;
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          v = s;
+        } else if (s == "na" &&
+                   (c.kind == Kind::Real || c.kind == Kind::IntOrNa)) {
+          if constexpr (std::is_same_v<T, double>) {
+            v = std::numeric_limits<double>::quiet_NaN();
+          } else {
+            v = -1;
+          }
+        } else {
+          const char* end = s.data() + s.size();
+          const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+          if (s.empty() || ec != std::errc() || ptr != end || is_na(c, v)) {
+            throw std::invalid_argument(
+                std::string("cell_from_csv_row: column ") + c.name +
+                ": bad value \"" + s + '"');
+          }
+        }
+      },
+      c.member);
+}
 
 }  // namespace
 
@@ -139,26 +239,24 @@ const CellResult& ResultSet::at(const std::string& topology,
 }
 
 const std::string& csv_header() {
-  static const std::string header = kCsvHeader;
+  static const std::string header = [] {
+    std::string h;
+    for (const Column& c : kColumns) {
+      if (!h.empty()) h += ',';
+      h += c.name;
+    }
+    return h;
+  }();
   return header;
 }
 
 std::string csv_row(const CellResult& r) {
-  std::ostringstream out;
-  out << r.cell << ',' << csv_quote(r.topology) << ',' << r.servers << ','
-      << r.switches << ',' << csv_quote(r.tm) << ',' << r.seed << ','
-      << csv_quote(r.solver) << ',' << r.trials << ',' << num(r.throughput)
-      << ',' << num(r.random_mean) << ',' << num(r.random_ci95) << ','
-      << num(r.relative) << ',' << num(r.relative_ci95) << ','
-      << num(r.cut_bound) << ',' << num(r.cut_gap) << ','
-      << csv_quote(r.cut_method) << ',' << csv_quote(r.scenario) << ','
-      << int_or_na(r.failed_links) << ',' << num(r.throughput_drop) << ','
-      << int_or_na(r.risk_group) << ',' << num(r.tm_scale) << ','
-      << int_or_na(r.growth_step) << ','
-      << r.pivots << ',' << r.phases << ',' << r.dijkstras << ',' << r.pushes
-      << ',' << r.relabels << ',' << r.global_relabels << ',' << r.warm << ','
-      << r.solver_threads;
-  return out.str();
+  std::string row;
+  for (const Column& c : kColumns) {
+    if (&c != kColumns) row += ',';
+    row += field_text(c, r, /*table=*/false);
+  }
+  return row;
 }
 
 CellResult cell_from_csv_row(const std::string& row) {
@@ -168,146 +266,68 @@ CellResult cell_from_csv_row(const std::string& row) {
     throw std::invalid_argument("cell_from_csv_row: unterminated quote");
   }
   const std::vector<std::string> f = csv_split(row);
-  if (f.size() != kNumColumns) {
+  if (f.size() != std::size(kColumns)) {
     throw std::invalid_argument("cell_from_csv_row: bad row arity (" +
                                 std::to_string(f.size()) + " fields)");
   }
   CellResult r;
-  r.cell = static_cast<std::size_t>(std::strtoull(f[0].c_str(), nullptr, 10));
-  r.topology = f[1];
-  r.servers = static_cast<int>(std::strtol(f[2].c_str(), nullptr, 10));
-  r.switches = static_cast<int>(std::strtol(f[3].c_str(), nullptr, 10));
-  r.tm = f[4];
-  r.seed = std::strtoull(f[5].c_str(), nullptr, 10);
-  r.solver = f[6];
-  r.trials = static_cast<int>(std::strtol(f[7].c_str(), nullptr, 10));
-  r.throughput = parse_num(f[8]);
-  r.random_mean = parse_num(f[9]);
-  r.random_ci95 = parse_num(f[10]);
-  r.relative = parse_num(f[11]);
-  r.relative_ci95 = parse_num(f[12]);
-  r.cut_bound = parse_num(f[13]);
-  r.cut_gap = parse_num(f[14]);
-  r.cut_method = f[15];
-  r.scenario = f[16];
-  r.failed_links =
-      f[17] == "na"
-          ? -1
-          : static_cast<int>(std::strtol(f[17].c_str(), nullptr, 10));
-  r.throughput_drop = parse_num(f[18]);
-  r.risk_group =
-      f[19] == "na"
-          ? -1
-          : static_cast<int>(std::strtol(f[19].c_str(), nullptr, 10));
-  r.tm_scale = parse_num(f[20]);
-  r.growth_step =
-      f[21] == "na"
-          ? -1
-          : static_cast<int>(std::strtol(f[21].c_str(), nullptr, 10));
-  r.pivots = std::strtol(f[22].c_str(), nullptr, 10);
-  r.phases = std::strtol(f[23].c_str(), nullptr, 10);
-  r.dijkstras = std::strtol(f[24].c_str(), nullptr, 10);
-  r.pushes = std::strtol(f[25].c_str(), nullptr, 10);
-  r.relabels = std::strtol(f[26].c_str(), nullptr, 10);
-  r.global_relabels = std::strtol(f[27].c_str(), nullptr, 10);
-  r.warm = static_cast<int>(std::strtol(f[28].c_str(), nullptr, 10));
-  r.solver_threads = static_cast<int>(std::strtol(f[29].c_str(), nullptr, 10));
+  for (std::size_t i = 0; i < f.size(); ++i) parse_field(kColumns[i], f[i], r);
   return r;
 }
 
-std::string ResultSet::to_csv() const {
-  std::ostringstream out;
-  out << kCsvHeader << '\n';
-  for (const CellResult& r : rows_) {
-    out << csv_row(r) << '\n';
-  }
-  return out.str();
+json::Value cell_json(const CellResult& r) {
+  json::Value o = json::Value::object();
+  for (const Column& c : kColumns) o.set(c.name, field_json(c, r));
+  return o;
 }
 
-std::string ResultSet::to_json() const {
-  std::ostringstream out;
-  out << "[\n";
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    const CellResult& r = rows_[i];
-    out << "  {\"cell\": " << r.cell << ", \"topology\": \""
-        << json_escape(r.topology) << "\", \"servers\": " << r.servers
-        << ", \"switches\": " << r.switches << ", \"tm\": \""
-        << json_escape(r.tm) << "\", \"seed\": " << r.seed
-        << ", \"solver\": \"" << json_escape(r.solver)
-        << "\", \"trials\": " << r.trials
-        << ", \"throughput\": " << json_num(r.throughput)
-        << ", \"random_mean\": " << json_num(r.random_mean)
-        << ", \"random_ci95\": " << json_num(r.random_ci95)
-        << ", \"relative\": " << json_num(r.relative)
-        << ", \"relative_ci95\": " << json_num(r.relative_ci95)
-        << ", \"cut_bound\": " << json_num(r.cut_bound)
-        << ", \"cut_gap\": " << json_num(r.cut_gap) << ", \"cut_method\": "
-        << (r.cut_method.empty()
-                ? std::string("null")
-                : '"' + json_escape(r.cut_method) + '"')
-        << ", \"scenario\": "
-        << (r.scenario.empty() ? std::string("null")
-                               : '"' + json_escape(r.scenario) + '"')
-        << ", \"failed_links\": "
-        << (r.failed_links < 0 ? std::string("null")
-                               : std::to_string(r.failed_links))
-        << ", \"throughput_drop\": " << json_num(r.throughput_drop)
-        << ", \"risk_group\": "
-        << (r.risk_group < 0 ? std::string("null")
-                             : std::to_string(r.risk_group))
-        << ", \"tm_scale\": " << json_num(r.tm_scale)
-        << ", \"growth_step\": "
-        << (r.growth_step < 0 ? std::string("null")
-                              : std::to_string(r.growth_step))
-        << ", \"pivots\": " << r.pivots << ", \"phases\": " << r.phases
-        << ", \"dijkstras\": " << r.dijkstras << ", \"pushes\": " << r.pushes
-        << ", \"relabels\": " << r.relabels
-        << ", \"global_relabels\": " << r.global_relabels
-        << ", \"warm\": " << r.warm
-        << ", \"solver_threads\": " << r.solver_threads << "}"
-        << (i + 1 < rows_.size() ? "," : "") << '\n';
+bool read_csv_record(std::istream& in, std::string& record) {
+  record.clear();
+  std::string line;
+  while (std::getline(in, line)) {
+    if (record.empty()) {
+      if (line.empty()) continue;
+      record = std::move(line);
+      if (record[0] == '#') return true;
+    } else {
+      record += '\n';
+      record += line;
+    }
+    if (std::count(record.begin(), record.end(), '"') % 2 == 0) return true;
   }
-  out << "]\n";
-  return out.str();
+  return false;
+}
+
+std::string ResultSet::to_csv() const {
+  std::string out = csv_header() + '\n';
+  for (const CellResult& r : rows_) {
+    out += csv_row(r);
+    out += '\n';
+  }
+  return out;
 }
 
 ResultSet ResultSet::from_csv(const std::string& csv) {
   ResultSet rs;
   std::istringstream in(csv);
-  std::string line;
   std::string record;
   bool saw_header = false;
-  // A record spans physical lines while a quote is open (quoted fields may
-  // legally contain newlines); quote parity decides, since escaped ""
-  // contributes an even count.
-  const auto quotes_balanced = [](const std::string& s) {
-    return std::count(s.begin(), s.end(), '"') % 2 == 0;
-  };
-  while (std::getline(in, line)) {
-    if (record.empty()) {
-      if (line.empty() || line[0] == '#') continue;
-      record = line;
-    } else {
-      record += '\n';
-      record += line;
-    }
-    if (!quotes_balanced(record)) continue;
+  while (read_csv_record(in, record)) {
+    if (record[0] == '#') continue;
     if (!saw_header) {
-      if (record != kCsvHeader) {
+      if (record != csv_header()) {
         throw std::invalid_argument("ResultSet::from_csv: unexpected header");
       }
       saw_header = true;
-      record.clear();
       continue;
     }
-    CellResult r;
     try {
-      r = cell_from_csv_row(record);
-    } catch (const std::invalid_argument&) {
-      throw std::invalid_argument("ResultSet::from_csv: bad row arity");
+      rs.add(cell_from_csv_row(record));
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("ResultSet::from_csv: record " +
+                                  std::to_string(rs.size() + 1) + ": " +
+                                  e.what());
     }
-    record.clear();
-    rs.add(std::move(r));
   }
   if (!record.empty()) {
     throw std::invalid_argument("ResultSet::from_csv: unterminated quote");
@@ -326,31 +346,15 @@ void ResultSet::emit(std::ostream& os, const std::string& caption) const {
     if (slice_) os << slice_header_line(*slice_) << '\n';
     os << to_csv();
   } else {
-    Table table({"cell", "topology", "servers", "switches", "tm", "seed",
-                 "solver", "trials", "throughput", "random_mean",
-                 "random_ci95", "relative", "relative_ci95", "cut_bound",
-                 "cut_gap", "cut_method", "scenario", "failed_links",
-                 "throughput_drop", "risk_group", "tm_scale", "growth_step",
-                 "pivots", "phases", "dijkstras", "pushes",
-                 "relabels", "global_relabels", "warm", "solver_threads"});
+    std::vector<std::string> names;
+    for (const Column& c : kColumns) names.emplace_back(c.name);
+    Table table(std::move(names));
     for (const CellResult& r : rows_) {
-      table.add_row({std::to_string(r.cell), r.topology,
-                     std::to_string(r.servers), std::to_string(r.switches),
-                     r.tm, std::to_string(r.seed), r.solver,
-                     std::to_string(r.trials), num_short(r.throughput),
-                     num_short(r.random_mean), num_short(r.random_ci95),
-                     num_short(r.relative), num_short(r.relative_ci95),
-                     num_short(r.cut_bound), num_short(r.cut_gap),
-                     r.cut_method.empty() ? "na" : r.cut_method,
-                     r.scenario.empty() ? "na" : r.scenario,
-                     int_or_na(r.failed_links), num_short(r.throughput_drop),
-                     int_or_na(r.risk_group), num_short(r.tm_scale),
-                     int_or_na(r.growth_step),
-                     std::to_string(r.pivots), std::to_string(r.phases),
-                     std::to_string(r.dijkstras), std::to_string(r.pushes),
-                     std::to_string(r.relabels),
-                     std::to_string(r.global_relabels), std::to_string(r.warm),
-                     std::to_string(r.solver_threads)});
+      std::vector<std::string> cells;
+      for (const Column& c : kColumns) {
+        cells.push_back(field_text(c, r, /*table=*/true));
+      }
+      table.add_row(std::move(cells));
     }
     table.print(os, caption);
   }

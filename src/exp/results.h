@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "exp/shard.h"
+#include "util/json.h"
 
 namespace tb::exp {
 
@@ -77,7 +78,7 @@ struct CellResult {
   int solver_threads = 0;
 };
 
-/// An ordered collection of cell results with uniform CSV/JSON emission.
+/// An ordered collection of cell results with uniform CSV emission.
 /// CSV round-trips exactly: doubles are written with 17 significant digits
 /// and fields containing separators are RFC-4180 quoted.
 class ResultSet {
@@ -91,7 +92,9 @@ class ResultSet {
                        const std::string& tm) const;
 
   std::string to_csv() const;
-  std::string to_json() const;
+  /// Inverse of to_csv ("#" comment records are skipped). A bad row
+  /// throws std::invalid_argument carrying cell_from_csv_row's message,
+  /// prefixed with the row's 1-based record number after the header.
   static ResultSet from_csv(const std::string& csv);
 
   /// Slice identity of a sharded run (set by Runner::run when a ShardSpec
@@ -119,10 +122,13 @@ bool csv_mode();
 
 // --- single-record codec -------------------------------------------------
 // The exact per-row byte discipline of to_csv/from_csv, exposed so other
-// serializers (the on-disk result store) reuse the same codec instead of
-// inventing a second one. csv_row + cell_from_csv_row round-trip every
-// CellResult bit-exactly: doubles are %.17g, NaN is "na", fields containing
-// separators are RFC-4180 quoted.
+// serializers (the on-disk result store, the server's JSON replies) reuse
+// the same codec instead of inventing a second one. csv_row +
+// cell_from_csv_row round-trip every CellResult bit-exactly: doubles are
+// %.17g, NaN is "na", fields containing separators are RFC-4180 quoted.
+// Every function here is a loop over one column list in results.cpp, so a
+// new column is one entry there (the store's schema hash, the header's
+// hash, changes with it).
 
 /// The uniform CSV header line (no trailing newline).
 const std::string& csv_header();
@@ -131,9 +137,26 @@ const std::string& csv_header();
 /// (no trailing newline).
 std::string csv_row(const CellResult& r);
 
-/// Strict inverse of csv_row: throws std::invalid_argument on wrong arity
-/// or malformed quoting. Accepts multi-line rows (quoted fields may contain
-/// newlines), matching from_csv's record discipline.
+/// Strict inverse of csv_row: throws std::invalid_argument on wrong arity,
+/// malformed quoting, or a field that is not whole-valued for its column
+/// ("abc" or "0.5x" in a number, a sign in an unsigned column, "na" in a
+/// column without an NA sentinel); field errors name the column. Accepts
+/// multi-line rows (quoted fields may contain newlines), matching from_csv's
+/// record discipline.
 CellResult cell_from_csv_row(const std::string& row);
+
+/// The record as a JSON object with the CSV columns as members, in header
+/// order: NA sentinels and non-finite doubles are null, and the 64-bit seed
+/// is a decimal string (a JSON number, a double, cannot hold it exactly).
+json::Value cell_json(const CellResult& r);
+
+/// Read the next CSV record of `in` into `record`. A record spans physical
+/// lines while a quote is open (quoted fields may contain newlines; quote
+/// parity decides, since an escaped "" counts twice). Blank lines between
+/// records are skipped, and a line starting with '#' at a record boundary
+/// is a record of its own (captions, "#!" slice headers). Returns false at
+/// end of input, leaving `record` empty unless the input ended inside a
+/// quoted field.
+bool read_csv_record(std::istream& in, std::string& record);
 
 }  // namespace tb::exp

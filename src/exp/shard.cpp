@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "exp/results.h"
+
 namespace tb::exp {
 namespace {
 
@@ -164,43 +166,29 @@ std::string merge_slices(std::istream& in) {
   std::string pending_caption;
   bool have_caption = false;
   std::string record;
-  std::string line;
-  // Records span physical lines while a quote is open (quoted fields may
-  // contain newlines); quote parity decides, as in ResultSet::from_csv.
-  const auto quotes_balanced = [](const std::string& s) {
-    return std::count(s.begin(), s.end(), '"') % 2 == 0;
-  };
-  while (std::getline(in, line)) {
-    if (record.empty()) {
-      if (line.empty()) continue;  // inter-slice separator
-      if (is_slice_header_line(line)) {
-        if (!have_caption) {
-          merge_fail("slice header without a preceding \"# caption\" line");
-        }
-        if (current != nullptr) finish_slice(*current);
-        Slice s;
-        try {
-          s.meta = parse_slice_header_line(line);
-        } catch (const std::invalid_argument& e) {
-          merge_fail(e.what());
-        }
-        s.caption = pending_caption;
-        have_caption = false;
-        slices.push_back(std::move(s));
-        current = &slices.back();
-        continue;
+  while (read_csv_record(in, record)) {
+    if (is_slice_header_line(record)) {
+      if (!have_caption) {
+        merge_fail("slice header without a preceding \"# caption\" line");
       }
-      if (line[0] == '#') {
-        pending_caption = line;
-        have_caption = true;
-        continue;
+      if (current != nullptr) finish_slice(*current);
+      Slice s;
+      try {
+        s.meta = parse_slice_header_line(record);
+      } catch (const std::invalid_argument& e) {
+        merge_fail(e.what());
       }
-      record = line;
-    } else {
-      record += '\n';
-      record += line;
+      s.caption = pending_caption;
+      have_caption = false;
+      slices.push_back(std::move(s));
+      current = &slices.back();
+      continue;
     }
-    if (!quotes_balanced(record)) continue;
+    if (record[0] == '#') {
+      pending_caption = record;
+      have_caption = true;
+      continue;
+    }
     // A complete record: the slice's CSV header, or one of its rows.
     if (current == nullptr) {
       merge_fail("data outside any slice (is this an unsharded CSV or a "
@@ -221,7 +209,6 @@ std::string merge_slices(std::istream& in) {
       }
       current->rows.push_back(std::move(record));
     }
-    record.clear();
   }
   if (!record.empty()) merge_fail("unterminated quoted field at end of input");
   if (slices.empty()) merge_fail("no slices in input");

@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/evaluator.h"
 #include "exp/runner.h"
 #include "exp/sweep.h"
 #include "pool_test_env.h"
 #include "tm/synthetic.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -258,32 +262,224 @@ TEST(Runner, CallerAuthoredSpecLabelIsRowIdentity) {
   EXPECT_GT(rs.at("hc16", "A2A").throughput, 0.0);
 }
 
-TEST(Results, JsonRendersSentinelAsNull) {
-  exp::ResultSet rs;
+/// A record whose every column holds a distinct non-default value, so a
+/// codec that swaps, drops or defaults any column changes its bytes.
+exp::CellResult all_columns_set() {
+  exp::CellResult r;
+  r.cell = 7;
+  r.topology = "BCube(n=2,k=3)";
+  r.servers = 24;
+  r.switches = 12;
+  r.tm = "RM(5)";
+  r.seed = 18446744073709551557ULL;
+  r.solver = "exact-lp";
+  r.trials = 3;
+  r.throughput = 0.8125;
+  r.random_mean = 0.75;
+  r.random_ci95 = 0.01;
+  r.relative = 1.0833333333333333;
+  r.relative_ci95 = 0.02;
+  r.cut_bound = 1.5;
+  r.cut_gap = 0.6875;
+  r.cut_method = "st-mincut(exact)";
+  r.scenario = "fail(f=0.1)";
+  r.failed_links = 5;
+  r.throughput_drop = 0.125;
+  r.risk_group = 2;
+  r.tm_scale = 1.5;
+  r.growth_step = 3;
+  r.pivots = 101;
+  r.phases = 202;
+  r.dijkstras = 303;
+  r.pushes = 404;
+  r.relabels = 505;
+  r.global_relabels = 606;
+  r.warm = 1;
+  r.solver_threads = 4;
+  return r;
+}
+
+/// An absolute cell: only the identity columns and throughput are set, so
+/// every NA sentinel and zero counter is in effect.
+exp::CellResult sentinel_columns() {
   exp::CellResult r;
   r.topology = "Hypercube(d=4)";
-  r.tm = "LM";
+  r.servers = 16;
+  r.switches = 16;
+  r.tm = "A2A";
+  r.seed = 123;
+  r.solver = "gk(eps=0.05)";
   r.throughput = 0.5;
-  rs.add(r);
-  const std::string json = rs.to_json();
+  return r;
+}
+
+TEST(Results, CsvRowRoundTripsEveryColumnByteStable) {
+  const exp::CellResult r = all_columns_set();
+  const std::string row = exp::csv_row(r);
+  // The row's bytes are pinned: results and store records written before
+  // this codec must keep reading back identically.
+  EXPECT_EQ(row,
+            "7,\"BCube(n=2,k=3)\",24,12,RM(5),18446744073709551557,exact-lp,3,"
+            "0.8125,0.75,0.01,1.0833333333333333,0.02,1.5,0.6875,"
+            "st-mincut(exact),fail(f=0.1),5,0.125,2,1.5,3,101,202,303,404,505,"
+            "606,1,4");
+  const exp::CellResult back = exp::cell_from_csv_row(row);
+  EXPECT_EQ(back.solver_threads, 4);
+  EXPECT_EQ(back.seed, r.seed);
+  EXPECT_EQ(exp::csv_row(back), row);
+  const exp::CellResult na = sentinel_columns();
+  EXPECT_EQ(exp::csv_row(exp::cell_from_csv_row(exp::csv_row(na))),
+            exp::csv_row(na));
+}
+
+TEST(Results, CsvHeaderIsUnchanged) {
+  // The store's schema hash is the header's hash: a changed header orphans
+  // every stored record, so it changes only with a deliberate new column.
+  EXPECT_EQ(exp::csv_header(),
+            "cell,topology,servers,switches,tm,seed,solver,trials,throughput,"
+            "random_mean,random_ci95,relative,relative_ci95,cut_bound,cut_gap,"
+            "cut_method,scenario,failed_links,throughput_drop,risk_group,"
+            "tm_scale,growth_step,pivots,phases,dijkstras,pushes,relabels,"
+            "global_relabels,warm,solver_threads");
+}
+
+TEST(Results, CellJsonMembersAreTheCsvColumnsInOrder) {
+  const json::Value o = exp::cell_json(all_columns_set());
+  std::vector<std::string> header;
+  std::istringstream in(exp::csv_header());
+  for (std::string name; std::getline(in, name, ',');) header.push_back(name);
+  std::vector<std::string> members;
+  for (const auto& [name, value] : o.members) members.push_back(name);
+  EXPECT_EQ(members, header);
+}
+
+TEST(Results, CellJsonRendersEveryKind) {
+  EXPECT_EQ(
+      json::dump(exp::cell_json(all_columns_set())),
+      "{\"cell\": 7, \"topology\": \"BCube(n=2,k=3)\", \"servers\": 24, "
+      "\"switches\": 12, \"tm\": \"RM(5)\", "
+      "\"seed\": \"18446744073709551557\", \"solver\": \"exact-lp\", "
+      "\"trials\": 3, \"throughput\": 0.8125, "
+      "\"random_mean\": 0.75, \"random_ci95\": 0.01, "
+      "\"relative\": 1.0833333333333333, \"relative_ci95\": 0.02, "
+      "\"cut_bound\": 1.5, \"cut_gap\": 0.6875, "
+      "\"cut_method\": \"st-mincut(exact)\", \"scenario\": \"fail(f=0.1)\", "
+      "\"failed_links\": 5, \"throughput_drop\": 0.125, \"risk_group\": 2, "
+      "\"tm_scale\": 1.5, \"growth_step\": 3, \"pivots\": 101, "
+      "\"phases\": 202, \"dijkstras\": 303, \"pushes\": 404, "
+      "\"relabels\": 505, \"global_relabels\": 606, \"warm\": 1, "
+      "\"solver_threads\": 4}");
+}
+
+TEST(Results, JsonRendersSentinelAsNull) {
+  const std::string json = json::dump(exp::cell_json(sentinel_columns()));
   EXPECT_NE(json.find("\"topology\": \"Hypercube(d=4)\""), std::string::npos);
+  EXPECT_NE(json.find("\"seed\": \"123\""), std::string::npos);
   EXPECT_NE(json.find("\"random_mean\": null"), std::string::npos);
   EXPECT_NE(json.find("\"throughput\": 0.5"), std::string::npos);
+  EXPECT_NE(json.find("\"cut_method\": null"), std::string::npos);
+  EXPECT_NE(json.find("\"failed_links\": null"), std::string::npos);
+  EXPECT_NE(json.find("\"growth_step\": null"), std::string::npos);
 }
 
 TEST(Results, JsonEscapesControlCharactersAndNonFinite) {
-  exp::ResultSet rs;
   exp::CellResult r;
   r.topology = "line1\nline2\ttab";
   r.tm = "LM";
   r.cut_bound = std::numeric_limits<double>::infinity();
-  rs.add(r);
-  const std::string json = rs.to_json();
+  const std::string json = json::dump(exp::cell_json(r));
   // Raw control characters are illegal inside JSON string literals and
   // Infinity has no literal; both must be rendered escaped / null.
   EXPECT_NE(json.find("line1\\nline2\\ttab"), std::string::npos);
   EXPECT_EQ(json.find("line1\nline2"), std::string::npos);
   EXPECT_NE(json.find("\"cut_bound\": null"), std::string::npos);
+}
+
+TEST(Results, TableViewMatchesGolden) {
+  ::unsetenv("TOPOBENCH_CSV");  // the aligned table, not CSV
+  exp::ResultSet rs;
+  rs.add(sentinel_columns());
+  rs.add(all_columns_set());
+  std::ostringstream os;
+  rs.emit(os, "golden");
+  // clang-format off
+  EXPECT_EQ(os.str(),
+      "# golden\n"
+      "cell  topology        servers  switches  tm     seed                  solver        trials  throughput  random_mean  random_ci95  relative  relative_ci95  cut_bound  cut_gap  cut_method        scenario     failed_links  throughput_drop  risk_group  tm_scale  growth_step  pivots  phases  dijkstras  pushes  relabels  global_relabels  warm  solver_threads\n"
+      "0     Hypercube(d=4)  16       16        A2A    123                   gk(eps=0.05)  0       0.5000      na           na           na        na             na         na       na                na           na            na               na          na        na           0       0       0          0       0         0                0     0\n"
+      "7     BCube(n=2,k=3)  24       12        RM(5)  18446744073709551557  exact-lp      3       0.8125      0.7500       0.0100       1.0833    0.0200         1.5000     0.6875   st-mincut(exact)  fail(f=0.1)  5             0.1250           2           1.5000    3            101     202     303        404     505       606              1     4\n"
+      "\n");
+  // clang-format on
+}
+
+/// csv_row of a comma-free record with column `index` replaced by `value`.
+std::string row_with(std::size_t index, const std::string& value) {
+  exp::CellResult r = sentinel_columns();
+  r.topology = "hc16";
+  std::vector<std::string> fields;
+  std::istringstream in(exp::csv_row(r));
+  for (std::string f; std::getline(in, f, ',');) fields.push_back(f);
+  fields.at(index) = value;
+  std::string row = fields[0];
+  for (std::size_t i = 1; i < fields.size(); ++i) row += ',' + fields[i];
+  return row;
+}
+
+/// The std::invalid_argument message of cell_from_csv_row(row), or "".
+std::string parse_error(const std::string& row) {
+  try {
+    exp::cell_from_csv_row(row);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Results, CellFromCsvRowRejectsPartialAndMisplacedValues) {
+  constexpr std::size_t kServers = 2, kSeed = 5, kThroughput = 8,
+                        kCutBound = 13, kFailedLinks = 17;
+  // True when replacing column `index` by `value` is an error naming it.
+  const auto rejected = [](std::size_t index, const std::string& value,
+                           const std::string& column) {
+    return parse_error(row_with(index, value)).find("column " + column + ":") !=
+           std::string::npos;
+  };
+  EXPECT_TRUE(rejected(kServers, "abc", "servers"));
+  EXPECT_TRUE(rejected(kThroughput, "0.5x", "throughput"));
+  EXPECT_TRUE(rejected(kSeed, "-5", "seed"));
+  EXPECT_TRUE(rejected(kServers, "", "servers"));
+  EXPECT_TRUE(rejected(kServers, " 16", "servers"));
+  // "na" is only an NA sentinel where the column has one, and it is the
+  // only spelling of NaN; an infinite cut bound (%.17g "inf") round-trips.
+  EXPECT_TRUE(rejected(kServers, "na", "servers"));
+  EXPECT_TRUE(rejected(kThroughput, "nan", "throughput"));
+  EXPECT_TRUE(rejected(kFailedLinks, "-2", "failed_links"));
+  EXPECT_EQ(parse_error(row_with(kFailedLinks, "na")), "");
+  EXPECT_EQ(exp::cell_from_csv_row(row_with(kFailedLinks, "4")).failed_links,
+            4);
+  EXPECT_TRUE(
+      std::isinf(exp::cell_from_csv_row(row_with(kCutBound, "inf")).cut_bound));
+}
+
+TEST(Results, FromCsvKeepsTheRowErrorWithItsRecordNumber) {
+  const std::string csv = exp::csv_header() + "\n" + row_with(0, "0") + "\n" +
+                          row_with(2, "abc") + "\n";
+  try {
+    exp::ResultSet::from_csv(csv);
+    FAIL() << "from_csv accepted a non-numeric servers field";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("record 2: "), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("column servers"), std::string::npos)
+        << e.what();
+  }
+  try {
+    exp::ResultSet::from_csv(exp::csv_header() + "\n0,hc16\n");
+    FAIL() << "from_csv accepted a short row";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("record 1: "), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("arity"), std::string::npos);
+  }
 }
 
 TEST(Results, AtFindsCellAndThrowsOnMiss) {

@@ -35,6 +35,7 @@
 #include <string>
 
 #include "api/topobench.h"
+#include "exp/results.h"
 #include "store/result_store.h"
 #include "util/json.h"
 
@@ -93,53 +94,6 @@ tb::api::Topology parse_topology(const Value& v) {
           ? static_cast<std::uint64_t>(seed_field->as_int("topology.seed", 0,
                                                     1000000000L))
           : 1);
-}
-
-/// The uniform result record as a JSON object — field set and order match
-/// ResultSet::to_json; NaN and empty-string sentinels publish as null. The
-/// per-cell seed is a full 64-bit value, which a JSON number (a double)
-/// cannot hold exactly, so it publishes as a decimal string.
-Value record_json(const tb::api::Result& r) {
-  Value o = Value::object();
-  const auto opt_str = [](const std::string& s) {
-    return s.empty() ? Value::null() : Value::string_v(s);
-  };
-  o.set("cell", Value::number_v(static_cast<double>(r.cell)));
-  o.set("topology", Value::string_v(r.topology));
-  o.set("servers", Value::number_v(r.servers));
-  o.set("switches", Value::number_v(r.switches));
-  o.set("tm", Value::string_v(r.tm));
-  o.set("seed", Value::string_v(std::to_string(r.seed)));
-  o.set("solver", Value::string_v(r.solver));
-  o.set("trials", Value::number_v(r.trials));
-  o.set("throughput", Value::number_v(r.throughput));
-  o.set("random_mean", Value::number_v(r.random_mean));
-  o.set("random_ci95", Value::number_v(r.random_ci95));
-  o.set("relative", Value::number_v(r.relative));
-  o.set("relative_ci95", Value::number_v(r.relative_ci95));
-  o.set("cut_bound", Value::number_v(r.cut_bound));
-  o.set("cut_gap", Value::number_v(r.cut_gap));
-  o.set("cut_method", opt_str(r.cut_method));
-  o.set("scenario", opt_str(r.scenario));
-  o.set("failed_links", r.failed_links < 0
-                            ? Value::null()
-                            : Value::number_v(r.failed_links));
-  o.set("throughput_drop", Value::number_v(r.throughput_drop));
-  o.set("risk_group", r.risk_group < 0 ? Value::null()
-                                       : Value::number_v(r.risk_group));
-  o.set("tm_scale", Value::number_v(r.tm_scale));
-  o.set("growth_step", r.growth_step < 0 ? Value::null()
-                                         : Value::number_v(r.growth_step));
-  o.set("pivots", Value::number_v(static_cast<double>(r.pivots)));
-  o.set("phases", Value::number_v(static_cast<double>(r.phases)));
-  o.set("dijkstras", Value::number_v(static_cast<double>(r.dijkstras)));
-  o.set("pushes", Value::number_v(static_cast<double>(r.pushes)));
-  o.set("relabels", Value::number_v(static_cast<double>(r.relabels)));
-  o.set("global_relabels",
-        Value::number_v(static_cast<double>(r.global_relabels)));
-  o.set("warm", Value::number_v(r.warm));
-  o.set("solver_threads", Value::number_v(r.solver_threads));
-  return o;
 }
 
 class Server {
@@ -255,7 +209,7 @@ class Server {
   void handle_query(const Value& req, Value& resp) {
     const tb::api::QueryResult r = service_.query(parse_query(req));
     resp.set("source", Value::string_v(tb::api::to_string(r.source)));
-    resp.set("result", record_json(r.record));
+    resp.set("result", tb::exp::cell_json(r.record));
   }
 
   void handle_sweep(const Value& req, Value& resp) {
@@ -317,7 +271,7 @@ class Server {
     resp.set("solved", Value::number_v(static_cast<double>(r.stats.solved)));
     Value rows = Value::array();
     for (const tb::api::Result& rec : r.results.rows()) {
-      rows.items.push_back(record_json(rec));
+      rows.items.push_back(tb::exp::cell_json(rec));
     }
     resp.set("results", std::move(rows));
   }
