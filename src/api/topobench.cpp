@@ -182,9 +182,9 @@ Scenario build_scenario(const std::string& spec) {
   }
   if (const std::optional<double> c =
           parse_paren_param(spec, "degrade", "c")) {
-    if (*c < 0.0 || *c > 1.0) {
+    if (!(*c > 0.0) || *c > 1.0) {
       throw std::invalid_argument(
-          "build_scenario: degrade(c) needs c in [0, 1], got \"" + spec +
+          "build_scenario: degrade(c) needs c in (0, 1], got \"" + spec +
           "\"");
     }
     return exp::degrade_scenario(*c);

@@ -103,7 +103,7 @@ Traffic build_tm(const std::string& spec);
 
 /// Failure-scenario factory addressed by spec string:
 ///   "fail(f=<frac>)"    fail round(frac * edges) random links
-///   "degrade(c=<fac>)"  scale every capacity to fac of nominal
+///   "degrade(c=<fac>)"  scale every capacity to fac in (0, 1] of nominal
 ///   "groups(f=<frac>)"  fail round(frac * groups) random shared-risk groups
 ///   "surge(x=<scale>)"  scale every demand by x (traffic surge)
 /// The returned label equals the canonical spec string. Throws

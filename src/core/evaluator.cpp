@@ -36,9 +36,8 @@ RelativeResult relative_throughput(const Network& net, const TrafficMatrix& tm,
     samples[trial] =
         mcf::ThroughputEngine(rnd).solve(tm, opts.solve).throughput;
   };
-  ThreadPool& pool = ThreadPool::shared();
-  if (opts.solve.parallel && opts.random_trials > 1 && pool.size() > 1) {
-    pool.parallel_for(0, samples.size(), run_trial);
+  if (opts.solve.parallel) {
+    ThreadPool::shared().parallel_for(0, samples.size(), run_trial);
   } else {
     for (std::size_t trial = 0; trial < samples.size(); ++trial) {
       run_trial(trial);

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -67,14 +69,6 @@ std::string config_fingerprint(const Sweep& s) {
       key += p.label;
     }
   }
-  if (s.growth_steps > 0) {
-    // Growth cells derive their installed-switch counts from the axis
-    // shape and start fraction, so both are configuration identity (the
-    // per-step labels alone would collide across different growth_start).
-    std::snprintf(buf, sizeof(buf), "|grow|%d|%.17g", s.growth_steps,
-                  s.growth_start);
-    key += buf;
-  }
   return key;
 }
 
@@ -88,27 +82,8 @@ std::string cache_key(const std::string& topo, const std::string& tm,
 }
 
 std::string scenario_label_of(const Sweep& sweep, const Cell& c) {
-  if (!sweep.scenarios.empty()) return sweep.scenarios[c.scenario].label;
-  if (sweep.growth_steps > 0) {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "grow(step=%d/%d)",
-                  static_cast<int>(c.scenario), sweep.growth_steps);
-    return buf;
-  }
-  return {};
-}
-
-/// Installed-switch count at growth stage `step`: a linear ladder from
-/// round(n * growth_start) (clamped to >= 2) up to the full instance,
-/// which the final stage always is.
-int growth_installed(const Sweep& sweep, int num_nodes, int step) {
-  const int steps = sweep.growth_steps;
-  if (step >= steps - 1) return num_nodes;
-  const double frac =
-      sweep.growth_start +
-      (1.0 - sweep.growth_start) * step / static_cast<double>(steps - 1);
-  const int installed = static_cast<int>(std::llround(frac * num_nodes));
-  return std::max(2, std::min(num_nodes, installed));
+  return sweep.scenarios.empty() ? std::string()
+                                 : sweep.scenarios[c.scenario].label;
 }
 
 void validate_modes(const Sweep& sweep) {
@@ -139,33 +114,6 @@ void validate_modes(const Sweep& sweep) {
   if (sweep.warm_start && sweep.cut_bounds) {
     throw std::invalid_argument(
         "Runner::run: warm-start chains do not support cut bounds");
-  }
-  if (sweep.growth_steps < 0) {
-    throw std::invalid_argument("Runner::run: negative growth_steps");
-  }
-  if (sweep.growth_steps > 0) {
-    if (!sweep.scenarios.empty()) {
-      throw std::invalid_argument(
-          "Runner::run: growth mode and a scenario axis are mutually "
-          "exclusive (both occupy the third grid axis)");
-    }
-    if (sweep.trials > 0) {
-      throw std::invalid_argument(
-          "Runner::run: growth mode requires absolute mode (trials == 0)");
-    }
-    if (sweep.cut_bounds) {
-      throw std::invalid_argument(
-          "Runner::run: growth mode does not support cut bounds");
-    }
-    if (sweep.warm_start) {
-      throw std::invalid_argument(
-          "Runner::run: growth mode does not support warm-start chains "
-          "(each growth cell already warm-starts internally)");
-    }
-    if (!(sweep.growth_start > 0.0) || sweep.growth_start > 1.0) {
-      throw std::invalid_argument(
-          "Runner::run: growth_start must be in (0, 1]");
-    }
   }
 }
 
@@ -234,7 +182,7 @@ CellResult Runner::eval_cell(const Sweep& sweep,
                              const mcf::SolveOptions& solve,
                              const std::string& topo_label, const Network& net,
                              const TmSpec& tm_spec, std::size_t cell_index,
-                             mcf::ThroughputEngine* engine, bool warm) const {
+                             mcf::ThroughputEngine* engine) const {
   CellResult r;
   const std::uint64_t cell_seed = mix_seed(sweep.base_seed, cell_index);
   fill_cell_identity(r, cell_index, topo_label, net, tm_spec.label, cell_seed,
@@ -243,9 +191,8 @@ CellResult Runner::eval_cell(const Sweep& sweep,
   if (sweep.trials <= 0) {
     r.trials = 0;
     const mcf::ThroughputResult t =
-        engine != nullptr
-            ? (warm ? engine->warm_solve(tm, solve) : engine->solve(tm, solve))
-            : mcf::ThroughputEngine(net).solve(tm, solve);
+        engine != nullptr ? engine->warm_solve(tm, solve)
+                          : mcf::ThroughputEngine(net).solve(tm, solve);
     r.throughput = t.throughput;
     record_stats(r, t.stats);
   } else {
@@ -289,12 +236,9 @@ void Runner::eval_failure_group(const Sweep& sweep,
                                 const mcf::SolveOptions& solve,
                                 const std::string& topo_label,
                                 const Network& net, const TmSpec& tm_spec,
-                                const std::vector<std::size_t>& cell_indices,
+                                std::span<const std::size_t> cell_indices,
                                 std::vector<CellResult>& out) const {
-  const bool growth = sweep.scenarios.empty();
-  const std::size_t num_scenarios =
-      growth ? static_cast<std::size_t>(sweep.growth_steps)
-             : sweep.scenarios.size();
+  const std::size_t num_scenarios = sweep.scenarios.size();
   // The group's TM comes from its scenario-0 cell stream so every scenario
   // of the group degrades the same instance (see the header contract); the
   // flat expansion is scenario-minor, so that cell is the group's floor.
@@ -304,23 +248,11 @@ void Runner::eval_failure_group(const Sweep& sweep,
       net, mix_seed(mix_seed(sweep.base_seed, first_index), 0));
   // Per-cell failure sampling: each scenario keeps drawing from its own
   // cell's stream after the cut sampler's (trials + 2), so the batch shape
-  // never leaks into the sampled failure sets. Growth stages use no
-  // sampling — their spec is the uninstalled node tail — but carry the
-  // same seed for uniformity.
+  // never leaks into the sampled failure sets.
   std::vector<mcf::ScenarioSpec> specs;
   specs.reserve(cell_indices.size());
   for (const std::size_t index : cell_indices) {
-    mcf::ScenarioSpec spec;
-    if (growth) {
-      const int installed = growth_installed(
-          sweep, net.graph.num_nodes(), static_cast<int>(index % num_scenarios));
-      for (int v = installed; v < net.graph.num_nodes(); ++v) {
-        spec.failed_nodes.push_back(v);
-      }
-      spec.drop_failed_node_demands = true;
-    } else {
-      spec = sweep.scenarios[index % num_scenarios].spec;
-    }
+    mcf::ScenarioSpec spec = sweep.scenarios[index % num_scenarios].spec;
     spec.seed = mix_seed(mix_seed(sweep.base_seed, index),
                          static_cast<std::uint64_t>(sweep.trials) + 2);
     specs.push_back(std::move(spec));
@@ -333,15 +265,12 @@ void Runner::eval_failure_group(const Sweep& sweep,
       fleet.evaluate(tm, specs, solve, parallel_);
   for (std::size_t k = 0; k < cell_indices.size(); ++k) {
     const std::size_t index = cell_indices[k];
-    const std::size_t step = index % num_scenarios;
+    const ScenarioPoint& point = sweep.scenarios[index % num_scenarios];
     CellResult& r = out[index];
     fill_cell_identity(r, index, topo_label, net, tm_spec.label,
                        mix_seed(sweep.base_seed, index), solve);
     r.trials = 0;
-    Cell c;
-    c.index = index;
-    c.scenario = step;
-    r.scenario = scenario_label_of(sweep, c);
+    r.scenario = point.label;
     r.throughput = cells[k].result.throughput;
     r.failed_links = cells[k].failed_links;
     r.throughput_drop = cells[k].drop;
@@ -350,7 +279,7 @@ void Runner::eval_failure_group(const Sweep& sweep,
     // sentinels non-fleet cells keep).
     r.risk_group = cells[k].failed_groups;
     r.tm_scale = specs[k].tm_scale;
-    r.growth_step = growth ? static_cast<int>(step) : -1;
+    r.growth_step = point.growth_step;
     record_stats(r, cells[k].result.stats);
   }
 }
@@ -474,86 +403,57 @@ ResultSet Runner::run_impl(const Sweep& sweep, const RunOptions& opts,
     if (!nets[c.topo]) nets[c.topo] = sweep.topologies[c.topo].build();
   }
 
-  ThreadPool& pool = ThreadPool::shared();
-  if (!sweep.scenarios.empty() || sweep.growth_steps > 0) {
-    // Failures/growth mode: the missing cells of each (topology, TM) pair
-    // form one ScenarioFleet batch (a shared baseline + per-scenario
-    // degraded solves; growth stages are node-tail scenarios). Groups run
-    // concurrently — the fleet's own parallelism inlines on pool workers —
-    // and per-scenario results are independent of the batch shape, so
-    // output stays byte-identical for any thread count and any cache
-    // state.
-    struct FleetGroup {
-      std::size_t topo = 0;
-      std::size_t tm = 0;
-      std::vector<std::size_t> cell_indices;  // misses, in cell order
-    };
-    std::vector<FleetGroup> groups;
-    for (const std::size_t index : misses) {
-      const Cell& c = cells[index];
-      if (groups.empty() || groups.back().topo != c.topo ||
-          groups.back().tm != c.tm) {
-        groups.push_back({c.topo, c.tm, {}});
-      }
-      groups.back().cell_indices.push_back(index);
+  // Evaluation units: the missing cells of one (topology, TM) pair form a
+  // ScenarioFleet batch (a shared baseline + per-scenario degraded solves)
+  // in failures mode; a topology's TM cells form one warm chain in
+  // warm-start mode (misses are whole chains by construction, so the TM
+  // order fixes the warm seeds); otherwise every cell is its own unit.
+  // Units are consecutive runs of `misses` with equal keys and run
+  // concurrently — nested solver parallelism inlines on pool workers — each
+  // writing only its own cells' slots. Per-unit results are independent of
+  // scheduling and cache state, so everything below the barrier is a
+  // deterministic reduction in cell order.
+  const bool fleet = !sweep.scenarios.empty();
+  const auto unit_key = [&](std::size_t index) {
+    const Cell& c = cells[index];
+    if (fleet) return c.topo * sweep.tms.size() + c.tm;
+    return sweep.warm_start ? c.topo : c.index;
+  };
+  std::vector<std::span<const std::size_t>> units;
+  for (std::size_t k = 0; k < misses.size();) {
+    std::size_t end = k + 1;
+    while (end < misses.size() &&
+           unit_key(misses[end]) == unit_key(misses[k])) {
+      ++end;
     }
-    const auto eval_group = [&](std::size_t k) {
-      const FleetGroup& grp = groups[k];
-      eval_failure_group(sweep, solve, sweep.topologies[grp.topo].label,
-                         *nets[grp.topo], sweep.tms[grp.tm], grp.cell_indices,
+    units.emplace_back(misses.data() + k, end - k);
+    k = end;
+  }
+  const auto eval_unit = [&](std::size_t u) {
+    const std::span<const std::size_t> unit = units[u];
+    const Cell& head = cells[unit.front()];
+    const std::string& label = sweep.topologies[head.topo].label;
+    const Network& net = *nets[head.topo];
+    if (fleet) {
+      eval_failure_group(sweep, solve, label, net, sweep.tms[head.tm], unit,
                          out);
-    };
-    if (parallel_ && groups.size() > 1 && pool.size() > 1) {
-      pool.parallel_for(0, groups.size(), eval_group);
-    } else {
-      for (std::size_t k = 0; k < groups.size(); ++k) eval_group(k);
+      return;
     }
-  } else if (!sweep.warm_start) {
-    // Evaluate the missing cells — concurrently when allowed — writing each
-    // result into its own slot; everything below the barrier is a
-    // deterministic reduction in cell order.
-    const auto eval = [&](std::size_t k) {
-      const Cell& c = cells[misses[k]];
-      out[c.index] = eval_cell(sweep, solve, sweep.topologies[c.topo].label,
-                               *nets[c.topo], sweep.tms[c.tm], c.index,
-                               /*engine=*/nullptr, /*warm=*/false);
-    };
-    if (parallel_ && misses.size() > 1 && pool.size() > 1) {
-      pool.parallel_for(0, misses.size(), eval);
-    } else {
-      for (std::size_t k = 0; k < misses.size(); ++k) eval(k);
+    // A warm chain runs wholly in session mode (the first cell has no
+    // previous solution to seed from but still gets the session dynamics;
+    // see ThroughputEngine::warm_solve).
+    std::optional<mcf::ThroughputEngine> chain;
+    if (sweep.warm_start) chain.emplace(net);
+    for (const std::size_t index : unit) {
+      out[index] = eval_cell(sweep, solve, label, net,
+                             sweep.tms[cells[index].tm], index,
+                             chain ? &*chain : nullptr);
     }
+  };
+  if (parallel_) {
+    ThreadPool::shared().parallel_for(0, units.size(), eval_unit);
   } else {
-    // Warm mode: one chain per topology with misses (misses are whole
-    // topologies by construction). Chains run concurrently; within a chain
-    // the TM order fixes the warm seeds, so results are thread-count
-    // invariant.
-    const std::size_t per_topo = sweep.tms.size();
-    std::vector<std::size_t> chain_topos;
-    for (const std::size_t index : misses) {
-      const std::size_t t = index / per_topo;
-      if (chain_topos.empty() || chain_topos.back() != t) {
-        chain_topos.push_back(t);
-      }
-    }
-    const auto eval_chain = [&](std::size_t k) {
-      const std::size_t t = chain_topos[k];
-      mcf::ThroughputEngine engine(*nets[t]);
-      for (std::size_t m = 0; m < per_topo; ++m) {
-        const std::size_t index = t * per_topo + m;
-        // The whole chain runs in session mode (the first cell has no
-        // previous solution to seed from but still gets the session
-        // dynamics; see ThroughputEngine::warm_solve).
-        out[index] = eval_cell(sweep, solve, sweep.topologies[t].label,
-                               *nets[t], sweep.tms[m], index, &engine,
-                               /*warm=*/true);
-      }
-    };
-    if (parallel_ && chain_topos.size() > 1 && pool.size() > 1) {
-      pool.parallel_for(0, chain_topos.size(), eval_chain);
-    } else {
-      for (std::size_t k = 0; k < chain_topos.size(); ++k) eval_chain(k);
-    }
+    for (std::size_t u = 0; u < units.size(); ++u) eval_unit(u);
   }
 
   // The solver_threads column echoes the sweep's requested configuration,

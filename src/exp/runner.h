@@ -26,19 +26,14 @@
 // own cell's stream mix_seed(base, cell, trials + 2). Groups run
 // concurrently and per-scenario fleet results are independent of batch
 // shape, so the determinism contract is unchanged. Requires absolute mode
-// (trials == 0, no cut bounds, no warm chains).
+// (trials == 0, no cut bounds, no warm chains). Growth stages
+// (exp::growth_scenarios) are ordinary points of this axis: each fails its
+// uninstalled node tail, and the point's growth_step fills that column.
 //
-// Growth mode (Sweep::growth_steps > 0): the third grid axis becomes an
-// incremental-expansion ladder instead of a scenario list — stage g of a
-// (topology, TM) group fails the uninstalled node tail (see
-// Sweep::growth_steps for the installed-count formula) with dropped
-// demands, evaluated through the same fleet machinery: one full-network
-// baseline, each stage warm-solved on a fork. Stage labels
-// ("grow(step=<g>/<steps>)") fill the scenario column and the growth_step
-// column records g; early stages may be disconnected, which deterministically
-// reports throughput 0. Same mode constraints and caching/sharding
-// behavior as failures mode; the axis shape and start fraction are part of
-// the configuration fingerprint.
+// Dispatch: every mode runs through one loop over evaluation units — a
+// (topology, TM) fleet group in failures mode, a topology chain in
+// warm-start mode, a single cell otherwise — claimed concurrently from the
+// shared pool.
 //
 // Solver threading: Runner::run seeds SolveOptions::solver_threads from
 // TOPOBENCH_SOLVER_THREADS when the sweep leaves it 0. By the solver
@@ -92,6 +87,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 // topobench-lint: allow(unordered-container) lookup-only result cache below
 #include <unordered_map>
@@ -167,12 +163,12 @@ class Runner {
 
  private:
   /// Evaluate one non-failure cell. `engine` is non-null in warm-start
-  /// mode (the topology chain's shared session; `warm` selects warm_solve
-  /// for every chain position after the first).
+  /// mode: the topology chain's shared session, warm-solved at every chain
+  /// position.
   CellResult eval_cell(const Sweep& sweep, const mcf::SolveOptions& solve,
                        const std::string& topo_label, const Network& net,
                        const TmSpec& tm, std::size_t cell_index,
-                       mcf::ThroughputEngine* engine, bool warm) const;
+                       mcf::ThroughputEngine* engine) const;
 
   /// Evaluate the missing cells of one (topology, TM) failure group as a
   /// ScenarioFleet batch, writing each cell's result into `out` (indexed by
@@ -181,7 +177,7 @@ class Runner {
   void eval_failure_group(const Sweep& sweep, const mcf::SolveOptions& solve,
                           const std::string& topo_label, const Network& net,
                           const TmSpec& tm,
-                          const std::vector<std::size_t>& cell_indices,
+                          std::span<const std::size_t> cell_indices,
                           std::vector<CellResult>& out) const;
 
   /// The shared implementation: evaluate `shard`'s cell range (global

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 
 #include "tm/synthetic.h"
@@ -11,11 +12,8 @@
 namespace tb::exp {
 
 std::vector<Cell> expand(const Sweep& s) {
-  // The third axis is scenarios (failures mode) or growth stages (growth
-  // mode); validate_modes forbids combining them.
-  const std::size_t num_scenarios = std::max<std::size_t>(
-      1, s.scenarios.empty() ? static_cast<std::size_t>(s.growth_steps)
-                             : s.scenarios.size());
+  const std::size_t num_scenarios =
+      std::max<std::size_t>(1, s.scenarios.size());
   std::vector<Cell> cells;
   cells.reserve(s.topologies.size() * s.tms.size() * num_scenarios);
   for (std::size_t t = 0; t < s.topologies.size(); ++t) {
@@ -146,6 +144,28 @@ ScenarioPoint hotspot_scenario(double fraction, double factor) {
   p.spec.hotspot_fraction = fraction;
   p.spec.hotspot_factor = factor;
   return p;
+}
+
+std::vector<ScenarioPoint> growth_scenarios(int steps) {
+  if (steps < 1) {
+    throw std::invalid_argument("growth_scenarios: steps must be >= 1");
+  }
+  constexpr double kStart = 0.5;  // installed fraction of stage 0
+  std::vector<ScenarioPoint> points;
+  points.reserve(static_cast<std::size_t>(steps));
+  for (int g = 0; g < steps; ++g) {
+    ScenarioPoint p;
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), "grow(step=%d/%d)", g, steps);
+    p.label = buf;
+    p.spec.installed_fraction =
+        g == steps - 1
+            ? 1.0
+            : kStart + (1.0 - kStart) * g / static_cast<double>(steps - 1);
+    p.growth_step = g;
+    points.push_back(std::move(p));
+  }
+  return points;
 }
 
 double env_eps(double fallback) {

@@ -48,10 +48,11 @@ struct TmSpec {
 struct ScenarioPoint {
   std::string label;
   mcf::ScenarioSpec spec;
+  int growth_step = -1;  ///< growth_step column value (-1: not a stage)
 };
 
 /// The grid: every topology crossed with every TM family (and, in failures
-/// mode, every scenario).
+/// mode, every scenario — failures, surges and growth stages alike).
 struct Sweep {
   std::vector<TopoSpec> topologies;
   std::vector<TmSpec> tms;
@@ -66,24 +67,11 @@ struct Sweep {
   /// Failures mode: when non-empty, the grid gains a scenario axis — each
   /// (topology, TM) pair is evaluated once per scenario via
   /// mcf::ScenarioFleet, filling the scenario / failed_links /
-  /// throughput_drop columns (throughput is the degraded value). Requires
-  /// absolute mode (trials == 0) without cut bounds; the runner throws
-  /// otherwise.
+  /// throughput_drop / risk_group / tm_scale / growth_step columns
+  /// (throughput is the degraded value). Requires absolute mode
+  /// (trials == 0) without cut bounds or warm-start chains; the runner
+  /// throws otherwise.
   std::vector<ScenarioPoint> scenarios;
-  /// Growth mode: when growth_steps > 0, the grid gains a growth axis
-  /// instead of a scenario one — each (topology, TM) pair is evaluated at
-  /// growth_steps incremental-expansion stages of the instance (the
-  /// Jellyfish expansion story): stage g keeps the first
-  /// round(n * (growth_start + (1 - growth_start) * g / (steps - 1)))
-  /// switches installed (all of them at the final stage) by failing the
-  /// uninstalled tail as node failures with dropped demands, warm-solved
-  /// from the full-network baseline like any other scenario fleet. Labels
-  /// are "grow(step=<g>/<steps>)"; the growth_step column records g.
-  /// Mutually exclusive with `scenarios`; requires absolute mode without
-  /// cut bounds or warm_start (the runner throws otherwise).
-  int growth_steps = 0;
-  /// First installed fraction of the growth ladder, in (0, 1].
-  double growth_start = 0.5;
   /// Warm-start mode: evaluate each topology's TM cells as one ordered
   /// chain on a shared ThroughputEngine, seeding every solve after the
   /// first from the previous solution (GK lengths / LP basis). Chains stay
@@ -166,6 +154,16 @@ ScenarioPoint surge_scenario(double scale);
 /// Diurnal hotspot surge: round(fraction * num_demands) seeded demands
 /// additionally scaled by `factor`, labeled "hotspot(f=<f>,x=<factor>)".
 ScenarioPoint hotspot_scenario(double fraction, double factor);
+
+/// Incremental expansion (the Jellyfish growth story) as `steps` scenario
+/// points: stage g installs the fraction 1/2 + (1/2) * g / (steps - 1) of
+/// the switches (all of them at the final stage; see
+/// ScenarioSpec::installed_fraction), failing the uninstalled node tail
+/// with its demands dropped. Labeled "grow(step=<g>/<steps>)" with
+/// growth_step g; early stages may be disconnected, which deterministically
+/// reports throughput 0. The start fraction is fixed so the label is a full
+/// identity. Throws std::invalid_argument when steps < 1.
+std::vector<ScenarioPoint> growth_scenarios(int steps);
 
 // --- environment knobs (shared by every driver) -------------------------
 // Solver accuracy, trial counts and sweep sizes can be tightened from the

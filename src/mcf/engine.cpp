@@ -130,6 +130,10 @@ void ThroughputEngine::apply_scenario(const ScenarioSpec& spec) {
     // job, not a surge's.
     throw std::invalid_argument("apply_scenario: hotspot_factor must be > 0");
   }
+  if (!(spec.installed_fraction > 0.0) || spec.installed_fraction > 1.0) {
+    throw std::invalid_argument(
+        "apply_scenario: installed_fraction must be in (0, 1]");
+  }
   std::vector<char> fail(static_cast<std::size_t>(num_edges), 0);
   for (const int e : spec.failed_edges) {
     if (e < 0 || e >= num_edges) {
@@ -154,6 +158,14 @@ void ThroughputEngine::apply_scenario(const ScenarioSpec& spec) {
     }
     node_failed_[static_cast<std::size_t>(v)] = 1;
     any_node_failed_ = true;
+  }
+  if (spec.installed_fraction < 1.0) {
+    const int installed = static_cast<int>(std::max<long long>(
+        2, std::min<long long>(n, std::llround(spec.installed_fraction * n))));
+    for (int v = installed; v < n; ++v) {
+      node_failed_[static_cast<std::size_t>(v)] = 1;
+      any_node_failed_ = true;
+    }
   }
   if (any_node_failed_) {
     for (int e = 0; e < num_edges; ++e) {
@@ -386,9 +398,8 @@ std::vector<FleetCell> ScenarioFleet::evaluate(
                     ? 1.0 - cell.result.throughput / cell.baseline
                     : 0.0;
   };
-  ThreadPool& pool = ThreadPool::shared();
-  if (parallel_cells && opts.parallel && specs.size() > 1 && pool.size() > 1) {
-    pool.parallel_for(0, specs.size(), eval_one);
+  if (parallel_cells && opts.parallel) {
+    ThreadPool::shared().parallel_for(0, specs.size(), eval_one);
   } else {
     for (std::size_t i = 0; i < specs.size(); ++i) eval_one(i);
   }

@@ -54,9 +54,10 @@ inline constexpr std::uint64_t kHotspotStream = 0x686f7453ULL;        // "hotS"
 
 /// A degraded-network scenario, applied to an engine as an incremental
 /// perturbation. Explicit failure sets, node failures (a failed node loses
-/// every incident link), correlated shared-risk group failures, uniform
-/// capacity degradation of the surviving links, seeded random link/group
-/// failure sampling, and traffic-surge scaling compose in one spec.
+/// every incident link), partial installation (an uninstalled node tail),
+/// correlated shared-risk group failures, uniform capacity degradation of
+/// the surviving links, seeded random link/group failure sampling, and
+/// traffic-surge scaling compose in one spec.
 struct ScenarioSpec {
   std::vector<int> failed_edges;  ///< edge ids to remove outright
   std::vector<int> failed_nodes;  ///< nodes whose incident edges all fail
@@ -87,6 +88,10 @@ struct ScenarioSpec {
   /// served; throughput is then over the surviving commodities). With this
   /// false, such demands stay and force throughput to 0.
   bool drop_failed_node_demands = true;
+  /// Incremental expansion, in (0, 1]: below 1 only the first
+  /// k = max(2, min(n, round(installed_fraction * n))) switches are
+  /// installed and nodes [k, n) fail as if listed in failed_nodes.
+  double installed_fraction = 1.0;
 };
 
 /// The risk-group indices `spec` fails on a network with `num_groups`

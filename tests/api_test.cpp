@@ -67,6 +67,9 @@ TEST(ApiFactoriesTest, ScenarioSpecsParseAndRejectLoudly) {
   EXPECT_EQ(build_scenario("degrade(c=0.9)").label, "degrade(c=0.9)");
   EXPECT_THROW(build_scenario("fail(f=1.5)"), std::invalid_argument);
   EXPECT_THROW(build_scenario("degrade(c=-1)"), std::invalid_argument);
+  // The engine requires a capacity factor in (0, 1]: c=0 must fail here,
+  // not after the service has built the topology.
+  EXPECT_THROW(build_scenario("degrade(c=0)"), std::invalid_argument);
   EXPECT_THROW(build_scenario("meteor()"), std::invalid_argument);
 }
 

@@ -1,5 +1,5 @@
 // Structured failure scenarios (PR 10): shared-risk link groups, traffic
-// surges/hotspots, incremental-expansion (growth) sweeps, and the
+// surges/hotspots, incremental-expansion (growth) stages, and the
 // adversarial worst-case TM search. The battery pins the four contracts
 // the scenario layer promises:
 //   * every registry family exports validated structural risk groups;
@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -374,8 +375,7 @@ exp::Sweep growth_sweep() {
   s.topologies = {exp::representative_spec(Family::Hypercube, 16, 1)};
   s.tms = {exp::a2a_tm()};
   s.solve.kind = mcf::SolverKind::ExactLP;
-  s.growth_steps = 3;
-  s.growth_start = 0.5;
+  s.scenarios = exp::growth_scenarios(3);
   s.base_seed = 5;
   return s;
 }
@@ -396,20 +396,88 @@ TEST(GrowthSweep, FillsColumnsAndFinalStageMatchesIntact) {
   // The final stage is the full instance: its (exact) throughput matches a
   // plain absolute sweep of the same grid.
   exp::Sweep plain = growth_sweep();
-  plain.growth_steps = 0;
+  plain.scenarios.clear();
   exp::Runner plain_runner;
   const exp::ResultSet intact = plain_runner.run(plain, exp::RunOptions{});
   ASSERT_EQ(intact.size(), 1u);
   EXPECT_NEAR(rs.rows()[2].throughput, intact.rows()[0].throughput, 1e-9);
   EXPECT_EQ(intact.rows()[0].growth_step, -1);  // non-fleet cell keeps NA
+  // On the engine a full installation is no perturbation: the solve is
+  // bitwise the intact one.
+  const std::shared_ptr<const Network> net = sweep.topologies[0].build();
+  const TrafficMatrix tm = all_to_all(*net);
+  mcf::ThroughputEngine engine(*net);
+  mcf::ScenarioSpec full;
+  full.installed_fraction = 1.0;
+  engine.apply_scenario(full);
+  EXPECT_EQ(engine.failed_edge_count(), 0);
+  EXPECT_EQ(engine.solve(tm, lp_opts()).throughput,
+            mcf::ThroughputEngine(*net).solve(tm, lp_opts()).throughput);
+}
+
+TEST(GrowthSweep, RowsMatchExplicitNodeTailReference) {
+  // Odd switch count: stage 0 installs round(0.5 * 13) = round(6.5), so the
+  // reference exercises llround's half-away-from-zero rounding.
+  const Network jf = make_jellyfish(13, 4, 1, /*seed=*/3);
+  const int n = jf.graph.num_nodes();
+  ASSERT_EQ(n, 13);
+  const int steps = 5;
+  exp::Sweep sweep;
+  sweep.topologies = {exp::instance_spec(jf)};
+  sweep.tms = {exp::a2a_tm()};
+  sweep.solve = lp_opts();
+  sweep.scenarios = exp::growth_scenarios(steps);
+  sweep.base_seed = 11;
+  exp::Runner runner;
+  const exp::ResultSet rs = runner.run(sweep, exp::RunOptions{});
+  ASSERT_EQ(rs.size(), static_cast<std::size_t>(steps));
+
+  // The group's TM comes from the scenario-0 cell stream (runner.h).
+  const TrafficMatrix tm =
+      sweep.tms[0].build(jf, mix_seed(mix_seed(sweep.base_seed, 0), 0));
+  std::vector<int> installed_counts;
+  for (int g = 0; g < steps; ++g) {
+    // The documented ladder: fraction 1/2 + (1/2) g / (S - 1), exactly 1
+    // at the final stage; k = max(2, min(n, round(f n))) switches stay.
+    const double f =
+        g == steps - 1 ? 1.0 : 0.5 + 0.5 * g / static_cast<double>(steps - 1);
+    const int k = static_cast<int>(
+        std::max<long long>(2, std::min<long long>(n, std::llround(f * n))));
+    installed_counts.push_back(k);
+    mcf::ScenarioSpec spec;
+    for (int v = k; v < n; ++v) spec.failed_nodes.push_back(v);
+    spec.drop_failed_node_demands = true;
+    const auto index = static_cast<std::uint64_t>(g);
+    spec.seed = mix_seed(mix_seed(sweep.base_seed, index), 2);
+    const mcf::FleetCell ref = test_ref::one_at_a_time(jf, tm, spec, lp_opts());
+    const exp::CellResult& r = rs.rows()[static_cast<std::size_t>(g)];
+    const std::string where = "stage " + std::to_string(g);
+    EXPECT_EQ(r.throughput, ref.result.throughput) << where;
+    EXPECT_EQ(r.failed_links, ref.failed_links) << where;
+    EXPECT_EQ(r.growth_step, g) << where;
+    EXPECT_EQ(r.scenario, "grow(step=" + std::to_string(g) + "/5)") << where;
+  }
+  EXPECT_EQ(installed_counts, (std::vector<int>{7, 8, 10, 11, 13}));
 }
 
 TEST(GrowthSweep, SerialAndParallelCsvIdentical) {
-  const exp::Sweep sweep = growth_sweep();
+  // Growth stages are ordinary scenario points, so they share one axis
+  // with random link failures.
+  exp::Sweep sweep = growth_sweep();
+  const std::vector<exp::ScenarioPoint> fail =
+      exp::random_failure_scenarios({0.1});
+  sweep.scenarios.insert(sweep.scenarios.end(), fail.begin(), fail.end());
   exp::Runner serial(/*parallel=*/false);
   exp::Runner parallel(/*parallel=*/true);
-  EXPECT_EQ(serial.run(sweep, exp::RunOptions{}).to_csv(),
-            parallel.run(sweep, exp::RunOptions{}).to_csv());
+  const exp::ResultSet rs = parallel.run(sweep, exp::RunOptions{});
+  EXPECT_EQ(serial.run(sweep, exp::RunOptions{}).to_csv(), rs.to_csv());
+  ASSERT_EQ(rs.size(), 4u);
+  for (int g = 0; g < 3; ++g) {
+    EXPECT_EQ(rs.rows()[static_cast<std::size_t>(g)].growth_step, g);
+  }
+  EXPECT_EQ(rs.rows()[3].scenario, "fail(f=0.1)");
+  EXPECT_EQ(rs.rows()[3].growth_step, -1);
+  EXPECT_GT(rs.rows()[3].failed_links, 0);
 }
 
 TEST(GrowthSweep, ShardedMergeReproducesUnshardedBytes) {
@@ -431,11 +499,10 @@ TEST(GrowthSweep, ShardedMergeReproducesUnshardedBytes) {
 }
 
 TEST(GrowthSweep, ModeValidationRejectsBadCombos) {
+  // Growth stages live on the scenario axis, so the failures-mode rules
+  // reject the same combinations.
   exp::Runner runner;
   exp::Sweep s = growth_sweep();
-  s.scenarios = exp::random_failure_scenarios({0.1});
-  EXPECT_THROW(runner.run(s, exp::RunOptions{}), std::invalid_argument);
-  s = growth_sweep();
   s.trials = 2;
   EXPECT_THROW(runner.run(s, exp::RunOptions{}), std::invalid_argument);
   s = growth_sweep();
@@ -444,12 +511,16 @@ TEST(GrowthSweep, ModeValidationRejectsBadCombos) {
   s = growth_sweep();
   s.cut_bounds = true;
   EXPECT_THROW(runner.run(s, exp::RunOptions{}), std::invalid_argument);
-  s = growth_sweep();
-  s.growth_start = 0.0;
-  EXPECT_THROW(runner.run(s, exp::RunOptions{}), std::invalid_argument);
-  s = growth_sweep();
-  s.growth_steps = -1;
-  EXPECT_THROW(runner.run(s, exp::RunOptions{}), std::invalid_argument);
+  // The ladder needs a stage, and the engine an installed fraction in
+  // (0, 1].
+  EXPECT_THROW(exp::growth_scenarios(0), std::invalid_argument);
+  const Network hc = make_hypercube(3);
+  mcf::ThroughputEngine engine(hc);
+  for (const double bad : {0.0, -0.1, 1.5, std::nan("")}) {
+    mcf::ScenarioSpec spec;
+    spec.installed_fraction = bad;
+    EXPECT_THROW(engine.apply_scenario(spec), std::invalid_argument) << bad;
+  }
 }
 
 // --- correlated failures through the sweep --------------------------------
