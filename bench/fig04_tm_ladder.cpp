@@ -11,9 +11,9 @@
 // Runs on the experiment runner: TOPOBENCH_CSV=1 emits the uniform cell
 // CSV, TOPOBENCH_TARGET_SERVERS shrinks the instances for smoke runs, and
 // TOPOBENCH_WARMSTART=1 chains each topology's TM ladder through one
-// ThroughputEngine (every solve after A2A seeds from the previous
-// solution) — the same grid solves ~2x+ faster, with each value agreeing
-// with the cold run within the solver's certified gap.
+// ThroughputEngine (every solve after A2A is a warm_solve). The ladder's
+// TMs never share a commodity set, so no GK solve is seeded: GK cells
+// equal the cold run's bitwise (ExactLP cells reuse the previous basis).
 #include <iostream>
 #include <string>
 

@@ -439,9 +439,8 @@ ResultSet Runner::run_impl(const Sweep& sweep, const RunOptions& opts,
                          out);
       return;
     }
-    // A warm chain runs wholly in session mode (the first cell has no
-    // previous solution to seed from but still gets the session dynamics;
-    // see ThroughputEngine::warm_solve).
+    // Every cell of a warm chain is a warm_solve (the first has no previous
+    // solution to seed from; see ThroughputEngine::warm_solve).
     std::optional<mcf::ThroughputEngine> chain;
     if (sweep.warm_start) chain.emplace(net);
     for (const std::size_t index : unit) {

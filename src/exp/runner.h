@@ -43,10 +43,11 @@
 //
 // Warm-start mode (Sweep::warm_start): the evaluation unit becomes the
 // topology, not the cell — each topology's TM cells run as one ordered
-// chain on a shared ThroughputEngine (first solve cold, the rest seeded
-// from the previous solution). Topologies still run concurrently and a
-// chain's order is the TM order, so results remain thread-count invariant;
-// they differ from cold results within the solver's certified gap. A
+// chain on a shared ThroughputEngine (every solve after the first is a
+// warm_solve, seeded from the previous solution where the engine can).
+// Topologies still run concurrently and a chain's order is the TM order,
+// so results remain thread-count invariant; seeded cells differ from cold
+// results within the solver's certified gap. A
 // topology is answered from the cache only when ALL its cells hit —
 // otherwise the whole chain re-evaluates (a partial chain would change the
 // warm seeds). Requires absolute mode without scenarios or cut bounds.

@@ -73,11 +73,12 @@ struct Sweep {
   /// throws otherwise.
   std::vector<ScenarioPoint> scenarios;
   /// Warm-start mode: evaluate each topology's TM cells as one ordered
-  /// chain on a shared ThroughputEngine, seeding every solve after the
-  /// first from the previous solution (GK lengths / LP basis). Chains stay
-  /// deterministic (topologies run concurrently, a chain runs in TM
-  /// order); results agree with cold ones within the certified gap, not
-  /// bitwise. Requires absolute mode without scenarios.
+  /// chain on a shared ThroughputEngine, warm-solving every solve after the
+  /// first from the previous solution (GK lengths when the commodity set
+  /// matches / LP basis). Chains stay deterministic (topologies run
+  /// concurrently, a chain runs in TM order); seeded results agree with
+  /// cold ones within the certified gap, not bitwise. Requires absolute
+  /// mode without scenarios.
   bool warm_start = false;
 };
 

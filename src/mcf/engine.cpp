@@ -346,13 +346,11 @@ ThroughputResult ThroughputEngine::run(const TrafficMatrix& tm,
   gkopts.epsilon = opts.epsilon;
   gkopts.parallel = solve_parallel;
   gkopts.pool = pool;
-  // Warm solves run the session dynamics (Fleischer-style tree reuse, see
-  // GkOptions::reuse_trees). Cross-solve length seeding additionally kicks
-  // in only when this TM routes the same commodity pairs as the previous
-  // solve (failure scenarios, scaled demands): across *different* TMs the
-  // previous bottleneck shape misleads more than it helps — empirically it
-  // inflates trivially-converging instances by orders of magnitude.
-  gkopts.reuse_trees = warm;
+  // A warm solve seeds the lengths from the previous solve only when this
+  // TM routes the same commodity pairs (failure scenarios, scaled demands):
+  // across *different* TMs the previous bottleneck shape misleads more than
+  // it helps — empirically it inflates trivially-converging instances by
+  // orders of magnitude. Unseeded, a warm solve is bitwise the cold solve.
   std::uint64_t fp = 0x9e3779b97f4a7c15ULL;
   for (const Demand& d : effective->demands) {
     fp += mix_seed(static_cast<std::uint64_t>(d.src),
@@ -367,8 +365,8 @@ ThroughputResult ThroughputEngine::run(const TrafficMatrix& tm,
   res.solver = "garg-konemann";
   res.stats.phases = r.phases;
   res.stats.dijkstras = r.dijkstras;
-  // "Warm" records that the solve ran in the session mode (tree reuse,
-  // plus length seeding when the commodity fingerprint matched).
+  // "Warm" records that a warm solve was requested, not that the lengths
+  // were seeded (that happens only when the commodity fingerprint matched).
   res.stats.warm_start = warm;
   res.stats.solver_threads = opts.solver_threads;
   return res;

@@ -17,10 +17,12 @@
 // unperturbed engine it is bitwise identical to a fresh engine's solve,
 // whatever the engine solved before. warm_solve() seeds the solver from
 // the previous solution (GK arc lengths; the LP basis): for ladders of
-// nearby instances (TM families on one topology, degraded-capacity
-// variants) the certified gap closes in far fewer phases. Warm results
-// agree with cold ones within the certified primal/dual gap, not bitwise —
-// the ExactLP path stays exact either way.
+// nearby instances (degraded-capacity variants, scaled demands) the
+// certified gap closes in far fewer phases. GK lengths are seeded only
+// when the commodity set matches the previous solve's; otherwise a warm
+// GK solve is bitwise the cold one. Seeded results agree with cold ones
+// within the certified primal/dual gap, not bitwise — the ExactLP path
+// stays exact either way.
 //
 // The scenario layer models degraded networks (paper's robustness
 // discussion): ScenarioSpec describes link/node failure sets, uniform
@@ -126,9 +128,11 @@ class ThroughputEngine {
                          const SolveOptions& opts = {});
 
   /// Like solve(), but seeds the solver from the previous solution on this
-  /// engine (GK arc lengths / ExactLP basis). Falls back to a cold start
-  /// when no previous solution exists; ThroughputResult::stats.warm_start
-  /// records whether warm state was actually used.
+  /// engine (GK arc lengths when the commodity set matches / ExactLP
+  /// basis). Falls back to a cold start when no previous solution exists.
+  /// ThroughputResult::stats.warm_start records, on ExactLP, whether the
+  /// basis was actually used; on GK, only that warm was requested — not
+  /// that the lengths were seeded.
   ThroughputResult warm_solve(const TrafficMatrix& tm,
                               const SolveOptions& opts = {});
 
@@ -198,8 +202,7 @@ class ThroughputEngine {
   // Commodity-set fingerprint of the last GK solve: length seeding is only
   // sound-and-useful between *nearby* instances — same (src, dst) pairs
   // with perturbed capacities or scaled demands — so warm_solve seeds GK
-  // lengths only when the fingerprint matches (tree-reuse session dynamics
-  // run either way). 0 = no previous GK solve.
+  // lengths only when the fingerprint matches. 0 = no previous GK solve.
   std::uint64_t gk_tm_fingerprint_ = 0;
 
   // Scratch for demands_connected (component labels per node).

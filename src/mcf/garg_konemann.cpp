@@ -304,11 +304,11 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
     sc.cur_dist.resize(n);
   }
 
-  // Session dynamics (reuse_trees): per-group cached routed trees and the
-  // helpers that build, validate, and route along them. A cached tree's
-  // per-arc volumes are fixed (each phase routes the same demands), so
-  // routing a fresh-enough tree is a flat array walk with no Dijkstra.
-  tree_cache_.assign(opts.reuse_trees ? groups_.size() : 0, {});
+  // Fleischer's shortest-path tree reuse: per-group cached routed trees
+  // and the helpers that build, validate, and route along them. A cached
+  // tree's per-arc volumes are fixed (each phase routes the same demands),
+  // so routing a fresh-enough tree is a flat array walk with no Dijkstra.
+  tree_cache_.assign(groups_.size(), {});
   // A tree is reusable while its paths stay within (1 + eps) of their
   // build-time shortest lengths: routing then loses at most ~eps of path
   // optimality, which shows up only in how fast the certified gap closes.
@@ -411,7 +411,7 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
 
   long phase = 0;
   long dijkstras = 0;
-  long next_sweep = 1;  // adaptive exact-sweep schedule (reuse mode)
+  long next_sweep = 1;  // adaptive exact-sweep schedule
   long best_window_phases = 0;
   double best_window_congestion = kInf;
   bool best_is_window = false;
@@ -419,152 +419,52 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
   long last_gap_improvement = 0;
   bool stop = false;
   while (!stop && phase < opts.max_phases) {
-    double alpha = 0.0;  // sum_j demand_j * dist_l(s_j, t_j) this phase
-    if (opts.reuse_trees) {
-      // Session dynamics, block-parallel: a block's freshness checks and
-      // tree rebuilds run against the lengths frozen at the block boundary
-      // (each slot on its own scratch), then the block's routing/length
-      // updates apply serially in group order — bitwise the same whether
-      // the block ran serial or on the pool. No per-phase alpha — the dual
-      // bound comes solely from the exact sweeps below, which keeps the
-      // certificate rigorous under stale routing.
-      for (std::size_t g0 = 0; g0 < groups_.size();
-           g0 += static_cast<std::size_t>(block)) {
-        const std::size_t g1 =
-            std::min(groups_.size(), g0 + static_cast<std::size_t>(block));
-        const auto prep = [&](std::size_t k) {
-          const std::size_t gi = g0 + k;
-          Scratch& sc = scratch_[k];
-          sc.rebuilt = false;
-          if (tree_cache_[gi].valid && tree_fresh(gi, sc)) return;
-          if (groups_[gi].sinks.size() == 1) {
-            rebuild_single(gi, sc);
-          } else {
-            dijkstra_to_targets(g, groups_[gi].src, length_, groups_[gi].sinks,
-                                sc.dist, sc.parent, sc.tent, sc.is_target);
-            build_cache(gi, sc);
-          }
-          sc.rebuilt = true;
-        };
-        if (par && g1 - g0 > 1) {
-          pool.parallel_for(0, g1 - g0, prep);
+    // Block-parallel phase: a block's freshness checks and tree rebuilds
+    // run against the lengths frozen at the block boundary (each slot on
+    // its own scratch), then the block's routing/length updates apply
+    // serially in group order — bitwise the same whether the block ran
+    // serial or on the pool. No per-phase alpha: routing may follow stale
+    // trees, so the dual bound comes solely from the exact sweeps below.
+    for (std::size_t g0 = 0; g0 < groups_.size();
+         g0 += static_cast<std::size_t>(block)) {
+      const std::size_t g1 =
+          std::min(groups_.size(), g0 + static_cast<std::size_t>(block));
+      const auto prep = [&](std::size_t k) {
+        const std::size_t gi = g0 + k;
+        Scratch& sc = scratch_[k];
+        sc.rebuilt = false;
+        if (tree_cache_[gi].valid && tree_fresh(gi, sc)) return;
+        if (groups_[gi].sinks.size() == 1) {
+          rebuild_single(gi, sc);
         } else {
-          for (std::size_t k = 0; k < g1 - g0; ++k) prep(k);
+          dijkstra_to_targets(g, groups_[gi].src, length_, groups_[gi].sinks,
+                              sc.dist, sc.parent, sc.tent, sc.is_target);
+          build_cache(gi, sc);
         }
-        for (std::size_t k = 0; k < g1 - g0; ++k) {
-          if (scratch_[k].rebuilt) ++dijkstras;
-          route_cached(tree_cache_[g0 + k], sum_cl);
-        }
+        sc.rebuilt = true;
+      };
+      if (par && g1 - g0 > 1) {
+        pool.parallel_for(0, g1 - g0, prep);
+      } else {
+        for (std::size_t k = 0; k < g1 - g0; ++k) prep(k);
       }
-    } else {
-      for (std::size_t g0 = 0; g0 < groups_.size();
-           g0 += static_cast<std::size_t>(block)) {
-        const std::size_t g1 =
-            std::min(groups_.size(), g0 + static_cast<std::size_t>(block));
-        // Dijkstras against frozen lengths (parallel when a pool exists).
-        const auto run = [&](std::size_t k) {
-          Scratch& sc = scratch_[k];
-          dijkstra_to_targets(g, groups_[g0 + k].src, length_,
-                              groups_[g0 + k].sinks, sc.dist, sc.parent,
-                              sc.tent, sc.is_target);
-        };
-        if (par && g1 - g0 > 1) {
-          pool.parallel_for(0, g1 - g0, run);
-        } else {
-          for (std::size_t k = 0; k < g1 - g0; ++k) run(k);
-        }
-        dijkstras += static_cast<long>(g1 - g0);
-
-        // Sequential routing in source order.
-        for (std::size_t k = 0; k < g1 - g0; ++k) {
-          const SourceGroup& grp = groups_[g0 + k];
-          Scratch& sc = scratch_[k];
-          const std::vector<double>& dist = sc.dist;
-          const std::vector<int>& parent = sc.parent;
-
-          // Deposit demand at sinks; gather alpha.
-          for (const auto& [dst, demand] : grp.sinks) {
-            const double d_scaled = demand * demand_scale;
-            if (dist[static_cast<std::size_t>(dst)] >= kInf) {
-              throw std::runtime_error(
-                  "GkSolver::solve: demand between disconnected nodes");
-            }
-            alpha += d_scaled * dist[static_cast<std::size_t>(dst)];
-            sc.node_vol[static_cast<std::size_t>(dst)] += d_scaled;
-          }
-
-          // Single-sink fast path (matching TMs): walk the parent chain.
-          if (grp.sinks.size() == 1) {
-            const int dst = grp.sinks[0].first;
-            const double vol = sc.node_vol[static_cast<std::size_t>(dst)];
-            sc.node_vol[static_cast<std::size_t>(dst)] = 0.0;
-            for (int v = dst; v != grp.src;) {
-              const int pa = parent[static_cast<std::size_t>(v)];
-              assert(pa >= 0);
-              flow_[static_cast<std::size_t>(pa)] += vol;
-              const double cap = cap_[static_cast<std::size_t>(pa)];
-              const double old_len = length_[static_cast<std::size_t>(pa)];
-              const double new_len = old_len * (1.0 + eps_step * vol / cap);
-              length_[static_cast<std::size_t>(pa)] = new_len;
-              sum_cl += cap * (new_len - old_len);
-              v = g.arc_from(pa);
-            }
-            continue;
-          }
-
-          // Push volumes up the shortest-path tree in decreasing-distance
-          // order (unsettled nodes keep dist=inf and zero volume).
-          for (std::size_t v = 0; v < n; ++v) sc.order[v] = static_cast<int>(v);
-          std::sort(sc.order.begin(), sc.order.end(), [&dist](int a, int b) {
-            return dist[static_cast<std::size_t>(a)] >
-                   dist[static_cast<std::size_t>(b)];
-          });
-          for (std::size_t i = 0; i < n; ++i) {
-            const int v = sc.order[i];
-            if (v == grp.src) continue;
-            const double vol = sc.node_vol[static_cast<std::size_t>(v)];
-            if (vol <= 0.0) continue;
-            sc.node_vol[static_cast<std::size_t>(v)] = 0.0;
-            const int pa = parent[static_cast<std::size_t>(v)];
-            assert(pa >= 0);
-            const int u = g.arc_from(pa);
-            sc.node_vol[static_cast<std::size_t>(u)] += vol;
-            flow_[static_cast<std::size_t>(pa)] += vol;
-            const double cap = cap_[static_cast<std::size_t>(pa)];
-            const double old_len = length_[static_cast<std::size_t>(pa)];
-            const double new_len = old_len * (1.0 + eps_step * vol / cap);
-            length_[static_cast<std::size_t>(pa)] = new_len;
-            sum_cl += cap * (new_len - old_len);
-          }
-          sc.node_vol[static_cast<std::size_t>(grp.src)] = 0.0;
-        }
+      for (std::size_t k = 0; k < g1 - g0; ++k) {
+        if (scratch_[k].rebuilt) ++dijkstras;
+        route_cached(tree_cache_[g0 + k], sum_cl);
       }
     }
 
     ++phase;
-    // Dual: alpha used in-phase lengths <= end-of-phase lengths, so
-    // D(l_end)/alpha upper-bounds the scaled OPT — but loosely, since D
-    // grows during the phase. Every few phases, recompute alpha exactly
-    // against the frozen end-of-phase lengths (one extra Dijkstra sweep)
-    // for a tight, still-valid certificate.
-    if (alpha > 0.0) {
-      res.upper_bound = std::min(res.upper_bound, sum_cl / alpha);
-    }
-    // Exact-sweep cadence: every 5 phases classically; in reuse mode the
-    // schedule backs off on long solves (the dual bound tightens early —
-    // later sweeps mostly serve the stop check and the free tree refresh).
-    const bool sweep_now =
-        opts.reuse_trees
-            ? (phase <= 3 || phase >= next_sweep)
-            : (phase % 5 == 0 || phase <= 3);
-    if (sweep_now && opts.reuse_trees) {
+    // Exact sweep: alpha recomputed against the frozen end-of-phase lengths
+    // gives the dual bound D(l)/alpha(l), and its shortest-path trees
+    // refresh every cache for free. The schedule backs off on long solves
+    // (the dual bound tightens early — later sweeps mostly serve the stop
+    // check and the tree refresh).
+    if (phase <= 3 || phase >= next_sweep) {
       next_sweep = phase + (phase < 250 ? 5 : phase < 1000 ? 10 : 20);
-    }
-    if (sweep_now) {
-      // Exact sweep, block-parallel against the frozen end-of-phase
-      // lengths: each group's alpha term lands in its own slot and the sum
-      // reduces in group order after the barrier, so the certificate is
-      // bitwise thread-count invariant.
+      // Block-parallel: each group's alpha term lands in its own slot and
+      // the sum reduces in group order after the barrier, so the
+      // certificate is bitwise thread-count invariant.
       alpha_part_.assign(groups_.size(), 0.0);
       for (std::size_t g0 = 0; g0 < groups_.size();
            g0 += static_cast<std::size_t>(block)) {
@@ -574,9 +474,8 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
           const std::size_t gi = g0 + k;
           const SourceGroup& grp = groups_[gi];
           Scratch& sc = scratch_[k];
-          if (opts.reuse_trees && grp.sinks.size() == 1) {
-            // Bidirectional exact distance doubles as the alpha term and a
-            // free cache refresh.
+          if (grp.sinks.size() == 1) {
+            // Bidirectional exact distance doubles as the alpha term.
             alpha_part_[gi] =
                 grp.sinks[0].second * demand_scale * rebuild_single(gi, sc);
             return;
@@ -589,9 +488,7 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
                 demand * demand_scale * sc.dist[static_cast<std::size_t>(dst)];
           }
           alpha_part_[gi] = acc;
-          // The sweep's trees are exactly shortest under the end-of-phase
-          // lengths — refresh the session caches for free.
-          if (opts.reuse_trees) build_cache(gi, sc);
+          build_cache(gi, sc);
         };
         if (par && g1 - g0 > 1) {
           pool.parallel_for(0, g1 - g0, sweep_group);

@@ -2,32 +2,42 @@
 //
 // Throughput (paper §II-A) is the optimum of the max concurrent flow LP.
 // Beyond a few dozen switches the exact simplex is too slow, so the
-// workhorse is the classic multiplicative-weights FPTAS:
+// workhorse is the multiplicative-weights FPTAS:
 //
 //   * arc lengths start at delta/c(a); phases route every commodity's
 //     demand along (approximately) shortest paths under the current
 //     lengths, multiplying traversed arc lengths by (1 + eps * vol/c);
-//   * commodities are aggregated by source — one Dijkstra serves all
-//     destinations of a source, and since the TM is pre-scaled so every
+//   * commodities are aggregated by source — one shortest-path tree serves
+//     all destinations of a source, and since the TM is pre-scaled so every
 //     source emits <= min-capacity per phase, routing a whole source tree
 //     is one legal GK step per arc;
+//   * Fleischer's tree reuse (SIAM J. Discrete Math. 13(4), 2000) is the
+//     one dynamics: each source keeps its routed tree across phases and
+//     re-runs Dijkstra only when the tree's path lengths have grown past a
+//     (1 + eps) staleness budget of their build-time shortest distances.
+//     Single-sink sources (matching TMs) rebuild with a bidirectional
+//     Dijkstra;
 //   * a primal/dual pair certifies accuracy: the primal value is
 //     completed_phases / max_congestion (a feasible concurrent flow); the
-//     dual bound is min over phases of D(l)/alpha(l) (every length
-//     function upper-bounds OPT by LP duality). We stop when the certified
-//     gap falls below `epsilon` or the classic D(l) >= 1 criterion fires.
+//     dual bound is min D(l)/alpha(l) over the periodic exact sweeps, which
+//     recompute alpha(l) with exact shortest distances under the frozen
+//     end-of-phase lengths (every length function upper-bounds OPT by LP
+//     duality) and refresh every cached tree for free. Routing along
+//     slightly stale trees only affects how fast the certificate closes.
+//     We stop when the certified gap falls below `epsilon` or the classic
+//     D(l) >= 1 criterion fires.
 //
 // Parallelism (the threaded-determinism contract): within a phase, sources
 // are processed in fixed-size blocks; each block's shortest-path work —
-// classic Dijkstras, reuse-mode staleness checks and tree rebuilds, and the
-// exact dual sweeps — runs on a thread pool against lengths frozen at the
-// block boundary, each slot writing only its own scratch buffers, and every
-// length/flow update (plus the alpha reduction of the sweeps) is applied
-// serially afterwards in source order. Results are therefore bitwise
-// independent of the thread count — including a 1-worker pool and the fully
-// serial path — because the block partition is a constant, the per-slot
-// arithmetic is identical, and the reductions run in a fixed order; block
-// staleness only perturbs path choice, never the primal/dual certificates.
+// staleness checks, tree rebuilds, and the exact dual sweeps — runs on a
+// thread pool against lengths frozen at the block boundary, each slot
+// writing only its own scratch buffers, and every length/flow update (plus
+// the alpha reduction of the sweeps) is applied serially afterwards in
+// source order. Results are therefore bitwise independent of the thread
+// count — including a 1-worker pool and the fully serial path — because
+// the block partition is a constant, the per-slot arithmetic is identical,
+// and the reductions run in a fixed order; block staleness only perturbs
+// path choice, never the primal/dual certificates.
 // GkOptions::pool selects the pool (null = the process-shared one).
 //
 // GkSolver is the session form used by mcf::ThroughputEngine: it binds to
@@ -36,12 +46,13 @@
 // infinite length and so is never routed), keeps every per-solve buffer
 // alive between solves, and can warm-start a solve by seeding the arc
 // lengths with the (mass-renormalized) final lengths of the previous solve.
-// Warm starts never weaken correctness: the dual bound D(l)/alpha(l) is
-// valid for ANY positive length function and the primal value is a
-// certified feasible flow of the current solve only — warm seeding merely
-// changes how fast the certificate closes (and therefore which certified
-// point is reported; warm and cold results agree within their certified
-// gaps, not bitwise).
+// Seeding is the only thing warm changes: an unseeded warm solve is bitwise
+// the cold solve. Warm starts never weaken correctness: the dual bound
+// D(l)/alpha(l) is valid for ANY positive length function and the primal
+// value is a certified feasible flow of the current solve only — seeding
+// merely changes how fast the certificate closes (and therefore which
+// certified point is reported; seeded and cold results agree within their
+// certified gaps, not bitwise).
 #pragma once
 
 #include <string>
@@ -69,17 +80,6 @@ struct GkOptions {
   /// Stop once the certified gap stops improving (the result still carries
   /// the true residual gap in upper_bound). Disable for strict-epsilon runs.
   bool plateau_guard = true;
-  /// Session dynamics (Fleischer-style shortest-path reuse), the engine's
-  /// warm mode: each source keeps its routed shortest-path tree across
-  /// phases and re-runs Dijkstra only when the tree's path lengths have
-  /// grown past a (1 + eps/2) staleness budget or at the periodic
-  /// exact-distance sweeps — which refresh every tree for free. The dual
-  /// bound then comes solely from the exact sweeps (per-phase stale alphas
-  /// are skipped), so the primal/dual certificate stays rigorous; routing
-  /// along slightly stale trees only affects how fast it closes. Far fewer
-  /// Dijkstras per phase; results differ from the classic dynamics within
-  /// the certified gap.
-  bool reuse_trees = false;
 };
 
 struct GkResult {
@@ -138,10 +138,10 @@ class GkSolver {
     double out_total = 0.0;
   };
 
-  /// Cached routed tree of one source group (reuse_trees mode): the
-  /// per-arc phase volumes in leaf-to-root order (fixed while the tree is
-  /// reused — each phase routes the same demands) and the sinks' shortest
-  /// distances at build time (the staleness reference).
+  /// Cached routed tree of one source group: the per-arc phase volumes in
+  /// leaf-to-root order (fixed while the tree is reused — each phase routes
+  /// the same demands) and the sinks' shortest distances at build time (the
+  /// staleness reference).
   struct TreeCache {
     bool valid = false;
     std::vector<std::pair<int, double>> arcs;  // (arc id, phase volume)
@@ -176,12 +176,12 @@ class GkSolver {
   std::vector<double> snap_flow_;
   std::vector<SourceGroup> groups_;
   std::vector<Scratch> scratch_;       // one slot per block position
-  std::vector<TreeCache> tree_cache_;  // reuse_trees mode, one per group
+  std::vector<TreeCache> tree_cache_;  // one per group
   std::vector<double> alpha_part_;     // per-group sweep terms, reduced in
                                        // group order after the barrier
 
   /// Exact shortest s->t path under the current lengths via bidirectional
-  /// Dijkstra (reuse_trees mode, single-sink groups): meet-in-the-middle
+  /// Dijkstra (single-sink groups): meet-in-the-middle
   /// explores two small balls instead of one big one — a large constant
   /// factor on expander-like topologies. Appends the path's (arc, vol)
   /// pairs to `arcs_out` in sink-to-source order (the TreeCache

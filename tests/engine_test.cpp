@@ -58,8 +58,8 @@ TEST(Engine, ReusedColdSolveMatchesFreshEngineBitwise) {
 }
 
 TEST(Engine, WarmSolveWithinCertifiedGapOfCold) {
-  // The engine's contract: a warm (session-mode) solve certifies the same
-  // instance, so its certified interval must overlap the cold one —
+  // The engine's contract: a warm solve certifies the same instance, so
+  // its certified interval must overlap the cold one —
   // feasible values never exceed the other run's certified upper bound.
   const Network jf = make_jellyfish(24, 5, 1, 7);
   const double eps = 0.05;
@@ -95,6 +95,25 @@ TEST(Engine, WarmSolveIsDeterministic) {
   EXPECT_EQ(a.upper_bound, b.upper_bound);
   EXPECT_EQ(a.stats.phases, b.stats.phases);
   EXPECT_EQ(a.stats.dijkstras, b.stats.dijkstras);
+}
+
+TEST(Engine, UnseededWarmSolveEqualsColdBitwise) {
+  // Warm means length seeding only, and seeding needs the previous solve's
+  // commodity set: after A2A, a warm LM solve has nothing to seed from, so
+  // it must be bitwise a fresh engine's cold LM solve. It still reports
+  // warm_start, which records that warm was requested.
+  const Network jf = make_jellyfish(24, 5, 1, 21);
+  mcf::ThroughputEngine engine(jf);
+  (void)engine.solve(all_to_all(jf), gk_opts());
+  const auto warm = engine.warm_solve(longest_matching(jf), gk_opts());
+  const auto cold =
+      mcf::ThroughputEngine(jf).solve(longest_matching(jf), gk_opts());
+  EXPECT_EQ(warm.throughput, cold.throughput);
+  EXPECT_EQ(warm.upper_bound, cold.upper_bound);
+  EXPECT_EQ(warm.stats.phases, cold.stats.phases);
+  EXPECT_EQ(warm.stats.dijkstras, cold.stats.dijkstras);
+  EXPECT_TRUE(warm.stats.warm_start);
+  EXPECT_FALSE(cold.stats.warm_start);
 }
 
 TEST(Engine, ExactLpWarmBasisReusesSolution) {

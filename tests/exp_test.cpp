@@ -594,7 +594,7 @@ TEST(Runner, WarmChainsAreDeterministicAndFlagged) {
   const exp::ResultSet rs = serial.run(sweep, exp::RunOptions{});
   ASSERT_EQ(rs.size(), 2u);
   for (const exp::CellResult& r : rs.rows()) {
-    EXPECT_EQ(r.warm, 1);  // whole chain runs in session mode
+    EXPECT_EQ(r.warm, 1);  // every chain cell is a warm_solve
     EXPECT_GT(r.throughput, 0.0);
     EXPECT_GT(r.phases, 0);
   }

@@ -45,19 +45,27 @@ TEST(Integration, FatTreeElephantAnomaly) {
   const TrafficMatrix jf_base = longest_matching(jf);
   mcf::ThroughputEngine ft_engine(ft);
   mcf::ThroughputEngine jf_engine(jf);
-  const double ft_plain = ft_engine.solve(ft_base, opts).throughput;
-  const double jf_plain = jf_engine.solve(jf_base, opts).throughput;
-  const double ft_eleph =
-      ft_engine.solve(with_elephants(ft_base, 0.05, 10.0, 5), opts).throughput;
-  const double jf_eleph =
-      jf_engine.solve(with_elephants(jf_base, 0.05, 10.0, 5), opts).throughput;
+  const mcf::ThroughputResult ft_plain = ft_engine.solve(ft_base, opts);
+  const mcf::ThroughputResult jf_plain = jf_engine.solve(jf_base, opts);
+  const mcf::ThroughputResult ft_eleph =
+      ft_engine.solve(with_elephants(ft_base, 0.05, 10.0, 5), opts);
+  const mcf::ThroughputResult jf_eleph =
+      jf_engine.solve(with_elephants(jf_base, 0.05, 10.0, 5), opts);
 
-  const double ft_drop = ft_eleph / ft_plain;
-  const double jf_drop = jf_eleph / jf_plain;
   // Fat tree: an elephant pins its ToR -> drop toward 1/10. Random graph:
-  // non-local traffic shares every link -> much gentler drop.
-  EXPECT_LT(ft_drop, 0.25);
-  EXPECT_GT(jf_drop, ft_drop * 1.5);
+  // non-local traffic shares every link -> much gentler drop. The exact
+  // optima are fat tree 3.0 -> 0.3 and random graph 2.0 -> 0.3, so the
+  // drop ratio is exactly 1.5 at the optimum and a point estimate may land
+  // on either side of it. Compare the certified interval ends instead: the
+  // fat tree's largest possible drop against the random graph's smallest.
+  // Each result satisfies tp <= OPT <= ub <= (1+eps) tp, so
+  //   ft_hi = ft_eleph.ub / ft_plain.tp <= (1+eps)^2 * ft_drop_opt,
+  //   jf_lo = jf_eleph.tp / jf_plain.ub >= jf_drop_opt / (1+eps)^2,
+  // and jf_lo / ft_hi >= 1.5 / (1+eps)^4 ~= 1.234 at eps = 0.05.
+  const double ft_hi = ft_eleph.upper_bound / ft_plain.throughput;
+  const double jf_lo = jf_eleph.throughput / jf_plain.upper_bound;
+  EXPECT_LT(ft_hi, 0.25);
+  EXPECT_GT(jf_lo, 1.2 * ft_hi);
 }
 
 TEST(Integration, ShufflingSkewedTmHelpsStructuredTopology) {
