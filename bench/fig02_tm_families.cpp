@@ -10,10 +10,9 @@
 //
 // Runs on the experiment runner (one sweep per panel): TOPOBENCH_CSV=1
 // emits the uniform cell CSV, TOPOBENCH_MAX_SERVERS caps the per-panel
-// ladders for smoke runs, TOPOBENCH_WARMSTART=1 chains each instance's TM
-// ladder through one ThroughputEngine session. The default ladders keep
-// every instance at <= 128 host switches, inside kodialam_tm's advised LP
-// range (see tm/synthetic.h).
+// ladders for smoke runs. The default ladders keep every instance at
+// <= 128 host switches, inside kodialam_tm's advised LP range (see
+// tm/synthetic.h).
 #include <iostream>
 #include <string>
 #include <vector>
@@ -33,7 +32,6 @@ exp::Sweep panel_sweep(std::vector<Network> nets, std::uint64_t base_seed) {
   exp::Sweep sweep;
   sweep.solve.epsilon = exp::env_eps(0.05);
   sweep.base_seed = base_seed;
-  sweep.warm_start = exp::env_int("TOPOBENCH_WARMSTART", 0, 0, 1) == 1;
   const int max_servers =
       exp::env_int("TOPOBENCH_MAX_SERVERS", 1'000'000, 4, 1'000'000);
   for (Network& net : nets) {

@@ -9,11 +9,7 @@
 // there, not the metric).
 //
 // Runs on the experiment runner: TOPOBENCH_CSV=1 emits the uniform cell
-// CSV, TOPOBENCH_TARGET_SERVERS shrinks the instances for smoke runs, and
-// TOPOBENCH_WARMSTART=1 chains each topology's TM ladder through one
-// ThroughputEngine (every solve after A2A is a warm_solve). The ladder's
-// TMs never share a commodity set, so no GK solve is seeded: GK cells
-// equal the cold run's bitwise (ExactLP cells reuse the previous basis).
+// CSV, and TOPOBENCH_TARGET_SERVERS shrinks the instances for smoke runs.
 #include <iostream>
 #include <string>
 
@@ -28,7 +24,6 @@ int main() {
   exp::Sweep sweep;
   sweep.solve.epsilon = exp::env_eps(0.05);
   sweep.base_seed = 11;
-  sweep.warm_start = exp::env_int("TOPOBENCH_WARMSTART", 0, 0, 1) == 1;
   const int target =
       exp::env_int("TOPOBENCH_TARGET_SERVERS", 128, 4, 1'000'000);
   for (const Family f : all_families()) {

@@ -77,8 +77,7 @@ std::optional<double> parse_paren_param(const std::string& spec,
 exp::Sweep sweep_from(std::vector<Topology> topologies,
                       std::vector<Traffic> tms, Solver solver, double epsilon,
                       int trials, bool cut_bounds,
-                      std::vector<Scenario> scenarios, bool warm_start,
-                      std::uint64_t seed) {
+                      std::vector<Scenario> scenarios, std::uint64_t seed) {
   exp::Sweep sweep;
   sweep.topologies = std::move(topologies);
   sweep.tms = std::move(tms);
@@ -87,7 +86,6 @@ exp::Sweep sweep_from(std::vector<Topology> topologies,
   sweep.trials = trials;
   sweep.cut_bounds = cut_bounds;
   sweep.scenarios = std::move(scenarios);
-  sweep.warm_start = warm_start;
   sweep.base_seed = seed;
   return sweep;
 }
@@ -250,8 +248,7 @@ QueryResult Service::query(const Query& q) {
   if (q.scenario) scenarios.push_back(*q.scenario);
   const exp::Sweep sweep =
       sweep_from({q.topology}, {q.tm}, q.solver, q.epsilon, q.trials,
-                 q.cut_bounds, std::move(scenarios), /*warm_start=*/false,
-                 q.seed);
+                 q.cut_bounds, std::move(scenarios), q.seed);
   const std::lock_guard<std::mutex> lock(mutex_);
   const SweepResult batch = run_locked(sweep);
   QueryResult out;
@@ -266,7 +263,7 @@ QueryResult Service::query(const Query& q) {
 SweepResult Service::sweep(const SweepQuery& q) {
   const exp::Sweep sweep =
       sweep_from(q.topologies, q.tms, q.solver, q.epsilon, q.trials,
-                 q.cut_bounds, q.scenarios, q.warm_start, q.seed);
+                 q.cut_bounds, q.scenarios, q.seed);
   const std::lock_guard<std::mutex> lock(mutex_);
   return run_locked(sweep);
 }

@@ -145,7 +145,6 @@ struct SweepQuery {
   int trials = 0;
   bool cut_bounds = false;
   std::vector<Scenario> scenarios;
-  bool warm_start = false;
   std::uint64_t seed = 1;
 };
 

@@ -61,7 +61,7 @@ struct CellResult {
   // Solver work counters of the cell's topology solve (see
   // mcf::SolverStats): simplex pivots vs GK phases/dijkstras are distinct
   // kinds of work and get distinct columns; `warm` is 1 when the solve was
-  // seeded from a previous solution (warm-start chains, failure cells).
+  // a warm solve (failure cells, solved on a fork of the baseline session).
   long pivots = 0;
   long phases = 0;
   long dijkstras = 0;

@@ -21,9 +21,8 @@ namespace {
 
 /// Exact solver + cut-bound configuration for cache identity: every field
 /// that can change a result (kind, full-precision epsilon, both
-/// Auto-dispatch thresholds, the cut-bound knobs — the cut sampler's
-/// seed is derived from the cell, so the option-struct seed is excluded —
-/// and the warm-start mode, whose chained results differ from cold ones).
+/// Auto-dispatch thresholds, and the cut-bound knobs — the cut sampler's
+/// seed is derived from the cell, so the option-struct seed is excluded).
 /// `parallel` is deliberately excluded — results are scheduling-invariant
 /// by contract, and keying on it would miss between serial and parallel
 /// runs of the same configuration. Scenario identity is the per-cell
@@ -44,25 +43,13 @@ std::string config_fingerprint(const Sweep& s) {
                   c.st_pairs, c.include_bisection ? 1 : 0);
     key += buf;
   }
-  if (s.warm_start) {
-    // A warm cell's result depends on its whole chain prefix (each solve
-    // seeds from the previous TM's solution), so the chain itself — the
-    // ordered TM label list — is part of the configuration identity.
-    // Without it, two warm sweeps sharing a (topology, TM, index) cell but
-    // differing in earlier TMs would collide on one cache entry.
-    key += "|warm";
-    for (const TmSpec& tm : s.tms) {
-      key += '\x1f';
-      key += tm.label;
-    }
-  }
   if (!s.scenarios.empty()) {
     // A failure cell's TM comes from its group's scenario-0 cell stream,
     // so its result depends on the scenario-axis shape (count and
     // ordinals), not just its own scenario label: two sweeps can place the
     // same label at the same flat index inside differently shaped axes.
     // Fold the ordered scenario label list into the configuration
-    // identity, as warm mode does for its TM chain.
+    // identity.
     key += "|fleet";
     for (const ScenarioPoint& p : s.scenarios) {
       key += '\x1f';
@@ -96,24 +83,11 @@ void validate_modes(const Sweep& sweep) {
       throw std::invalid_argument(
           "Runner::run: failures mode does not support cut bounds");
     }
-    if (sweep.warm_start) {
-      throw std::invalid_argument(
-          "Runner::run: failures mode does not support warm-start chains "
-          "(each failure cell already warm-starts internally)");
-    }
     for (const ScenarioPoint& p : sweep.scenarios) {
       if (p.label.empty()) {
         throw std::invalid_argument("Runner::run: scenario label empty");
       }
     }
-  }
-  if (sweep.warm_start && sweep.trials > 0) {
-    throw std::invalid_argument(
-        "Runner::run: warm-start chains require absolute mode (trials == 0)");
-  }
-  if (sweep.warm_start && sweep.cut_bounds) {
-    throw std::invalid_argument(
-        "Runner::run: warm-start chains do not support cut bounds");
   }
 }
 
@@ -181,8 +155,8 @@ void record_stats(CellResult& r, const mcf::SolverStats& s) {
 CellResult Runner::eval_cell(const Sweep& sweep,
                              const mcf::SolveOptions& solve,
                              const std::string& topo_label, const Network& net,
-                             const TmSpec& tm_spec, std::size_t cell_index,
-                             mcf::ThroughputEngine* engine) const {
+                             const TmSpec& tm_spec,
+                             std::size_t cell_index) const {
   CellResult r;
   const std::uint64_t cell_seed = mix_seed(sweep.base_seed, cell_index);
   fill_cell_identity(r, cell_index, topo_label, net, tm_spec.label, cell_seed,
@@ -191,8 +165,7 @@ CellResult Runner::eval_cell(const Sweep& sweep,
   if (sweep.trials <= 0) {
     r.trials = 0;
     const mcf::ThroughputResult t =
-        engine != nullptr ? engine->warm_solve(tm, solve)
-                          : mcf::ThroughputEngine(net).solve(tm, solve);
+        mcf::ThroughputEngine(net).solve(tm, solve);
     r.throughput = t.throughput;
     record_stats(r, t.stats);
   } else {
@@ -343,53 +316,17 @@ ResultSet Runner::run_impl(const Sweep& sweep, const RunOptions& opts,
       }
       return nullptr;
     };
-    const auto present = [&](const Cell& c) {
-      const std::string key = cell_result_key(sweep, c);
-      return cache_.find(key) != cache_.end() ||
-             (store != nullptr && store->contains(key));
-    };
-    if (!sweep.warm_start) {
-      for (std::size_t index = range.lo; index < range.hi; ++index) {
-        const Cell& c = cells[index];
-        if (const CellResult* hit = probe(c)) {
-          out[c.index] = *hit;
-          out[c.index].cell = c.index;
-          // The column echoes the *sweep-requested* configuration
-          // (results.h); the cached row may have been computed under a
-          // different one.
-          out[c.index].solver_threads = sweep.solve.solver_threads;
-        } else {
-          misses.push_back(c.index);
-        }
-      }
-    } else {
-      // Warm mode: a topology chain is answered from the cache/store only
-      // when every one of its cells is present — re-solving part of a
-      // chain would change the warm seeds of the rest. A chain a shard's
-      // range merely intersects still runs (or hits) whole: its in-range
-      // cells' values depend on the chain prefix, so trimming the chain to
-      // the range would change bytes.
-      const std::size_t per_topo = sweep.tms.size();
-      const std::size_t first_topo = range.lo / per_topo;
-      const std::size_t last_topo =
-          range.hi == range.lo ? first_topo : (range.hi - 1) / per_topo + 1;
-      for (std::size_t t = first_topo; t < last_topo; ++t) {
-        bool all_hit = true;
-        for (std::size_t m = 0; m < per_topo && all_hit; ++m) {
-          all_hit = present(cells[t * per_topo + m]);
-        }
-        for (std::size_t m = 0; m < per_topo; ++m) {
-          const std::size_t index = t * per_topo + m;
-          const Cell& c = cells[index];
-          if (all_hit) {
-            const CellResult* hit = probe(c);
-            out[c.index] = *hit;
-            out[c.index].cell = c.index;
-            out[c.index].solver_threads = sweep.solve.solver_threads;
-          } else {
-            misses.push_back(c.index);
-          }
-        }
+    for (std::size_t index = range.lo; index < range.hi; ++index) {
+      const Cell& c = cells[index];
+      if (const CellResult* hit = probe(c)) {
+        out[c.index] = *hit;
+        out[c.index].cell = c.index;
+        // The column echoes the *sweep-requested* configuration
+        // (results.h); the cached row may have been computed under a
+        // different one.
+        out[c.index].solver_threads = sweep.solve.solver_threads;
+      } else {
+        misses.push_back(c.index);
       }
     }
   }
@@ -405,19 +342,16 @@ ResultSet Runner::run_impl(const Sweep& sweep, const RunOptions& opts,
 
   // Evaluation units: the missing cells of one (topology, TM) pair form a
   // ScenarioFleet batch (a shared baseline + per-scenario degraded solves)
-  // in failures mode; a topology's TM cells form one warm chain in
-  // warm-start mode (misses are whole chains by construction, so the TM
-  // order fixes the warm seeds); otherwise every cell is its own unit.
-  // Units are consecutive runs of `misses` with equal keys and run
-  // concurrently — nested solver parallelism inlines on pool workers — each
-  // writing only its own cells' slots. Per-unit results are independent of
+  // in failures mode; otherwise every cell is its own unit. Units are
+  // consecutive runs of `misses` with equal keys and run concurrently —
+  // nested solver parallelism inlines on pool workers — each writing only
+  // its own cells' slots. Per-unit results are independent of
   // scheduling and cache state, so everything below the barrier is a
   // deterministic reduction in cell order.
   const bool fleet = !sweep.scenarios.empty();
   const auto unit_key = [&](std::size_t index) {
     const Cell& c = cells[index];
-    if (fleet) return c.topo * sweep.tms.size() + c.tm;
-    return sweep.warm_start ? c.topo : c.index;
+    return fleet ? c.topo * sweep.tms.size() + c.tm : c.index;
   };
   std::vector<std::span<const std::size_t>> units;
   for (std::size_t k = 0; k < misses.size();) {
@@ -439,15 +373,8 @@ ResultSet Runner::run_impl(const Sweep& sweep, const RunOptions& opts,
                          out);
       return;
     }
-    // Every cell of a warm chain is a warm_solve (the first has no previous
-    // solution to seed from; see ThroughputEngine::warm_solve).
-    std::optional<mcf::ThroughputEngine> chain;
-    if (sweep.warm_start) chain.emplace(net);
-    for (const std::size_t index : unit) {
-      out[index] = eval_cell(sweep, solve, label, net,
-                             sweep.tms[cells[index].tm], index,
-                             chain ? &*chain : nullptr);
-    }
+    out[head.index] =
+        eval_cell(sweep, solve, label, net, sweep.tms[head.tm], head.index);
   };
   if (parallel_) {
     ThreadPool::shared().parallel_for(0, units.size(), eval_unit);
@@ -482,8 +409,6 @@ ResultSet Runner::run_impl(const Sweep& sweep, const RunOptions& opts,
     }
   }
 
-  // Only the shard's own range is returned (warm chains may have evaluated
-  // beyond it — those cells live in the cache, not the slice).
   ResultSet rs;
   for (std::size_t index = range.lo; index < range.hi; ++index) {
     rs.add(std::move(out[index]));
@@ -502,11 +427,11 @@ ResultSet Runner::run_impl(const Sweep& sweep, const RunOptions& opts,
 
 std::uint64_t grid_fingerprint(const Sweep& sweep) {
   // Canonical structural string, hashed FNV-1a. config_fingerprint already
-  // covers the solver / cut-bound / warm / fleet configuration (including
-  // the TM chain and scenario lists where they affect values); the axis
-  // label lists are folded in unconditionally because they define the grid
-  // itself. Distinct field separators keep e.g. a topology list ["a,b"]
-  // distinct from ["a","b"].
+  // covers the solver / cut-bound / fleet configuration (including the
+  // scenario list where it affects values); the axis label lists are
+  // folded in unconditionally because they define the grid itself.
+  // Distinct field separators keep e.g. a topology list ["a,b"] distinct
+  // from ["a","b"].
   std::string s = "topobench-grid-v1\x1d";
   s += std::to_string(sweep.base_seed);
   s += '\x1d';

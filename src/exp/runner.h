@@ -26,14 +26,13 @@
 // own cell's stream mix_seed(base, cell, trials + 2). Groups run
 // concurrently and per-scenario fleet results are independent of batch
 // shape, so the determinism contract is unchanged. Requires absolute mode
-// (trials == 0, no cut bounds, no warm chains). Growth stages
-// (exp::growth_scenarios) are ordinary points of this axis: each fails its
-// uninstalled node tail, and the point's growth_step fills that column.
+// (trials == 0, no cut bounds). Growth stages (exp::growth_scenarios) are
+// ordinary points of this axis: each fails its uninstalled node tail, and
+// the point's growth_step fills that column.
 //
 // Dispatch: every mode runs through one loop over evaluation units — a
-// (topology, TM) fleet group in failures mode, a topology chain in
-// warm-start mode, a single cell otherwise — claimed concurrently from the
-// shared pool.
+// (topology, TM) fleet group in failures mode, a single cold cell
+// otherwise — claimed concurrently from the shared pool.
 //
 // Solver threading: Runner::run seeds SolveOptions::solver_threads from
 // TOPOBENCH_SOLVER_THREADS when the sweep leaves it 0. By the solver
@@ -41,20 +40,9 @@
 // the solver_threads column (the requested configuration, not a measured
 // count) and deliberately excluded from cache identity like `parallel`.
 //
-// Warm-start mode (Sweep::warm_start): the evaluation unit becomes the
-// topology, not the cell — each topology's TM cells run as one ordered
-// chain on a shared ThroughputEngine (every solve after the first is a
-// warm_solve, seeded from the previous solution where the engine can).
-// Topologies still run concurrently and a chain's order is the TM order,
-// so results remain thread-count invariant; seeded cells differ from cold
-// results within the solver's certified gap. A
-// topology is answered from the cache only when ALL its cells hit —
-// otherwise the whole chain re-evaluates (a partial chain would change the
-// warm seeds). Requires absolute mode without scenarios or cut bounds.
-//
 // Cache contract: results are memoized under (topology label, TM label,
-// scenario label, cell seed, solver + cut-bound + warm configuration,
-// trial count). Because the cell seed is derived from the flat expansion
+// scenario label, cell seed, solver + cut-bound configuration, trial
+// count). Because the cell seed is derived from the flat expansion
 // index, a lookup hits only when the cell sits at the same index under the
 // same base seed: exact re-runs of a sweep hit entirely, and sweeps
 // extended by appending topologies (with the TM list unchanged) hit on
@@ -68,11 +56,8 @@
 // ResultSet carries a SliceMeta so emission is a mergeable slice. Cells
 // keep their global flat indices everywhere — seeding, cache keys, fleet
 // group floors — so a shard's rows are bitwise the corresponding rows of
-// the unsharded run for every sweep mode. Warm-start chains are the one
-// place a shard evaluates beyond its range: a chain intersecting the range
-// runs whole (a chain cell's value depends on its chain prefix), but only
-// in-range cells are returned; the extra cells land in the cache.
-// tools/topobench_merge reassembles slices into the unsharded bytes.
+// the unsharded run for every sweep mode. tools/topobench_merge
+// reassembles slices into the unsharded bytes.
 //
 // Result store (RunOptions::store): an optional on-disk tier under the
 // in-process cache. The probe order is memory, then disk, then evaluate; a
@@ -156,20 +141,17 @@ class Runner {
   /// Evaluate `sweep` under `opts` and return results in cell order (pass
   /// RunOptions::from_env() for the environment contract). Throws
   /// std::invalid_argument on an empty grid, an invalid mode combination
-  /// (see the failures / warm-start contracts above), or an
+  /// (see the failures-mode contract above), or an
   /// engaged-but-invalid opts.shard.
   ResultSet run(const Sweep& sweep, const RunOptions& opts);
 
   const CacheStats& cache_stats() const noexcept { return stats_; }
 
  private:
-  /// Evaluate one non-failure cell. `engine` is non-null in warm-start
-  /// mode: the topology chain's shared session, warm-solved at every chain
-  /// position.
+  /// Evaluate one non-failure cell with a cold solve.
   CellResult eval_cell(const Sweep& sweep, const mcf::SolveOptions& solve,
                        const std::string& topo_label, const Network& net,
-                       const TmSpec& tm, std::size_t cell_index,
-                       mcf::ThroughputEngine* engine) const;
+                       const TmSpec& tm, std::size_t cell_index) const;
 
   /// Evaluate the missing cells of one (topology, TM) failure group as a
   /// ScenarioFleet batch, writing each cell's result into `out` (indexed by
@@ -203,11 +185,11 @@ class Runner {
 
 /// Stable structural identity of a sweep's flat grid — the slice-header
 /// fingerprint that stops slices of different grids from merging. Folds in
-/// the base seed, trial count, solver / cut-bound / warm / scenario
-/// configuration, and the ordered topology, TM, and scenario label lists;
-/// anything that changes the grid's cells or their values changes the
-/// fingerprint. (Like cache keys, labels are trusted as identities, and
-/// scheduling knobs — threads, pool shape — are deliberately excluded.)
+/// the base seed, trial count, solver / cut-bound / scenario configuration,
+/// and the ordered topology, TM, and scenario label lists; anything that
+/// changes the grid's cells or their values changes the fingerprint. (Like
+/// cache keys, labels are trusted as identities, and scheduling knobs —
+/// threads, pool shape — are deliberately excluded.)
 std::uint64_t grid_fingerprint(const Sweep& sweep);
 
 /// Human-readable label of a solver configuration ("auto(eps=0.1)",

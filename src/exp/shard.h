@@ -7,9 +7,9 @@
 // q = total/n and r = total%n — a balanced tiling of [0, total) that
 // depends only on (total, i, n), never on thread count, fleet batching, or
 // cache state. Cells keep their *global* flat indices inside a shard, so
-// per-cell seeding (mix_seed(base, cell, trial)), cache identity, warm
-// chains, and fleet grouping are position-stable across shards: shard i's
-// rows are bitwise the rows [lo, hi) of the unsharded run.
+// per-cell seeding (mix_seed(base, cell, trial)), cache identity, and
+// fleet grouping are position-stable across shards: shard i's rows are
+// bitwise the rows [lo, hi) of the unsharded run.
 //
 // Slice format: a sharded run emits, before the CSV header,
 //   # <caption>

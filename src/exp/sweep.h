@@ -69,17 +69,8 @@ struct Sweep {
   /// mcf::ScenarioFleet, filling the scenario / failed_links /
   /// throughput_drop / risk_group / tm_scale / growth_step columns
   /// (throughput is the degraded value). Requires absolute mode
-  /// (trials == 0) without cut bounds or warm-start chains; the runner
-  /// throws otherwise.
+  /// (trials == 0) without cut bounds; the runner throws otherwise.
   std::vector<ScenarioPoint> scenarios;
-  /// Warm-start mode: evaluate each topology's TM cells as one ordered
-  /// chain on a shared ThroughputEngine, warm-solving every solve after the
-  /// first from the previous solution (GK lengths when the commodity set
-  /// matches / LP basis). Chains stay deterministic (topologies run
-  /// concurrently, a chain runs in TM order); seeded results agree with
-  /// cold ones within the certified gap, not bitwise. Requires absolute
-  /// mode without scenarios.
-  bool warm_start = false;
 };
 
 /// One cell of the expanded grid: indices into the sweep's topology, TM,

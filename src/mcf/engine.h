@@ -114,7 +114,7 @@ TrafficMatrix scenario_scaled_tm(const TrafficMatrix& tm, double tm_scale,
 
 /// Reusable throughput solver session. Construct once per topology; `net`
 /// must outlive the engine. Not thread-safe — one engine per thread of
-/// control (the exp runner builds one per evaluation chain).
+/// control (the exp runner builds one per evaluation unit).
 class ThroughputEngine {
  public:
   explicit ThroughputEngine(const Network& net);

@@ -181,6 +181,9 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
   const Graph& g = *g_;
   const int num_arcs = g.num_arcs();
   const auto n = static_cast<std::size_t>(g.num_nodes());
+  if (!(opts.epsilon > 0.0)) {  // also rejects NaN
+    throw std::invalid_argument("GkSolver::solve: epsilon must be > 0");
+  }
   if (tm.demands.empty()) {
     throw std::invalid_argument("GkSolver::solve: empty traffic matrix");
   }
@@ -236,7 +239,13 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
   // fast the certificate closes, not its validity.
   const double eps_step = eps / 2.0;
   const double m = static_cast<double>(std::max(1, num_alive));
-  const double delta = std::pow(m / (1.0 - eps_step), -1.0 / eps_step);
+  // At tight eps the textbook delta underflows ((2/eps) ln m >~ 708, e.g.
+  // eps < 0.015 at 200 arcs): lengths would start at 0 and no exact sweep
+  // could certify a bound. Floor it at the smallest normal double; any
+  // positive start is valid (see below), and a normal delta is unchanged.
+  const double delta =
+      std::max(std::pow(m / (1.0 - eps_step), -1.0 / eps_step),
+               std::numeric_limits<double>::min());
   const double log_scale = std::log(1.0 / delta) / std::log1p(eps_step);
 
   // Arc lengths. Cold start: delta/c(a). Warm start: keep the *shape* of

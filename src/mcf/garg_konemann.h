@@ -69,7 +69,8 @@ class ThreadPool;
 namespace tb::mcf {
 
 struct GkOptions {
-  double epsilon = 0.05;       ///< target certified relative gap
+  double epsilon = 0.05;       ///< target certified relative gap; must be
+                               ///< > 0 (solve clamps it to [1e-4, 0.3])
   long max_phases = 200'000;   ///< safety cap
   bool parallel = true;        ///< run per-block shortest paths on a pool
   /// Pool for the per-block parallelism; null means ThreadPool::shared().
@@ -124,7 +125,8 @@ class GkSolver {
   /// `warm` seeds arc lengths from the previous solve on this solver (no-op
   /// on the first solve). Demands between nodes disconnected under the
   /// working capacities throw std::runtime_error — callers with failure
-  /// scenarios should pre-check (ThroughputEngine does).
+  /// scenarios should pre-check (ThroughputEngine does). A NaN or
+  /// non-positive opts.epsilon throws std::invalid_argument.
   GkResult solve(const TrafficMatrix& tm, const GkOptions& opts = {},
                  bool warm = false);
 

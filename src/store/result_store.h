@@ -3,7 +3,7 @@
 // O(lookup) instead of O(solve).
 //
 // Keys are the Runner's cache identity (topology label, TM label, scenario
-// label, cell seed, solver/cut/warm configuration fingerprint, trial
+// label, cell seed, solver/cut/scenario configuration fingerprint, trial
 // count — see exp::cell_result_key); values are the uniform CSV row codec
 // (exp::csv_row / exp::cell_from_csv_row), so a stored CellResult replays
 // bit-exactly: a sweep answered from the store emits byte-identical CSV.

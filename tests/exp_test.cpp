@@ -586,55 +586,6 @@ TEST(Runner, FailureCacheKeysIncludeScenarioAxisShape) {
   EXPECT_EQ(fresh_runner.run(b, exp::RunOptions{}).to_csv(), b_after_a);
 }
 
-TEST(Runner, WarmChainsAreDeterministicAndFlagged) {
-  exp::Sweep sweep = tiny_sweep(/*trials=*/0);
-  sweep.solve.kind = mcf::SolverKind::GargKonemann;  // exercise GK sessions
-  sweep.warm_start = true;
-  exp::Runner serial(/*parallel=*/false);
-  const exp::ResultSet rs = serial.run(sweep, exp::RunOptions{});
-  ASSERT_EQ(rs.size(), 2u);
-  for (const exp::CellResult& r : rs.rows()) {
-    EXPECT_EQ(r.warm, 1);  // every chain cell is a warm_solve
-    EXPECT_GT(r.throughput, 0.0);
-    EXPECT_GT(r.phases, 0);
-  }
-  if (ThreadPool::shared().size() > 1) {
-    exp::Runner parallel(/*parallel=*/true);
-    EXPECT_EQ(parallel.run(sweep, exp::RunOptions{}).to_csv(), rs.to_csv());
-  }
-  // Warm results are cached under a distinct fingerprint: a cold re-run of
-  // the same grid must not be answered from warm entries (or vice versa).
-  exp::Sweep cold = sweep;
-  cold.warm_start = false;
-  exp::Runner runner;
-  (void)runner.run(sweep, exp::RunOptions{});
-  (void)runner.run(cold, exp::RunOptions{});
-  EXPECT_EQ(runner.cache_stats().misses, 4u);
-  // A warm re-run hits only when the whole chain is cached.
-  (void)runner.run(sweep, exp::RunOptions{});
-  EXPECT_EQ(runner.cache_stats().hits, 2u);
-}
-
-TEST(Runner, WarmCacheKeysIncludeChainIdentity) {
-  // A warm cell's value depends on its chain prefix: two warm sweeps that
-  // share a (topology, TM, index) cell but differ in the preceding TM must
-  // not collide on one cache entry — an exact re-run of either sweep has
-  // to reproduce that sweep's own bytes.
-  exp::Sweep a = tiny_sweep(/*trials=*/0);  // {A2A, LM}
-  a.solve.kind = mcf::SolverKind::GargKonemann;
-  a.warm_start = true;
-  exp::Sweep b = a;
-  b.tms = {exp::random_matching_tm(1), exp::longest_matching_tm()};
-  exp::Runner runner;
-  (void)runner.run(a, exp::RunOptions{});
-  const std::string b_first = runner.run(b, exp::RunOptions{}).to_csv();
-  EXPECT_EQ(runner.cache_stats().hits, 0u);  // no cross-chain answers
-  EXPECT_EQ(runner.cache_stats().misses, 4u);
-  // Exact re-run: b's own bytes.
-  EXPECT_EQ(runner.run(b, exp::RunOptions{}).to_csv(), b_first);
-  EXPECT_EQ(runner.cache_stats().hits, 2u);
-}
-
 TEST(Runner, ModeValidationRejectsUnsupportedCombinations) {
   exp::Runner runner;
   exp::Sweep failures = tiny_sweep(/*trials=*/2);
@@ -645,20 +596,9 @@ TEST(Runner, ModeValidationRejectsUnsupportedCombinations) {
   failures.cut_bounds = true;
   EXPECT_THROW(runner.run(failures, exp::RunOptions{}), std::invalid_argument);
   failures.cut_bounds = false;
-  failures.warm_start = true;
-  EXPECT_THROW(runner.run(failures, exp::RunOptions{}), std::invalid_argument);
-  failures.warm_start = false;
   failures.scenarios[0].label.clear();
   EXPECT_THROW(runner.run(failures, exp::RunOptions{}),
                std::invalid_argument);  // empty label
-
-  exp::Sweep warm = tiny_sweep(/*trials=*/2);
-  warm.warm_start = true;
-  EXPECT_THROW(runner.run(warm, exp::RunOptions{}),
-               std::invalid_argument);  // relative + warm
-  warm.trials = 0;
-  warm.cut_bounds = true;
-  EXPECT_THROW(runner.run(warm, exp::RunOptions{}), std::invalid_argument);
 }
 
 TEST(Rng, ThreeWayMixMatchesNestedTwoWayMix) {

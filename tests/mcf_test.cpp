@@ -118,15 +118,30 @@ TEST(GargKonemann, MatchesExactOnSmallInstances) {
 }
 
 TEST(GargKonemann, CertifiedGapHolds) {
-  const Network jf = make_jellyfish(40, 5, 1, 11);
-  const TrafficMatrix tm = longest_matching(jf);
-  mcf::GkOptions opts;
-  opts.plateau_guard = false;  // strict-epsilon certificate tests
-  opts.epsilon = 0.05;
-  const mcf::GkResult r = mcf::GkSolver(jf.graph).solve(tm, opts);
-  EXPECT_GT(r.throughput, 0.0);
-  EXPECT_LE(r.throughput, r.upper_bound * (1.0 + 1e-9));
-  EXPECT_LE(r.upper_bound, r.throughput * (1.0 + opts.epsilon + 1e-9));
+  // The tight-epsilon inputs put (2/eps) ln m past 708, where the textbook
+  // initial length delta underflows unless it is floored.
+  struct Input {
+    const char* name;
+    Network net;
+    double epsilon;
+  };
+  const Input inputs[] = {
+      {"jellyfish(40,5) eps=0.05", make_jellyfish(40, 5, 1, 11), 0.05},
+      {"hypercube(6) eps=0.01", make_hypercube(6), 0.01},
+      {"hypercube(6) eps=0.005", make_hypercube(6), 0.005},
+      {"fat_tree(8) eps=0.01", make_fat_tree(8), 0.01},
+  };
+  for (const Input& in : inputs) {
+    const TrafficMatrix tm = longest_matching(in.net);
+    mcf::GkOptions opts;
+    opts.plateau_guard = false;  // strict-epsilon certificate tests
+    opts.epsilon = in.epsilon;
+    const mcf::GkResult r = mcf::GkSolver(in.net.graph).solve(tm, opts);
+    EXPECT_GT(r.throughput, 0.0) << in.name;
+    EXPECT_LE(r.throughput, r.upper_bound * (1.0 + 1e-9)) << in.name;
+    EXPECT_LE(r.upper_bound, r.throughput * (1.0 + opts.epsilon + 1e-9))
+        << in.name;
+  }
 }
 
 TEST(GargKonemann, FlowIsFeasible) {

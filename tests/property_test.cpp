@@ -200,6 +200,19 @@ TEST(FailureInjection, DisconnectedDemandThrows) {
   TrafficMatrix tm;
   tm.demands = {{0, 3, 1.0}};
   EXPECT_THROW(mcf::GkSolver(g).solve(tm), std::runtime_error);
+  // A NaN or non-positive epsilon is rejected by name before any routing
+  // (NaN used to surface as the disconnected-demand error above).
+  tm.demands = {{0, 1, 1.0}};
+  for (const double bad : {std::nan(""), 0.0, -0.5}) {
+    mcf::GkOptions opts;
+    opts.epsilon = bad;
+    try {
+      (void)mcf::GkSolver(g).solve(tm, opts);
+      ADD_FAILURE() << "epsilon " << bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("epsilon"), std::string::npos);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

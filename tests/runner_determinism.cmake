@@ -18,8 +18,9 @@ endif()
 
 get_filename_component(driver_name ${DRIVER} NAME)
 # OUT_PREFIX disambiguates output files when the same driver is tested
-# under several configurations (e.g. fig04 cold and TOPOBENCH_WARMSTART=1),
-# so concurrent ctest jobs never clobber each other's CSVs.
+# under several configurations (e.g. failure_resilience in link and
+# shared-risk group mode), so concurrent ctest jobs never clobber each
+# other's CSVs.
 if(DEFINED OUT_PREFIX)
   set(driver_name ${OUT_PREFIX})
 endif()

@@ -506,9 +506,6 @@ TEST(GrowthSweep, ModeValidationRejectsBadCombos) {
   s.trials = 2;
   EXPECT_THROW(runner.run(s, exp::RunOptions{}), std::invalid_argument);
   s = growth_sweep();
-  s.warm_start = true;
-  EXPECT_THROW(runner.run(s, exp::RunOptions{}), std::invalid_argument);
-  s = growth_sweep();
   s.cut_bounds = true;
   EXPECT_THROW(runner.run(s, exp::RunOptions{}), std::invalid_argument);
   // The ladder needs a stage, and the engine an installed fraction in

@@ -123,9 +123,11 @@ TEST(ServerProtocolTest, SecondDaemonAnswersFromStoreWithIdenticalBytes) {
 }
 
 TEST(ServerProtocolTest, SweepBatchesAndCountsTiers) {
+  // The repeat carries "warm_start", a member the sweep op ignores: it is
+  // the same grid and is answered from memory.
   const std::vector<std::string> script = {
       R"({"op": "sweep", "topologies": [{"family": "hypercube", "servers": 16}], "tms": ["a2a", "lm"], "epsilon": 0.1})",
-      R"({"op": "sweep", "topologies": [{"family": "hypercube", "servers": 16}], "tms": ["a2a", "lm"], "epsilon": 0.1})",
+      R"({"op": "sweep", "topologies": [{"family": "hypercube", "servers": 16}], "tms": ["a2a", "lm"], "epsilon": 0.1, "warm_start": true})",
   };
   int rc = -1;
   const std::string out = run_server("sweep", script, &rc);

@@ -254,9 +254,6 @@ TEST(GridFingerprint, TracksStructuralIdentityOnly) {
   EXPECT_NE(exp::grid_fingerprint(s), fp);
   EXPECT_NE(exp::grid_fingerprint(grid_sweep(/*trials=*/2)), fp);
   s = grid_sweep();
-  s.warm_start = true;
-  EXPECT_NE(exp::grid_fingerprint(s), fp);
-  s = grid_sweep();
   s.cut_bounds = true;
   EXPECT_NE(exp::grid_fingerprint(s), fp);
   s = grid_sweep();
@@ -302,14 +299,6 @@ TEST(ShardMerge, FailuresModeMergesByteIdentical) {
   // (and every degraded value after it) silently changes.
   expect_sharded_merge_identical(failures_sweep(), "failures grid",
                                  {1, 2, 3, 4, 7});
-}
-
-TEST(ShardMerge, WarmStartModeMergesByteIdentical) {
-  // Shard boundaries cut through warm chains (6 cells, chains of 3):
-  // intersected chains must run whole or mid-chain values drift.
-  exp::Sweep s = grid_sweep();
-  s.warm_start = true;
-  expect_sharded_merge_identical(s, "warm grid", {1, 2, 3, 4, 7});
 }
 
 TEST(ShardMerge, SharedRunnerAcrossShardsChangesNothing) {
@@ -465,36 +454,6 @@ TEST(ShardRun, CacheKeysUseGlobalCellIndices) {
   EXPECT_EQ(runner.cache_stats().hits, 2u);    // the shard's cells
   EXPECT_EQ(runner.cache_stats().misses, 6u);  // 2 sharded + 4 remaining
   EXPECT_EQ(full.to_csv(), expected);
-}
-
-TEST(ShardRun, WarmChainsCrossingTheBoundaryRunWholeButReturnTheRange) {
-  exp::Sweep sweep = grid_sweep();
-  sweep.warm_start = true;
-  exp::Runner fresh;
-  const exp::ResultSet whole = fresh.run(sweep, exp::RunOptions{});
-
-  // Shard 1/3 covers cells [2, 4): the tail of topology 0's chain and the
-  // head of topology 1's. Both chains evaluate whole (6 misses), but only
-  // the two in-range cells come back — bitwise the unsharded middle rows.
-  exp::Runner runner;
-  exp::RunOptions opts;
-  opts.shard = exp::ShardSpec{1, 3};
-  const exp::ResultSet slice = runner.run(sweep, opts);
-  EXPECT_EQ(runner.cache_stats().misses, 6u);
-  ASSERT_EQ(slice.size(), 2u);
-  for (std::size_t k = 0; k < 2; ++k) {
-    EXPECT_EQ(slice.rows()[k].cell, 2 + k);
-    EXPECT_EQ(slice.rows()[k].throughput, whole.rows()[2 + k].throughput);
-    EXPECT_EQ(slice.rows()[k].pivots, whole.rows()[2 + k].pivots);
-    EXPECT_EQ(slice.rows()[k].phases, whole.rows()[2 + k].phases);
-  }
-  // The out-of-range chain cells landed in the cache: a full warm run on
-  // the same Runner is answered entirely from it (all-or-nothing per
-  // chain, and both chains are complete).
-  const exp::ResultSet full = runner.run(sweep, exp::RunOptions{});
-  EXPECT_EQ(runner.cache_stats().hits, 6u);
-  EXPECT_EQ(runner.cache_stats().misses, 6u);
-  EXPECT_EQ(full.to_csv(), whole.to_csv());
 }
 
 TEST(ShardRun, EmptyShardEmitsAMergeableEmptySlice) {

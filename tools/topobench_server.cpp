@@ -15,10 +15,12 @@
 //        "trials": 0, "cut_bounds": false, "scenario": "fail(f=0.1)",
 //        "seed": 1}                               one cell
 //   {"op": "sweep", "topologies": [<topology>...], "tms": ["a2a", ...],
-//        "scenarios": ["degrade(c=0.9)", ...], "warm_start": false, ...}
-//                                                 a grid, one batch
+//        "scenarios": ["degrade(c=0.9)", ...], ...}  a grid, one batch
 //   {"op": "stats"}                               cumulative tier counters
 //   {"op": "shutdown"}                            acknowledge and exit
+//
+// Request members an op does not read are ignored — e.g. "warm_start" on
+// a sweep: every sweep cell is a cold solve.
 //
 // Responses: {"ok": true, ...} with deterministic key order and %.17g
 // numbers — replaying a request script yields byte-identical transcripts
@@ -255,9 +257,6 @@ class Server {
         q.scenarios.push_back(
             tb::api::build_scenario(s.as_string("scenarios[]")));
       }
-    }
-    if (const Value* warm = req.find("warm_start")) {
-      q.warm_start = warm->as_bool("warm_start");
     }
     if (const Value* seed_field = req.find("seed")) {
       q.seed = static_cast<std::uint64_t>(seed_field->as_int("seed", 0, 1000000000L));
