@@ -3,16 +3,22 @@
 // matching. Reported per network: the matching's total path length (the
 // objective) and the resulting throughput (lower = harder = better as a
 // worst-case proxy).
+//
+// Runs on the experiment runner in absolute mode with fixed TMs (the
+// random matching keeps its own seed): TOPOBENCH_CSV=1 emits the uniform
+// cell CSV.
 #include <iostream>
+#include <memory>
 #include <string>
+#include <vector>
 
-#include "bench_common.h"
+#include "exp/runner.h"
 #include "graph/algorithms.h"
-#include "mcf/engine.h"
 #include "tm/synthetic.h"
 #include "topo/hypercube.h"
 #include "topo/jellyfish.h"
 #include "topo/slimfly.h"
+#include "util/table.h"
 
 namespace {
 
@@ -30,26 +36,45 @@ double tm_path_length(const Network& net, const TrafficMatrix& tm) {
 }  // namespace
 
 int main() {
-  const double eps = bench::env_eps(0.05);
+  const std::string caption =
+      "Ablation: Hungarian vs greedy vs random matching as the "
+      "near-worst-case TM (lower throughput = harder TM)";
+
+  exp::Sweep sweep;
+  sweep.solve.epsilon = exp::eps_knob(0.05);
+  sweep.base_seed = 13;
+  sweep.topologies = {exp::instance_spec(make_hypercube(6)),
+                      exp::instance_spec(make_jellyfish(64, 6, 1, 3)),
+                      exp::instance_spec(make_slim_fly(5, 1))};
+  sweep.tms = {exp::longest_matching_tm(),
+               {"LM-greedy",
+                [](const Network& net, std::uint64_t) {
+                  return longest_matching_greedy(net);
+                }},
+               {"RM(1)", [](const Network& net, std::uint64_t) {
+                  return random_matching(net, 1, /*seed=*/13);
+                }}};
+
+  exp::Runner runner;
+  const exp::ResultSet rs = runner.run(sweep, exp::RunOptions::from_env());
+  // A sharded run (TOPOBENCH_SHARD=i/n) holds a partial grid: emit the
+  // mergeable slice — the derived table needs every cell.
+  if (exp::csv_mode() || rs.slice()) {
+    rs.emit(std::cout, caption);
+    return 0;
+  }
 
   Table table({"network", "TM", "total_path_len", "throughput"});
-  std::vector<Network> nets;
-  nets.push_back(make_hypercube(6));
-  nets.push_back(make_jellyfish(64, 6, 1, 3));
-  nets.push_back(make_slim_fly(5, 1));
-  for (const Network& net : nets) {
-    mcf::SolveOptions opts;
-    opts.epsilon = eps;
-    for (const TrafficMatrix& tm :
-         {longest_matching(net), longest_matching_greedy(net),
-          random_matching(net, 1, 13)}) {
-      const double thr = mcf::ThroughputEngine(net).solve(tm, opts).throughput;
-      table.add_row({net.name, tm.name, Table::fmt(tm_path_length(net, tm), 1),
-                     Table::fmt(thr, 4)});
+  for (const exp::TopoSpec& topo : sweep.topologies) {
+    const std::shared_ptr<const Network> net = topo.build();
+    for (const exp::TmSpec& spec : sweep.tms) {
+      const TrafficMatrix tm = spec.build(*net, /*seed=*/0);
+      table.add_row({topo.label, spec.label,
+                     Table::fmt(tm_path_length(*net, tm), 1),
+                     Table::fmt(rs.at(topo.label, spec.label).throughput, 4)});
     }
   }
-  bench::emit(table,
-              "Ablation: Hungarian vs greedy vs random matching as the "
-              "near-worst-case TM (lower throughput = harder TM)");
+  table.print(std::cout, caption);
+  std::cout << '\n';
   return 0;
 }

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "bench_common.h"
+#include "exp/sweep.h"
 #include "core/registry.h"
 #include "mcf/engine.h"
 #include "mcf/routing.h"
@@ -15,7 +16,7 @@
 
 int main() {
   using namespace tb;
-  const double eps = bench::env_eps(0.03);
+  const double eps = exp::eps_knob(0.03);
 
   Table table({"topology", "servers", "optimal", "ECMP", "single-path", "VLB",
                "ECMP/opt", "SP/opt"});

@@ -1,23 +1,16 @@
-// Shared plumbing for the figure/table benches: every binary prints one
-// paper artifact as an aligned table (CSV via TOPOBENCH_CSV=1). The env
-// knobs live in the experiment-runner subsystem (exp/sweep.h) — these
-// forwarders keep the not-yet-ported drivers source-compatible:
-//   TOPOBENCH_EPS    — GK certified-gap target (default per bench)
-//   TOPOBENCH_TRIALS — same-equipment random-graph samples per point
+// Shared plumbing for the five drivers that do not run on the experiment
+// runner (bench/README.md names what each needs that exp::Runner lacks):
+// every binary prints one paper artifact as an aligned table (CSV via
+// TOPOBENCH_CSV=1). The env knobs live in exp/sweep.h.
 #pragma once
 
 #include <iostream>
 #include <string>
 
 #include "exp/results.h"
-#include "exp/sweep.h"
 #include "util/table.h"
 
 namespace tb::bench {
-
-inline double env_eps(double fallback) { return exp::env_eps(fallback); }
-
-inline int env_trials(int fallback) { return exp::env_trials(fallback); }
 
 inline void emit(const Table& table, const std::string& caption) {
   if (exp::csv_mode()) {

@@ -25,13 +25,12 @@ int main() {
       "Cut-bound gap: throughput vs best certified cut upper bound";
 
   exp::Sweep sweep;
-  sweep.solve.epsilon = exp::env_eps(0.05);
+  sweep.solve.epsilon = exp::eps_knob(0.05);
   sweep.base_seed = 23;
   sweep.cut_bounds = true;
-  const int target =
-      exp::env_int("TOPOBENCH_TARGET_SERVERS", 24, 4, 1'000'000);
-  const int max_servers = exp::env_int(
-      "TOPOBENCH_MAX_SERVERS", std::min(2 * target, 1'000'000), 4, 1'000'000);
+  const int target = exp::target_servers_knob(24);
+  const int max_servers =
+      exp::max_servers_knob(std::min(2 * target, 1'000'000));
   sweep.topologies =
       exp::ladder_specs(all_families(), 4, max_servers, /*seed=*/1);
   sweep.tms = {exp::a2a_tm(), exp::random_matching_tm(1),

@@ -4,51 +4,62 @@
 // Long Hop, Slim Fly) against classic HPC baselines (hypercube, 2-D torus)
 // at comparable gear, under A2A and LM, normalized by same-equipment
 // random graphs.
+//
+// Runs on the experiment runner: TOPOBENCH_CSV=1 emits the uniform cell
+// CSV.
 #include <iostream>
+#include <memory>
 #include <string>
-#include <vector>
 
-#include "bench_common.h"
-#include "core/evaluator.h"
+#include "exp/runner.h"
 #include "graph/algorithms.h"
-#include "tm/synthetic.h"
 #include "topo/hypercube.h"
 #include "topo/jellyfish.h"
 #include "topo/longhop.h"
 #include "topo/slimfly.h"
 #include "topo/torus.h"
 #include "topo/xpander.h"
+#include "util/table.h"
 
 int main() {
   using namespace tb;
-  const double eps = bench::env_eps(0.06);
-  const int trials = bench::env_trials(2);
+  const std::string caption =
+      "Extension: expander designs vs classic HPC baselines "
+      "(relative throughput, same-equipment normalization)";
 
-  std::vector<Network> nets;
-  nets.push_back(make_jellyfish(64, 6, 1, 5));
-  nets.push_back(make_xpander(6, 9, 1, 5));           // 63 switches, d=6
-  nets.push_back(make_long_hop(6, 2, 1, 5));          // 64 switches, d=8
-  nets.push_back(make_slim_fly(5, 1));                // 50 switches, d=7
-  nets.push_back(make_hypercube(6));                  // 64 switches, d=6
-  nets.push_back(make_torus({8, 8}, 1));              // 64 switches, d=4
+  exp::Sweep sweep;
+  sweep.solve.epsilon = exp::eps_knob(0.06);
+  sweep.trials = exp::trials_knob(2);
+  sweep.base_seed = 11;
+  sweep.topologies = {
+      exp::instance_spec(make_jellyfish(64, 6, 1, 5)),
+      exp::instance_spec(make_xpander(6, 9, 1, 5)),   // 63 switches, d=6
+      exp::instance_spec(make_long_hop(6, 2, 1, 5)),  // 64 switches, d=8
+      exp::instance_spec(make_slim_fly(5, 1)),        // 50 switches, d=7
+      exp::instance_spec(make_hypercube(6)),          // 64 switches, d=6
+      exp::instance_spec(make_torus({8, 8}, 1))};     // 64 switches, d=4
+  sweep.tms = {exp::a2a_tm(), exp::longest_matching_tm()};
+
+  exp::Runner runner;
+  const exp::ResultSet rs = runner.run(sweep, exp::RunOptions::from_env());
+  // A sharded run (TOPOBENCH_SHARD=i/n) holds a partial grid: emit the
+  // mergeable slice — the derived table needs every cell.
+  if (exp::csv_mode() || rs.slice()) {
+    rs.emit(std::cout, caption);
+    return 0;
+  }
 
   Table table({"network", "switches", "degree", "diameter", "rel_A2A",
                "rel_LM"});
-  for (const Network& net : nets) {
-    RelativeOptions opts;
-    opts.random_trials = trials;
-    opts.solve.epsilon = eps;
-    opts.seed = 11;
-    const double a2a = relative_throughput(net, all_to_all(net), opts).relative;
-    const double lm =
-        relative_throughput(net, longest_matching(net), opts).relative;
-    table.add_row({net.name, std::to_string(net.graph.num_nodes()),
-                   std::to_string(net.graph.degree(0)),
-                   std::to_string(diameter(net.graph)), Table::fmt(a2a, 3),
-                   Table::fmt(lm, 3)});
+  for (const exp::TopoSpec& topo : sweep.topologies) {
+    const std::shared_ptr<const Network> net = topo.build();
+    table.add_row({topo.label, std::to_string(net->graph.num_nodes()),
+                   std::to_string(net->graph.degree(0)),
+                   std::to_string(diameter(net->graph)),
+                   Table::fmt(rs.at(topo.label, "A2A").relative, 3),
+                   Table::fmt(rs.at(topo.label, "LM").relative, 3)});
   }
-  bench::emit(table,
-              "Extension: expander designs vs classic HPC baselines "
-              "(relative throughput, same-equipment normalization)");
+  table.print(std::cout, caption);
+  std::cout << '\n';
   return 0;
 }

@@ -176,9 +176,9 @@ int main(int argc, char** argv) {
   const std::string caption =
       "Failure resilience: throughput drop under link failures / degradation";
 
-  const double eps = exp::env_eps(0.08);
-  const int target = exp::env_int("TOPOBENCH_TARGET_SERVERS", 48, 4, 1'000'000);
-  const int steps = exp::env_int("TOPOBENCH_FAIL_STEPS", 3, 1, 4);
+  const double eps = exp::eps_knob(0.08);
+  const int target = exp::target_servers_knob(48);
+  const int steps = env::int_knob("TOPOBENCH_FAIL_STEPS", 3, 1, 4);
   const std::string mode =
       env::raw("TOPOBENCH_FAIL_MODE").value_or("links");
 

@@ -30,10 +30,9 @@ using namespace tb;
 
 exp::Sweep panel_sweep(std::vector<Network> nets, std::uint64_t base_seed) {
   exp::Sweep sweep;
-  sweep.solve.epsilon = exp::env_eps(0.05);
+  sweep.solve.epsilon = exp::eps_knob(0.05);
   sweep.base_seed = base_seed;
-  const int max_servers =
-      exp::env_int("TOPOBENCH_MAX_SERVERS", 1'000'000, 4, 1'000'000);
+  const int max_servers = exp::max_servers_knob(1'000'000);
   for (Network& net : nets) {
     if (net.total_servers() <= max_servers) {
       sweep.topologies.push_back(exp::instance_spec(std::move(net)));

@@ -26,11 +26,10 @@ int main() {
       "Fig 3: throughput vs best sparse cut (longest-matching TM)";
 
   exp::Sweep sweep;
-  sweep.solve.epsilon = exp::env_eps(0.04);
+  sweep.solve.epsilon = exp::eps_knob(0.04);
   sweep.base_seed = 17;
   sweep.cut_bounds = true;
-  const int max_servers =
-      exp::env_int("TOPOBENCH_MAX_SERVERS", 160, 4, 1'000'000);
+  const int max_servers = exp::max_servers_knob(160);
   for (const Family f : all_families()) {
     // Small instances keep the two-node / expanding heuristics exhaustive.
     std::vector<Network> inst = family_instances(f, 1, max_servers, /*seed=*/3);

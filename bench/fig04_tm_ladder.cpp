@@ -22,10 +22,9 @@ int main() {
       "Fig 4: throughput normalized so the Theorem-2 lower bound = 1";
 
   exp::Sweep sweep;
-  sweep.solve.epsilon = exp::env_eps(0.05);
+  sweep.solve.epsilon = exp::eps_knob(0.05);
   sweep.base_seed = 11;
-  const int target =
-      exp::env_int("TOPOBENCH_TARGET_SERVERS", 128, 4, 1'000'000);
+  const int target = exp::target_servers_knob(128);
   for (const Family f : all_families()) {
     sweep.topologies.push_back(exp::representative_spec(f, target, /*seed=*/1));
   }

@@ -4,39 +4,61 @@
 // Paper claims reproduced: performance varies widely and irregularly with
 // size for every bisection target, and a higher designed bisection does
 // not imply higher worst-case throughput.
+//
+// Runs on the experiment runner: TOPOBENCH_CSV=1 emits the uniform cell
+// CSV. Different bisection targets can pick the same design, so each
+// topology label carries its target.
 #include <iostream>
 #include <string>
+#include <vector>
 
-#include "bench_common.h"
-#include "core/evaluator.h"
-#include "tm/synthetic.h"
+#include "exp/runner.h"
 #include "topo/hyperx.h"
-#include "util/rng.h"
+#include "util/table.h"
 
 int main() {
   using namespace tb;
-  const double eps = bench::env_eps(0.10);
-  const int trials = bench::env_trials(2);
+  const std::string caption =
+      "Fig 7: HyperX relative throughput under LM vs designed bisection";
 
-  Table table({"bisection", "servers", "L", "S", "K", "T", "rel_LM"});
+  exp::Sweep sweep;
+  sweep.solve.epsilon = exp::eps_knob(0.10);
+  sweep.trials = exp::trials_knob(2);
+  sweep.base_seed = 4000;
+  sweep.tms = {exp::longest_matching_tm()};
+  std::vector<double> bisections;  // per topology, in sweep order
+  std::vector<HyperXParams> designs;
   for (const double beta : {0.2, 0.4, 0.5}) {
     for (const long target : {32L, 64L, 96L, 128L, 192L, 256L}) {
       const auto params = search_hyperx(16, target, beta);
       if (!params) continue;
-      const Network net = make_hyperx(*params);
-      RelativeOptions opts;
-      opts.random_trials = trials;
-      opts.solve.epsilon = eps;
-      opts.seed = mix_seed(4000, static_cast<std::uint64_t>(beta * 100));
-      const RelativeResult lm =
-          relative_throughput(net, longest_matching(net), opts);
-      table.add_row({Table::fmt(beta, 1), std::to_string(net.total_servers()),
-                     std::to_string(params->L), std::to_string(params->S),
-                     std::to_string(params->K), std::to_string(params->T),
-                     Table::fmt(lm.relative, 3)});
+      exp::TopoSpec spec = exp::instance_spec(make_hyperx(*params));
+      spec.label += "@bisection=" + Table::fmt(beta, 1);
+      sweep.topologies.push_back(std::move(spec));
+      bisections.push_back(beta);
+      designs.push_back(*params);
     }
   }
-  bench::emit(table,
-              "Fig 7: HyperX relative throughput under LM vs designed bisection");
+
+  exp::Runner runner;
+  const exp::ResultSet rs = runner.run(sweep, exp::RunOptions::from_env());
+  // A sharded run (TOPOBENCH_SHARD=i/n) holds a partial grid: emit the
+  // mergeable slice — the derived figure table needs every cell.
+  if (exp::csv_mode() || rs.slice()) {
+    rs.emit(std::cout, caption);
+    return 0;
+  }
+
+  Table table({"bisection", "servers", "L", "S", "K", "T", "rel_LM"});
+  for (std::size_t i = 0; i < designs.size(); ++i) {
+    const exp::CellResult& lm = rs.at(sweep.topologies[i].label, "LM");
+    const HyperXParams& p = designs[i];
+    table.add_row({Table::fmt(bisections[i], 1), std::to_string(lm.servers),
+                   std::to_string(p.L), std::to_string(p.S),
+                   std::to_string(p.K), std::to_string(p.T),
+                   Table::fmt(lm.relative, 3)});
+  }
+  table.print(std::cout, caption);
+  std::cout << '\n';
   return 0;
 }

@@ -6,36 +6,54 @@
 // Paper claims reproduced: Long Hop tracks the same-equipment random graph
 // closely, approaching relative throughput 1 at larger sizes — i.e. high
 // performance, but no better than random graphs.
+//
+// Runs on the experiment runner: TOPOBENCH_CSV=1 emits the uniform cell
+// CSV.
 #include <iostream>
 #include <string>
+#include <vector>
 
-#include "bench_common.h"
-#include "core/evaluator.h"
-#include "tm/synthetic.h"
+#include "exp/runner.h"
 #include "topo/longhop.h"
-#include "util/rng.h"
+#include "util/table.h"
 
 int main() {
   using namespace tb;
-  const double eps = bench::env_eps(0.10);
-  const int trials = bench::env_trials(2);
+  const std::string caption = "Fig 8: Long Hop relative throughput under LM";
 
-  Table table({"dimension", "servers", "switches", "degree", "rel_LM"});
+  exp::Sweep sweep;
+  sweep.solve.epsilon = exp::eps_knob(0.10);
+  sweep.trials = exp::trials_knob(2);
+  sweep.base_seed = 5000;
+  sweep.tms = {exp::longest_matching_tm()};
+  std::vector<int> extras;  // per topology, in sweep order
+  std::vector<int> degrees;
   for (const int extra : {5, 6, 7}) {
     for (int dim = 5; dim <= 8; ++dim) {
-      const Network net =
-          make_long_hop(dim, extra, /*servers_per_switch=*/1, /*seed=*/7);
-      RelativeOptions opts;
-      opts.random_trials = trials;
-      opts.solve.epsilon = eps;
-      opts.seed = mix_seed(5000, static_cast<std::uint64_t>(extra));
-      const RelativeResult lm =
-          relative_throughput(net, longest_matching(net), opts);
-      table.add_row({std::to_string(extra), std::to_string(net.total_servers()),
-                     std::to_string(net.graph.num_nodes()),
-                     std::to_string(dim + extra), Table::fmt(lm.relative, 3)});
+      sweep.topologies.push_back(exp::instance_spec(
+          make_long_hop(dim, extra, /*servers_per_switch=*/1, /*seed=*/7)));
+      extras.push_back(extra);
+      degrees.push_back(dim + extra);
     }
   }
-  bench::emit(table, "Fig 8: Long Hop relative throughput under LM");
+
+  exp::Runner runner;
+  const exp::ResultSet rs = runner.run(sweep, exp::RunOptions::from_env());
+  // A sharded run (TOPOBENCH_SHARD=i/n) holds a partial grid: emit the
+  // mergeable slice — the derived figure table needs every cell.
+  if (exp::csv_mode() || rs.slice()) {
+    rs.emit(std::cout, caption);
+    return 0;
+  }
+
+  Table table({"dimension", "servers", "switches", "degree", "rel_LM"});
+  for (std::size_t i = 0; i < extras.size(); ++i) {
+    const exp::CellResult& lm = rs.at(sweep.topologies[i].label, "LM");
+    table.add_row({std::to_string(extras[i]), std::to_string(lm.servers),
+                   std::to_string(lm.switches), std::to_string(degrees[i]),
+                   Table::fmt(lm.relative, 3)});
+  }
+  table.print(std::cout, caption);
+  std::cout << '\n';
   return 0;
 }

@@ -5,41 +5,66 @@
 // Paper claims reproduced: all families degrade gracefully except the fat
 // tree, which dips sharply when a few elephants dominate (its ToR uplinks
 // carry only locally originated traffic, so one weight-10 flow pins a ToR).
+//
+// Runs on the experiment runner: TOPOBENCH_CSV=1 emits the uniform cell
+// CSV, one TM family per elephant fraction.
 #include <iostream>
 #include <string>
+#include <vector>
 
-#include "bench_common.h"
-#include "core/evaluator.h"
-#include "core/registry.h"
+#include "exp/runner.h"
 #include "tm/synthetic.h"
-#include "util/rng.h"
+#include "util/table.h"
 
 int main() {
   using namespace tb;
-  const double eps = bench::env_eps(0.10);
-  const int trials = bench::env_trials(2);
-  const int target_servers = 128;
+  const std::string caption =
+      "Figs 10-11: relative throughput with x% weight-10 elephant flows "
+      "(LM base)";
+  const std::vector<double> fractions = {0.01, 0.05, 0.20, 0.50, 1.00};
 
-  Table table({"topology", "servers", "x=1%", "x=5%", "x=20%", "x=50%",
-               "x=100%"});
-  for (const Family f : all_families()) {
-    const Network net = family_representative(f, target_servers, /*seed=*/1);
-    const TrafficMatrix base = longest_matching(net);
-    std::vector<std::string> row{family_name(f),
-                                 std::to_string(net.total_servers())};
-    for (const double frac : {0.01, 0.05, 0.20, 0.50, 1.00}) {
-      const TrafficMatrix tm = with_elephants(base, frac, 10.0, /*seed=*/77);
-      RelativeOptions opts;
-      opts.random_trials = trials;
-      opts.solve.epsilon = eps;
-      opts.seed = mix_seed(7000, static_cast<std::uint64_t>(f));
-      const RelativeResult r = relative_throughput(net, tm, opts);
-      row.push_back(Table::fmt(r.relative, 3));
+  exp::Sweep sweep;
+  sweep.solve.epsilon = exp::eps_knob(0.10);
+  sweep.trials = exp::trials_knob(2);
+  sweep.base_seed = 7000;
+  const std::vector<Family> families = all_families();
+  for (const Family f : families) {
+    sweep.topologies.push_back(
+        exp::representative_spec(f, /*target_servers=*/128, /*seed=*/1));
+  }
+  std::vector<std::string> columns;  // "x=<percent>%", one per TM family
+  for (const double frac : fractions) {
+    columns.push_back("x=" + Table::fmt(100.0 * frac, 0) + "%");
+    sweep.tms.push_back({"LM+elephants(" + columns.back() + ")",
+                         [frac](const Network& net, std::uint64_t) {
+                           return with_elephants(longest_matching(net), frac,
+                                                 10.0, /*seed=*/77);
+                         }});
+  }
+
+  exp::Runner runner;
+  const exp::ResultSet rs = runner.run(sweep, exp::RunOptions::from_env());
+  // A sharded run (TOPOBENCH_SHARD=i/n) holds a partial grid: emit the
+  // mergeable slice — the derived figure table needs every cell.
+  if (exp::csv_mode() || rs.slice()) {
+    rs.emit(std::cout, caption);
+    return 0;
+  }
+
+  std::vector<std::string> header{"topology", "servers"};
+  header.insert(header.end(), columns.begin(), columns.end());
+  Table table(std::move(header));
+  for (std::size_t i = 0; i < families.size(); ++i) {
+    const std::string& label = sweep.topologies[i].label;
+    std::vector<std::string> row{
+        family_name(families[i]),
+        std::to_string(rs.at(label, sweep.tms.front().label).servers)};
+    for (const exp::TmSpec& tm : sweep.tms) {
+      row.push_back(Table::fmt(rs.at(label, tm.label).relative, 3));
     }
     table.add_row(std::move(row));
   }
-  bench::emit(table,
-              "Figs 10-11: relative throughput with x% weight-10 elephant flows "
-              "(LM base)");
+  table.print(std::cout, caption);
+  std::cout << '\n';
   return 0;
 }

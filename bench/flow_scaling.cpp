@@ -18,9 +18,9 @@
 // Knobs: TOPOBENCH_TARGET_SERVERS sizes the instances (default 96),
 // TOPOBENCH_MIN_SPEEDUP the gate, argv[1] the JSON output path.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +31,7 @@
 #include "exp/sweep.h"
 #include "flow/min_cut.h"
 #include "tm/synthetic.h"
+#include "util/env.h"
 #include "util/timer.h"
 
 namespace {
@@ -60,7 +61,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string json_path = argc > 1 ? argv[1] : "BENCH_flow_parallel.json";
-  const int target = exp::env_int("TOPOBENCH_TARGET_SERVERS", 96, 4, 1'000'000);
+  const int target = exp::target_servers_knob(96);
+  const double min_speedup =
+      env::double_knob("TOPOBENCH_MIN_SPEEDUP", 1.5, 0.0,
+                       std::numeric_limits<double>::infinity());
 
   const std::vector<Family> families = all_families();
   std::vector<Network> nets;
@@ -121,11 +125,6 @@ int main(int argc, char** argv) {
 
   const double speedup2 = seconds[1] > 0.0 ? seconds[0] / seconds[1] : 0.0;
   const double speedup4 = seconds[2] > 0.0 ? seconds[0] / seconds[2] : 0.0;
-  double min_speedup = 1.5;
-  if (const char* s = std::getenv("TOPOBENCH_MIN_SPEEDUP")) {
-    const double v = std::strtod(s, nullptr);
-    if (v > 0.0) min_speedup = v;
-  }
   const unsigned hw = std::thread::hardware_concurrency();
   const bool gate_active = hw >= 4;
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "exp/sweep.h"
 #include "mcf/engine.h"
 #include "tm/synthetic.h"
 #include "topo/hypercube.h"
@@ -19,7 +20,7 @@
 
 int main() {
   using namespace tb;
-  const double eps = bench::env_eps(0.05);
+  const double eps = exp::eps_knob(0.05);
 
   Table table({"network", "hosts", "LM_thr", "Kod_thr", "LM_flows",
                "Kod_flows", "LM_sec", "Kod_sec", "speedup"});

@@ -18,15 +18,16 @@
 // Knobs: TOPOBENCH_TARGET_SERVERS sizes the grid (fig04's default 128),
 // TOPOBENCH_EPS the certified gap, argv[1] the JSON output path.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "exp/runner.h"
 #include "exp/shard.h"
+#include "util/env.h"
 #include "util/timer.h"
 
 int main(int argc, char** argv) {
@@ -39,9 +40,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string json_path = argc > 1 ? argv[1] : "BENCH_parallel.json";
-  const double eps = exp::env_eps(0.05);
-  const int target =
-      exp::env_int("TOPOBENCH_TARGET_SERVERS", 128, 4, 1'000'000);
+  const double eps = exp::eps_knob(0.05);
+  const double min_speedup =
+      env::double_knob("TOPOBENCH_MIN_SPEEDUP", 1.5, 0.0,
+                       std::numeric_limits<double>::infinity());
+  const int target = exp::target_servers_knob(128);
 
   exp::Sweep sweep;  // fig04's grid
   sweep.solve.epsilon = eps;
@@ -90,11 +93,6 @@ int main(int argc, char** argv) {
 
   const double speedup2 = seconds[1] > 0.0 ? seconds[0] / seconds[1] : 0.0;
   const double speedup4 = seconds[2] > 0.0 ? seconds[0] / seconds[2] : 0.0;
-  double min_speedup = 1.5;
-  if (const char* s = std::getenv("TOPOBENCH_MIN_SPEEDUP")) {
-    const double v = std::strtod(s, nullptr);
-    if (v > 0.0) min_speedup = v;
-  }
   const unsigned hw = std::thread::hardware_concurrency();
   const bool gate_active = hw >= 4;
 

@@ -16,15 +16,16 @@
 // argv[2] the scratch store path (default BENCH_server.store, removed at
 // start and exit).
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "api/topobench.h"
 #include "exp/results.h"
 #include "exp/shard.h"
+#include "util/env.h"
 #include "util/timer.h"
 
 namespace {
@@ -109,7 +110,10 @@ int main(int argc, char** argv) {
   }
   const std::string json_path = argc > 1 ? argv[1] : "BENCH_server.json";
   const std::string store_path = argc > 2 ? argv[2] : "BENCH_server.store";
-  const double eps = exp::env_eps(0.1);
+  const double eps = exp::eps_knob(0.1);
+  const double min_speedup =
+      env::double_knob("TOPOBENCH_MIN_STORE_SPEEDUP", 50.0, 0.0,
+                       std::numeric_limits<double>::infinity());
   std::remove(store_path.c_str());
 
   const std::vector<api::Query> queries = reference_queries(eps);
@@ -169,11 +173,6 @@ int main(int argc, char** argv) {
   const double store_qps =
       store.seconds > 0.0 ? kStoreRounds * n / store.seconds : 0.0;
   const double speedup = cold_qps > 0.0 ? store_qps / cold_qps : 0.0;
-  double min_speedup = 50.0;
-  if (const char* s = std::getenv("TOPOBENCH_MIN_STORE_SPEEDUP")) {
-    const double v = std::strtod(s, nullptr);
-    if (v > 0.0) min_speedup = v;
-  }
 
   std::ofstream json(json_path);
   char buf[512];

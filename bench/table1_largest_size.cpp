@@ -20,11 +20,10 @@ int main() {
       "Table I: relative throughput at the largest size tested";
 
   exp::Sweep sweep;
-  sweep.solve.epsilon = exp::env_eps(0.10);
-  sweep.trials = exp::env_trials(2);
+  sweep.solve.epsilon = exp::eps_knob(0.10);
+  sweep.trials = exp::trials_knob(2);
   sweep.base_seed = 2000;
-  const int target =
-      exp::env_int("TOPOBENCH_TARGET_SERVERS", 1'000'000, 4, 1'000'000);
+  const int target = exp::target_servers_knob(1'000'000);
   for (const Family f :
        {Family::BCube, Family::DCell, Family::Dragonfly, Family::FatTree,
         Family::FlattenedBF, Family::Hypercube}) {

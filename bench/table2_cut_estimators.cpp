@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "exp/sweep.h"
 #include "core/registry.h"
 #include "cuts/sparsest_cut.h"
 #include "mcf/engine.h"
@@ -19,7 +20,7 @@
 
 int main() {
   using namespace tb;
-  const double eps = bench::env_eps(0.04);
+  const double eps = exp::eps_knob(0.04);
 
   struct FamilyStats {
     int total = 0;

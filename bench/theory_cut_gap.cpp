@@ -10,6 +10,7 @@
 #include <string>
 
 #include "bench_common.h"
+#include "exp/sweep.h"
 #include "cuts/sparsest_cut.h"
 #include "mcf/engine.h"
 #include "mcf/throughput.h"
@@ -19,7 +20,7 @@
 
 int main() {
   using namespace tb;
-  const double eps = bench::env_eps(0.03);
+  const double eps = exp::eps_knob(0.03);
 
   {
     // Graph A: two 32-node clusters, alpha=6 within, beta=2 across.

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "exp/results.h"
+#include "util/env.h"
 
 namespace tb::exp {
 namespace {
@@ -43,9 +44,9 @@ ShardSpec parse_shard_spec(const std::string& text) {
 }
 
 std::optional<ShardSpec> env_shard() {
-  const char* s = std::getenv("TOPOBENCH_SHARD");
-  if (s == nullptr) return std::nullopt;
-  return parse_shard_spec(s);
+  const std::optional<std::string> s = env::raw("TOPOBENCH_SHARD");
+  if (!s) return std::nullopt;
+  return parse_shard_spec(*s);
 }
 
 CellRange shard_range(std::size_t total, const ShardSpec& shard) {

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "tm/synthetic.h"
+#include "util/env.h"
 
 namespace tb::exp {
 
@@ -51,14 +51,13 @@ TopoSpec representative_spec(Family f, int target_servers,
 Sweep relative_scaling_sweep(const std::vector<Family>& families,
                              int max_servers) {
   Sweep s;
-  s.topologies = ladder_specs(
-      families, 8, env_int("TOPOBENCH_MAX_SERVERS", max_servers, 8, 1000000),
-      /*seed=*/1);
+  s.topologies =
+      ladder_specs(families, 8, max_servers_knob(max_servers), /*seed=*/1);
   s.tms = {a2a_tm(), random_matching_tm(1), longest_matching_tm()};
   // Single-core default: a 10% certified gap is well below the separations
   // the figures exhibit; tighten with TOPOBENCH_EPS for publication runs.
-  s.solve.epsilon = env_eps(0.10);
-  s.trials = env_trials(2);
+  s.solve.epsilon = eps_knob(0.10);
+  s.trials = trials_knob(2);
   s.base_seed = 1000;
   return s;
 }
@@ -168,35 +167,20 @@ std::vector<ScenarioPoint> growth_scenarios(int steps) {
   return points;
 }
 
-double env_eps(double fallback) {
-  if (const char* s = std::getenv("TOPOBENCH_EPS")) {
-    const double v = std::strtod(s, nullptr);
-    if (v > 0.0 && v < 0.5) return v;
-  }
-  return fallback;
+double eps_knob(double fallback) {
+  return env::double_knob("TOPOBENCH_EPS", fallback, 0.0, 0.5);
 }
 
-int env_trials(int fallback) {
-  // Legacy semantics (unlike env_int): an out-of-range value means "use the
-  // per-bench default", not "clamp" — scripts predating the runner rely on
-  // e.g. TOPOBENCH_TRIALS=0 falling back rather than yielding one trial.
-  if (const char* s = std::getenv("TOPOBENCH_TRIALS")) {
-    const long v = std::strtol(s, nullptr, 10);
-    if (v >= 1 && v <= 100) return static_cast<int>(v);
-  }
-  return fallback;
+int trials_knob(int fallback) {
+  return env::int_knob("TOPOBENCH_TRIALS", fallback, 1, 100);
 }
 
-int env_int(const char* name, int fallback, int lo, int hi) {
-  if (const char* s = std::getenv(name)) {
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    if (end != s) {
-      return static_cast<int>(
-          std::clamp(v, static_cast<long>(lo), static_cast<long>(hi)));
-    }
-  }
-  return fallback;
+int target_servers_knob(int fallback) {
+  return env::int_knob("TOPOBENCH_TARGET_SERVERS", fallback, 4, 1'000'000);
+}
+
+int max_servers_knob(int fallback) {
+  return env::int_knob("TOPOBENCH_MAX_SERVERS", fallback, 4, 1'000'000);
 }
 
 }  // namespace tb::exp

@@ -159,22 +159,28 @@ std::vector<ScenarioPoint> growth_scenarios(int steps);
 
 // --- environment knobs (shared by every driver) -------------------------
 // Solver accuracy, trial counts and sweep sizes can be tightened from the
-// environment without recompiling:
-//   TOPOBENCH_EPS            — GK certified-gap target
-//   TOPOBENCH_TRIALS         — random-graph samples per data point
-//   TOPOBENCH_TARGET_SERVERS — representative-instance size target
-//   TOPOBENCH_MAX_SERVERS    — ladder upper cutoff
+// environment without recompiling. Each loader below reads its variable
+// through util/env's strict policy and is the one place its accepted range
+// is stated: unset means the caller's `fallback`, and a malformed or
+// out-of-range value throws std::invalid_argument naming the variable.
+//   TOPOBENCH_EPS            — GK certified-gap target, in (0, 0.5)
+//   TOPOBENCH_TRIALS         — random-graph samples per data point,
+//                              in [1, 100]
+//   TOPOBENCH_TARGET_SERVERS — representative-instance size target,
+//                              in [4, 1000000]
+//   TOPOBENCH_MAX_SERVERS    — ladder upper cutoff, in [4, 1000000]
+// The execution knobs enter through RunOptions::from_env (runner.h):
 //   TOPOBENCH_SOLVER_THREADS — intra-solve worker threads (0 = shared
 //                              pool, 1 = serial, N = dedicated pool;
 //                              never changes values — see runner.h)
 //   TOPOBENCH_SHARD=i/n      — evaluate only shard i of n of the flat cell
 //                              grid and emit a mergeable slice (see
-//                              shard.h; malformed values are a hard error)
+//                              shard.h)
+//   TOPOBENCH_STORE=<path>   — on-disk result tier
 
-double env_eps(double fallback);
-/// TOPOBENCH_TRIALS in [1, 100]; out-of-range or unset means `fallback`.
-int env_trials(int fallback);
-/// Integer knob clamped to [lo, hi]; `fallback` when unset or unparsable.
-int env_int(const char* name, int fallback, int lo, int hi);
+double eps_knob(double fallback);
+int trials_knob(int fallback);
+int target_servers_knob(int fallback);
+int max_servers_knob(int fallback);
 
 }  // namespace tb::exp

@@ -248,10 +248,6 @@ std::optional<exp::CellResult> ResultStore::get(const std::string& key) const {
   }
 }
 
-bool ResultStore::contains(const std::string& key) const {
-  return index_.find(key) != index_.end();
-}
-
 void ResultStore::put(const std::string& key, const exp::CellResult& r) {
   if (mode_ != Mode::ReadWrite) {
     throw std::logic_error("result store " + path_ +

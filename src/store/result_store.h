@@ -90,9 +90,6 @@ class ResultStore {
   /// std::runtime_error if the stored value bytes fail to decode.
   std::optional<exp::CellResult> get(const std::string& key) const;
 
-  /// True when `key` is present (no decode).
-  bool contains(const std::string& key) const;
-
   /// Append (key, r). No-op when the key already holds exactly these value
   /// bytes; throws std::runtime_error when it holds different bytes
   /// (determinism violation) and std::logic_error on a ReadOnly store.

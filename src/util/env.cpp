@@ -1,5 +1,7 @@
 #include "util/env.h"
 
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -15,6 +17,7 @@ namespace {
 }  // namespace
 
 std::optional<std::string> raw(const char* name) {
+  // topobench-lint: allow(raw-getenv) the one sanctioned environment read
   const char* v = std::getenv(name);
   if (v == nullptr) return std::nullopt;
   return std::string(v);
@@ -35,6 +38,29 @@ int int_knob(const char* name, int fallback, int lo, int hi) {
   if (pos != v->size()) reject(name, *v, expected.c_str());
   if (parsed < lo || parsed > hi) reject(name, *v, expected.c_str());
   return static_cast<int>(parsed);
+}
+
+double double_knob(const char* name, double fallback, double lo, double hi) {
+  const std::optional<std::string> v = raw(name);
+  if (!v) return fallback;
+  char lo_text[32];
+  char hi_text[32];
+  std::snprintf(lo_text, sizeof(lo_text), "%g", lo);
+  std::snprintf(hi_text, sizeof(hi_text), "%g", hi);
+  const std::string expected = std::string("a finite number in (") +
+                               lo_text + ", " + hi_text + ")";
+  std::size_t pos = 0;
+  double parsed = 0.0;
+  try {
+    parsed = std::stod(*v, &pos);
+  } catch (const std::exception&) {
+    reject(name, *v, expected.c_str());
+  }
+  if (pos != v->size() || !std::isfinite(parsed) || !(parsed > lo) ||
+      !(parsed < hi)) {
+    reject(name, *v, expected.c_str());
+  }
+  return parsed;
 }
 
 bool flag_knob(const char* name, bool fallback) {

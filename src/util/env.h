@@ -1,15 +1,12 @@
 // Single-point, strict environment-knob loaders. Configuration structs
-// (exp::RunOptions, api::ServiceConfig) call these from their from_env()
-// factories so every TOPOBENCH_* variable is parsed in exactly one place
-// with one failure policy: unset means the documented default, and a set
-// but malformed or out-of-range value throws std::invalid_argument naming
-// the variable and the offending text. A fleet must fail loudly, not
-// silently fall back to a default that changes which work gets done.
-//
-// (The legacy exp::env_eps/env_trials/env_int helpers keep their
-// clamp-and-fallback semantics for the sweep-shape knobs — grid sizes are
-// advisory, not identities. Knobs that select *behavior* — threads, shard,
-// store, CSV mode — route through these strict loaders.)
+// (exp::RunOptions, api::ServiceConfig), the sweep-shape knobs of
+// exp/sweep.h and the bench drivers' gates call these, so every
+// TOPOBENCH_* variable is parsed in exactly one place with one failure
+// policy: unset means the documented default, and a set but malformed or
+// out-of-range value throws std::invalid_argument naming the variable and
+// the offending text. A fleet must fail loudly, not silently fall back to
+// a default that changes which work gets done. raw() holds the only
+// getenv call (topobench_lint's raw-getenv rule).
 #pragma once
 
 #include <optional>
@@ -24,6 +21,11 @@ std::optional<std::string> raw(const char* name);
 /// as a base-10 integer in [lo, hi] or the call throws
 /// std::invalid_argument naming the variable.
 int int_knob(const char* name, int fallback, int lo, int hi);
+
+/// Real knob: unset -> `fallback`; otherwise the value must parse fully as
+/// a finite decimal number strictly inside (lo, hi) (`hi` may be
+/// infinity) or the call throws std::invalid_argument naming the variable.
+double double_knob(const char* name, double fallback, double lo, double hi);
 
 /// Boolean knob: unset -> `fallback`; otherwise the value must be exactly
 /// "0" or "1" (the only spellings the docs advertise) or the call throws

@@ -41,13 +41,14 @@ TEST(LintCatalogue, ListsEveryRuleExactlyOnce) {
     EXPECT_TRUE(ids.insert(std::string(info.id)).second) << info.id;
     EXPECT_FALSE(info.summary.empty()) << info.id;
   }
-  EXPECT_EQ(ids.size(), 6u);
+  EXPECT_EQ(ids.size(), 7u);
   EXPECT_EQ(ids.count("unordered-container"), 1u);
   EXPECT_EQ(ids.count("banned-random"), 1u);
   EXPECT_EQ(ids.count("wall-clock"), 1u);
   EXPECT_EQ(ids.count("par-policy"), 1u);
   EXPECT_EQ(ids.count("unordered-reduction"), 1u);
   EXPECT_EQ(ids.count("seed-arith"), 1u);
+  EXPECT_EQ(ids.count("raw-getenv"), 1u);
 }
 
 TEST(LintCatalogue, MarkerDiagnosticsAreNotAllowable) {
@@ -95,6 +96,15 @@ TEST(LintRules, ParPolicyPositive) {
 
 TEST(LintRules, ParPolicyNegative) {
   EXPECT_EQ(hits("par_policy_neg.cpp"), "");
+}
+
+TEST(LintRules, RawGetenvPositive) {
+  EXPECT_EQ(hits("raw_getenv_pos.cpp"),
+            "5:raw-getenv 10:raw-getenv 13:raw-getenv");
+}
+
+TEST(LintRules, RawGetenvNegative) {
+  EXPECT_EQ(hits("raw_getenv_neg.cpp"), "");
 }
 
 TEST(LintRules, SeedArithPositive) {

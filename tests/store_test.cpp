@@ -58,7 +58,6 @@ TEST(ResultStoreTest, RoundTripsRecordsBitExactly) {
     EXPECT_EQ(exp::csv_row(*got), exp::csv_row(sample_result(i)));
   }
   EXPECT_FALSE(store.get("absent").has_value());
-  EXPECT_FALSE(store.contains("absent"));
 }
 
 TEST(ResultStoreTest, RoundTripsQuotedAndNaNFields) {
@@ -87,7 +86,7 @@ TEST(ResultStoreTest, PersistsAcrossReopen) {
   }
   ResultStore store(path, ResultStore::Mode::ReadWrite);
   EXPECT_EQ(store.size(), 1u);
-  EXPECT_TRUE(store.contains("k"));
+  EXPECT_TRUE(store.get("k").has_value());
 }
 
 TEST(ResultStoreTest, PutIsIdempotentAndConflictsThrow) {
@@ -122,7 +121,7 @@ TEST(ResultStoreTest, SecondWriterIsLockedOut) {
   // Readers are never locked out.
   first.put("k", sample_result(0));
   ResultStore reader(path, ResultStore::Mode::ReadOnly);
-  EXPECT_TRUE(reader.contains("k"));
+  EXPECT_TRUE(reader.get("k").has_value());
 }
 
 TEST(ResultStoreTest, FlippedValueByteIsRejectedLoudly) {
@@ -174,7 +173,7 @@ TEST(ResultStoreTest, TruncatedTailToleratedByReaderRejectedByWriter) {
   }
   ResultStore reader(path, ResultStore::Mode::ReadOnly);
   EXPECT_EQ(reader.size(), 1u);  // stops before the torn tail
-  EXPECT_TRUE(reader.contains("k0"));
+  EXPECT_TRUE(reader.get("k0").has_value());
   EXPECT_THROW(ResultStore(path, ResultStore::Mode::ReadWrite),
                std::runtime_error);
 }
@@ -187,10 +186,10 @@ TEST(ResultStoreTest, RefreshPicksUpLiveAppends) {
   EXPECT_EQ(reader.size(), 1u);
   writer.put("k1", sample_result(1));
   writer.put("k2", sample_result(2));
-  EXPECT_FALSE(reader.contains("k1"));  // not yet scanned
+  EXPECT_FALSE(reader.get("k1").has_value());  // not yet scanned
   EXPECT_EQ(reader.refresh(), 2u);
-  EXPECT_TRUE(reader.contains("k1"));
-  EXPECT_TRUE(reader.contains("k2"));
+  EXPECT_TRUE(reader.get("k1").has_value());
+  EXPECT_TRUE(reader.get("k2").has_value());
   EXPECT_EQ(reader.refresh(), 0u);
 }
 

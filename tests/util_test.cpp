@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -316,6 +317,36 @@ TEST(EnvKnobs, IntKnobParsesClampsAndRejects) {
                  std::invalid_argument)
         << '"' << bad << '"';
   }
+  ::unsetenv("TOPOBENCH_TEST_KNOB");
+}
+
+TEST(EnvKnobs, DoubleKnobParsesAndRejects) {
+  ::unsetenv("TOPOBENCH_TEST_KNOB");
+  EXPECT_EQ(env::double_knob("TOPOBENCH_TEST_KNOB", 0.25, 0.0, 0.5), 0.25);
+  ::setenv("TOPOBENCH_TEST_KNOB", "0.1", 1);
+  EXPECT_EQ(env::double_knob("TOPOBENCH_TEST_KNOB", 0.25, 0.0, 0.5), 0.1);
+  ::setenv("TOPOBENCH_TEST_KNOB", "1e-3", 1);
+  EXPECT_EQ(env::double_knob("TOPOBENCH_TEST_KNOB", 0.25, 0.0, 0.5), 1e-3);
+  // Below, at and above the open range (0, 0.5), plus malformed text.
+  for (const char* bad : {"", "abc", "0.1x", "1,5", "nan", "inf", "-0.1",
+                          "0", "0.5", "0.7"}) {
+    ::setenv("TOPOBENCH_TEST_KNOB", bad, 1);
+    try {
+      (void)env::double_knob("TOPOBENCH_TEST_KNOB", 0.25, 0.0, 0.5);
+      ADD_FAILURE() << '"' << bad << "\" was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("TOPOBENCH_TEST_KNOB"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // An infinite upper end leaves only "finite and above lo".
+  const double inf = std::numeric_limits<double>::infinity();
+  ::setenv("TOPOBENCH_TEST_KNOB", "1e6", 1);
+  EXPECT_EQ(env::double_knob("TOPOBENCH_TEST_KNOB", 1.5, 0.0, inf), 1e6);
+  ::setenv("TOPOBENCH_TEST_KNOB", "inf", 1);
+  EXPECT_THROW(env::double_knob("TOPOBENCH_TEST_KNOB", 1.5, 0.0, inf),
+               std::invalid_argument);
   ::unsetenv("TOPOBENCH_TEST_KNOB");
 }
 

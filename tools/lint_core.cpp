@@ -216,6 +216,14 @@ const std::vector<Rule>& rules() {
         "fixed index order after the barrier",
         {rx(R"(\bstd\s*::\s*atomic\s*<\s*(float|double|long\s+double)\s*>)")},
         "ThreadPool"});
+    r.push_back(Rule{
+        "raw-getenv",
+        "getenv outside util/env.cpp: knobs bypass the strict loaders",
+        "raw environment read: load the variable through util/env.h "
+        "(env::raw, int_knob, double_knob, flag_knob) so a malformed "
+        "value fails loudly instead of silently changing the work done",
+        {rx(R"(\b(secure_)?getenv\b)")},
+        {}});
     return r;
   }();
   return kRules;

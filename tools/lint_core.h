@@ -24,6 +24,10 @@
 //                         std::atomic<float/double> in ThreadPool-using
 //                         files — floating-point accumulation must use
 //                         the PR-5 ordered-reduction idioms.
+//   raw-getenv            getenv outside src/util/env.cpp — every
+//                         TOPOBENCH_* knob is read through util/env's
+//                         strict loaders, so a malformed value cannot
+//                         silently change which work a run does.
 //
 // Escape hatch: a finding is suppressed by a marker comment on the same
 // line or the immediately preceding line, written as the marker prefix
