@@ -267,35 +267,54 @@ Result solve(const Problem& p, const Options& opts) {
   std::vector<double> d(static_cast<std::size_t>(m));
 
   // Deterministic parallel scans (see Options::pool): per-iteration work
-  // whose slots are independent — BTRAN columns, FTRAN rows, basis-inverse
-  // row updates — runs on the pool with identical per-slot arithmetic, and
-  // pricing is partitioned into fixed column ranges reduced in range order
-  // with the serial comparison semantics. Both gates depend only on the
-  // problem shape, never the pool size, so the solve is bitwise invariant
-  // across thread counts (pool == nullptr included).
+  // whose slots are independent — BTRAN in fixed blocks of kBtranBlock
+  // entries of y, FTRAN rows, basis-inverse row updates — runs on the pool
+  // with the serial path's per-slot arithmetic, and pricing is partitioned
+  // into fixed column ranges reduced in range order with the serial
+  // comparison semantics. The partitions are compile-time constants and
+  // both gates depend only on the problem shape, never the pool size, so
+  // the solve is bitwise invariant across thread counts (pool == nullptr
+  // included).
   ThreadPool* pool = opts.pool;
   constexpr int kPriceRange = 256;  // columns per pricing range (fixed)
+  constexpr std::size_t kBtranBlock = 64;  // y entries per BTRAN block (fixed)
   const bool par_rows = pool != nullptr && m >= 256;
   const bool par_price = pool != nullptr && n >= 2 * kPriceRange;
   std::vector<std::pair<double, int>> price_best;  // (best rc, column)/range
+  std::vector<std::pair<int, double>> cost_rows;   // (row, nonzero c_B[row])
 
   long degenerate_streak = 0;
   bool bland = false;
 
   for (res.iterations = 0; res.iterations < max_iter; ++res.iterations) {
-    // BTRAN: y = cB' * Binv.
-    const auto btran_col = [&](std::size_t j) {
-      double acc = 0.0;
-      for (int i = 0; i < m; ++i) {
-        acc += s.cost[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])] *
-               binv[static_cast<std::size_t>(i) * m + j];
+    // BTRAN: y = cB' * Binv, accumulated row-major over the rows whose
+    // basic cost is nonzero: the basic artificials and costed structural
+    // columns (in the throughput LP only t; flows, slacks and surpluses
+    // cost 0). Each y[j] sums the same terms in ascending row order as a
+    // full column dot would; the skipped terms are exactly zero, so y is
+    // bitwise unchanged by the skip.
+    cost_rows.clear();
+    for (int i = 0; i < m; ++i) {
+      const double c =
+          s.cost[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])];
+      if (c != 0.0) cost_rows.emplace_back(i, c);
+    }
+    const auto btran_block = [&](std::size_t blk) {
+      const std::size_t j0 = blk * kBtranBlock;
+      const std::size_t j1 = std::min(static_cast<std::size_t>(m),
+                                      j0 + kBtranBlock);
+      for (std::size_t j = j0; j < j1; ++j) y[j] = 0.0;
+      for (const auto& [i, c] : cost_rows) {
+        const double* row = &binv[static_cast<std::size_t>(i) * m];
+        for (std::size_t j = j0; j < j1; ++j) y[j] += c * row[j];
       }
-      y[j] = acc;
     };
+    const std::size_t nblocks =
+        (static_cast<std::size_t>(m) + kBtranBlock - 1) / kBtranBlock;
     if (par_rows) {
-      pool->parallel_for(0, static_cast<std::size_t>(m), btran_col, 64);
+      pool->parallel_for(0, nblocks, btran_block);
     } else {
-      for (int j = 0; j < m; ++j) btran_col(static_cast<std::size_t>(j));
+      for (std::size_t blk = 0; blk < nblocks; ++blk) btran_block(blk);
     }
 
     // Pricing.

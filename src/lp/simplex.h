@@ -1,11 +1,15 @@
-// A self-contained linear-programming solver (two-phase revised simplex).
+// A self-contained linear-programming solver (single-phase Big-M revised
+// simplex).
 //
 // The paper computes throughput with Gurobi; Gurobi is proprietary, so this
-// module provides the exact-LP substrate from scratch. It is a dense-basis
-// revised simplex with sparse constraint columns, two-phase start, Dantzig
-// pricing with a Bland's-rule anti-cycling fallback, and dual extraction
-// (the duals certify optimality in tests via the sparsest-cut relaxation of
-// Theorem 3).
+// module provides the exact-LP substrate from scratch. It is a revised
+// simplex with sparse constraint columns and a dense explicit basis inverse,
+// updated by Gauss-Jordan elimination on every pivot. GE/EQ rows get
+// artificial columns priced at a Big-M cost (1e7 times the largest
+// objective magnitude), so feasibility and optimality are reached in one
+// phase. Dantzig pricing with a Bland's-rule anti-cycling fallback, and
+// dual extraction (the duals certify optimality in tests via the
+// sparsest-cut relaxation of Theorem 3).
 //
 // Intended scale: a few thousand rows/columns — exact throughput on small
 // networks, path-restricted LPs (Fig 15), and the Kodialam TM LP. Large
@@ -78,12 +82,14 @@ struct Options {
   /// the cold slack/artificial start. Never affects correctness — only the
   /// pivot count.
   const std::vector<int>* warm_basis = nullptr;
-  /// When set, the per-iteration independent scans — pricing (reduced
-  /// costs over fixed column ranges), BTRAN, and FTRAN — run on this pool,
-  /// gated on problem size. The partitioning is a compile-time constant
-  /// and every reduction is applied in range order with the serial
-  /// comparison semantics, so the chosen pivots (and therefore the whole
-  /// solve) are bitwise identical to the serial path for any pool size.
+  /// When set, the per-iteration independent scans run on this pool, gated
+  /// on problem size: pricing (reduced costs over fixed 256-column ranges,
+  /// from 512 columns) and, from 256 rows, BTRAN (fixed 64-entry blocks of
+  /// y), FTRAN and the basis-inverse update (both per row). The
+  /// partitioning is a compile-time constant and every reduction is
+  /// applied in range order with the serial comparison semantics, so the
+  /// chosen pivots (and therefore the whole solve) are bitwise identical
+  /// to the serial path for any pool size.
   ThreadPool* pool = nullptr;
 };
 

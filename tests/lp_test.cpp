@@ -153,6 +153,24 @@ TEST(Simplex, WarmBasisResolvesWithoutPivots) {
   EXPECT_NEAR(fallback.objective, 33.0, 1e-8);
 }
 
+TEST(Simplex, IterationLimitIsReported) {
+  // SimpleMaximize needs two pivots (y enters, then x); a one-pivot budget
+  // stops after the first and reports the limit, with no basis to reuse.
+  Problem p;
+  const int x = p.add_var(3.0);
+  const int y = p.add_var(5.0);
+  p.add_row({{{x, 1.0}}, Sense::LE, 4.0});
+  p.add_row({{{y, 2.0}}, Sense::LE, 12.0});
+  p.add_row({{{x, 3.0}, {y, 2.0}}, Sense::LE, 18.0});
+  ASSERT_GE(solve(p).iterations, 2);
+  Options opts;
+  opts.max_iterations = 1;
+  const Result r = solve(p, opts);
+  EXPECT_EQ(r.status, Status::IterationLimit);
+  EXPECT_EQ(r.iterations, 1);
+  EXPECT_TRUE(r.basis.empty());
+}
+
 TEST(Simplex, DuplicateTermsAreMerged) {
   // max x s.t. 0.5x + 0.5x <= 3 -> 3.
   Problem p;

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <set>
+#include <string>
 
 #include "mcf/engine.h"
 #include "mcf/garg_konemann.h"
@@ -20,6 +22,14 @@ Graph ring(int n) {
   for (int v = 0; v < n; ++v) g.add_edge(v, (v + 1) % n);
   g.finalize();
   return g;
+}
+
+/// `v` in C99 hexfloat ("%a"), so a failed bit-exact comparison shows
+/// every bit, in the same notation as the expected literals.
+std::string hexfloat(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
 }
 
 TrafficMatrix single_flow(int s, int t, double amount = 1.0) {
@@ -93,6 +103,40 @@ TEST(ExactLp, FatTreeIsNonBlocking) {
   const TrafficMatrix lm = longest_matching(ft);
   const auto rlm = mcf::throughput_exact_lp(ft.graph, lm);
   EXPECT_NEAR(rlm.throughput, 2.0, 1e-6);
+}
+
+TEST(ExactLp, PivotsAndThroughputBitsArePinned) {
+  // Pins the simplex's pivot sequence across commits: exact pivot counts
+  // and throughput bits, serial and on the shared pool. hypercube(4) x A2A
+  // has 368 rows, so it takes the pooled BTRAN/FTRAN/update path. A change
+  // that moves the pivot sequence updates these values and says why.
+  struct Case {
+    const char* name;
+    const Network* net;
+    TrafficMatrix tm;
+    long pivots;
+    double throughput;
+  };
+  const Network hc = make_hypercube(4);
+  const Network jf = make_jellyfish(16, 4, 1, 4);
+  const Case cases[] = {
+      {"hypercube(4) a2a", &hc, all_to_all(hc), 1079, 0x1.000000000047p+1},
+      {"jellyfish lm", &jf, longest_matching(jf), 802, 0x1.ffffffffffffdp-1},
+      {"jellyfish rm", &jf, random_matching(jf, 1, 3), 1270,
+       0x1.5555555555683p+0},
+  };
+  for (const Case& c : cases) {
+    for (const int threads : {1, 0}) {
+      SCOPED_TRACE(std::string(c.name) + " @ " + std::to_string(threads));
+      mcf::SolveOptions opts;
+      opts.kind = mcf::SolverKind::ExactLP;
+      opts.solver_threads = threads;
+      const auto r = mcf::ThroughputEngine(*c.net).solve(c.tm, opts);
+      ASSERT_EQ(r.solver, "exact-lp");
+      EXPECT_EQ(r.stats.pivots, c.pivots);
+      EXPECT_EQ(hexfloat(r.throughput), hexfloat(c.throughput));
+    }
+  }
 }
 
 TEST(GargKonemann, MatchesExactOnSmallInstances) {
