@@ -17,6 +17,7 @@
 #include "topo/jellyfish.h"
 #include "topo/slimfly.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -28,6 +29,7 @@ void BM_GkAllToAll(benchmark::State& state) {
   const TrafficMatrix tm = all_to_all(net);
   mcf::GkOptions opts;
   opts.epsilon = 0.05;
+  opts.pool = &ThreadPool::shared();
   for (auto _ : state) {
     benchmark::DoNotOptimize(mcf::GkSolver(net.graph).solve(tm, opts));
   }
@@ -41,6 +43,7 @@ void BM_GkLongestMatching(benchmark::State& state) {
   const TrafficMatrix tm = longest_matching(net);
   mcf::GkOptions opts;
   opts.epsilon = 0.05;
+  opts.pool = &ThreadPool::shared();
   for (auto _ : state) {
     benchmark::DoNotOptimize(mcf::GkSolver(net.graph).solve(tm, opts));
   }

@@ -1,25 +1,32 @@
 // Quickstart: ask throughput questions through tb::api — the single stable
 // public façade (include api/topobench.h and nothing else).
 //
-//   $ ./examples/quickstart [target_servers]
+//   $ ./examples/quickstart [target_servers]     (in [4, 100000])
 //
 // Builds a Jellyfish (random regular) topology, evaluates the all-to-all,
 // random-matching and longest-matching (near-worst-case) TMs through an
 // api::Service, reports the Theorem 2 lower bound T_A2A / 2, and shows the
 // cache tier answering each repeat query.
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 
 #include "api/topobench.h"
+#include "args.h"
 
 int main(int argc, char** argv) {
-  const int target = argc > 1 ? std::atoi(argv[1]) : 64;
+  long target = 64;
+  if (argc > 2 ||
+      (argc > 1 && !examples::parse_int(argv[1], 4, 100'000, &target))) {
+    std::cerr << "usage: quickstart [target_servers]  (integer in "
+                 "[4, 100000], default 64)\n";
+    return 2;
+  }
 
   tb::api::Service service;  // no store attached: in-process cache only
 
   tb::api::Query q;
-  q.topology = tb::api::build_topology("jellyfish", target, /*seed=*/1);
+  q.topology = tb::api::build_topology("jellyfish", static_cast<int>(target),
+                                        /*seed=*/1);
   q.epsilon = 0.03;
   q.seed = 7;
 

@@ -1,16 +1,16 @@
 // Head-to-head topology comparison at matched scale — a miniature of the
 // paper's §IV evaluation:
 //
-//   $ ./examples/topology_comparison [target_servers]
+//   $ ./examples/topology_comparison [target_servers]  (in [4, 100000])
 //
 // For every family's instance nearest the target size, prints throughput
 // under A2A and longest matching, normalized by same-equipment random
 // graphs (relative throughput), plus raw gear counts so the normalization
 // is visible.
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "args.h"
 #include "core/evaluator.h"
 #include "core/registry.h"
 #include "tm/synthetic.h"
@@ -19,7 +19,13 @@
 
 int main(int argc, char** argv) {
   using namespace tb;
-  const int target = argc > 1 ? std::atoi(argv[1]) : 64;
+  long target = 64;
+  if (argc > 2 ||
+      (argc > 1 && !examples::parse_int(argv[1], 4, 100'000, &target))) {
+    std::cerr << "usage: topology_comparison [target_servers]  (integer in "
+                 "[4, 100000], default 64)\n";
+    return 2;
+  }
 
   RelativeOptions opts;
   opts.random_trials = 2;
@@ -28,7 +34,8 @@ int main(int argc, char** argv) {
   Table table({"topology", "switches", "links", "servers", "rel_A2A",
                "rel_LM"});
   for (const Family f : all_families()) {
-    const Network net = family_representative(f, target, /*seed=*/1);
+    const Network net =
+        family_representative(f, static_cast<int>(target), /*seed=*/1);
     opts.seed = mix_seed(100, static_cast<std::uint64_t>(f));
     const double a2a = relative_throughput(net, all_to_all(net), opts).relative;
     const double lm =

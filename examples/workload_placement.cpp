@@ -2,17 +2,17 @@
 // rack-level TM is skewed, does randomizing rack placement help on your
 // topology?
 //
-//   $ ./examples/workload_placement [shuffles]
+//   $ ./examples/workload_placement [shuffles]   (in [1, 1000])
 //
 // Builds the skewed frontend-style TM (TM-F synthetic), maps it onto each
 // family "as measured" and under `shuffles` random placements, and reports
 // the expected gain from randomization. Expanders and fat trees should
 // show ~none (already robust); the structured families should benefit.
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "args.h"
 #include "core/registry.h"
 #include "mcf/engine.h"
 #include "tm/facebook.h"
@@ -21,7 +21,13 @@
 
 int main(int argc, char** argv) {
   using namespace tb;
-  const int shuffles = argc > 1 ? std::atoi(argv[1]) : 3;
+  long shuffles = 3;
+  if (argc > 2 ||
+      (argc > 1 && !examples::parse_int(argv[1], 1, 1000, &shuffles))) {
+    std::cerr << "usage: workload_placement [shuffles]  (integer in "
+                 "[1, 1000], default 3)\n";
+    return 2;
+  }
   const int racks = 64;
   const std::vector<double> rack_tm = synth_tm_frontend(racks, /*seed=*/11);
 

@@ -13,12 +13,12 @@
 //
 // exit status: 0 ok, 2 usage error (unknown option/family, malformed or
 // out-of-range target).
-#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "args.h"
 #include "core/registry.h"
 #include "mcf/adversary.h"
 #include "mcf/engine.h"
@@ -53,19 +53,6 @@ void print_usage(std::ostream& os) {
         "exit status: 0 ok, 2 usage error\n";
 }
 
-/// Strict integer parse: the whole string must be a decimal integer in
-/// [lo, hi]. Returns false on garbage (the old std::atoi silently read
-/// "64abc" as 64 and "abc" as 0).
-bool parse_int(const std::string& s, long lo, long hi, long* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) return false;
-  if (v < lo || v > hi) return false;
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -97,7 +84,7 @@ int main(int argc, char** argv) {
         return kExitUsage;
       }
       long v = 0;
-      if (!parse_int(argv[++i], 0, 1'000'000, &v)) {
+      if (!examples::parse_int(argv[++i], 0, 1'000'000, &v)) {
         std::cerr << "worst_case_tm: bad value '" << argv[i] << "' for "
                   << arg << "\n";
         return kExitUsage;
@@ -126,7 +113,7 @@ int main(int argc, char** argv) {
     return kExitUsage;
   }
   if (positional.size() > 1 &&
-      !parse_int(positional[1], 4, 100'000, &target)) {
+      !examples::parse_int(positional[1], 4, 100'000, &target)) {
     std::cerr << "worst_case_tm: target_servers must be an integer in "
                  "[4, 100000], got '"
               << positional[1] << "'\n";

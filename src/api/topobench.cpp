@@ -220,7 +220,7 @@ ServiceConfig ServiceConfig::from_env() {
 }
 
 Service::Service(ServiceConfig cfg)
-    : cfg_(std::move(cfg)), runner_(cfg_.parallel) {
+    : cfg_(std::move(cfg)) {
   run_opts_.solver_threads = cfg_.solver_threads;
   if (!cfg_.store_path.empty()) {
     run_opts_.store = std::make_shared<store::ResultStore>(

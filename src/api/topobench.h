@@ -173,9 +173,6 @@ struct ServiceConfig {
   /// Intra-solve worker threads when a query leaves the choice open
   /// (0 = shared pool; never changes result bytes).
   int solver_threads = 0;
-  /// false pins every cell to the calling thread (results are identical
-  /// either way by the determinism contract; this is a scheduling knob).
-  bool parallel = true;
 
   /// The one environment loader (strict — malformed values throw
   /// std::invalid_argument; see util/env.h):

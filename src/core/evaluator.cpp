@@ -24,10 +24,10 @@ RelativeResult relative_throughput(const Network& net, const TrafficMatrix& tm,
     res.topo_stats = topo.stats;
   }
 
-  // The random-graph trials are independent solves; run them on the shared
-  // pool when the caller allows it. Each trial derives its seed from its
-  // index and writes only its own slot, and the summary is reduced after
-  // the barrier, so the result is bit-identical to the serial path for a
+  // The random-graph trials are independent solves on the shared pool
+  // (inline when the caller is itself a pool worker). Each trial derives
+  // its seed from its index and writes only its own slot, and the summary
+  // is reduced after the barrier, so the result is bit-identical for a
   // fixed seed regardless of thread count.
   std::vector<double> samples(static_cast<std::size_t>(opts.random_trials));
   const auto run_trial = [&](std::size_t trial) {
@@ -36,13 +36,7 @@ RelativeResult relative_throughput(const Network& net, const TrafficMatrix& tm,
     samples[trial] =
         mcf::ThroughputEngine(rnd).solve(tm, opts.solve).throughput;
   };
-  if (opts.solve.parallel) {
-    ThreadPool::shared().parallel_for(0, samples.size(), run_trial);
-  } else {
-    for (std::size_t trial = 0; trial < samples.size(); ++trial) {
-      run_trial(trial);
-    }
-  }
+  ThreadPool::shared().parallel_for(0, samples.size(), run_trial);
   res.random_throughput = summarize(samples);
   if (res.random_throughput.mean <= 0.0) {
     throw std::runtime_error("relative_throughput: random graph throughput 0");

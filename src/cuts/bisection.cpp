@@ -90,10 +90,9 @@ std::vector<std::vector<std::uint8_t>> st_seeded_bisections(
     kernighan_lin_refine(g, side);
     out[i] = std::move(side);
   };
-  const auto [parallel, pool] = flow::resolve_flow_pool(flow);
-  if (parallel && out.size() > 1) {
-    ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-    p.parallel_for(0, out.size(), refine);
+  ThreadPool* const pool = ThreadPool::resolve(flow.threads);
+  if (pool != nullptr && out.size() > 1) {
+    pool->parallel_for(0, out.size(), refine);
   } else {
     for (std::size_t i = 0; i < out.size(); ++i) refine(i);
   }

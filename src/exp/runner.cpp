@@ -20,20 +20,21 @@ namespace tb::exp {
 namespace {
 
 /// Exact solver + cut-bound configuration for cache identity: every field
-/// that can change a result (kind, full-precision epsilon, both
-/// Auto-dispatch thresholds, and the cut-bound knobs — the cut sampler's
-/// seed is derived from the cell, so the option-struct seed is excluded).
-/// `parallel` is deliberately excluded — results are scheduling-invariant
-/// by contract, and keying on it would miss between serial and parallel
-/// runs of the same configuration. Scenario identity is the per-cell
-/// scenario label (trusted like topology labels), carried in the cache key
-/// itself.
+/// that can change a result (kind, full-precision epsilon, and the
+/// cut-bound knobs — the cut sampler's seed is derived from the cell, so
+/// the option-struct seed is excluded). The two Auto-dispatch constants
+/// fill the `s`/`z` slots: persisted store keys and slice fingerprints
+/// depend on these exact bytes. Thread settings are deliberately
+/// excluded — results are scheduling-invariant by contract, and keying on
+/// them would miss between serial and parallel runs of the same
+/// configuration. Scenario identity is the per-cell scenario label
+/// (trusted like topology labels), carried in the cache key itself.
 std::string config_fingerprint(const Sweep& s) {
   const mcf::SolveOptions& o = s.solve;
   char buf[160];
   std::snprintf(buf, sizeof(buf), "k%d|e%.17g|s%d|z%ld",
-                static_cast<int>(o.kind), o.epsilon, o.exact_max_switches,
-                o.exact_max_lp_size);
+                static_cast<int>(o.kind), o.epsilon, mcf::kExactMaxSwitches,
+                mcf::kExactMaxLpSize);
   std::string key = buf;
   if (s.cut_bounds) {
     // Cut knobs enter the key only when they can affect the result, so
@@ -187,10 +188,10 @@ CellResult Runner::eval_cell(const Sweep& sweep,
     // trial, so enabling cut bounds perturbs no existing column.
     CutBoundOptions cb = sweep.cut_bound_opts;
     cb.seed = mix_seed(cell_seed, static_cast<std::uint64_t>(r.trials) + 1);
-    // Mirror the mcf engine's threading gate: a non-parallel solve keeps
-    // the cut estimators serial too. Never result-bearing (the battery is
-    // thread-invariant), so the fingerprint ignores it like `parallel`.
-    cb.solver_threads = solve.parallel ? solve.solver_threads : 1;
+    // The cut estimators follow the solve's thread count. Never
+    // result-bearing (the battery is thread-invariant), so the fingerprint
+    // ignores it.
+    cb.solver_threads = solve.solver_threads;
     const CutBoundResult cut = cut_upper_bound(net, tm, cb);
     r.pushes = cut.flow_stats.pushes;
     r.relabels = cut.flow_stats.relabels;
@@ -232,7 +233,7 @@ void Runner::eval_failure_group(const Sweep& sweep,
   }
   // parallel_ gates the fleet's per-scenario fan-out too: a cell-serial
   // runner keeps every cell on the calling thread (the solvers still
-  // honor solve.parallel / solver_threads independently).
+  // honor solve.solver_threads independently).
   mcf::ScenarioFleet fleet(net);
   const std::vector<mcf::FleetCell> cells =
       fleet.evaluate(tm, specs, solve, parallel_);

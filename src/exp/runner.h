@@ -38,7 +38,7 @@
 // TOPOBENCH_SOLVER_THREADS when the sweep leaves it 0. By the solver
 // determinism contracts the knob never changes values — it is recorded in
 // the solver_threads column (the requested configuration, not a measured
-// count) and deliberately excluded from cache identity like `parallel`.
+// count) and deliberately excluded from cache identity.
 //
 // Cache contract: results are memoized under (topology label, TM label,
 // scenario label, cell seed, solver + cut-bound configuration, trial
@@ -131,8 +131,8 @@ struct RunOptions {
 
 class Runner {
  public:
-  /// `parallel = false` forces cells onto the calling thread (the solver
-  /// and evaluator still honor Sweep::solve.parallel independently).
+  /// `parallel = false` forces cells onto the calling thread (the solvers
+  /// still honor Sweep::solve.solver_threads independently).
   explicit Runner(bool parallel = true) : parallel_(parallel) {}
 
   Runner(const Runner&) = delete;

@@ -13,7 +13,7 @@ std::vector<StCut> CutBattery::solve(
     const std::vector<std::pair<int, int>>& pairs) const {
   std::vector<StCut> out(pairs.size());
   if (pairs.empty()) return out;
-  const auto [parallel, pool] = resolve_flow_pool(opts_);
+  ThreadPool* const pool = ThreadPool::resolve(opts_.threads);
   // Pair blocks track the pair count (never the pool size): enough tasks
   // to saturate a small pool, few enough that each task's residual copy
   // amortizes over its pairs. The shape cannot reach results — each solve
@@ -29,9 +29,8 @@ std::vector<StCut> CutBattery::solve(
       out[i] = st_min_cut(*g_, net, pairs[i].first, pairs[i].second, opts_);
     }
   };
-  if (parallel && blocks > 1) {
-    ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-    p.parallel_for(0, blocks, run_block);
+  if (pool != nullptr && blocks > 1) {
+    pool->parallel_for(0, blocks, run_block);
   } else {
     for (std::size_t b = 0; b < blocks; ++b) run_block(b);
   }

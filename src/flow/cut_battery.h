@@ -10,10 +10,12 @@
 //   solve starts from an exact capacity reset, so neither the block shape
 //   nor the worker schedule can reach a result.
 //
-// Intra-solve threading (FlowAlgo::Auto's parallel-discharge engine) rides
-// the same FlowOptions: battery tasks running on pool workers inline their
-// nested parallel_for, so the two levels compose without oversubscription
-// or deadlock (the PR-5 nested-submit rule).
+// The battery resolves FlowOptions::threads once (ThreadPool::resolve) for
+// its pair blocks and hands the same options to every solve. A solve inside
+// a battery task resolves from a pool worker, so the parallel-discharge
+// engine's nested parallel_for inlines there: the two levels compose
+// without oversubscription or deadlock (the nested-submit rule of
+// util/thread_pool.h).
 #pragma once
 
 #include <utility>

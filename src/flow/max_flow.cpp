@@ -240,17 +240,16 @@ class HighestLabelSolver {
 /// function stays a valid distance labeling and the run terminates with
 /// a maximum flow exactly like the serial engine. The worker pool only
 /// decides which thread runs a block — results are bitwise identical for
-/// any thread count, including the inline (serial) execution.
+/// any thread count, including a null pool (serial execution).
 class ParallelDischargeSolver {
  public:
   ParallelDischargeSolver(FlowNetwork& net, int s, int t, MaxFlowStats& stats,
-                          ThreadPool* pool, bool parallel)
+                          ThreadPool* pool)
       : net_(net),
         s_(s),
         t_(t),
         stats_(stats),
         pool_(pool),
-        parallel_(parallel),
         n_(net.num_nodes()),
         tol_(net.tolerance()),
         height_(static_cast<std::size_t>(n_), 0),
@@ -306,9 +305,8 @@ class ParallelDischargeSolver {
   };
 
   void for_blocks(std::size_t count) {
-    if (parallel_ && count > 1) {
-      ThreadPool& pool = pool_ != nullptr ? *pool_ : ThreadPool::shared();
-      pool.parallel_for(0, count, [this](std::size_t b) { run_block(b); });
+    if (pool_ != nullptr && count > 1) {
+      pool_->parallel_for(0, count, [this](std::size_t b) { run_block(b); });
     } else {
       for (std::size_t b = 0; b < count; ++b) run_block(b);
     }
@@ -481,8 +479,7 @@ class ParallelDischargeSolver {
   const int s_;
   const int t_;
   MaxFlowStats& stats_;
-  ThreadPool* pool_;
-  const bool parallel_;
+  ThreadPool* const pool_;  ///< null = serial
   const int n_;
   const double tol_;
   std::vector<int> height_;
@@ -590,28 +587,6 @@ FlowAlgo resolve_flow_algo(const FlowNetwork& net, FlowAlgo algo) {
                                         : FlowAlgo::HighestLabel;
 }
 
-std::pair<bool, ThreadPool*> resolve_flow_pool(const FlowOptions& opts) {
-  if (opts.pool != nullptr) return {true, opts.pool};
-  if (opts.threads == 1) return {false, nullptr};
-  if (opts.threads <= 0) return {true, nullptr};  // shared pool
-  if (ThreadPool::in_worker()) {
-    // Nested under outer parallelism: parallel_for inlines on workers, so
-    // a dedicated pool could never be used — don't spin up its threads.
-    return {true, nullptr};
-  }
-  return {true, &ThreadPool::dedicated(static_cast<std::size_t>(opts.threads))};
-}
-
-double max_flow(FlowNetwork& net, int s, int t, FlowAlgo algo,
-                MaxFlowStats* stats) {
-  // The legacy entry point is the serial path: explicit algos run as
-  // before, Auto dispatches by instance size but executes inline.
-  FlowOptions opts;
-  opts.algo = algo;
-  opts.threads = 1;
-  return max_flow(net, s, t, opts, stats);
-}
-
 double max_flow(FlowNetwork& net, int s, int t, const FlowOptions& opts,
                 MaxFlowStats* stats) {
   if (!net.finalized()) {
@@ -628,10 +603,10 @@ double max_flow(FlowNetwork& net, int s, int t, const FlowOptions& opts,
       return HighestLabelSolver(net, s, t, st).run();
     case FlowAlgo::Dinic:
       return DinicSolver(net, s, t, st).run();
-    case FlowAlgo::ParallelDischarge: {
-      const auto [parallel, pool] = resolve_flow_pool(opts);
-      return ParallelDischargeSolver(net, s, t, st, pool, parallel).run();
-    }
+    case FlowAlgo::ParallelDischarge:
+      return ParallelDischargeSolver(net, s, t, st,
+                                     ThreadPool::resolve(opts.threads))
+          .run();
     case FlowAlgo::Auto:
       break;  // resolve_flow_algo never returns Auto
   }

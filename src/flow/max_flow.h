@@ -31,13 +31,7 @@
 // extraction, and verification agree on saturation.
 #pragma once
 
-#include <utility>
-
 #include "flow/flow_network.h"
-
-namespace tb {
-class ThreadPool;
-}  // namespace tb
 
 namespace tb::flow {
 
@@ -62,16 +56,15 @@ struct MaxFlowStats {
   }
 };
 
-/// Threading configuration of the flow engines and the cut battery,
-/// mirroring the mcf::SolveOptions::solver_threads contract: 0 = the
+/// Engine and threading configuration of the flow engines and the cut
+/// battery. `threads` follows the one intra-solve rule
+/// (ThreadPool::resolve, as mcf::SolveOptions::solver_threads): 0 = the
 /// shared pool, 1 = fully serial, N > 1 = a process-shared dedicated pool
-/// of N workers. `pool` overrides the resolution with an explicit pool
-/// (battery tasks hand their own pool down so nested parallel_for inlines).
-/// Threads never change results — only which workers do the work.
+/// of N workers. Threads never change results — only which workers do the
+/// work.
 struct FlowOptions {
   FlowAlgo algo = FlowAlgo::Auto;
   int threads = 0;
-  ThreadPool* pool = nullptr;
 };
 
 /// Instance-only cutoff of FlowAlgo::Auto: true when `net` is large enough
@@ -81,22 +74,12 @@ bool parallel_discharge_cutoff(const FlowNetwork& net);
 /// The engine FlowAlgo::Auto resolves to for `net` (identity otherwise).
 FlowAlgo resolve_flow_algo(const FlowNetwork& net, FlowAlgo algo);
 
-/// Resolve `opts` to the (parallel, pool) pair the engines use: null pool
-/// means ThreadPool::shared(). Serial when threads == 1, and never a fresh
-/// dedicated pool from inside a pool worker (nested parallel_for inlines,
-/// so its threads could never be used).
-std::pair<bool, ThreadPool*> resolve_flow_pool(const FlowOptions& opts);
-
-/// Maximum s-t flow value. Mutates `net`'s residual state in place; the
-/// resulting flow is read back per arc via FlowNetwork::flow(). Throws
-/// std::invalid_argument on bad terminals or an unfinalized network.
-double max_flow(FlowNetwork& net, int s, int t,
-                FlowAlgo algo = FlowAlgo::HighestLabel,
-                MaxFlowStats* stats = nullptr);
-
-/// Same, with the full threading configuration: FlowAlgo::Auto dispatch
-/// plus a worker pool for the parallel-discharge engine. The flow value
-/// and residual state are bitwise identical for any `threads`/`pool`.
+/// Maximum s-t flow value under `opts` (FlowAlgo::Auto dispatch plus the
+/// worker pool of the parallel-discharge engine). Mutates `net`'s residual
+/// state in place; the resulting flow is read back per arc via
+/// FlowNetwork::flow(). The flow value and residual state are bitwise
+/// identical for any `threads`. Throws std::invalid_argument on bad
+/// terminals or an unfinalized network.
 double max_flow(FlowNetwork& net, int s, int t, const FlowOptions& opts,
                 MaxFlowStats* stats = nullptr);
 

@@ -58,22 +58,6 @@ StCut extract_cut(const Graph& g, FlowNetwork& net, int s, double value,
 
 }  // namespace
 
-StCut st_min_cut(const Graph& g, int s, int t, FlowAlgo algo) {
-  FlowNetwork net = FlowNetwork::from_graph(g);
-  return st_min_cut(g, net, s, t, algo);
-}
-
-StCut st_min_cut(const Graph& g, FlowNetwork& net, int s, int t,
-                 FlowAlgo algo) {
-  if (net.num_nodes() != g.num_nodes() || net.num_arcs() != g.num_arcs()) {
-    throw std::invalid_argument("st_min_cut: network does not mirror graph");
-  }
-  net.reset();
-  MaxFlowStats stats;
-  const double value = max_flow(net, s, t, algo, &stats);
-  return extract_cut(g, net, s, value, stats);
-}
-
 StCut st_min_cut(const Graph& g, int s, int t, const FlowOptions& opts) {
   FlowNetwork net = FlowNetwork::from_graph(g);
   return st_min_cut(g, net, s, t, opts);
@@ -88,26 +72,6 @@ StCut st_min_cut(const Graph& g, FlowNetwork& net, int s, int t,
   MaxFlowStats stats;
   const double value = max_flow(net, s, t, opts, &stats);
   return extract_cut(g, net, s, value, stats);
-}
-
-StCut global_min_cut(const Graph& g, FlowAlgo algo) {
-  if (g.num_nodes() < 2) {
-    throw std::invalid_argument("global_min_cut: need at least two nodes");
-  }
-  FlowNetwork net = FlowNetwork::from_graph(g);
-  bool have_best = false;
-  StCut best;
-  for (int t = 1; t < g.num_nodes(); ++t) {
-    net.reset();
-    MaxFlowStats stats;
-    const double value = max_flow(net, 0, t, algo, &stats);
-    if (!have_best || value < best.value) {
-      best = extract_cut(g, net, 0, value, stats);
-      have_best = true;
-      if (best.value <= net.tolerance()) break;  // cannot get below zero
-    }
-  }
-  return best;
 }
 
 StCut global_min_cut(const Graph& g, const FlowOptions& opts) {

@@ -22,35 +22,24 @@ struct StCut {
 };
 
 /// Exact minimum s-t cut of `g` (each edge carries its capacity in both
-/// directions, the paper's link model). Throws std::invalid_argument on
-/// bad terminals and std::logic_error if the extracted cut's capacity
+/// directions, the paper's link model) under `opts`. Results are bitwise
+/// identical for any thread count. Throws std::invalid_argument on bad
+/// terminals and std::logic_error if the extracted cut's capacity
 /// disagrees with the flow value (the verification contract).
-StCut st_min_cut(const Graph& g, int s, int t,
-                 FlowAlgo algo = FlowAlgo::HighestLabel);
+StCut st_min_cut(const Graph& g, int s, int t, const FlowOptions& opts);
 
 /// Same, reusing a prebuilt FlowNetwork::from_graph(g) — reset and solved
 /// in place, so callers cutting many terminal pairs of one graph skip the
 /// per-pair network construction. `net` must mirror `g`.
 StCut st_min_cut(const Graph& g, FlowNetwork& net, int s, int t,
-                 FlowAlgo algo = FlowAlgo::HighestLabel);
-
-/// Threaded variants: FlowAlgo::Auto dispatch plus the FlowOptions worker
-/// configuration for the parallel-discharge engine. Results are bitwise
-/// identical to the serial overloads for any thread count (`opts` is
-/// deliberately not defaulted so the legacy calls stay unambiguous).
-StCut st_min_cut(const Graph& g, int s, int t, const FlowOptions& opts);
-StCut st_min_cut(const Graph& g, FlowNetwork& net, int s, int t,
                  const FlowOptions& opts);
 
 /// Global minimum cut: the smallest s-t cut over all terminal pairs,
 /// computed as min over t != 0 of st_min_cut(0, t) (every cut separates
-/// node 0 from something). n-1 max flows; fine at evaluation sizes.
-/// Requires at least two nodes.
-StCut global_min_cut(const Graph& g, FlowAlgo algo = FlowAlgo::HighestLabel);
-
-/// Threaded variant: solves the n-1 terminal pairs concurrently on the
-/// CutBattery and reduces in index order, so the returned cut (stats
-/// included) is bitwise identical to the serial loop above.
+/// node 0 from something). The n-1 terminal pairs are solved concurrently
+/// on the CutBattery and reduced in index order, so the returned cut
+/// (stats included) is bitwise identical to a serial loop over t. Requires
+/// at least two nodes.
 StCut global_min_cut(const Graph& g, const FlowOptions& opts);
 
 }  // namespace tb::flow

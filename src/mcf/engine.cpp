@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -12,29 +10,6 @@
 #include "util/thread_pool.h"
 
 namespace tb::mcf {
-
-namespace {
-
-/// Resolve SolveOptions::solver_threads to the (parallel, pool) pair the
-/// solvers receive (null pool = ThreadPool::shared()). Dedicated pools are
-/// the process-shared ThreadPool::dedicated ones — engines (and their
-/// fleet forks) are constructed per solve or per scenario all over the
-/// stack, so pools must outlive any single engine; spawning and joining N
-/// threads per solve would dwarf small solves and pollute the
-/// parallel_scaling timings.
-std::pair<bool, ThreadPool*> resolve_solver_pool(const SolveOptions& opts) {
-  if (!opts.parallel || opts.solver_threads == 1) return {false, nullptr};
-  if (opts.solver_threads <= 0) return {true, nullptr};  // shared pool
-  if (ThreadPool::in_worker()) {
-    // Nested under outer parallelism: parallel_for inlines on workers, so
-    // a dedicated pool could never be used — don't spin up its threads.
-    return {true, nullptr};
-  }
-  return {true,
-          &ThreadPool::dedicated(static_cast<std::size_t>(opts.solver_threads))};
-}
-
-}  // namespace
 
 std::vector<int> sampled_risk_groups(const ScenarioSpec& spec,
                                      int num_groups) {
@@ -321,10 +296,9 @@ ThroughputResult ThroughputEngine::run(const TrafficMatrix& tm,
   const bool use_exact =
       opts.kind == SolverKind::ExactLP ||
       (opts.kind == SolverKind::Auto &&
-       net_->graph.num_nodes() <= opts.exact_max_switches &&
-       lp_size_within(num_sources, net_->graph.num_arcs(),
-                      opts.exact_max_lp_size));
-  const auto [solve_parallel, pool] = resolve_solver_pool(opts);
+       net_->graph.num_nodes() <= kExactMaxSwitches &&
+       lp_size_within(num_sources, net_->graph.num_arcs(), kExactMaxLpSize));
+  ThreadPool* const pool = ThreadPool::resolve(opts.solver_threads);
   if (use_exact) {
     ExactLpSession session;
     if (scenario_active_) session.arc_caps = &gk_.arc_capacities();
@@ -332,9 +306,7 @@ ThroughputResult ThroughputEngine::run(const TrafficMatrix& tm,
     if (warm && !lp_basis_.empty()) session.warm_basis = &lp_basis_;
     session.basis_out = &lp_basis_;
     session.warm_started_out = &warm_used;
-    session.pool = solve_parallel
-                       ? (pool != nullptr ? pool : &ThreadPool::shared())
-                       : nullptr;
+    session.pool = pool;
     ThroughputResult res = throughput_exact_lp(net_->graph, *effective,
                                                session);
     res.stats.warm_start = warm_used;
@@ -344,7 +316,6 @@ ThroughputResult ThroughputEngine::run(const TrafficMatrix& tm,
 
   GkOptions gkopts;
   gkopts.epsilon = opts.epsilon;
-  gkopts.parallel = solve_parallel;
   gkopts.pool = pool;
   // A warm solve seeds the lengths from the previous solve only when this
   // TM routes the same commodity pairs (failure scenarios, scaled demands):
@@ -396,7 +367,7 @@ std::vector<FleetCell> ScenarioFleet::evaluate(
                     ? 1.0 - cell.result.throughput / cell.baseline
                     : 0.0;
   };
-  if (parallel_cells && opts.parallel) {
+  if (parallel_cells) {
     ThreadPool::shared().parallel_for(0, specs.size(), eval_one);
   } else {
     for (std::size_t i = 0; i < specs.size(); ++i) eval_one(i);

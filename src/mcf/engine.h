@@ -242,8 +242,7 @@ class ScenarioFleet {
   /// `parallel_cells` gates only the per-scenario fan-out onto the shared
   /// pool (callers that must stay on one thread — a cell-serial
   /// experiment runner — pass false; the solvers still honor
-  /// opts.parallel / solver_threads independently). Results are identical
-  /// either way.
+  /// opts.solver_threads independently). Results are identical either way.
   std::vector<FleetCell> evaluate(const TrafficMatrix& tm,
                                   const std::vector<ScenarioSpec>& specs,
                                   const SolveOptions& opts = {},

@@ -14,6 +14,14 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Sources per deterministic Dijkstra block. A constant, never the pool
+/// size, so the block partition — and therefore every result — is the
+/// same at any thread count (the threaded-determinism contract).
+constexpr std::size_t kBlockSize = 8;
+
+/// Safety cap on the phases of one solve.
+constexpr long kMaxPhases = 200'000;
+
 /// Dijkstra that stops once all of `targets` are settled (big win for
 /// matching TMs where each source has a single sink). Nodes not settled
 /// keep dist = +inf and parent = -1; every settled sink's tree path passes
@@ -305,8 +313,7 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
 
   // Per-slot scratch, one slot per block position (fixed block size =>
   // the partition, and therefore the result, never depends on the pool).
-  const int block = std::max(1, opts.block_size);
-  scratch_.resize(static_cast<std::size_t>(block));
+  scratch_.resize(kBlockSize);
   for (Scratch& sc : scratch_) {
     sc.node_vol.assign(n, 0.0);  // kept zeroed between uses
     sc.order.resize(n);
@@ -415,8 +422,8 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
   GkResult res;
   res.upper_bound = kInf;
   res.warm_started = warm_seeded;
-  ThreadPool& pool = opts.pool != nullptr ? *opts.pool : ThreadPool::shared();
-  const bool par = opts.parallel && pool.size() > 1;
+  ThreadPool* const pool = opts.pool;
+  const bool par = pool != nullptr && pool->size() > 1;
 
   long phase = 0;
   long dijkstras = 0;
@@ -427,17 +434,15 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
   double best_gap_seen = kInf;
   long last_gap_improvement = 0;
   bool stop = false;
-  while (!stop && phase < opts.max_phases) {
+  while (!stop && phase < kMaxPhases) {
     // Block-parallel phase: a block's freshness checks and tree rebuilds
     // run against the lengths frozen at the block boundary (each slot on
     // its own scratch), then the block's routing/length updates apply
     // serially in group order — bitwise the same whether the block ran
     // serial or on the pool. No per-phase alpha: routing may follow stale
     // trees, so the dual bound comes solely from the exact sweeps below.
-    for (std::size_t g0 = 0; g0 < groups_.size();
-         g0 += static_cast<std::size_t>(block)) {
-      const std::size_t g1 =
-          std::min(groups_.size(), g0 + static_cast<std::size_t>(block));
+    for (std::size_t g0 = 0; g0 < groups_.size(); g0 += kBlockSize) {
+      const std::size_t g1 = std::min(groups_.size(), g0 + kBlockSize);
       const auto prep = [&](std::size_t k) {
         const std::size_t gi = g0 + k;
         Scratch& sc = scratch_[k];
@@ -453,7 +458,7 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
         sc.rebuilt = true;
       };
       if (par && g1 - g0 > 1) {
-        pool.parallel_for(0, g1 - g0, prep);
+        pool->parallel_for(0, g1 - g0, prep);
       } else {
         for (std::size_t k = 0; k < g1 - g0; ++k) prep(k);
       }
@@ -475,10 +480,8 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
       // the sum reduces in group order after the barrier, so the
       // certificate is bitwise thread-count invariant.
       alpha_part_.assign(groups_.size(), 0.0);
-      for (std::size_t g0 = 0; g0 < groups_.size();
-           g0 += static_cast<std::size_t>(block)) {
-        const std::size_t g1 =
-            std::min(groups_.size(), g0 + static_cast<std::size_t>(block));
+      for (std::size_t g0 = 0; g0 < groups_.size(); g0 += kBlockSize) {
+        const std::size_t g1 = std::min(groups_.size(), g0 + kBlockSize);
         const auto sweep_group = [&](std::size_t k) {
           const std::size_t gi = g0 + k;
           const SourceGroup& grp = groups_[gi];
@@ -500,7 +503,7 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
           build_cache(gi, sc);
         };
         if (par && g1 - g0 > 1) {
-          pool.parallel_for(0, g1 - g0, sweep_group);
+          pool->parallel_for(0, g1 - g0, sweep_group);
         } else {
           for (std::size_t k = 0; k < g1 - g0; ++k) sweep_group(k);
         }

@@ -38,7 +38,9 @@
 // the block partition is a constant, the per-slot arithmetic is identical,
 // and the reductions run in a fixed order; block staleness only perturbs
 // path choice, never the primal/dual certificates.
-// GkOptions::pool selects the pool (null = the process-shared one).
+// GkOptions::pool selects the pool; null runs every block serially (the
+// engine resolves SolveOptions::solver_threads into it via
+// ThreadPool::resolve).
 //
 // GkSolver is the session form used by mcf::ThroughputEngine: it binds to
 // one graph, owns working per-arc capacities (the scenario layer degrades
@@ -71,13 +73,10 @@ namespace tb::mcf {
 struct GkOptions {
   double epsilon = 0.05;       ///< target certified relative gap; must be
                                ///< > 0 (solve clamps it to [1e-4, 0.3])
-  long max_phases = 200'000;   ///< safety cap
-  bool parallel = true;        ///< run per-block shortest paths on a pool
-  /// Pool for the per-block parallelism; null means ThreadPool::shared().
-  /// Never affects results (see the determinism contract above) — only
-  /// which threads do the work.
+  /// Pool for the per-block parallelism; null runs serially. Never affects
+  /// results (see the determinism contract above) — only which threads do
+  /// the work.
   ThreadPool* pool = nullptr;
-  int block_size = 8;          ///< sources per deterministic Dijkstra block
   /// Stop once the certified gap stops improving (the result still carries
   /// the true residual gap in upper_bound). Disable for strict-epsilon runs.
   bool plateau_guard = true;

@@ -8,8 +8,8 @@
 //  * GargKonemann — (1-eps)-approximation with a certified dual gap;
 //                   scales to thousands of switches.
 // SolverKind::Auto (the default) picks ExactLP only when the instance is
-// genuinely small — at most `exact_max_switches` switches (36 by default)
-// AND sources*arcs at most `exact_max_lp_size` (4096) — and GK otherwise.
+// genuinely small — at most kExactMaxSwitches (36) switches AND
+// sources*arcs at most kExactMaxLpSize (4096) — and GK otherwise.
 // The dispatch lives in ThroughputEngine (mcf/engine.h), the one solve
 // entry point; this header holds the shared types and the ExactLP kernel.
 #pragma once
@@ -28,18 +28,20 @@ namespace tb::mcf {
 
 enum class SolverKind { Auto, ExactLP, GargKonemann };
 
+/// Auto dispatch: ExactLP only at or below this many switches...
+inline constexpr int kExactMaxSwitches = 36;
+/// ...and only if sources*arcs fits this.
+inline constexpr long kExactMaxLpSize = 4096;
+
 struct SolveOptions {
   SolverKind kind = SolverKind::Auto;
   double epsilon = 0.03;        ///< GK certified gap target
-  int exact_max_switches = 36;  ///< Auto: LP only at or below this size...
-  long exact_max_lp_size = 4096;  ///< ...and only if sources*arcs fits this
-  bool parallel = true;
-  /// Intra-solve worker threads: 0 runs on the process-shared pool
-  /// (TOPOBENCH_THREADS), 1 forces the serial path, N > 1 uses a
-  /// process-shared dedicated N-worker pool. By the determinism contracts
-  /// (garg_konemann.h, lp::Options::pool) every setting produces bitwise
-  /// identical results — the knob only chooses which threads do the work.
-  /// The experiment runner seeds it from TOPOBENCH_SOLVER_THREADS.
+  /// Intra-solve worker threads, resolved by ThreadPool::resolve: 0 runs on
+  /// the process-shared pool (TOPOBENCH_THREADS), 1 is the serial solve,
+  /// N > 1 a process-shared dedicated N-worker pool. By the determinism
+  /// contracts (garg_konemann.h, lp::Options::pool) every setting produces
+  /// bitwise identical results — the count only chooses which threads do
+  /// the work. The experiment runner seeds it from TOPOBENCH_SOLVER_THREADS.
   int solver_threads = 0;
 };
 

@@ -141,6 +141,12 @@ ThreadPool& ThreadPool::dedicated(std::size_t threads) {
   return *slot;
 }
 
+ThreadPool* ThreadPool::resolve(int threads) {
+  if (threads == 1) return nullptr;
+  if (threads <= 0 || in_worker()) return &shared();
+  return &dedicated(static_cast<std::size_t>(threads));
+}
+
 void ThreadPool::worker_loop() {
   t_in_worker = true;
   for (;;) {

@@ -70,13 +70,20 @@ class ThreadPool {
   static bool in_worker() noexcept;
 
   /// Process-shared dedicated pool of exactly `threads` workers, created on
-  /// first request and alive for the process (like shared()). Callers that
-  /// honor a `*_threads = N` knob (the MCF engines, the flow cut battery)
-  /// resolve N > 1 here so repeated solves reuse one pool instead of
-  /// spawning and joining N threads per solve. Distinct subsystems sharing
-  /// a pool is safe — parallel_for only queues work — and cannot change
-  /// results, by the determinism contracts.
+  /// first request and alive for the process (like shared()), so repeated
+  /// solves reuse one pool instead of spawning and joining N threads per
+  /// solve. Distinct subsystems sharing a pool is safe — parallel_for only
+  /// queues work — and cannot change results, by the determinism contracts.
   static ThreadPool& dedicated(std::size_t threads);
+
+  /// The one intra-solve threading rule: resolve a thread count
+  /// (mcf::SolveOptions::solver_threads, flow::FlowOptions::threads) to the
+  /// pool a kernel runs on. 1 -> null, which every kernel treats as serial;
+  /// 0 (or negative) -> shared(); N > 1 -> dedicated(N), except from a pool
+  /// worker, which gets shared() — a nested parallel_for inlines there, so a
+  /// dedicated pool's threads could never be used. By the determinism
+  /// contracts the count chooses which threads run the work, never a result.
+  static ThreadPool* resolve(int threads);
 
  private:
   void worker_loop();

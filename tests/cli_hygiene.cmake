@@ -114,6 +114,31 @@ if(DEFINED WORST_BIN)
     COMMAND ${WORST_BIN} --iterations)
 endif()
 
+# Examples parse numeric arguments strictly: a malformed number is a usage
+# error (exit 2 with the usage text), never a silent default — "abc"
+# trials must not turn a relative query into an absolute one, and "0.05x"
+# must not be read as epsilon 0.05.
+if(DEFINED CLI_BIN)
+  check(NAME cli_rel_garbage_trials EXPECT_RC 2 MATCH "usage:"
+    COMMAND ${CLI_BIN} rel jellyfish 64 abc)
+  check(NAME cli_rel_zero_trials EXPECT_RC 2 MATCH "bad trials"
+    COMMAND ${CLI_BIN} rel jellyfish 64 0)
+  check(NAME cli_gen_garbage_target EXPECT_RC 2 MATCH "bad target_servers"
+    COMMAND ${CLI_BIN} gen jellyfish 64abc)
+  execute_process(COMMAND ${CLI_BIN} gen jellyfish 16
+    OUTPUT_FILE ${WORK_DIR}/cli_hygiene_jf16.edges
+    RESULT_VARIABLE gen_rc)
+  if(NOT gen_rc EQUAL 0)
+    message(FATAL_ERROR "cli_gen: expected exit 0, got ${gen_rc}")
+  endif()
+  check(NAME cli_eval_garbage_epsilon EXPECT_RC 2 MATCH "bad epsilon"
+    COMMAND ${CLI_BIN} eval ${WORK_DIR}/cli_hygiene_jf16.edges lm 0.05x)
+endif()
+if(DEFINED QUICKSTART_BIN)
+  check(NAME quickstart_garbage_target EXPECT_RC 2 MATCH "usage: quickstart"
+    COMMAND ${QUICKSTART_BIN} abc)
+endif()
+
 # The hello handshake answers on clean EOF with protocol/version fields.
 file(WRITE ${WORK_DIR}/cli_hygiene_hello.jsonl "{\"op\": \"hello\"}\n")
 check(NAME server_hello EXPECT_RC 0 MATCH "\"protocol\": 1"

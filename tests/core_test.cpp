@@ -87,23 +87,26 @@ TEST(Evaluator, HypercubeLosesToRandomAtSize) {
 }
 
 TEST(Evaluator, ParallelTrialsMatchSerialPath) {
-  // The random-graph trials run on the shared pool when solve.parallel is
-  // set; per-trial seeds derive from the trial index and the reduction
-  // happens after the barrier, so parallel and serial paths must agree
-  // exactly for a fixed seed.
+  // The random-graph trials fan out on the shared pool, and run inline when
+  // relative_throughput is itself called from a pool worker; per-trial
+  // seeds derive from the trial index and the reduction happens after the
+  // barrier, so the pooled and the serial (worker-inline, solver_threads
+  // = 1) paths must agree exactly for a fixed seed.
   if (ThreadPool::shared().size() <= 1) {
     GTEST_SKIP() << "shared pool has one worker (TOPOBENCH_THREADS "
                     "override?); parallel path would not be exercised";
   }
   const Network hc = make_hypercube(4);
   const TrafficMatrix tm = longest_matching(hc);
-  RelativeOptions serial;
-  serial.random_trials = 4;
-  serial.seed = 7;
-  serial.solve.parallel = false;
-  RelativeOptions parallel = serial;
-  parallel.solve.parallel = true;
-  const RelativeResult a = relative_throughput(hc, tm, serial);
+  RelativeOptions parallel;
+  parallel.random_trials = 4;
+  parallel.seed = 7;
+  RelativeOptions serial = parallel;
+  serial.solve.solver_threads = 1;
+  RelativeResult a;
+  ThreadPool::shared()
+      .submit([&] { a = relative_throughput(hc, tm, serial); })
+      .get();
   const RelativeResult b = relative_throughput(hc, tm, parallel);
   EXPECT_DOUBLE_EQ(a.topo_throughput, b.topo_throughput);
   EXPECT_DOUBLE_EQ(a.random_throughput.mean, b.random_throughput.mean);

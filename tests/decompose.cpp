@@ -1,4 +1,4 @@
-#include "mcf/decompose.h"
+#include "decompose.h"
 
 #include <algorithm>
 #include <cassert>

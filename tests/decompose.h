@@ -1,7 +1,7 @@
 // Flow decomposition: turn a per-arc flow (e.g. the feasible flow a solver
-// certifies) into explicit paths. Useful for inspecting what the optimum
-// actually does — e.g. verifying that near-worst-case TMs force long paths
-// — and for exporting schedules to downstream simulators.
+// certifies) into explicit paths. Test support for routing_test, which
+// uses it to check that solver and routing flows split into the expected
+// paths; no library code needs it, so it is compiled into that test only.
 #pragma once
 
 #include <vector>

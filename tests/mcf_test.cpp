@@ -198,21 +198,6 @@ TEST(GargKonemann, FlowIsFeasible) {
   }
 }
 
-TEST(GargKonemann, ParallelAndSerialAgree) {
-  const Network jf = make_jellyfish(32, 4, 1, 9);
-  const TrafficMatrix tm = all_to_all(jf);
-  mcf::GkOptions serial;
-  serial.parallel = false;
-  serial.epsilon = 0.05;
-  mcf::GkOptions parallel;
-  parallel.parallel = true;
-  parallel.epsilon = 0.05;
-  const double a = mcf::GkSolver(jf.graph).solve(tm, serial).throughput;
-  const double b = mcf::GkSolver(jf.graph).solve(tm, parallel).throughput;
-  // Identical: the block structure, not the thread count, defines routing.
-  EXPECT_DOUBLE_EQ(a, b);
-}
-
 TEST(GargKonemann, DemandScalingIsLinear) {
   // Throughput of c*TM must be throughput(TM)/c.
   const Network hc = make_hypercube(4);

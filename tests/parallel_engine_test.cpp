@@ -13,6 +13,7 @@
 #include "exp/runner.h"
 #include "fleet_reference.h"
 #include "mcf/engine.h"
+#include "mcf/garg_konemann.h"
 #include "pool_test_env.h"
 #include "tm/synthetic.h"
 #include "topo/hypercube.h"
@@ -90,6 +91,27 @@ INSTANTIATE_TEST_SUITE_P(Registry, ThreadedEquivalence,
                          [](const ::testing::TestParamInfo<Family>& param) {
                            return family_name(param.param);
                          });
+
+// ---------------------------------------------------------------------------
+// GkSolver directly: a null pool (serial) and an explicit pool agree.
+
+TEST(ThreadedEquivalence, GkSerialAndPooledAgree) {
+  const Network jf = make_jellyfish(32, 4, 1, 9);
+  const TrafficMatrix tm = all_to_all(jf);
+  ThreadPool pool(4);
+  mcf::GkOptions serial;
+  serial.epsilon = 0.05;
+  mcf::GkOptions pooled = serial;
+  pooled.pool = &pool;
+  const mcf::GkResult a = mcf::GkSolver(jf.graph).solve(tm, serial);
+  const mcf::GkResult b = mcf::GkSolver(jf.graph).solve(tm, pooled);
+  // Identical: the block structure, not the thread count, defines routing.
+  EXPECT_EQ(a.throughput, b.throughput);
+  EXPECT_EQ(a.upper_bound, b.upper_bound);
+  EXPECT_EQ(a.phases, b.phases);
+  EXPECT_EQ(a.dijkstras, b.dijkstras);
+  EXPECT_EQ(a.arc_flow, b.arc_flow);
+}
 
 // ---------------------------------------------------------------------------
 // ExactLP: the parallel pricing/BTRAN/FTRAN scans must pick the same pivots.

@@ -74,13 +74,36 @@ void expect_cut_eq(const StCut& a, const StCut& b, const std::string& what) {
 /// serial, the shared pool, and dedicated pools of 2 and 4 workers.
 std::vector<int> thread_ladder() { return {1, 0, 2, 4}; }
 
+/// Single-threaded configuration of one engine.
+FlowOptions serial_flow(FlowAlgo algo = FlowAlgo::HighestLabel) {
+  return FlowOptions{algo, /*threads=*/1};
+}
+
+/// Serial reference for the battery's global min cut: one reused network,
+/// pairs (0, t) in order, the first strict minimum wins, and the loop
+/// stops at a zero cut (nothing can beat it).
+StCut serial_global_min_cut(const Graph& g) {
+  FlowNetwork net = FlowNetwork::from_graph(g);
+  bool have_best = false;
+  StCut best;
+  for (int t = 1; t < g.num_nodes(); ++t) {
+    StCut cut = flow::st_min_cut(g, net, 0, t, serial_flow());
+    if (!have_best || cut.value < best.value) {
+      best = std::move(cut);
+      have_best = true;
+      if (best.value <= net.tolerance()) break;
+    }
+  }
+  return best;
+}
+
 TEST(ParallelFlow, StMinCutBitwiseAcrossThreadCounts) {
   for (const Family f : all_families()) {
     const Network net = family_representative(f, 16, /*seed=*/7);
     const Graph& g = net.graph;
     const int s = 0;
     const int t = g.num_nodes() - 1;
-    const StCut serial = flow::st_min_cut(g, s, t);
+    const StCut serial = flow::st_min_cut(g, s, t, serial_flow());
     for (const int threads : thread_ladder()) {
       FlowOptions fo;
       fo.algo = FlowAlgo::HighestLabel;
@@ -95,15 +118,15 @@ TEST(ParallelFlow, GlobalMinCutBitwiseAcrossThreadCounts) {
   for (const Family f : all_families()) {
     const Network net = family_representative(f, 16, /*seed=*/7);
     const Graph& g = net.graph;
-    const StCut legacy = flow::global_min_cut(g);
+    const StCut reference = serial_global_min_cut(g);
     for (const int threads : thread_ladder()) {
       FlowOptions fo;
       fo.algo = FlowAlgo::HighestLabel;
       fo.threads = threads;
-      // The battery solves every pair the legacy loop may have skipped
+      // The battery solves every pair the serial loop may have skipped
       // after an early zero-cut break, but the selected cut (stats
       // included) must be the identical first minimum.
-      expect_cut_eq(flow::global_min_cut(g, fo), legacy,
+      expect_cut_eq(flow::global_min_cut(g, fo), reference,
                     family_name(f) + " threads=" + std::to_string(threads));
     }
   }
@@ -164,7 +187,7 @@ TEST(ParallelFlow, BatteryMatchesSerialLoop) {
   FlowNetwork net = FlowNetwork::from_graph(g);
   std::vector<StCut> loop;
   for (const auto& [s, t] : pairs) {
-    loop.push_back(flow::st_min_cut(g, net, s, t));
+    loop.push_back(flow::st_min_cut(g, net, s, t, serial_flow()));
   }
   for (const int threads : thread_ladder()) {
     FlowOptions fo;
@@ -193,15 +216,15 @@ TEST(ParallelFlow, BestIndexMatchesSerialSelection) {
     EXPECT_GT(cuts[static_cast<std::size_t>(i)].value,
               cuts[static_cast<std::size_t>(best)].value);
   }
-  expect_cut_eq(cuts[static_cast<std::size_t>(best)], flow::global_min_cut(g),
-                "best_index vs legacy global_min_cut");
+  expect_cut_eq(cuts[static_cast<std::size_t>(best)],
+                serial_global_min_cut(g), "best_index vs serial loop");
   EXPECT_EQ(CutBattery::best_index({}, battery.tolerance()), -1);
 }
 
 TEST(ParallelFlow, TouchedArcResetRestoresCapacitiesExactly) {
   const Graph g = random_graph(30, 80, /*seed=*/21);
   FlowNetwork net = FlowNetwork::from_graph(g);
-  (void)flow::max_flow(net, 0, g.num_nodes() - 1);
+  (void)flow::max_flow(net, 0, g.num_nodes() - 1, serial_flow());
   net.reset();
   for (int a = 0; a < net.num_arcs(); ++a) {
     EXPECT_EQ(net.residual(a), net.capacity(a)) << "arc " << a;
@@ -210,9 +233,9 @@ TEST(ParallelFlow, TouchedArcResetRestoresCapacitiesExactly) {
   FlowNetwork fresh = FlowNetwork::from_graph(g);
   MaxFlowStats reused_stats;
   MaxFlowStats fresh_stats;
-  const double reused = flow::max_flow(net, 1, 7, FlowAlgo::HighestLabel,
+  const double reused = flow::max_flow(net, 1, 7, serial_flow(),
                                        &reused_stats);
-  const double first = flow::max_flow(fresh, 1, 7, FlowAlgo::HighestLabel,
+  const double first = flow::max_flow(fresh, 1, 7, serial_flow(),
                                       &fresh_stats);
   EXPECT_EQ(reused, first);
   expect_stats_eq(reused_stats, fresh_stats, "reused vs fresh");
@@ -226,9 +249,7 @@ TEST(ParallelFlow, ParallelDischargeBitwiseAcrossThreadCounts) {
     const Graph g = random_graph(48, 160, seed);
     const int s = 0;
     const int t = g.num_nodes() - 1;
-    FlowOptions serial_opts;
-    serial_opts.algo = FlowAlgo::ParallelDischarge;
-    serial_opts.threads = 1;
+    const FlowOptions serial_opts = serial_flow(FlowAlgo::ParallelDischarge);
     FlowNetwork ref = FlowNetwork::from_graph(g);
     MaxFlowStats ref_stats;
     const double ref_value = flow::max_flow(ref, s, t, serial_opts, &ref_stats);
@@ -260,9 +281,9 @@ TEST(ParallelFlow, ParallelDischargeAgreesWithReferenceEngines) {
     FlowOptions pd;
     pd.algo = FlowAlgo::ParallelDischarge;
     const double pd_value = flow::max_flow(pd_net, s, t, pd, nullptr);
-    const double hl_value =
-        flow::max_flow(hl_net, s, t, FlowAlgo::HighestLabel);
-    const double di_value = flow::max_flow(di_net, s, t, FlowAlgo::Dinic);
+    const double hl_value = flow::max_flow(hl_net, s, t, serial_flow());
+    const double di_value =
+        flow::max_flow(di_net, s, t, serial_flow(FlowAlgo::Dinic));
     EXPECT_NEAR(pd_value, hl_value, 1e-9) << "seed " << seed;
     EXPECT_NEAR(pd_value, di_value, 1e-9) << "seed " << seed;
     // And its residual state is a real max flow: the extracted cut

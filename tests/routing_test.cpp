@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "mcf/decompose.h"
+#include "decompose.h"
 #include "mcf/garg_konemann.h"
 #include "mcf/routing.h"
 #include "mcf/throughput.h"

@@ -270,6 +270,81 @@ TEST(GridFingerprint, TracksStructuralIdentityOnly) {
   EXPECT_NE(exp::grid_fingerprint(s), fp);
 }
 
+// --- pinned cache / store identity --------------------------------------
+
+/// `key` with each '\x1f' separator shown as "^_", so pinned keys read as
+/// plain literals.
+std::string visible_key(const std::string& key) {
+  std::string out;
+  for (const char c : key) {
+    if (c == '\x1f') {
+      out += "^_";
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+std::vector<std::string> visible_cell_keys(const exp::Sweep& sweep) {
+  std::vector<std::string> keys;
+  for (const exp::Cell& cell : exp::expand(sweep)) {
+    keys.push_back(visible_key(exp::cell_result_key(sweep, cell)));
+  }
+  return keys;
+}
+
+TEST(GridFingerprint, CacheAndStoreIdentityIsPinned) {
+  // Stores and slices written by earlier builds are addressed by these
+  // exact bytes: a refactor that changes any of them orphans every
+  // persisted record. Absolute, cut-bound and failure-axis sweeps.
+  exp::Sweep absolute;
+  absolute.topologies = {exp::representative_spec(Family::Hypercube, 16, 1),
+                         exp::representative_spec(Family::Jellyfish, 16, 2)};
+  absolute.tms = {exp::a2a_tm(), exp::longest_matching_tm()};
+  absolute.solve.epsilon = 0.05;
+  absolute.base_seed = 7;
+  exp::Sweep cut = absolute;
+  cut.cut_bounds = true;
+  exp::Sweep failures = absolute;
+  failures.topologies.pop_back();
+  failures.tms.pop_back();
+  failures.scenarios = exp::random_failure_scenarios({0.05});
+  failures.scenarios.push_back(exp::degrade_scenario(0.5));
+
+  const std::string cfg = "k0|e0.050000000000000003|s36|z4096";
+  EXPECT_EQ(visible_cell_keys(absolute),
+            (std::vector<std::string>{
+                "Hypercube(d=4)^_A2A^_^_11601954920945687888^_" + cfg + "^_0",
+                "Hypercube(d=4)^_LM^_^_7007307406066676594^_" + cfg + "^_0",
+                "Jellyfish(n=32,r=7)^_A2A^_^_17224172085814043037^_" + cfg +
+                    "^_0",
+                "Jellyfish(n=32,r=7)^_LM^_^_12488659736379936141^_" + cfg +
+                    "^_0",
+            }));
+  const std::string cb = cfg + "|cb|f10000|q8|b1";
+  EXPECT_EQ(visible_cell_keys(cut),
+            (std::vector<std::string>{
+                "Hypercube(d=4)^_A2A^_^_11601954920945687888^_" + cb + "^_0",
+                "Hypercube(d=4)^_LM^_^_7007307406066676594^_" + cb + "^_0",
+                "Jellyfish(n=32,r=7)^_A2A^_^_17224172085814043037^_" + cb +
+                    "^_0",
+                "Jellyfish(n=32,r=7)^_LM^_^_12488659736379936141^_" + cb +
+                    "^_0",
+            }));
+  const std::string fleet = cfg + "|fleet^_fail(f=0.05)^_degrade(c=0.5)";
+  EXPECT_EQ(visible_cell_keys(failures),
+            (std::vector<std::string>{
+                "Hypercube(d=4)^_A2A^_fail(f=0.05)^_11601954920945687888^_" +
+                    fleet + "^_0",
+                "Hypercube(d=4)^_A2A^_degrade(c=0.5)^_7007307406066676594^_" +
+                    fleet + "^_0",
+            }));
+  EXPECT_EQ(exp::grid_fingerprint(absolute), 4330934264754596093ULL);
+  EXPECT_EQ(exp::grid_fingerprint(cut), 12873092711951783533ULL);
+  EXPECT_EQ(exp::grid_fingerprint(failures), 12073887904355886941ULL);
+}
+
 // --- the differential property -------------------------------------------
 
 TEST(ShardMerge, AbsoluteModeMergesByteIdentical) {

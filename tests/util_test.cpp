@@ -305,6 +305,33 @@ TEST(ThreadPool, NestedParallelForAcrossDistinctPoolsRunsInline) {
   }
 }
 
+TEST(ThreadPool, ResolveMapsThreadCountsToPools) {
+  // The one intra-solve threading rule: 1 = serial (null), 0 or less =
+  // the shared pool, N > 1 = the process-shared dedicated N-worker pool.
+  EXPECT_EQ(ThreadPool::resolve(1), nullptr);
+  EXPECT_EQ(ThreadPool::resolve(0), &ThreadPool::shared());
+  EXPECT_EQ(ThreadPool::resolve(-3), &ThreadPool::shared());
+  ThreadPool* const two = ThreadPool::resolve(2);
+  ASSERT_NE(two, nullptr);
+  EXPECT_EQ(two, &ThreadPool::dedicated(2));
+  EXPECT_EQ(two->size(), 2u);
+  EXPECT_EQ(ThreadPool::resolve(2), two);  // reused, never respawned
+  // From a pool worker a nested parallel_for inlines, so N > 1 resolves to
+  // the shared pool instead of a dedicated pool whose threads would idle;
+  // 1 stays serial there too.
+  ThreadPool outer(2);
+  ThreadPool* nested = nullptr;
+  ThreadPool* nested_serial = two;
+  outer
+      .submit([&] {
+        nested = ThreadPool::resolve(3);
+        nested_serial = ThreadPool::resolve(1);
+      })
+      .get();
+  EXPECT_EQ(nested, &ThreadPool::shared());
+  EXPECT_EQ(nested_serial, nullptr);
+}
+
 
 TEST(EnvKnobs, IntKnobParsesClampsAndRejects) {
   ::unsetenv("TOPOBENCH_TEST_KNOB");
