@@ -97,52 +97,24 @@ void BM_FiedlerVector(benchmark::State& state) {
 }
 BENCHMARK(BM_FiedlerVector)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 
-// Max-flow engine shoot-out on one large finalized registry instance
+// Max-flow per-solve time on one large finalized registry instance
 // (Jellyfish at the requested server count — the registry's biggest
-// always-available family): grounds FlowAlgo::Auto's
-// parallel-discharge-vs-highest-label cutoff (kParallelDischargeMinArcs
-// in flow/max_flow.cpp) in measured per-solve times, with Dinic as the
-// reference baseline. One s-t solve per iteration on a reset network,
-// exactly the battery's inner loop.
-void BM_StMaxFlow(benchmark::State& state, flow::FlowAlgo algo, int threads) {
+// always-available family). One s-t solve per iteration on a reset
+// network, exactly the cut battery's inner loop.
+void BM_StMaxFlowHighestLabel(benchmark::State& state) {
   const int target = static_cast<int>(state.range(0));
   const Network net =
       family_representative(Family::Jellyfish, target, /*seed=*/1);
   flow::FlowNetwork fn = flow::FlowNetwork::from_graph(net.graph);
-  flow::FlowOptions fo;
-  fo.algo = algo;
-  fo.threads = threads;
   const int s = 0;
   const int t = fn.num_nodes() - 1;
   for (auto _ : state) {
     fn.reset();
-    benchmark::DoNotOptimize(flow::max_flow(fn, s, t, fo, nullptr));
+    benchmark::DoNotOptimize(flow::max_flow(fn, s, t));
   }
   state.counters["arcs"] = static_cast<double>(fn.num_arcs());
 }
-
-void BM_StMaxFlowHighestLabel(benchmark::State& state) {
-  BM_StMaxFlow(state, flow::FlowAlgo::HighestLabel, 1);
-}
 BENCHMARK(BM_StMaxFlowHighestLabel)
-    ->Arg(96)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
-
-void BM_StMaxFlowDinic(benchmark::State& state) {
-  BM_StMaxFlow(state, flow::FlowAlgo::Dinic, 1);
-}
-BENCHMARK(BM_StMaxFlowDinic)
-    ->Arg(96)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
-
-void BM_StMaxFlowParallelDischargeSerial(benchmark::State& state) {
-  BM_StMaxFlow(state, flow::FlowAlgo::ParallelDischarge, 1);
-}
-BENCHMARK(BM_StMaxFlowParallelDischargeSerial)
-    ->Arg(96)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
-
-void BM_StMaxFlowParallelDischarge4(benchmark::State& state) {
-  BM_StMaxFlow(state, flow::FlowAlgo::ParallelDischarge, 4);
-}
-BENCHMARK(BM_StMaxFlowParallelDischarge4)
     ->Arg(96)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 void BM_LongestMatchingTm(benchmark::State& state) {

@@ -76,7 +76,7 @@ struct SparseCutSurvey {
 /// terminal pairs drawn from `seed`) — and report the best cut. The best
 /// result is tagged CutBound::Exact when any exact member certified the
 /// optimum (complete brute force, or a single-pair TM). `flow` configures
-/// the exact members' cut battery / solver threading; it never changes the
+/// the exact members' cut-battery threading; it never changes the
 /// survey's results, only how fast the flow solves run.
 SparseCutSurvey best_sparse_cut(const Graph& g, const TrafficMatrix& tm,
                                 long brute_force_cap = 10'000,

@@ -26,7 +26,7 @@ std::vector<StCut> CutBattery::solve(
     const std::size_t lo = b * per_block;
     const std::size_t hi = std::min(lo + per_block, pairs.size());
     for (std::size_t i = lo; i < hi; ++i) {
-      out[i] = st_min_cut(*g_, net, pairs[i].first, pairs[i].second, opts_);
+      out[i] = st_min_cut(*g_, net, pairs[i].first, pairs[i].second);
     }
   };
   if (pool != nullptr && blocks > 1) {

@@ -1,7 +1,7 @@
-// Level 1 of the parallel exact-cut engine: batches of s-t terminal pairs
-// solved concurrently. Each task solves on its own FlowNetwork residual
-// copy (reset between the pairs of its block, so repeated solves are
-// O(arcs pushed)), and the reduction to the best cut is ordered and
+// The parallel exact-cut engine: batches of s-t terminal pairs solved
+// concurrently. Each task solves on its own FlowNetwork residual copy
+// (reset between the pairs of its block, so repeated solves are O(arcs
+// pushed)), and the reduction to the best cut is ordered and
 // index-deterministic. The contract, relied on by global_min_cut and the
 // cuts/ estimators ported onto the battery:
 //
@@ -11,11 +11,8 @@
 //   nor the worker schedule can reach a result.
 //
 // The battery resolves FlowOptions::threads once (ThreadPool::resolve) for
-// its pair blocks and hands the same options to every solve. A solve inside
-// a battery task resolves from a pool worker, so the parallel-discharge
-// engine's nested parallel_for inlines there: the two levels compose
-// without oversubscription or deadlock (the nested-submit rule of
-// util/thread_pool.h).
+// its pair blocks; each max-flow solve inside a block is serial, so the
+// pair level is the only level of flow parallelism.
 #pragma once
 
 #include <utility>

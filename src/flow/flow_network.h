@@ -1,6 +1,6 @@
 // Residual-graph representation for exact max-flow / min-cut. The paper's
 // cut-based throughput upper bounds (§II-B) need an exact s-t cut
-// primitive; FlowNetwork is the state the solvers in max_flow.h operate on.
+// primitive; FlowNetwork is the state the solver in max_flow.h operates on.
 //
 // Arcs are created in reverse pairs — arc 2k and its reverse 2k+1 — so
 // `arc ^ 1` is always the reverse arc, mirroring Graph's numbering. A

@@ -58,19 +58,18 @@ StCut extract_cut(const Graph& g, FlowNetwork& net, int s, double value,
 
 }  // namespace
 
-StCut st_min_cut(const Graph& g, int s, int t, const FlowOptions& opts) {
+StCut st_min_cut(const Graph& g, int s, int t) {
   FlowNetwork net = FlowNetwork::from_graph(g);
-  return st_min_cut(g, net, s, t, opts);
+  return st_min_cut(g, net, s, t);
 }
 
-StCut st_min_cut(const Graph& g, FlowNetwork& net, int s, int t,
-                 const FlowOptions& opts) {
+StCut st_min_cut(const Graph& g, FlowNetwork& net, int s, int t) {
   if (net.num_nodes() != g.num_nodes() || net.num_arcs() != g.num_arcs()) {
     throw std::invalid_argument("st_min_cut: network does not mirror graph");
   }
   net.reset();
   MaxFlowStats stats;
-  const double value = max_flow(net, s, t, opts, &stats);
+  const double value = max_flow(net, s, t, &stats);
   return extract_cut(g, net, s, value, stats);
 }
 

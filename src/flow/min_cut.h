@@ -22,17 +22,15 @@ struct StCut {
 };
 
 /// Exact minimum s-t cut of `g` (each edge carries its capacity in both
-/// directions, the paper's link model) under `opts`. Results are bitwise
-/// identical for any thread count. Throws std::invalid_argument on bad
-/// terminals and std::logic_error if the extracted cut's capacity
+/// directions, the paper's link model). Throws std::invalid_argument on
+/// bad terminals and std::logic_error if the extracted cut's capacity
 /// disagrees with the flow value (the verification contract).
-StCut st_min_cut(const Graph& g, int s, int t, const FlowOptions& opts);
+StCut st_min_cut(const Graph& g, int s, int t);
 
 /// Same, reusing a prebuilt FlowNetwork::from_graph(g) — reset and solved
 /// in place, so callers cutting many terminal pairs of one graph skip the
 /// per-pair network construction. `net` must mirror `g`.
-StCut st_min_cut(const Graph& g, FlowNetwork& net, int s, int t,
-                 const FlowOptions& opts);
+StCut st_min_cut(const Graph& g, FlowNetwork& net, int s, int t);
 
 /// Global minimum cut: the smallest s-t cut over all terminal pairs,
 /// computed as min over t != 0 of st_min_cut(0, t) (every cut separates

@@ -559,9 +559,8 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
       stop = true;  // certified (1+eps) gap
     } else if (sum_cl >= 1.0) {
       stop = true;  // classic GK termination; theory guarantees (1-3*eps/2)
-    } else if (opts.plateau_guard &&
-               phase - last_gap_improvement >
-                   std::max<long>(500, last_gap_improvement)) {
+    } else if (phase - last_gap_improvement >
+               std::max<long>(500, last_gap_improvement)) {
       // Plateau guard: the certificate has stopped tightening; return the
       // best certified pair rather than grinding to the D >= 1 cutoff.
       // Callers see the true residual gap in upper_bound.

@@ -24,8 +24,10 @@
 //     end-of-phase lengths (every length function upper-bounds OPT by LP
 //     duality) and refresh every cached tree for free. Routing along
 //     slightly stale trees only affects how fast the certificate closes.
-//     We stop when the certified gap falls below `epsilon` or the classic
-//     D(l) >= 1 criterion fires.
+//     We stop when the certified gap falls below `epsilon`, the classic
+//     D(l) >= 1 criterion fires, or the gap has stopped tightening (the
+//     plateau guard: no improvement for max(500, p) phases since it last
+//     improved at phase p; upper_bound still carries the true gap).
 //
 // Parallelism (the threaded-determinism contract): within a phase, sources
 // are processed in fixed-size blocks; each block's shortest-path work —
@@ -77,9 +79,6 @@ struct GkOptions {
   /// results (see the determinism contract above) — only which threads do
   /// the work.
   ThreadPool* pool = nullptr;
-  /// Stop once the certified gap stops improving (the result still carries
-  /// the true residual gap in upper_bound). Disable for strict-epsilon runs.
-  bool plateau_guard = true;
 };
 
 struct GkResult {

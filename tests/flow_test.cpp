@@ -1,14 +1,16 @@
 // The src/flow/ correctness contract, cross-checked three ways per the
 // subsystem's charter: max-flow equals min-cut capacity (verified cut
-// extraction), the push-relabel engine agrees with the Dinic reference on
-// randomized instances, and single-commodity throughput from the ExactLP
-// solver matches the combinatorial max flow.
+// extraction), the push-relabel engine agrees with the test-local Dinic
+// reference (dinic_reference.h) on randomized instances, and
+// single-commodity throughput from the ExactLP solver matches the
+// combinatorial max flow.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numeric>
 #include <vector>
 
+#include "dinic_reference.h"
 #include "flow/flow_network.h"
 #include "flow/max_flow.h"
 #include "flow/min_cut.h"
@@ -22,16 +24,10 @@
 namespace tb {
 namespace {
 
-using flow::FlowAlgo;
 using flow::FlowNetwork;
-using flow::FlowOptions;
 using flow::MaxFlowStats;
 using flow::StCut;
-
-/// Single-threaded configuration of one engine.
-FlowOptions serial(FlowAlgo algo = FlowAlgo::HighestLabel) {
-  return FlowOptions{algo, /*threads=*/1};
-}
+using test_ref::dinic_max_flow;
 
 Graph path_graph(int n) {
   Graph g(n);
@@ -76,10 +72,10 @@ TEST(FlowNetwork, MirrorsGraphArcIds) {
 
 TEST(MaxFlow, PathCarriesBottleneckCapacity) {
   const Graph g = path_graph(4);
-  for (const FlowAlgo algo : {FlowAlgo::HighestLabel, FlowAlgo::Dinic}) {
-    FlowNetwork net = FlowNetwork::from_graph(g);
-    EXPECT_DOUBLE_EQ(flow::max_flow(net, 0, 3, serial(algo)), 1.0);
-  }
+  FlowNetwork net = FlowNetwork::from_graph(g);
+  EXPECT_DOUBLE_EQ(flow::max_flow(net, 0, 3), 1.0);
+  net.reset();
+  EXPECT_DOUBLE_EQ(dinic_max_flow(net, 0, 3), 1.0);
 }
 
 TEST(MaxFlow, ParallelEdgesAggregate) {
@@ -88,7 +84,7 @@ TEST(MaxFlow, ParallelEdgesAggregate) {
   g.add_edge(0, 1, 0.5);
   g.finalize();
   FlowNetwork net = FlowNetwork::from_graph(g);
-  EXPECT_DOUBLE_EQ(flow::max_flow(net, 0, 1, serial()), 1.5);
+  EXPECT_DOUBLE_EQ(flow::max_flow(net, 0, 1), 1.5);
 }
 
 TEST(MaxFlow, DirectedAsymmetricPairs) {
@@ -102,9 +98,9 @@ TEST(MaxFlow, DirectedAsymmetricPairs) {
   net.add_arc_pair(b, t, 1.0);
   net.add_arc_pair(a, b, 1.0);
   net.finalize();
-  EXPECT_DOUBLE_EQ(flow::max_flow(net, s, t, serial()), 2.0);
+  EXPECT_DOUBLE_EQ(flow::max_flow(net, s, t), 2.0);
   net.reset();
-  EXPECT_DOUBLE_EQ(flow::max_flow(net, s, t, serial(FlowAlgo::Dinic)), 2.0);
+  EXPECT_DOUBLE_EQ(dinic_max_flow(net, s, t), 2.0);
 }
 
 TEST(MaxFlow, DisconnectedPairHasZeroFlow) {
@@ -113,15 +109,15 @@ TEST(MaxFlow, DisconnectedPairHasZeroFlow) {
   g.add_edge(2, 3);
   g.finalize();
   FlowNetwork net = FlowNetwork::from_graph(g);
-  EXPECT_DOUBLE_EQ(flow::max_flow(net, 0, 3, serial()), 0.0);
+  EXPECT_DOUBLE_EQ(flow::max_flow(net, 0, 3), 0.0);
 }
 
 TEST(MaxFlow, ResetAllowsResolving) {
   const Graph g = random_graph(12, 18, 7);
   FlowNetwork net = FlowNetwork::from_graph(g);
-  const double first = flow::max_flow(net, 0, 11, serial());
+  const double first = flow::max_flow(net, 0, 11);
   net.reset();
-  const double second = flow::max_flow(net, 0, 11, serial());
+  const double second = flow::max_flow(net, 0, 11);
   EXPECT_DOUBLE_EQ(first, second);
 }
 
@@ -129,7 +125,7 @@ TEST(MaxFlow, FlowConservationAndCapacityRespected) {
   const Graph g = random_graph(16, 30, 3);
   const int s = 0, t = 15;
   FlowNetwork net = FlowNetwork::from_graph(g);
-  const double value = flow::max_flow(net, s, t, serial());
+  const double value = flow::max_flow(net, s, t);
   std::vector<double> net_out(static_cast<std::size_t>(g.num_nodes()), 0.0);
   for (int a = 0; a < net.num_arcs(); ++a) {
     EXPECT_LE(net.flow(a), net.capacity(a) + 1e-9);
@@ -151,37 +147,38 @@ TEST(MaxFlow, PushRelabelMatchesDinicOnRandomGraphs) {
     FlowNetwork hl = FlowNetwork::from_graph(g);
     FlowNetwork di = FlowNetwork::from_graph(g);
     MaxFlowStats hl_stats;
-    MaxFlowStats di_stats;
-    const double a = flow::max_flow(hl, 0, n - 1, serial(), &hl_stats);
-    const double b =
-        flow::max_flow(di, 0, n - 1, serial(FlowAlgo::Dinic), &di_stats);
+    const double a = flow::max_flow(hl, 0, n - 1, &hl_stats);
+    test_ref::Dinic dinic(di, 0, n - 1);
+    const double b = dinic.run();
     EXPECT_NEAR(a, b, 1e-9 * (1.0 + a)) << "seed " << seed;
     EXPECT_GT(hl_stats.pushes, 0);
     EXPECT_GT(hl_stats.global_relabels, 0);
-    EXPECT_GT(di_stats.augmenting_paths, 0);
+    EXPECT_GT(dinic.augmenting_paths(), 0);
   }
 }
 
 TEST(MinCut, MaxFlowEqualsMinCutCapacity) {
   for (const std::uint64_t seed : {11ULL, 12ULL, 13ULL, 14ULL}) {
     const Graph g = random_graph(14, 28, seed);
-    for (const FlowAlgo algo : {FlowAlgo::HighestLabel, FlowAlgo::Dinic}) {
-      const StCut cut = flow::st_min_cut(g, 0, 13, serial(algo));
-      // st_min_cut already threw if the identity failed; check the exposed
-      // fields agree and the capacity recomputes from the edge list.
-      EXPECT_NEAR(cut.value, cut.cut_capacity, 1e-9 * (1.0 + cut.value));
-      double recomputed = 0.0;
-      for (const int e : cut.cut_edges) recomputed += g.edge_cap(e);
-      EXPECT_NEAR(recomputed, cut.cut_capacity, 1e-12);
-      EXPECT_EQ(cut.source_side[0], 1);
-      EXPECT_EQ(cut.source_side[13], 0);
-    }
+    const StCut cut = flow::st_min_cut(g, 0, 13);
+    // st_min_cut already threw if the identity failed; check the exposed
+    // fields agree, the capacity recomputes from the edge list, and the
+    // independent Dinic flow reaches the same value.
+    EXPECT_NEAR(cut.value, cut.cut_capacity, 1e-9 * (1.0 + cut.value));
+    double recomputed = 0.0;
+    for (const int e : cut.cut_edges) recomputed += g.edge_cap(e);
+    EXPECT_NEAR(recomputed, cut.cut_capacity, 1e-12);
+    FlowNetwork di = FlowNetwork::from_graph(g);
+    EXPECT_NEAR(dinic_max_flow(di, 0, 13), cut.value,
+                1e-9 * (1.0 + cut.value));
+    EXPECT_EQ(cut.source_side[0], 1);
+    EXPECT_EQ(cut.source_side[13], 0);
   }
 }
 
 TEST(MinCut, CutEdgesDisconnectTerminals) {
   const Graph g = random_graph(12, 20, 21);
-  const StCut cut = flow::st_min_cut(g, 0, 11, serial());
+  const StCut cut = flow::st_min_cut(g, 0, 11);
   // Rebuild the graph without the cut edges; t must become unreachable.
   std::vector<std::uint8_t> removed(static_cast<std::size_t>(g.num_edges()), 0);
   for (const int e : cut.cut_edges) removed[static_cast<std::size_t>(e)] = 1;
@@ -199,15 +196,15 @@ TEST(MinCut, CutEdgesDisconnectTerminals) {
 TEST(MinCut, PrebuiltNetworkOverloadMatchesAndResets) {
   const Graph g = random_graph(12, 20, 31);
   FlowNetwork net = FlowNetwork::from_graph(g);
-  const StCut a = flow::st_min_cut(g, net, 0, 11, serial());
-  EXPECT_DOUBLE_EQ(a.value, flow::st_min_cut(g, 0, 11, serial()).value);
+  const StCut a = flow::st_min_cut(g, net, 0, 11);
+  EXPECT_DOUBLE_EQ(a.value, flow::st_min_cut(g, 0, 11).value);
   // A second pair on the same network must solve from a clean reset.
-  const StCut b = flow::st_min_cut(g, net, 3, 9, serial());
-  EXPECT_DOUBLE_EQ(b.value, flow::st_min_cut(g, 3, 9, serial()).value);
+  const StCut b = flow::st_min_cut(g, net, 3, 9);
+  EXPECT_DOUBLE_EQ(b.value, flow::st_min_cut(g, 3, 9).value);
   FlowNetwork mismatched(2);
   mismatched.add_arc_pair(0, 1, 1.0);
   mismatched.finalize();
-  EXPECT_THROW(flow::st_min_cut(g, mismatched, 0, 11, serial()),
+  EXPECT_THROW(flow::st_min_cut(g, mismatched, 0, 11),
                std::invalid_argument);
 }
 
@@ -222,7 +219,7 @@ TEST(MinCut, BridgeIsTheGlobalMinCut) {
   }
   g.add_edge(0, 4);
   g.finalize();
-  const StCut cut = flow::global_min_cut(g, serial());
+  const StCut cut = flow::global_min_cut(g, flow::FlowOptions{/*threads=*/1});
   EXPECT_DOUBLE_EQ(cut.value, 1.0);
   ASSERT_EQ(cut.cut_edges.size(), 1u);
   const int side_sum = std::accumulate(cut.source_side.begin(),
@@ -234,7 +231,7 @@ TEST(MinCut, HypercubeStCutIsDegree) {
   // Every s-t min cut of the unit-capacity d-cube is d (Menger: d
   // edge-disjoint paths between any two nodes).
   const Network hc = make_hypercube(4);
-  const StCut cut = flow::st_min_cut(hc.graph, 0, 15, serial());
+  const StCut cut = flow::st_min_cut(hc.graph, 0, 15);
   EXPECT_DOUBLE_EQ(cut.value, 4.0);
   const FlowNetwork net = FlowNetwork::from_network(hc);
   EXPECT_EQ(net.num_nodes(), hc.graph.num_nodes());
@@ -249,7 +246,7 @@ TEST(MinCut, MatchesExactLpSingleCommodityThroughput) {
     TrafficMatrix tm;
     tm.demands = {{0, 7, 1.0}};
     const double lp = mcf::throughput_exact_lp(jf.graph, tm).throughput;
-    const StCut cut = flow::st_min_cut(jf.graph, 0, 7, serial());
+    const StCut cut = flow::st_min_cut(jf.graph, 0, 7);
     EXPECT_NEAR(lp, cut.value, 1e-7 * (1.0 + cut.value)) << "seed " << seed;
   }
 }
@@ -257,12 +254,12 @@ TEST(MinCut, MatchesExactLpSingleCommodityThroughput) {
 TEST(MaxFlow, InvalidInputsThrow) {
   const Graph g = path_graph(3);
   FlowNetwork net = FlowNetwork::from_graph(g);
-  EXPECT_THROW(flow::max_flow(net, 0, 0, serial()), std::invalid_argument);
-  EXPECT_THROW(flow::max_flow(net, -1, 2, serial()), std::invalid_argument);
-  EXPECT_THROW(flow::max_flow(net, 0, 3, serial()), std::invalid_argument);
+  EXPECT_THROW(flow::max_flow(net, 0, 0), std::invalid_argument);
+  EXPECT_THROW(flow::max_flow(net, -1, 2), std::invalid_argument);
+  EXPECT_THROW(flow::max_flow(net, 0, 3), std::invalid_argument);
   FlowNetwork unfinalized(2);
   unfinalized.add_arc_pair(0, 1, 1.0);
-  EXPECT_THROW(flow::max_flow(unfinalized, 0, 1, serial()),
+  EXPECT_THROW(flow::max_flow(unfinalized, 0, 1),
                std::invalid_argument);
   EXPECT_THROW(FlowNetwork(2).add_arc_pair(0, 0, 1.0), std::invalid_argument);
   EXPECT_THROW(FlowNetwork(2).add_arc_pair(0, 1, -1.0), std::invalid_argument);

@@ -152,7 +152,6 @@ TEST(GargKonemann, MatchesExactOnSmallInstances) {
     }
     const double exact = mcf::throughput_exact_lp(hc.graph, tm).throughput;
     mcf::GkOptions opts;
-    opts.plateau_guard = false;  // strict-epsilon certificate test
     opts.epsilon = 0.02;
     const mcf::GkResult gk = mcf::GkSolver(hc.graph).solve(tm, opts);
     EXPECT_GE(gk.throughput, exact * (1.0 - 0.025)) << tm_name;
@@ -178,7 +177,6 @@ TEST(GargKonemann, CertifiedGapHolds) {
   for (const Input& in : inputs) {
     const TrafficMatrix tm = longest_matching(in.net);
     mcf::GkOptions opts;
-    opts.plateau_guard = false;  // strict-epsilon certificate tests
     opts.epsilon = in.epsilon;
     const mcf::GkResult r = mcf::GkSolver(in.net.graph).solve(tm, opts);
     EXPECT_GT(r.throughput, 0.0) << in.name;

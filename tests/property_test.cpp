@@ -91,7 +91,6 @@ TEST_P(GkCertificate, GapAndFeasibilityHold) {
   const TrafficMatrix tm =
       random_matching(net, 1, static_cast<std::uint64_t>(seed) + 100);
   mcf::GkOptions opts;
-  opts.plateau_guard = false;  // strict-epsilon certificate tests
   opts.epsilon = 0.06;
   const mcf::GkResult r = mcf::GkSolver(net.graph).solve(tm, opts);
   EXPECT_GT(r.throughput, 0.0);
@@ -119,7 +118,6 @@ TEST_P(SolverAgreement, GkWithinEpsilonOfSimplex) {
   const TrafficMatrix tm = random_matching(net, 1, seed + 7);
   const double exact = mcf::throughput_exact_lp(net.graph, tm).throughput;
   mcf::GkOptions opts;
-  opts.plateau_guard = false;  // strict-epsilon certificate tests
   opts.epsilon = 0.03;
   const mcf::GkResult gk = mcf::GkSolver(net.graph).solve(tm, opts);
   EXPECT_LE(gk.throughput, exact * (1.0 + 1e-6)) << "primal must lower-bound";
@@ -286,7 +284,6 @@ TEST_P(SeededInvariants, ThroughputInvariantUnderArcPermutation) {
 
   mcf::GkOptions opts;
   opts.epsilon = 0.05;
-  opts.plateau_guard = false;
   const mcf::GkResult gk = mcf::GkSolver(net.graph).solve(tm, opts);
   const mcf::GkResult gk_perm = mcf::GkSolver(shuffled).solve(tm, opts);
   EXPECT_LE(gk.throughput, gk_perm.upper_bound * (1.0 + 1e-9));
