@@ -134,9 +134,9 @@ struct QueryResult {
 };
 
 /// A grid of questions evaluated as one batch: every topology crossed with
-/// every TM (and, when scenarios is non-empty, every scenario — batched
-/// through ScenarioFleet so a topology's scenarios share one baseline
-/// solve). Exactly exp::Sweep semantics behind the façade.
+/// every TM (and, when scenarios is non-empty, every scenario — the
+/// runner's failure groups, so a (topology, TM) pair's scenarios share one
+/// baseline solve). Exactly exp::Sweep semantics behind the façade.
 struct SweepQuery {
   std::vector<Topology> topologies;
   std::vector<Traffic> tms;

@@ -51,7 +51,7 @@ struct CellResult {
   double throughput_drop = std::numeric_limits<double>::quiet_NaN();
   // Structured-scenario columns (PR 10): distinct shared-risk groups the
   // scenario failed, the scenario's TM surge multiplier, and the growth
-  // stage of a growth-stage scenario (ScenarioPoint::growth_step). Fleet
+  // stage of a growth-stage scenario (ScenarioPoint::growth_step). Failure
   // cells record actual risk_group / tm_scale values (0 groups and
   // tm_scale 1 are legitimate data); every other cell keeps the NA
   // sentinels (-1 / NaN / -1).

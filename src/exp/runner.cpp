@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -220,41 +221,53 @@ void Runner::eval_failure_group(const Sweep& sweep,
       (cell_indices.front() / num_scenarios) * num_scenarios;
   const TrafficMatrix tm = tm_spec.build(
       net, mix_seed(mix_seed(sweep.base_seed, first_index), 0));
-  // Per-cell failure sampling: each scenario keeps drawing from its own
-  // cell's stream after the cut sampler's (trials + 2), so the batch shape
-  // never leaks into the sampled failure sets.
-  std::vector<mcf::ScenarioSpec> specs;
-  specs.reserve(cell_indices.size());
-  for (const std::size_t index : cell_indices) {
-    mcf::ScenarioSpec spec = sweep.scenarios[index % num_scenarios].spec;
-    spec.seed = mix_seed(mix_seed(sweep.base_seed, index),
-                         static_cast<std::uint64_t>(sweep.trials) + 2);
-    specs.push_back(std::move(spec));
-  }
-  // parallel_ gates the fleet's per-scenario fan-out too: a cell-serial
-  // runner keeps every cell on the calling thread (the solvers still
-  // honor solve.solver_threads independently).
-  mcf::ScenarioFleet fleet(net);
-  const std::vector<mcf::FleetCell> cells =
-      fleet.evaluate(tm, specs, solve, parallel_);
-  for (std::size_t k = 0; k < cell_indices.size(); ++k) {
+  // One cold baseline per group; it is bitwise the cold solve a fresh
+  // engine would compute for this TM.
+  mcf::ThroughputEngine base(net);
+  const double baseline = base.solve(tm, solve).throughput;
+  // Each scenario gets a fresh fork of the intact baseline session, so its
+  // warm degraded solve seeds exactly as a one-at-a-time evaluation on a
+  // fresh engine would (cold solve, apply_scenario, warm_solve): cells are
+  // independent, which makes the group order-, shape- and thread-invariant.
+  const auto eval_one = [&](std::size_t k) {
     const std::size_t index = cell_indices[k];
     const ScenarioPoint& point = sweep.scenarios[index % num_scenarios];
+    // Per-cell failure sampling: each scenario keeps drawing from its own
+    // cell's stream after the cut sampler's (trials + 2), so the group
+    // shape never leaks into the sampled failure sets.
+    mcf::ScenarioSpec spec = point.spec;
+    spec.seed = mix_seed(mix_seed(sweep.base_seed, index),
+                         static_cast<std::uint64_t>(sweep.trials) + 2);
+    const std::unique_ptr<mcf::ThroughputEngine> worker = base.fork_session();
+    worker->apply_scenario(spec);
+    const mcf::ThroughputResult t = worker->warm_solve(tm, solve);
     CellResult& r = out[index];
     fill_cell_identity(r, index, topo_label, net, tm_spec.label,
                        mix_seed(sweep.base_seed, index), solve);
     r.trials = 0;
     r.scenario = point.label;
-    r.throughput = cells[k].result.throughput;
-    r.failed_links = cells[k].failed_links;
-    r.throughput_drop = cells[k].drop;
-    // Structured-scenario columns: fleet cells record their actual values
+    r.throughput = t.throughput;
+    r.failed_links = worker->failed_edge_count();
+    // 1 - degraded/baseline: usually in [0, 1], but the GK certified gap
+    // can make it marginally negative on easy instances.
+    r.throughput_drop = baseline > 0.0 ? 1.0 - t.throughput / baseline : 0.0;
+    // Structured-scenario columns: failure cells record their actual values
     // (0 failed groups and tm_scale 1 are legitimate data, unlike the NA
-    // sentinels non-fleet cells keep).
-    r.risk_group = cells[k].failed_groups;
-    r.tm_scale = specs[k].tm_scale;
+    // sentinels other cells keep).
+    r.risk_group = worker->failed_group_count();
+    r.tm_scale = spec.tm_scale;
     r.growth_step = point.growth_step;
-    record_stats(r, cells[k].result.stats);
+    record_stats(r, t.stats);
+  };
+  // parallel_ gates the per-scenario fan-out as well as the group fan-out
+  // in run_impl: a cell-serial runner keeps every cell on the calling
+  // thread (the solvers still honor solve.solver_threads independently).
+  // Under a parallel group fan-out this parallel_for runs inline on the
+  // pool worker; a run with a single group spreads its scenarios instead.
+  if (parallel_) {
+    ThreadPool::shared().parallel_for(0, cell_indices.size(), eval_one);
+  } else {
+    for (std::size_t k = 0; k < cell_indices.size(); ++k) eval_one(k);
   }
 }
 
@@ -279,7 +292,7 @@ ResultSet Runner::run_impl(const Sweep& sweep, const RunOptions& opts,
   validate_modes(sweep);
   const std::vector<Cell> cells = expand(sweep);
   // The shard's contiguous slice of the flat grid. Every structure below
-  // keeps using *global* cell indices (seeds, cache keys, fleet group
+  // keeps using *global* cell indices (seeds, cache keys, failure group
   // floors), which is what makes a shard's rows bitwise the corresponding
   // rows of the unsharded run.
   const CellRange range = shard_range(cells.size(), shard);
@@ -342,17 +355,17 @@ ResultSet Runner::run_impl(const Sweep& sweep, const RunOptions& opts,
   }
 
   // Evaluation units: the missing cells of one (topology, TM) pair form a
-  // ScenarioFleet batch (a shared baseline + per-scenario degraded solves)
-  // in failures mode; otherwise every cell is its own unit. Units are
+  // failure group (a shared baseline + per-scenario degraded solves) in
+  // failures mode; otherwise every cell is its own unit. Units are
   // consecutive runs of `misses` with equal keys and run concurrently —
   // nested solver parallelism inlines on pool workers — each writing only
   // its own cells' slots. Per-unit results are independent of
   // scheduling and cache state, so everything below the barrier is a
   // deterministic reduction in cell order.
-  const bool fleet = !sweep.scenarios.empty();
+  const bool failures = !sweep.scenarios.empty();
   const auto unit_key = [&](std::size_t index) {
     const Cell& c = cells[index];
-    return fleet ? c.topo * sweep.tms.size() + c.tm : c.index;
+    return failures ? c.topo * sweep.tms.size() + c.tm : c.index;
   };
   std::vector<std::span<const std::size_t>> units;
   for (std::size_t k = 0; k < misses.size();) {
@@ -369,7 +382,7 @@ ResultSet Runner::run_impl(const Sweep& sweep, const RunOptions& opts,
     const Cell& head = cells[unit.front()];
     const std::string& label = sweep.topologies[head.topo].label;
     const Network& net = *nets[head.topo];
-    if (fleet) {
+    if (failures) {
       eval_failure_group(sweep, solve, label, net, sweep.tms[head.tm], unit,
                          out);
       return;
@@ -428,8 +441,8 @@ ResultSet Runner::run_impl(const Sweep& sweep, const RunOptions& opts,
 
 std::uint64_t grid_fingerprint(const Sweep& sweep) {
   // Canonical structural string, hashed FNV-1a. config_fingerprint already
-  // covers the solver / cut-bound / fleet configuration (including the
-  // scenario list where it affects values); the axis label lists are
+  // covers the solver / cut-bound / failure-axis configuration (including
+  // the scenario list where it affects values); the axis label lists are
   // folded in unconditionally because they define the grid itself.
   // Distinct field separators keep e.g. a topology list ["a,b"] distinct
   // from ["a","b"].

@@ -16,22 +16,25 @@
 // TOPOBENCH_THREADS=1.
 //
 // Failures mode (Sweep::scenarios non-empty): the missing cells of each
-// (topology, TM) pair evaluate as one mcf::ScenarioFleet batch — a single
-// cold baseline solve, then every scenario warm-solved on a forked clone of
-// the baseline session — so a grid of S scenarios pays one baseline instead
-// of S. The group's TM is built from its scenario-0 cell stream
+// (topology, TM) pair evaluate as one failure group — a single cold
+// baseline solve, then every scenario applied to its own fork of the
+// baseline session (ThroughputEngine::fork_session) and warm-solved — so a
+// grid of S scenarios pays one baseline instead of S. Each cell is bitwise
+// the one-at-a-time sequence on a fresh engine (cold solve,
+// apply_scenario, warm_solve). The group's TM is built from its scenario-0 cell stream
 // (mix_seed(base, first_cell, 0)): every scenario of the group degrades the
 // same instance, which is what makes the shared baseline (and the drop
 // column) meaningful; each scenario's failure sampler still draws from its
 // own cell's stream mix_seed(base, cell, trials + 2). Groups run
-// concurrently and per-scenario fleet results are independent of batch
-// shape, so the determinism contract is unchanged. Requires absolute mode
+// concurrently, and so do the scenarios of a group (inline when the group
+// itself runs on a pool worker); per-scenario results are independent of
+// group shape, so the determinism contract is unchanged. Requires absolute mode
 // (trials == 0, no cut bounds). Growth stages (exp::growth_scenarios) are
 // ordinary points of this axis: each fails its uninstalled node tail, and
 // the point's growth_step fills that column.
 //
 // Dispatch: every mode runs through one loop over evaluation units — a
-// (topology, TM) fleet group in failures mode, a single cold cell
+// (topology, TM) failure group in failures mode, a single cold cell
 // otherwise — claimed concurrently from the shared pool.
 //
 // Solver threading: Runner::run seeds SolveOptions::solver_threads from
@@ -54,7 +57,7 @@
 // the run evaluates and returns only the cells of shard i's contiguous
 // range of the flat grid (see shard.h for the partition contract) and the
 // ResultSet carries a SliceMeta so emission is a mergeable slice. Cells
-// keep their global flat indices everywhere — seeding, cache keys, fleet
+// keep their global flat indices everywhere — seeding, cache keys, failure
 // group floors — so a shard's rows are bitwise the corresponding rows of
 // the unsharded run for every sweep mode. tools/topobench_merge
 // reassembles slices into the unsharded bytes.
@@ -131,8 +134,9 @@ struct RunOptions {
 
 class Runner {
  public:
-  /// `parallel = false` forces cells onto the calling thread (the solvers
-  /// still honor Sweep::solve.solver_threads independently).
+  /// `parallel = false` forces cells — and the scenarios of a failure
+  /// group — onto the calling thread (the solvers still honor
+  /// Sweep::solve.solver_threads independently).
   explicit Runner(bool parallel = true) : parallel_(parallel) {}
 
   Runner(const Runner&) = delete;
@@ -153,10 +157,11 @@ class Runner {
                        const std::string& topo_label, const Network& net,
                        const TmSpec& tm, std::size_t cell_index) const;
 
-  /// Evaluate the missing cells of one (topology, TM) failure group as a
-  /// ScenarioFleet batch, writing each cell's result into `out` (indexed by
-  /// flat cell index). `cell_indices` holds the group's missing cells in
-  /// cell order.
+  /// Evaluate the missing cells of one (topology, TM) failure group — one
+  /// cold baseline, then per cell fork_session, apply_scenario and
+  /// warm_solve, fanned out over the shared pool when parallel_ — writing
+  /// each cell's result into `out` (indexed by flat cell index).
+  /// `cell_indices` holds the group's missing cells in cell order.
   void eval_failure_group(const Sweep& sweep, const mcf::SolveOptions& solve,
                           const std::string& topo_label, const Network& net,
                           const TmSpec& tm,

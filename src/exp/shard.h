@@ -5,10 +5,10 @@
 // Partition contract: shard i of n covers the contiguous cell range
 // [lo, hi) with lo = i*q + min(i, r), hi = lo + q + (i < r ? 1 : 0) where
 // q = total/n and r = total%n — a balanced tiling of [0, total) that
-// depends only on (total, i, n), never on thread count, fleet batching, or
+// depends only on (total, i, n), never on thread count, failure grouping, or
 // cache state. Cells keep their *global* flat indices inside a shard, so
 // per-cell seeding (mix_seed(base, cell, trial)), cache identity, and
-// fleet grouping are position-stable across shards: shard i's rows are
+// failure grouping are position-stable across shards: shard i's rows are
 // bitwise the rows [lo, hi) of the unsharded run.
 //
 // Slice format: a sharded run emits, before the CSV header,

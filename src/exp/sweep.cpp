@@ -135,16 +135,6 @@ ScenarioPoint surge_scenario(double scale) {
   return p;
 }
 
-ScenarioPoint hotspot_scenario(double fraction, double factor) {
-  ScenarioPoint p;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "hotspot(f=%g,x=%g)", fraction, factor);
-  p.label = buf;
-  p.spec.hotspot_fraction = fraction;
-  p.spec.hotspot_factor = factor;
-  return p;
-}
-
 std::vector<ScenarioPoint> growth_scenarios(int steps) {
   if (steps < 1) {
     throw std::invalid_argument("growth_scenarios: steps must be >= 1");

@@ -65,10 +65,10 @@ struct Sweep {
                                ///< columns via core's cut_upper_bound
   CutBoundOptions cut_bound_opts;  ///< seed is overridden per cell
   /// Failures mode: when non-empty, the grid gains a scenario axis — each
-  /// (topology, TM) pair is evaluated once per scenario via
-  /// mcf::ScenarioFleet, filling the scenario / failed_links /
-  /// throughput_drop / risk_group / tm_scale / growth_step columns
-  /// (throughput is the degraded value). Requires absolute mode
+  /// (topology, TM) pair is evaluated once per scenario as a failure group
+  /// (one baseline, forked warm solves; see runner.h), filling the
+  /// scenario / failed_links / throughput_drop / risk_group / tm_scale /
+  /// growth_step columns (throughput is the degraded value). Requires absolute mode
   /// (trials == 0) without cut bounds; the runner throws otherwise.
   std::vector<ScenarioPoint> scenarios;
 };
@@ -142,10 +142,6 @@ std::vector<ScenarioPoint> correlated_group_scenarios(
 /// Uniform traffic surge: every demand scaled by `scale`, labeled
 /// "surge(x=<scale>)". No links fail; capacities are untouched.
 ScenarioPoint surge_scenario(double scale);
-
-/// Diurnal hotspot surge: round(fraction * num_demands) seeded demands
-/// additionally scaled by `factor`, labeled "hotspot(f=<f>,x=<factor>)".
-ScenarioPoint hotspot_scenario(double fraction, double factor);
 
 /// Incremental expansion (the Jellyfish growth story) as `steps` scenario
 /// points: stage g installs the fraction 1/2 + (1/2) * g / (steps - 1) of

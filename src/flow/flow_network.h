@@ -35,9 +35,6 @@ class FlowNetwork {
   /// and the server attachment contributes nothing.
   static FlowNetwork from_network(const Network& net);
 
-  /// Append a new node, returning its id.
-  int add_node() { return num_nodes_++; }
-
   /// Add the arc pair u->v (capacity `cap_uv`) and v->u (`cap_vu`).
   /// Returns the forward arc id (always even); the reverse is `id ^ 1`.
   /// A purely directed arc is the pair (cap_uv, 0). Invalidates the CSR.

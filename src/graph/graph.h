@@ -23,9 +23,6 @@ class Graph {
   /// Graph with `n` nodes and no edges.
   explicit Graph(int n) : num_nodes_(n) {}
 
-  /// Append a new node, returning its id.
-  int add_node() { return num_nodes_++; }
-
   /// Add an undirected edge u-v with capacity `cap` in each direction.
   /// Self loops are rejected; parallel edges are allowed (multigraph).
   /// Returns the edge id. Invalidates the CSR until finalize().
@@ -44,9 +41,6 @@ class Graph {
   int edge_u(int e) const { return edge_u_[static_cast<std::size_t>(e)]; }
   int edge_v(int e) const { return edge_v_[static_cast<std::size_t>(e)]; }
   double edge_cap(int e) const { return cap_[static_cast<std::size_t>(e)]; }
-  void set_edge_cap(int e, double cap) {
-    cap_[static_cast<std::size_t>(e)] = cap;
-  }
 
   /// Arc endpoints: arc 2e runs edge_u(e) -> edge_v(e); arc 2e+1 the reverse.
   int arc_from(int a) const { return (a & 1) ? edge_v(a >> 1) : edge_u(a >> 1); }

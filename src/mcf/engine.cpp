@@ -44,23 +44,6 @@ std::vector<int> sampled_risk_groups(const ScenarioSpec& spec,
   return groups;
 }
 
-TrafficMatrix scenario_scaled_tm(const TrafficMatrix& tm, double tm_scale,
-                                 double hotspot_fraction,
-                                 double hotspot_factor, std::uint64_t seed) {
-  TrafficMatrix scaled = tm;
-  for (Demand& d : scaled.demands) d.amount *= tm_scale;
-  const auto n = static_cast<int>(scaled.demands.size());
-  if (hotspot_fraction > 0.0 && n > 0) {
-    const int k = static_cast<int>(
-        std::min<long long>(n, std::llround(hotspot_fraction * n)));
-    Rng rng(mix_seed(seed, kHotspotStream));
-    for (const int i : rng.sample_without_replacement(n, k)) {
-      scaled.demands[static_cast<std::size_t>(i)].amount *= hotspot_factor;
-    }
-  }
-  return scaled;
-}
-
 ThroughputEngine::ThroughputEngine(const Network& net)
     : net_(&net), gk_(net.graph) {}
 
@@ -80,10 +63,11 @@ std::unique_ptr<ThroughputEngine> ThroughputEngine::fork_session() const {
 }
 
 void ThroughputEngine::apply_scenario(const ScenarioSpec& spec) {
-  clear_scenario();
   const Graph& g = net_->graph;
   const int num_edges = g.num_edges();
   const int n = g.num_nodes();
+  // Validate the whole spec before touching any member: a throw must leave
+  // the engine exactly as it was.
   if (!(spec.capacity_factor > 0.0) || spec.capacity_factor > 1.0) {
     throw std::invalid_argument(
         "apply_scenario: capacity_factor must be in (0, 1]");
@@ -95,31 +79,28 @@ void ThroughputEngine::apply_scenario(const ScenarioSpec& spec) {
   if (!(spec.tm_scale > 0.0)) {
     throw std::invalid_argument("apply_scenario: tm_scale must be > 0");
   }
-  if (spec.hotspot_fraction < 0.0 || spec.hotspot_fraction > 1.0) {
-    throw std::invalid_argument(
-        "apply_scenario: hotspot_fraction must be in [0, 1]");
-  }
-  if (!(spec.hotspot_factor > 0.0)) {
-    // Factor 0 would zero demands out, violating the TM validity contract
-    // (validate_tm rejects non-positive amounts); removal is failed_nodes'
-    // job, not a surge's.
-    throw std::invalid_argument("apply_scenario: hotspot_factor must be > 0");
-  }
   if (!(spec.installed_fraction > 0.0) || spec.installed_fraction > 1.0) {
     throw std::invalid_argument(
         "apply_scenario: installed_fraction must be in (0, 1]");
   }
-  std::vector<char> fail(static_cast<std::size_t>(num_edges), 0);
   for (const int e : spec.failed_edges) {
     if (e < 0 || e >= num_edges) {
       throw std::out_of_range("apply_scenario: bad edge id");
     }
-    fail[static_cast<std::size_t>(e)] = 1;
   }
   // Correlated shared-risk failures: explicit group indices plus the seeded
   // group sample, every member edge failed together.
   const std::vector<int> groups = sampled_risk_groups(
       spec, static_cast<int>(net_->risk_groups.size()));
+  for (const int v : spec.failed_nodes) {
+    if (v < 0 || v >= n) {
+      throw std::out_of_range("apply_scenario: bad node id");
+    }
+  }
+
+  clear_scenario();
+  std::vector<char> fail(static_cast<std::size_t>(num_edges), 0);
+  for (const int e : spec.failed_edges) fail[static_cast<std::size_t>(e)] = 1;
   for (const int gi : groups) {
     for (const int e : net_->risk_groups[static_cast<std::size_t>(gi)].edges) {
       fail[static_cast<std::size_t>(e)] = 1;
@@ -128,9 +109,6 @@ void ThroughputEngine::apply_scenario(const ScenarioSpec& spec) {
   failed_group_count_ = static_cast<int>(groups.size());
   node_failed_.assign(static_cast<std::size_t>(n), 0);
   for (const int v : spec.failed_nodes) {
-    if (v < 0 || v >= n) {
-      throw std::out_of_range("apply_scenario: bad node id");
-    }
     node_failed_[static_cast<std::size_t>(v)] = 1;
     any_node_failed_ = true;
   }
@@ -171,11 +149,7 @@ void ThroughputEngine::apply_scenario(const ScenarioSpec& spec) {
       gk_.set_edge_capacity(e, now);
     }
   }
-  drop_node_demands_ = spec.drop_failed_node_demands;
   tm_scale_ = spec.tm_scale;
-  hotspot_fraction_ = spec.hotspot_fraction;
-  hotspot_factor_ = spec.hotspot_factor;
-  scenario_seed_ = spec.seed;
   scenario_active_ = true;
 }
 
@@ -185,13 +159,9 @@ void ThroughputEngine::clear_scenario() {
   node_failed_.clear();
   scenario_active_ = false;
   any_node_failed_ = false;
-  drop_node_demands_ = true;
   failed_edge_count_ = 0;
   failed_group_count_ = 0;
   tm_scale_ = 1.0;
-  hotspot_fraction_ = 0.0;
-  hotspot_factor_ = 1.0;
-  scenario_seed_ = 0;
 }
 
 bool ThroughputEngine::demands_connected(const TrafficMatrix& tm) {
@@ -241,32 +211,26 @@ ThroughputResult ThroughputEngine::run(const TrafficMatrix& tm,
                                        const SolveOptions& opts, bool warm) {
   validate_tm(tm, *net_, /*check_hose=*/false);
 
-  // Surge scaling first: the scenario's TM perturbation is applied to the
-  // input matrix per solve — capacities (and therefore the O(affected)
-  // revert list) are never involved. Uniform scaling keeps the commodity
+  // The scenario's TM perturbation is applied to the input matrix per
+  // solve — capacities (and therefore the O(affected) revert list) are
+  // never involved: demands touching a failed node are dropped (they cannot
+  // be served; throughput is over the surviving commodities) and the rest
+  // are scaled by the surge factor. Uniform scaling keeps the commodity
   // pairs identical, so GK length seeding below still applies.
   const TrafficMatrix* effective = &tm;
-  TrafficMatrix scaled;
-  if (scenario_active_ && (tm_scale_ != 1.0 || hotspot_fraction_ > 0.0)) {
-    scaled = scenario_scaled_tm(tm, tm_scale_, hotspot_fraction_,
-                                hotspot_factor_, scenario_seed_);
-    effective = &scaled;
-  }
-
-  // Under a scenario with failed nodes, the unservable demands are either
-  // dropped (throughput over the surviving commodities) or kept (forcing
-  // throughput to 0 via the disconnection check below).
-  TrafficMatrix filtered;
-  if (scenario_active_ && any_node_failed_ && drop_node_demands_) {
-    filtered.name = effective->name;
-    filtered.demands.reserve(effective->demands.size());
-    for (const Demand& d : effective->demands) {
-      if (!node_failed_[static_cast<std::size_t>(d.src)] &&
-          !node_failed_[static_cast<std::size_t>(d.dst)]) {
-        filtered.demands.push_back(d);
+  TrafficMatrix perturbed;
+  if (scenario_active_ && (tm_scale_ != 1.0 || any_node_failed_)) {
+    perturbed.name = tm.name;
+    perturbed.demands.reserve(tm.demands.size());
+    for (Demand d : tm.demands) {
+      if (any_node_failed_ && (node_failed_[static_cast<std::size_t>(d.src)] ||
+                               node_failed_[static_cast<std::size_t>(d.dst)])) {
+        continue;
       }
+      d.amount *= tm_scale_;
+      perturbed.demands.push_back(d);
     }
-    effective = &filtered;
+    effective = &perturbed;
   }
 
   if (scenario_active_ &&
@@ -341,38 +305,6 @@ ThroughputResult ThroughputEngine::run(const TrafficMatrix& tm,
   res.stats.warm_start = warm;
   res.stats.solver_threads = opts.solver_threads;
   return res;
-}
-
-std::vector<FleetCell> ScenarioFleet::evaluate(
-    const TrafficMatrix& tm, const std::vector<ScenarioSpec>& specs,
-    const SolveOptions& opts, bool parallel_cells) {
-  std::vector<FleetCell> out(specs.size());
-  if (specs.empty()) return out;
-  // One cold baseline per batch; it is bitwise the cold solve a fresh
-  // engine would compute for this TM.
-  ThroughputEngine base(*net_);
-  const ThroughputResult baseline = base.solve(tm, opts);
-  // Each scenario gets a fresh fork of the intact baseline session, so its
-  // warm degraded solve seeds exactly as a one-at-a-time evaluation would —
-  // cells are independent, making the batch order- and thread-invariant.
-  const auto eval_one = [&](std::size_t i) {
-    const std::unique_ptr<ThroughputEngine> worker = base.fork_session();
-    worker->apply_scenario(specs[i]);
-    FleetCell& cell = out[i];
-    cell.baseline = baseline.throughput;
-    cell.result = worker->warm_solve(tm, opts);
-    cell.failed_links = worker->failed_edge_count();
-    cell.failed_groups = worker->failed_group_count();
-    cell.drop = cell.baseline > 0.0
-                    ? 1.0 - cell.result.throughput / cell.baseline
-                    : 0.0;
-  };
-  if (parallel_cells) {
-    ThreadPool::shared().parallel_for(0, specs.size(), eval_one);
-  } else {
-    for (std::size_t i = 0; i < specs.size(); ++i) eval_one(i);
-  }
-  return out;
 }
 
 }  // namespace tb::mcf

@@ -45,24 +45,27 @@
 
 namespace tb::mcf {
 
-// Seed sub-streams of ScenarioSpec::seed. Each seeded sampler inside
-// apply_scenario draws from its own Rng(mix_seed(seed, stream)) so adding a
-// new perturbation kind never changes the draw sequence of an existing one
-// (random_edge_fraction keeps consuming Rng(seed) directly, preserving
-// pre-group results bit-for-bit). Exported so tests can compute the
-// expected sample sets independently.
+// Seed sub-stream of ScenarioSpec::seed for the risk-group sampler, which
+// draws from Rng(mix_seed(seed, kGroupSampleStream)) so enabling groups
+// never changes the link sampler's draw sequence (random_edge_fraction
+// keeps consuming Rng(seed) directly, preserving pre-group results
+// bit-for-bit). Exported so tests can compute the expected sample sets
+// independently.
 inline constexpr std::uint64_t kGroupSampleStream = 0x67726f7570ULL;  // "group"
-inline constexpr std::uint64_t kHotspotStream = 0x686f7453ULL;        // "hotS"
 
 /// A degraded-network scenario, applied to an engine as an incremental
 /// perturbation. Explicit failure sets, node failures (a failed node loses
-/// every incident link), partial installation (an uninstalled node tail),
-/// correlated shared-risk group failures, uniform capacity degradation of
-/// the surviving links, seeded random link/group failure sampling, and
-/// traffic-surge scaling compose in one spec.
+/// every incident link and its demands are dropped), partial installation
+/// (an uninstalled node tail), correlated shared-risk group failures,
+/// uniform capacity degradation of the surviving links, seeded random
+/// link/group failure sampling, and traffic-surge scaling compose in one
+/// spec.
 struct ScenarioSpec {
   std::vector<int> failed_edges;  ///< edge ids to remove outright
-  std::vector<int> failed_nodes;  ///< nodes whose incident edges all fail
+  /// Nodes whose incident edges all fail. Demands with a failed endpoint
+  /// cannot be served and are dropped: throughput is then over the
+  /// surviving commodities.
+  std::vector<int> failed_nodes;
   /// Indices into Network::risk_groups whose edges all fail (correlated
   /// shared-risk failure). Requires the network to export risk groups.
   std::vector<int> failed_groups;
@@ -81,15 +84,6 @@ struct ScenarioSpec {
   /// untouched, so the revert contract is unaffected. For the exact LP,
   /// throughput scales exactly by 1/tm_scale.
   double tm_scale = 1.0;
-  /// Diurnal hotspot: round(hotspot_fraction * num_demands) demands sampled
-  /// with Rng(mix_seed(seed, kHotspotStream)) are additionally scaled by
-  /// hotspot_factor (> 0; composes with tm_scale).
-  double hotspot_fraction = 0.0;
-  double hotspot_factor = 1.0;
-  /// Drop demands whose endpoint is a failed node (they cannot possibly be
-  /// served; throughput is then over the surviving commodities). With this
-  /// false, such demands stay and force throughput to 0.
-  bool drop_failed_node_demands = true;
   /// Incremental expansion, in (0, 1]: below 1 only the first
   /// k = max(2, min(n, round(installed_fraction * n))) switches are
   /// installed and nodes [k, n) fail as if listed in failed_nodes.
@@ -102,15 +96,6 @@ struct ScenarioSpec {
 /// exported so callers and tests can predict it without an engine. Throws
 /// std::out_of_range / std::invalid_argument like apply_scenario.
 std::vector<int> sampled_risk_groups(const ScenarioSpec& spec, int num_groups);
-
-/// The surge-scaled copy of `tm` a scenario solve routes: every demand
-/// scaled by tm_scale, then round(hotspot_fraction * num_demands) demands
-/// sampled with Rng(mix_seed(seed, kHotspotStream)) further scaled by
-/// hotspot_factor. Exported so tests can verify the engine's scaling
-/// against an independent construction.
-TrafficMatrix scenario_scaled_tm(const TrafficMatrix& tm, double tm_scale,
-                                 double hotspot_fraction,
-                                 double hotspot_factor, std::uint64_t seed);
 
 /// Reusable throughput solver session. Construct once per topology; `net`
 /// must outlive the engine. Not thread-safe — one engine per thread of
@@ -139,14 +124,15 @@ class ThroughputEngine {
   /// Apply `spec` to the working capacities (replacing any active
   /// scenario). Touches only the affected arcs and remembers their prior
   /// capacities so clear_scenario() repairs in O(affected arcs). Throws
-  /// std::out_of_range / std::invalid_argument on bad ids or factors.
+  /// std::out_of_range / std::invalid_argument on bad ids or factors; the
+  /// whole spec is validated first, so a throw leaves the engine as it was.
   void apply_scenario(const ScenarioSpec& spec);
 
   /// Restore the unperturbed capacities (O(affected arcs) repair).
   void clear_scenario();
 
   /// Fork a lightweight clone of this session for evaluating independent
-  /// perturbations concurrently (ScenarioFleet's worker sessions): the
+  /// perturbations concurrently (the runner's per-scenario sessions): the
   /// clone shares the immutable topology and copies only per-arc working
   /// state — capacities, warm GK lengths, the LP basis — so its next
   /// warm_solve seeds exactly as this engine's would. Throws
@@ -182,19 +168,15 @@ class ThroughputEngine {
 
   // Scenario bookkeeping: touched edges with their undegraded capacities
   // (the O(affected) repair list), the failed-node mask for demand
-  // filtering, and the surge parameters (applied to the input TM per solve,
-  // never persisted into session state — clear_scenario just forgets them).
+  // filtering, and the surge factor (applied to the input TM per solve,
+  // never persisted into session state — clear_scenario just forgets it).
   std::vector<std::pair<int, double>> touched_;
   std::vector<char> node_failed_;
   bool scenario_active_ = false;
   bool any_node_failed_ = false;
-  bool drop_node_demands_ = true;
   int failed_edge_count_ = 0;
   int failed_group_count_ = 0;
   double tm_scale_ = 1.0;
-  double hotspot_fraction_ = 0.0;
-  double hotspot_factor_ = 1.0;
-  std::uint64_t scenario_seed_ = 0;
 
   // ExactLP warm state: last optimal basis (empty until an LP solve).
   std::vector<int> lp_basis_;
@@ -208,48 +190,6 @@ class ThroughputEngine {
   // Scratch for demands_connected (component labels per node).
   std::vector<int> comp_;
   std::vector<int> bfs_queue_;
-};
-
-/// Result of one fleet scenario: the degraded solve plus its baseline
-/// context (the baseline is shared by every cell of a batch).
-struct FleetCell {
-  ThroughputResult result;  ///< degraded solve (value, solver, stats)
-  double baseline = 0.0;    ///< intact cold throughput of the batch
-  /// 1 - degraded/baseline (0 when baseline is 0). Usually in [0, 1]; the
-  /// GK certified gap can make it marginally negative on easy instances.
-  double drop = 0.0;
-  int failed_links = 0;     ///< edges at zero capacity under the scenario
-  int failed_groups = 0;    ///< distinct risk groups failed by the scenario
-};
-
-/// Batch evaluator for degraded-network scenarios against one topology:
-/// the throughput side of failure grids and sweeps. One cold baseline
-/// solve per (TM, batch); every scenario is then applied to a forked clone
-/// of the baseline session (sharing the immutable topology, copying only
-/// per-arc working state) and warm-solved from the baseline solution, with
-/// the clones distributed over the shared thread pool. Per-scenario results
-/// are bitwise identical to evaluating each scenario one-at-a-time on a
-/// fresh engine (cold solve, apply_scenario, warm_solve), for any thread
-/// count — only the wall clock and the number of baseline solves change.
-/// Nests safely under runner parallelism: on a pool worker the fleet's
-/// parallel_for runs inline.
-class ScenarioFleet {
- public:
-  /// `net` must outlive the fleet.
-  explicit ScenarioFleet(const Network& net) : net_(&net) {}
-
-  /// Evaluate every scenario of `specs` against `tm`, in spec order.
-  /// `parallel_cells` gates only the per-scenario fan-out onto the shared
-  /// pool (callers that must stay on one thread — a cell-serial
-  /// experiment runner — pass false; the solvers still honor
-  /// opts.solver_threads independently). Results are identical either way.
-  std::vector<FleetCell> evaluate(const TrafficMatrix& tm,
-                                  const std::vector<ScenarioSpec>& specs,
-                                  const SolveOptions& opts = {},
-                                  bool parallel_cells = true);
-
- private:
-  const Network* net_;
 };
 
 }  // namespace tb::mcf

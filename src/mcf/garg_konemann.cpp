@@ -98,12 +98,6 @@ double GkSolver::edge_capacity(int e) const {
   return cap_[static_cast<std::size_t>(2 * e)];
 }
 
-void GkSolver::reset_capacities() {
-  for (int a = 0; a < g_->num_arcs(); ++a) {
-    cap_[static_cast<std::size_t>(a)] = g_->arc_cap(a);
-  }
-}
-
 double GkSolver::bidirectional_path(int s, int t, double vol,
                                     std::vector<std::pair<int, double>>&
                                         arcs_out,

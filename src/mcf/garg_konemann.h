@@ -101,8 +101,8 @@ class GkSolver {
   /// per-arc capacities, and the warm state (the previous solve's final
   /// lengths) — but none of the per-solve transient buffers, which every
   /// solve reassigns before use: a copy's next solve is bitwise the solve
-  /// the original would run. This is what ScenarioFleet forks per
-  /// scenario, so it stays O(arcs), not O(scratch).
+  /// the original would run. This is what ThroughputEngine::fork_session
+  /// copies per failure scenario, so it stays O(arcs), not O(scratch).
   GkSolver(const GkSolver& other)
       : g_(other.g_),
         cap_(other.cap_),
@@ -114,8 +114,6 @@ class GkSolver {
   /// negative capacities are rejected.
   void set_edge_capacity(int e, double cap);
   double edge_capacity(int e) const;
-  /// Restore every working capacity to the bound graph's own.
-  void reset_capacities();
   /// Working per-arc capacities (index = arc id; 0 = failed).
   const std::vector<double>& arc_capacities() const noexcept { return cap_; }
 
@@ -127,9 +125,6 @@ class GkSolver {
   /// non-positive opts.epsilon throws std::invalid_argument.
   GkResult solve(const TrafficMatrix& tm, const GkOptions& opts = {},
                  bool warm = false);
-
-  /// True once a solve has completed (warm seeding has a state to use).
-  bool has_warm_state() const noexcept { return has_warm_; }
 
  private:
   struct SourceGroup {

@@ -37,8 +37,6 @@ struct Network {
   /// so two networks differing only in risk_groups solve identically.
   std::vector<RiskGroup> risk_groups;
 
-  int num_switches() const { return graph.num_nodes(); }
-
   /// Total attached servers.
   int total_servers() const;
 

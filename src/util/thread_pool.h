@@ -17,7 +17,7 @@
 // inner level losing parallelism costs nothing. The guard is
 // pool-AGNOSTIC (in_worker() is a process-wide thread_local): a worker of
 // pool A re-entering parallel_for on a different pool B also inlines,
-// which is what lets ScenarioFleet cells on the shared pool drive engines
+// which is what lets failure-group cells on the shared pool drive engines
 // that own dedicated solver pools without cross-pool deadlock or
 // reordering (pinned by the ThreadPool.NestedParallelForAcrossDistinctPools
 // regression test).

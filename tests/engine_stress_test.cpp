@@ -1,17 +1,21 @@
 // Seeded stress for the ThroughputEngine session layer: one engine is
 // hammered with an interleaved, Rng-driven mix of warm solves, scenario
-// apply/solve/revert cycles, and ScenarioFleet batches. After every step
-// the suite asserts the session invariants the rest of the stack relies
-// on: certified primal/dual agreement of every solve, bitwise-exact revert
-// of scenario perturbations (a cold solve after clear_scenario() equals
-// the pristine cold solve), and fleet cells identical to their
+// apply/solve/revert cycles, and failures-mode runner sweeps (a scenario
+// fleet: one shared baseline, forked per-scenario sessions). After every
+// step the suite asserts the session invariants the rest of the stack
+// relies on: certified primal/dual agreement of every solve, bitwise-exact
+// revert of scenario perturbations (a cold solve after clear_scenario()
+// equals the pristine cold solve), and failure cells identical to their
 // one-at-a-time evaluation.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "exp/runner.h"
+#include "exp/sweep.h"
 #include "fleet_reference.h"
 #include "mcf/engine.h"
 #include "pool_test_env.h"
@@ -113,20 +117,24 @@ TEST(EngineStress, InterleavedWarmScenarioAndFleetOperations) {
         break;
       }
       default: {
-        // Fleet batch: every cell bitwise equal to its one-at-a-time
-        // evaluation, and the batch leaves the session world untouched
+        // Failure group: every cell bitwise equal to its one-at-a-time
+        // evaluation, and the sweep leaves the session world untouched
         // (the engine's next cold solve still matches the reference).
-        std::vector<mcf::ScenarioSpec> specs(2);
-        specs[0].random_edge_fraction = rng.next_double(0.05, 0.15);
-        specs[0].seed = rng();
-        specs[1].capacity_factor = rng.next_double(0.5, 0.9);
-        mcf::ScenarioFleet fleet(net);
-        const std::vector<mcf::FleetCell> batch =
-            fleet.evaluate(tm, specs, gk_opts());
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-          test_ref::expect_same_cell(
-              batch[i], test_ref::one_at_a_time(net, tm, specs[i], gk_opts()),
-              std::to_string(step) + ':' + std::to_string(i));
+        exp::Sweep sweep;
+        sweep.topologies = {exp::instance_spec(net)};
+        sweep.tms = {exp::TmSpec{
+            tm.name, [&tm](const Network&, std::uint64_t) { return tm; }}};
+        sweep.solve = gk_opts();
+        sweep.scenarios = exp::random_failure_scenarios(
+            {rng.next_double(0.05, 0.15)});
+        sweep.base_seed = rng();
+        sweep.scenarios.push_back(
+            exp::degrade_scenario(rng.next_double(0.5, 0.9)));
+        exp::Runner runner;  // fresh: labels need not pin exact values
+        {
+          SCOPED_TRACE("step " + std::to_string(step));
+          test_ref::expect_rows_match_one_at_a_time(
+              sweep, runner.run(sweep, exp::RunOptions{}));
         }
         const auto after = engine.solve(tm, gk_opts());
         EXPECT_EQ(after.throughput, cold_ref[which].throughput) << step;

@@ -4,6 +4,9 @@
 #include <stdexcept>
 #include <vector>
 
+#include "exp/runner.h"
+#include "exp/sweep.h"
+#include "fleet_reference.h"
 #include "mcf/engine.h"
 #include "mcf/throughput.h"
 #include "pool_test_env.h"
@@ -183,7 +186,7 @@ TEST(Engine, ScenarioDisconnectionYieldsZero) {
   EXPECT_EQ(cut.solver, "disconnected");
 }
 
-TEST(Engine, NodeFailureDropsItsDemandsWhenRequested) {
+TEST(Engine, NodeFailureDropsItsDemands) {
   const Network hc = make_hypercube(3);
   const TrafficMatrix tm = all_to_all(hc);
   mcf::ThroughputEngine engine(hc);
@@ -191,18 +194,11 @@ TEST(Engine, NodeFailureDropsItsDemandsWhenRequested) {
   mcf::ScenarioSpec spec;
   spec.failed_nodes = {0};
   engine.apply_scenario(spec);
-  // Default: demands touching node 0 are dropped; the rest still flow.
+  // Demands touching node 0 are dropped; the rest still flow.
   EXPECT_EQ(engine.failed_edge_count(), 3);  // hypercube degree 3
   const auto dropped = engine.solve(tm);
   EXPECT_GT(dropped.throughput, 0.0);
   EXPECT_NE(dropped.solver, "disconnected");
-
-  // Keeping unservable demands forces the optimum to 0.
-  spec.drop_failed_node_demands = false;
-  engine.apply_scenario(spec);
-  const auto kept = engine.solve(tm);
-  EXPECT_EQ(kept.throughput, 0.0);
-  EXPECT_EQ(kept.solver, "disconnected");
 }
 
 TEST(Engine, RandomFailureSamplingIsSeededAndValidated) {
@@ -232,6 +228,49 @@ TEST(Engine, RandomFailureSamplingIsSeededAndValidated) {
   EXPECT_THROW(engine.apply_scenario(bad), std::out_of_range);
 }
 
+TEST(Engine, RejectedScenarioLeavesEngineUnchanged) {
+  // apply_scenario validates the whole spec before touching the engine: a
+  // valid group list next to an out-of-range node id throws and leaves no
+  // partial state (no group count, no failed-node mask, no capacities).
+  const Network ft = make_fat_tree(4);
+  ASSERT_EQ(ft.total_servers(), 16);
+  ASSERT_FALSE(ft.risk_groups.empty());
+  const TrafficMatrix tm = random_matching(ft, 1, 5);
+  const mcf::ThroughputResult fresh = mcf::ThroughputEngine(ft).solve(tm);
+  const std::vector<double> caps = mcf::ThroughputEngine(ft).arc_capacities();
+
+  mcf::ThroughputEngine engine(ft);
+  mcf::ScenarioSpec bad;
+  bad.failed_edges = {0};
+  bad.failed_groups = {0};
+  bad.failed_nodes = {0, ft.graph.num_nodes()};
+  EXPECT_THROW(engine.apply_scenario(bad), std::out_of_range);
+  EXPECT_FALSE(engine.scenario_active());
+  EXPECT_EQ(engine.failed_edge_count(), 0);
+  EXPECT_EQ(engine.failed_group_count(), 0);
+  EXPECT_EQ(engine.arc_capacities(), caps);
+  const mcf::ThroughputResult after = engine.solve(tm);
+  EXPECT_EQ(after.throughput, fresh.throughput);
+  EXPECT_EQ(after.upper_bound, fresh.upper_bound);
+  EXPECT_EQ(after.solver, fresh.solver);
+  EXPECT_EQ(after.stats.pivots, fresh.stats.pivots);
+  EXPECT_EQ(after.stats.phases, fresh.stats.phases);
+  EXPECT_EQ(after.stats.dijkstras, fresh.stats.dijkstras);
+
+  // A rejected spec also leaves an active scenario in place, untouched.
+  mcf::ScenarioSpec good;
+  good.failed_groups = {0};
+  engine.apply_scenario(good);
+  const int failed_edges = engine.failed_edge_count();
+  const std::vector<double> degraded = engine.arc_capacities();
+  bad.failed_nodes = {-1};
+  EXPECT_THROW(engine.apply_scenario(bad), std::out_of_range);
+  EXPECT_TRUE(engine.scenario_active());
+  EXPECT_EQ(engine.failed_group_count(), 1);
+  EXPECT_EQ(engine.failed_edge_count(), failed_edges);
+  EXPECT_EQ(engine.arc_capacities(), degraded);
+}
+
 TEST(Engine, CapacityDegradationScalesLpThroughputExactly) {
   // The LP optimum is linear in uniform capacity scaling; the engine's
   // degraded solve must reproduce that exactly on the ExactLP path.
@@ -249,29 +288,40 @@ TEST(Engine, CapacityDegradationScalesLpThroughputExactly) {
 }
 
 TEST(Engine, FleetCellReportsDropAndStats) {
+  // A failure cell of the runner's failures mode: the degraded warm solve
+  // against the group's shared cold baseline.
   const Network jf = make_jellyfish(20, 4, 1, 11);
-  const TrafficMatrix tm = all_to_all(jf);
-  std::vector<mcf::ScenarioSpec> specs(2);
-  specs[0].random_edge_fraction = 0.1;
-  specs[0].seed = 99;
-  // Disconnecting scenario: every link fails, so no demand can be served.
-  specs[1].random_edge_fraction = 1.0;
-  mcf::ScenarioFleet fleet(jf);
-  const std::vector<mcf::FleetCell> cells =
-      fleet.evaluate(tm, specs, gk_opts(0.05));
-  ASSERT_EQ(cells.size(), 2u);
-  const mcf::FleetCell& res = cells[0];
-  EXPECT_GT(res.baseline, 0.0);
-  EXPECT_GT(res.failed_links, 0);
-  EXPECT_LE(res.result.throughput, res.baseline * (1.0 + 0.11));
-  EXPECT_NEAR(res.drop, 1.0 - res.result.throughput / res.baseline, 1e-12);
-  EXPECT_TRUE(res.result.stats.warm_start);  // seeds from the baseline
-  EXPECT_GT(res.result.stats.phases, 0);
+  exp::Sweep sweep;
+  sweep.topologies = {exp::instance_spec(jf)};
+  sweep.tms = {exp::a2a_tm()};
+  sweep.solve = gk_opts(0.05);
+  sweep.base_seed = 99;
+  // fail(f=1): every link fails, so no demand can be served.
+  sweep.scenarios = exp::random_failure_scenarios({0.1, 1.0});
+  exp::Runner runner;
+  const exp::ResultSet rs = runner.run(sweep, exp::RunOptions{});
+  test_ref::expect_rows_match_one_at_a_time(sweep, rs);
+  ASSERT_EQ(rs.size(), 2u);
+  const double baseline =
+      mcf::ThroughputEngine(jf).solve(all_to_all(jf), sweep.solve).throughput;
 
-  const mcf::FleetCell& dead = cells[1];
-  EXPECT_EQ(dead.result.throughput, 0.0);
-  EXPECT_EQ(dead.result.solver, "disconnected");
-  EXPECT_NEAR(dead.drop, 1.0, 1e-12);
+  const exp::CellResult& res = rs.rows()[0];
+  EXPECT_GT(baseline, 0.0);
+  EXPECT_GT(res.failed_links, 0);
+  EXPECT_LE(res.throughput, baseline * (1.0 + 0.11));
+  EXPECT_NEAR(res.throughput_drop, 1.0 - res.throughput / baseline, 1e-12);
+  EXPECT_EQ(res.warm, 1);  // seeds from the baseline
+  EXPECT_GT(res.phases, 0);
+
+  const exp::CellResult& dead = rs.rows()[1];
+  EXPECT_EQ(dead.throughput, 0.0);
+  EXPECT_EQ(test_ref::one_at_a_time(jf, all_to_all(jf),
+                                    test_ref::runner_spec(sweep, 1),
+                                    sweep.solve)
+                .result.solver,
+            "disconnected");
+  EXPECT_EQ(dead.phases, 0);  // no solver ran
+  EXPECT_NEAR(dead.throughput_drop, 1.0, 1e-12);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // pools, the shared pool) must produce bitwise identical throughput
 // values, certificates, and SolverStats — across the topology registry,
 // on both solver paths (GK and ExactLP), through warm session chains, and
-// when ScenarioFleet batches nest inside runner parallelism.
+// when the runner's per-scenario fan-out nests inside its group fan-out.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -138,28 +138,25 @@ TEST(ThreadedEquivalence, ExactLpSolveIsBitwiseIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// ScenarioFleet == one-at-a-time engine sequence, bitwise.
+// The runner's failure group (a scenario fleet: one shared baseline, forked
+// per-scenario sessions) == one-at-a-time engine sequence, bitwise.
 
 TEST(ScenarioFleet, MatchesOneAtATimeDegradedThroughputBitwise) {
-  const Network jf = make_jellyfish(20, 4, 1, 33);
-  const TrafficMatrix tm = random_matching(jf, 1, 5);
-  const mcf::SolveOptions solve = gk_opts(0, 0.05);
+  exp::Sweep sweep;
+  sweep.solve = gk_opts(0, 0.05);
+  sweep.base_seed = 7;
+  sweep.topologies = {exp::instance_spec(make_jellyfish(20, 4, 1, 33))};
+  sweep.tms = {exp::random_matching_tm(1)};
+  exp::ScenarioPoint edges{"edges(0,1,2)", {}};
+  edges.spec.failed_edges = {0, 1, 2};
+  exp::ScenarioPoint node{"nodes(1)", {}};
+  node.spec.failed_nodes = {1};
+  sweep.scenarios = {edges, exp::random_failure_scenarios({0.15})[0],
+                     exp::degrade_scenario(0.6), node};
 
-  std::vector<mcf::ScenarioSpec> specs(4);
-  specs[0].failed_edges = {0, 1, 2};
-  specs[1].random_edge_fraction = 0.15;
-  specs[1].seed = 7;
-  specs[2].capacity_factor = 0.6;
-  specs[3].failed_nodes = {1};
-
-  mcf::ScenarioFleet fleet(jf);
-  const std::vector<mcf::FleetCell> batch = fleet.evaluate(tm, specs, solve);
-  ASSERT_EQ(batch.size(), specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    test_ref::expect_same_cell(
-        batch[i], test_ref::one_at_a_time(jf, tm, specs[i], solve),
-        std::to_string(i));
-  }
+  exp::Runner runner;
+  test_ref::expect_rows_match_one_at_a_time(
+      sweep, runner.run(sweep, exp::RunOptions{}));
 }
 
 TEST(ScenarioFleet, ForkSessionRefusesActiveScenario) {
@@ -174,8 +171,8 @@ TEST(ScenarioFleet, ForkSessionRefusesActiveScenario) {
 }
 
 // ---------------------------------------------------------------------------
-// The full nesting stack: runner cells x ScenarioFleet x intra-solve
-// threading. Pins the parallel_for nested-submit inlining — no deadlock,
+// The full nesting stack: runner groups x per-scenario fan-out x
+// intra-solve threading. Pins the parallel_for nested-submit inlining — no deadlock,
 // no reordering — by requiring byte-identical CSV for every combination of
 // runner parallelism and solver_threads.
 
@@ -190,10 +187,10 @@ TEST(ScenarioFleet, NestedInRunnerFailuresSweepEmitsIdenticalCsv) {
   sweep.scenarios.push_back(exp::degrade_scenario(0.5));
 
   std::string reference;
-  for (const bool parallel_cells : {false, true}) {
+  for (const bool parallel : {false, true}) {
     for (const int threads : {1, 4}) {
       sweep.solve.solver_threads = threads;
-      exp::Runner runner(parallel_cells);
+      exp::Runner runner(parallel);
       const std::string csv = runner.run(sweep, exp::RunOptions{}).to_csv();
       // The configuration echo column is the only allowed difference.
       exp::ResultSet rs = exp::ResultSet::from_csv(csv);
@@ -213,7 +210,7 @@ TEST(ScenarioFleet, NestedInRunnerFailuresSweepEmitsIdenticalCsv) {
         reference = normalized;
       } else {
         EXPECT_EQ(normalized, reference)
-            << "cells=" << parallel_cells << " threads=" << threads;
+            << "parallel=" << parallel << " threads=" << threads;
       }
     }
   }

@@ -1,12 +1,11 @@
-// Structured failure scenarios (PR 10): shared-risk link groups, traffic
-// surges/hotspots, incremental-expansion (growth) stages, and the
-// adversarial worst-case TM search. The battery pins the four contracts
-// the scenario layer promises:
+// Structured failure scenarios: shared-risk link groups, traffic surges,
+// incremental-expansion (growth) stages, and the adversarial worst-case TM
+// search. The battery pins the four contracts the scenario layer promises:
 //   * every registry family exports validated structural risk groups;
-//   * scenarios revert bitwise — groups, surge, hotspot included;
-//   * fleet/sweep results are thread-, batch- and shard-invariant;
-//   * all sampling is seed-deterministic against independently computed
-//     expectation streams (kGroupSampleStream / kHotspotStream).
+//   * scenarios revert bitwise — groups and surge included;
+//   * failure-sweep results are thread-, group- and shard-invariant;
+//   * all sampling is seed-deterministic against an independently computed
+//     expectation stream (kGroupSampleStream).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -49,7 +48,7 @@ mcf::SolveOptions lp_opts() {
 // --- risk-group derivation ------------------------------------------------
 
 TEST(RiskGroups, EveryRegistryFamilyExportsValidatedGroups) {
-  // The fleet's correlated-failure axis assumes groups exist on every
+  // The correlated-failure scenarios assume groups exist on every
   // instance the registry hands out — bespoke structural groups where the
   // builder derives them, the switch(<v>) fallback everywhere else.
   for (const Family f : all_families()) {
@@ -198,9 +197,9 @@ TEST(ScenarioEngine, CorrelatedGroupSamplingMatchesIndependentStream) {
   EXPECT_THROW(mcf::sampled_risk_groups(bad_index, 4), std::out_of_range);
 }
 
-TEST(ScenarioEngine, GroupSurgeHotspotRevertBitwiseAcrossRegistry) {
-  // The registry-wide revert contract with every new perturbation kind
-  // active at once: after clear_scenario() the working capacities and a
+TEST(ScenarioEngine, GroupAndSurgeRevertBitwiseAcrossRegistry) {
+  // The registry-wide revert contract with both structured perturbation
+  // kinds active at once: after clear_scenario() the working capacities and a
   // cold re-solve must be bitwise the pre-scenario ones on every family.
   for (const Family f : all_families()) {
     const Network net = family_representative(f, 16, /*seed=*/1);
@@ -212,8 +211,6 @@ TEST(ScenarioEngine, GroupSurgeHotspotRevertBitwiseAcrossRegistry) {
     mcf::ScenarioSpec spec;
     spec.random_group_fraction = 0.5;
     spec.tm_scale = 1.5;
-    spec.hotspot_fraction = 0.25;
-    spec.hotspot_factor = 2.0;
     spec.seed = 123;
     engine.apply_scenario(spec);
     EXPECT_GT(engine.failed_group_count(), 0) << family_name(f);
@@ -253,42 +250,6 @@ TEST(ScenarioEngine, SurgeScalesExactLpInversely) {
   EXPECT_EQ(restored.throughput, base.throughput);
 }
 
-TEST(ScenarioEngine, HotspotScalingMatchesScenarioScaledTm) {
-  const Network jf = make_jellyfish(16, 4, 1, /*seed=*/3);
-  const TrafficMatrix tm = random_matching(jf, 2, /*seed=*/9);
-  const auto n = static_cast<int>(tm.demands.size());
-  ASSERT_GT(n, 0);
-
-  mcf::ScenarioSpec spec;
-  spec.hotspot_fraction = 0.5;
-  spec.hotspot_factor = 3.0;
-  spec.seed = 123;
-  const TrafficMatrix scaled = mcf::scenario_scaled_tm(
-      tm, spec.tm_scale, spec.hotspot_fraction, spec.hotspot_factor,
-      spec.seed);
-
-  // The boosted set is exactly the documented hotspot stream's sample.
-  const int k = static_cast<int>(std::llround(0.5 * n));
-  Rng rng(mix_seed(spec.seed, mcf::kHotspotStream));
-  std::set<int> boosted;
-  for (const int i : rng.sample_without_replacement(n, k)) boosted.insert(i);
-  for (int i = 0; i < n; ++i) {
-    const double factor = boosted.count(i) ? 3.0 : 1.0;
-    EXPECT_EQ(scaled.demands[static_cast<std::size_t>(i)].amount,
-              tm.demands[static_cast<std::size_t>(i)].amount * factor);
-  }
-
-  // An engine with the hotspot scenario active routes that scaled TM and
-  // nothing else: bitwise equal to a cold solve of the scaled TM.
-  mcf::ThroughputEngine hot(jf);
-  hot.apply_scenario(spec);
-  const auto via_scenario = hot.solve(tm, lp_opts());
-  mcf::ThroughputEngine cold(jf);
-  const auto direct = cold.solve(scaled, lp_opts());
-  EXPECT_EQ(via_scenario.throughput, direct.throughput);
-  EXPECT_EQ(via_scenario.stats.pivots, direct.stats.pivots);
-}
-
 TEST(ScenarioEngine, SupersetOfFailedGroupsIsMonotone) {
   // Failing more shared-risk groups can only remove capacity, so exact LP
   // throughput is non-increasing along a group-superset chain
@@ -302,70 +263,64 @@ TEST(ScenarioEngine, SupersetOfFailedGroupsIsMonotone) {
     failed.push_back(gi);
     mcf::ScenarioSpec spec;
     spec.failed_groups = failed;
-    const mcf::FleetCell r = test_ref::one_at_a_time(jf, tm, spec, lp_opts());
+    const test_ref::RefCell r =
+        test_ref::one_at_a_time(jf, tm, spec, lp_opts());
     EXPECT_EQ(r.failed_groups, gi + 1);
     EXPECT_LE(r.result.throughput, prev + 1e-9);
     prev = r.result.throughput;
   }
 }
 
-// --- scenario fleet -------------------------------------------------------
+// --- scenario fleet: the runner's failure groups ------------------------
 
-std::vector<mcf::ScenarioSpec> structured_specs() {
-  std::vector<mcf::ScenarioSpec> specs(4);
-  specs[0].random_group_fraction = 0.25;
-  specs[0].seed = 11;
-  specs[1].tm_scale = 1.5;
-  specs[2].hotspot_fraction = 0.5;
-  specs[2].hotspot_factor = 2.0;
-  specs[2].seed = 12;
-  specs[3].random_group_fraction = 0.25;
-  specs[3].tm_scale = 1.25;
-  specs[3].hotspot_fraction = 0.25;
-  specs[3].hotspot_factor = 2.0;
-  specs[3].seed = 13;
-  return specs;
+/// One (topology, TM) failure group over the structured scenario kinds:
+/// sampled groups, surge, node failure, and a groups + surge compound.
+exp::Sweep structured_sweep() {
+  exp::Sweep s;
+  s.topologies = {exp::instance_spec(make_jellyfish(16, 4, 1, /*seed=*/3))};
+  s.tms = {exp::random_matching_tm(2)};
+  s.solve = lp_opts();
+  s.base_seed = 7;
+  exp::ScenarioPoint node{"nodes(1)", {}};
+  node.spec.failed_nodes = {1};
+  exp::ScenarioPoint compound{"groups(f=0.25)+surge(x=1.25)", {}};
+  compound.spec.random_group_fraction = 0.25;
+  compound.spec.tm_scale = 1.25;
+  s.scenarios = {exp::correlated_group_scenarios({0.25})[0],
+                 exp::surge_scenario(1.5), node, compound};
+  return s;
 }
 
 TEST(ScenarioFleet, BatchMatchesSerialBitwiseForStructuredScenarios) {
-  // The fleet contract extended to the new scenario kinds: one shared
+  // The group contract for the structured scenario kinds: one shared
   // baseline + forked warm solves must be bitwise the one-at-a-time
-  // engine answers, for groups, surge, hotspot and compound.
-  const Network jf = make_jellyfish(16, 4, 1, /*seed=*/3);
-  const TrafficMatrix tm = random_matching(jf, 2, /*seed=*/7);
-  const std::vector<mcf::ScenarioSpec> specs = structured_specs();
-  mcf::ScenarioFleet fleet(jf);
-  const std::vector<mcf::FleetCell> batch =
-      fleet.evaluate(tm, specs, lp_opts());
-  ASSERT_EQ(batch.size(), specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    test_ref::expect_same_cell(
-        batch[i], test_ref::one_at_a_time(jf, tm, specs[i], lp_opts()),
-        std::to_string(i));
-  }
-  // The fleet records the resolved group count of each cell.
-  EXPECT_EQ(batch[0].failed_groups,
-            static_cast<int>(
-                mcf::sampled_risk_groups(
-                    specs[0], static_cast<int>(jf.risk_groups.size()))
-                    .size()));
-  EXPECT_EQ(batch[1].failed_groups, 0);
-  EXPECT_EQ(batch[1].failed_links, 0);  // surge fails nothing
+  // engine answers, for groups, surge, node failure and compound.
+  const exp::Sweep sweep = structured_sweep();
+  exp::Runner runner;
+  const exp::ResultSet rs = runner.run(sweep, exp::RunOptions{});
+  test_ref::expect_rows_match_one_at_a_time(sweep, rs);
+  ASSERT_EQ(rs.size(), 4u);
+  // Each cell records the resolved group count of its own sampled spec.
+  const int num_groups =
+      static_cast<int>(sweep.topologies[0].build()->risk_groups.size());
+  EXPECT_EQ(rs.rows()[0].risk_group,
+            static_cast<int>(mcf::sampled_risk_groups(
+                                 test_ref::runner_spec(sweep, 0), num_groups)
+                                 .size()));
+  EXPECT_EQ(rs.rows()[1].risk_group, 0);
+  EXPECT_EQ(rs.rows()[1].failed_links, 0);  // surge fails nothing
 }
 
 TEST(ScenarioFleet, ParallelAndInlineFanoutAgree) {
-  const Network jf = make_jellyfish(16, 4, 1, /*seed=*/3);
-  const TrafficMatrix tm = random_matching(jf, 2, /*seed=*/7);
-  const std::vector<mcf::ScenarioSpec> specs = structured_specs();
-  mcf::ScenarioFleet fleet(jf);
-  const std::vector<mcf::FleetCell> parallel =
-      fleet.evaluate(tm, specs, lp_opts(), /*parallel_cells=*/true);
-  const std::vector<mcf::FleetCell> inline_run =
-      fleet.evaluate(tm, specs, lp_opts(), /*parallel_cells=*/false);
-  ASSERT_EQ(parallel.size(), inline_run.size());
-  for (std::size_t i = 0; i < parallel.size(); ++i) {
-    test_ref::expect_same_cell(parallel[i], inline_run[i], std::to_string(i));
-  }
+  // A single (topology, TM) group with serial solves: the per-scenario
+  // fan-out is the only parallel level, and it must not move a byte.
+  exp::Sweep sweep = structured_sweep();
+  sweep.solve.solver_threads = 1;
+  exp::Runner parallel(/*parallel=*/true);
+  exp::Runner inline_run(/*parallel=*/false);
+  const exp::ResultSet rs = parallel.run(sweep, exp::RunOptions{});
+  EXPECT_EQ(inline_run.run(sweep, exp::RunOptions{}).to_csv(), rs.to_csv());
+  test_ref::expect_rows_match_one_at_a_time(sweep, rs);
 }
 
 // --- growth sweeps --------------------------------------------------------
@@ -389,7 +344,7 @@ TEST(GrowthSweep, FillsColumnsAndFinalStageMatchesIntact) {
     const exp::CellResult& r = rs.rows()[static_cast<std::size_t>(g)];
     EXPECT_EQ(r.scenario, "grow(step=" + std::to_string(g) + "/3)");
     EXPECT_EQ(r.growth_step, g);
-    EXPECT_EQ(r.risk_group, 0);   // fleet cell: actual value, not the NA -1
+    EXPECT_EQ(r.risk_group, 0);   // failure cell: actual value, not the NA -1
     EXPECT_EQ(r.tm_scale, 1.0);
     EXPECT_GE(r.throughput, 0.0);
   }
@@ -401,7 +356,7 @@ TEST(GrowthSweep, FillsColumnsAndFinalStageMatchesIntact) {
   const exp::ResultSet intact = plain_runner.run(plain, exp::RunOptions{});
   ASSERT_EQ(intact.size(), 1u);
   EXPECT_NEAR(rs.rows()[2].throughput, intact.rows()[0].throughput, 1e-9);
-  EXPECT_EQ(intact.rows()[0].growth_step, -1);  // non-fleet cell keeps NA
+  EXPECT_EQ(intact.rows()[0].growth_step, -1);  // non-failure cell keeps NA
   // On the engine a full installation is no perturbation: the solve is
   // bitwise the intact one.
   const std::shared_ptr<const Network> net = sweep.topologies[0].build();
@@ -446,10 +401,10 @@ TEST(GrowthSweep, RowsMatchExplicitNodeTailReference) {
     installed_counts.push_back(k);
     mcf::ScenarioSpec spec;
     for (int v = k; v < n; ++v) spec.failed_nodes.push_back(v);
-    spec.drop_failed_node_demands = true;
     const auto index = static_cast<std::uint64_t>(g);
     spec.seed = mix_seed(mix_seed(sweep.base_seed, index), 2);
-    const mcf::FleetCell ref = test_ref::one_at_a_time(jf, tm, spec, lp_opts());
+    const test_ref::RefCell ref =
+        test_ref::one_at_a_time(jf, tm, spec, lp_opts());
     const exp::CellResult& r = rs.rows()[static_cast<std::size_t>(g)];
     const std::string where = "stage " + std::to_string(g);
     EXPECT_EQ(r.throughput, ref.result.throughput) << where;
@@ -529,7 +484,6 @@ TEST(ScenarioSweep, CorrelatedFailuresColumnsAndThreadInvariance) {
   sweep.solve.kind = mcf::SolverKind::ExactLP;
   sweep.scenarios = exp::correlated_group_scenarios({0.25});
   sweep.scenarios.push_back(exp::surge_scenario(1.5));
-  sweep.scenarios.push_back(exp::hotspot_scenario(0.5, 2.0));
   sweep.base_seed = 7;
 
   exp::Runner serial(/*parallel=*/false);
@@ -537,7 +491,7 @@ TEST(ScenarioSweep, CorrelatedFailuresColumnsAndThreadInvariance) {
   const exp::ResultSet rs = parallel.run(sweep, exp::RunOptions{});
   EXPECT_EQ(serial.run(sweep, exp::RunOptions{}).to_csv(), rs.to_csv());
 
-  ASSERT_EQ(rs.size(), 3u);
+  ASSERT_EQ(rs.size(), 2u);
   const std::size_t groups =
       sweep.topologies[0].build()->risk_groups.size();
   const exp::CellResult& correlated = rs.rows()[0];
@@ -551,9 +505,6 @@ TEST(ScenarioSweep, CorrelatedFailuresColumnsAndThreadInvariance) {
   EXPECT_EQ(surge.risk_group, 0);
   EXPECT_EQ(surge.failed_links, 0);
   EXPECT_EQ(surge.tm_scale, 1.5);
-  const exp::CellResult& hotspot = rs.rows()[2];
-  EXPECT_EQ(hotspot.scenario, "hotspot(f=0.5,x=2)");
-  EXPECT_EQ(hotspot.tm_scale, 1.0);
   for (const exp::CellResult& r : rs.rows()) {
     EXPECT_EQ(r.growth_step, -1);  // failure axis, not growth
     EXPECT_FALSE(std::isnan(r.throughput_drop));
