@@ -5,6 +5,7 @@
 #include <set>
 #include <string>
 
+#include "core/registry.h"
 #include "mcf/engine.h"
 #include "mcf/garg_konemann.h"
 #include "mcf/paths.h"
@@ -204,6 +205,54 @@ TEST(GargKonemann, DemandScalingIsLinear) {
   tm.scale(4.0);
   const double quarter = mcf::GkSolver(hc.graph).solve(tm).throughput;
   EXPECT_NEAR(quarter, base / 4.0, base * 0.02);
+}
+
+TEST(GargKonemann, PhasesDijkstrasAndThroughputBitsArePinned) {
+  // Pins the GK solve's trajectory across commits: exact phase and
+  // shortest-path counts plus the bits of both certificates, serial and on
+  // a dedicated 2-worker pool. A2A gives every source many sinks (the
+  // multi-target Dijkstra); LM and RM(1) give one sink per source (the
+  // bidirectional search). A change that moves the trajectory updates
+  // these values and says why.
+  struct Case {
+    const char* name;
+    const Network* net;
+    TrafficMatrix tm;
+    long phases;
+    long dijkstras;
+    double throughput;
+    double upper_bound;
+  };
+  const Network jf = family_representative(Family::Jellyfish, 64, 1);
+  const Network sf = family_representative(Family::SlimFly, 64, 1);
+  const Network ft = family_representative(Family::FatTree, 64, 1);
+  const Case cases[] = {
+      {"jellyfish a2a", &jf, all_to_all(jf), 102, 2027, 0x1.c7db21198edfcp+1,
+       0x1.de3a2275338aep+1},
+      {"jellyfish lm", &jf, longest_matching(jf), 778, 27281,
+       0x1.32bd1dfb632bdp+1, 0x1.4107ab8a4ac4ep+1},
+      {"slimfly rm1", &sf, random_matching(sf, 1, 7), 789, 21638,
+       0x1.39c518eb9c519p+1, 0x1.4935f9d5f500cp+1},
+      {"fattree a2a", &ft, all_to_all(ft), 944, 7312, 0x1.95dad5b93466ep+1,
+       0x1.aa21f95805d59p+1},
+      {"fattree lm", &ft, longest_matching(ft), 104, 1632,
+       0x1.71c71c71c71c7p+1, 0x1.833b38a94d254p+1},
+  };
+  for (const Case& c : cases) {
+    for (const int threads : {1, 2}) {
+      SCOPED_TRACE(std::string(c.name) + " @ " + std::to_string(threads));
+      mcf::SolveOptions opts;
+      opts.kind = mcf::SolverKind::GargKonemann;
+      opts.epsilon = 0.05;
+      opts.solver_threads = threads;
+      const auto r = mcf::ThroughputEngine(*c.net).solve(c.tm, opts);
+      ASSERT_EQ(r.solver, "garg-konemann");
+      EXPECT_EQ(r.stats.phases, c.phases);
+      EXPECT_EQ(r.stats.dijkstras, c.dijkstras);
+      EXPECT_EQ(hexfloat(r.throughput), hexfloat(c.throughput));
+      EXPECT_EQ(hexfloat(r.upper_bound), hexfloat(c.upper_bound));
+    }
+  }
 }
 
 TEST(Throughput, AutoDispatchesBySize) {
