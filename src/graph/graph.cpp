@@ -29,12 +29,17 @@ void Graph::finalize() {
     offset_[v + 1] += offset_[v];
   }
   adj_.assign(static_cast<std::size_t>(num_arcs()), 0);
+  head_.assign(static_cast<std::size_t>(num_arcs()), 0);
   std::vector<int> cursor(offset_.begin(), offset_.end() - 1);
   for (int e = 0; e < num_edges(); ++e) {
     const int u = edge_u_[static_cast<std::size_t>(e)];
     const int v = edge_v_[static_cast<std::size_t>(e)];
-    adj_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(u)]++)] = 2 * e;
-    adj_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(v)]++)] = 2 * e + 1;
+    const auto iu = static_cast<std::size_t>(cursor[static_cast<std::size_t>(u)]++);
+    const auto iv = static_cast<std::size_t>(cursor[static_cast<std::size_t>(v)]++);
+    adj_[iu] = 2 * e;
+    head_[iu] = v;
+    adj_[iv] = 2 * e + 1;
+    head_[iv] = u;
   }
   finalized_ = true;
 }

@@ -55,6 +55,14 @@ class Graph {
     return {adj_.data() + b, e - b};
   }
 
+  /// Head node of each outgoing arc of v, aligned with out_arcs(v):
+  /// out_heads(v)[i] == arc_to(out_arcs(v)[i]) (requires finalize()).
+  std::span<const int> out_heads(int v) const {
+    const auto b = static_cast<std::size_t>(offset_[static_cast<std::size_t>(v)]);
+    const auto e = static_cast<std::size_t>(offset_[static_cast<std::size_t>(v) + 1]);
+    return {head_.data() + b, e - b};
+  }
+
   /// Degree counting parallel edges (requires finalize()).
   int degree(int v) const {
     return offset_[static_cast<std::size_t>(v) + 1] -
@@ -78,9 +86,11 @@ class Graph {
   std::vector<int> edge_u_;
   std::vector<int> edge_v_;
   std::vector<double> cap_;
-  // CSR: adj_ holds arc ids grouped by source node.
+  // CSR: adj_ holds arc ids grouped by source node; head_[i] is the head
+  // node of arc adj_[i].
   std::vector<int> offset_;
   std::vector<int> adj_;
+  std::vector<int> head_;
   bool finalized_ = false;
 };
 

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 
 #include "util/thread_pool.h"
@@ -22,52 +21,16 @@ constexpr std::size_t kBlockSize = 8;
 /// Safety cap on the phases of one solve.
 constexpr long kMaxPhases = 200'000;
 
-/// Dijkstra that stops once all of `targets` are settled (big win for
-/// matching TMs where each source has a single sink). Nodes not settled
-/// keep dist = +inf and parent = -1; every settled sink's tree path passes
-/// only through settled nodes, which is all the routing needs. Failed arcs
-/// carry length = +inf and therefore never relax anything.
-void dijkstra_to_targets(const Graph& g, int src,
-                         const std::vector<double>& len,
-                         const std::vector<std::pair<int, double>>& targets,
-                         std::vector<double>& dist, std::vector<int>& parent,
-                         std::vector<double>& tentative,
-                         std::vector<char>& is_target) {
-  const auto n = static_cast<std::size_t>(g.num_nodes());
-  dist.assign(n, kInf);       // exact distance once settled
-  tentative.assign(n, kInf);  // heap keys
-  parent.assign(n, -1);
-  is_target.assign(n, 0);
-  std::size_t remaining = 0;
-  for (const auto& [t, dem] : targets) {
-    (void)dem;
-    if (!is_target[static_cast<std::size_t>(t)]) {
-      is_target[static_cast<std::size_t>(t)] = 1;
-      ++remaining;
-    }
-  }
-  using Entry = std::pair<double, int>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  tentative[static_cast<std::size_t>(src)] = 0.0;
-  heap.emplace(0.0, src);
-  while (!heap.empty() && remaining > 0) {
-    const auto [d, u] = heap.top();
-    heap.pop();
-    if (dist[static_cast<std::size_t>(u)] < kInf) continue;  // settled
-    dist[static_cast<std::size_t>(u)] = d;
-    if (is_target[static_cast<std::size_t>(u)]) --remaining;
-    for (const int a : g.out_arcs(u)) {
-      const int v = g.arc_to(a);
-      if (dist[static_cast<std::size_t>(v)] < kInf) continue;
-      const double nd = d + len[static_cast<std::size_t>(a)];
-      if (nd < tentative[static_cast<std::size_t>(v)]) {
-        tentative[static_cast<std::size_t>(v)] = nd;
-        parent[static_cast<std::size_t>(v)] = a;
-        heap.emplace(nd, v);
-      }
-    }
-  }
-}
+/// Runs `f` when the scope exits, normally or by an exception: the
+/// kernels' touched-list resets, so their label arrays are clean again
+/// whatever way a call ends.
+template <class F>
+struct OnExit {
+  F f;
+  ~OnExit() { f(); }
+};
+template <class F>
+OnExit(F) -> OnExit<F>;
 
 }  // namespace
 
@@ -98,59 +61,135 @@ double GkSolver::edge_capacity(int e) const {
   return cap_[static_cast<std::size_t>(2 * e)];
 }
 
+void GkSolver::dijkstra_to_targets(
+    int src, const std::vector<std::pair<int, double>>& targets,
+    Scratch& sc) {
+  const Graph& g = *g_;
+  auto& dist = sc.dist;
+  auto& tent = sc.tent;
+  auto& parent = sc.parent;
+  auto& is_target = sc.is_target;
+  auto& touched = sc.touched;
+  auto& heap = sc.heap;
+  // `tent` and `is_target` go back to +inf / 0 however the call ends.
+  // `parent` needs no reset: a node is settled only after this call set its
+  // parent arc, and nothing reads the parent of an unsettled node.
+  const OnExit reset{[&] {
+    for (const int v : touched) tent[static_cast<std::size_t>(v)] = kInf;
+    touched.clear();
+    for (const auto& [t, dem] : targets) {
+      (void)dem;
+      is_target[static_cast<std::size_t>(t)] = 0;
+    }
+  }};
+  dist.assign(static_cast<std::size_t>(g.num_nodes()), kInf);
+  std::size_t remaining = 0;
+  for (const auto& [t, dem] : targets) {
+    (void)dem;
+    if (!is_target[static_cast<std::size_t>(t)]) {
+      is_target[static_cast<std::size_t>(t)] = 1;
+      ++remaining;
+    }
+  }
+  heap.clear();
+  tent[static_cast<std::size_t>(src)] = 0.0;
+  touched.push_back(src);
+  heap.push(0.0, src);
+  while (!heap.empty() && remaining > 0) {
+    const auto [d, u] = heap.top();
+    heap.pop();
+    if (dist[static_cast<std::size_t>(u)] < kInf) continue;  // settled
+    dist[static_cast<std::size_t>(u)] = d;
+    if (is_target[static_cast<std::size_t>(u)]) --remaining;
+    const auto arcs = g.out_arcs(u);
+    const auto heads = g.out_heads(u);
+    for (std::size_t i = 0; i < arcs.size(); ++i) {
+      const int a = arcs[i];
+      const int v = heads[i];
+      // No settled check needed: a settled node's key is <= d, and
+      // nd = d + len >= d, so it never improves.
+      const double nd = d + length_[static_cast<std::size_t>(a)];
+      double& tv = tent[static_cast<std::size_t>(v)];
+      if (nd < tv) {
+        if (tv == kInf) touched.push_back(v);
+        tv = nd;
+        parent[static_cast<std::size_t>(v)] = a;
+        heap.push(nd, v);
+      }
+    }
+  }
+}
+
 double GkSolver::bidirectional_path(int s, int t, double vol,
                                     std::vector<std::pair<int, double>>&
                                         arcs_out,
                                     Scratch& sc) {
   const Graph& g = *g_;
-  const auto n = static_cast<std::size_t>(g.num_nodes());
-  auto& bi_dist_ = sc.bi_dist;
-  auto& bi_par_ = sc.bi_par;
-  auto& bi_settled_ = sc.bi_settled;
+  auto& dist = sc.bi_dist;
+  auto& par = sc.bi_par;
+  auto& settled = sc.bi_settled;
+  auto& touched = sc.bi_touched;
+  auto& heap = sc.bi_heap;
+  // Every node a side labels is recorded in its touched list; on exit —
+  // the disconnected throw included — exactly those entries go back to
+  // +inf / -1 / 0, so the next call starts from clean arrays.
+  const OnExit reset{[&] {
+    for (int side = 0; side < 2; ++side) {
+      for (const int v : touched[side]) {
+        dist[side][static_cast<std::size_t>(v)] = kInf;
+        par[side][static_cast<std::size_t>(v)] = -1;
+        settled[side][static_cast<std::size_t>(v)] = 0;
+      }
+      touched[side].clear();
+    }
+  }};
+  const int root[2] = {s, t};
   for (int side = 0; side < 2; ++side) {
-    bi_dist_[side].assign(n, kInf);
-    bi_par_[side].assign(n, -1);
-    bi_settled_[side].assign(n, 0);
+    heap[side].clear();
+    dist[side][static_cast<std::size_t>(root[side])] = 0.0;
+    touched[side].push_back(root[side]);
+    heap[side].push(0.0, root[side]);
   }
-  using Entry = std::pair<double, int>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap[2];
-  bi_dist_[0][static_cast<std::size_t>(s)] = 0.0;
-  bi_dist_[1][static_cast<std::size_t>(t)] = 0.0;
-  heap[0].emplace(0.0, s);
-  heap[1].emplace(0.0, t);
   double mu = kInf;  // best s->v->t value seen so far
   int meet = -1;
   while (!heap[0].empty() && !heap[1].empty()) {
     // Lazy deletion: drop already-settled heap tops before reading minima.
     for (int side = 0; side < 2; ++side) {
       while (!heap[side].empty() &&
-             bi_settled_[side][static_cast<std::size_t>(
-                 heap[side].top().second)]) {
+             settled[side][static_cast<std::size_t>(heap[side].top().node)]) {
         heap[side].pop();
       }
     }
     if (heap[0].empty() || heap[1].empty()) break;
-    if (heap[0].top().first + heap[1].top().first >= mu) break;  // proven
-    const int side = heap[0].top().first <= heap[1].top().first ? 0 : 1;
+    if (heap[0].top().key + heap[1].top().key >= mu) break;  // proven
+    const int side = heap[0].top().key <= heap[1].top().key ? 0 : 1;
     const auto [d, u] = heap[side].top();
     heap[side].pop();
-    if (bi_settled_[side][static_cast<std::size_t>(u)]) continue;
-    bi_settled_[side][static_cast<std::size_t>(u)] = 1;
-    for (const int a : g.out_arcs(u)) {
-      const int v = g.arc_to(a);
+    if (settled[side][static_cast<std::size_t>(u)]) continue;
+    settled[side][static_cast<std::size_t>(u)] = 1;
+    std::vector<double>& mine = dist[side];
+    const std::vector<double>& theirs = dist[side ^ 1];
+    const auto arcs = g.out_arcs(u);
+    const auto heads = g.out_heads(u);
+    for (std::size_t i = 0; i < arcs.size(); ++i) {
+      const int a = arcs[i];
+      const int v = heads[i];
       // Forward relaxes arc u->v; backward relaxes the arc v->u (each
       // direction carries its own length).
       const int path_arc = side == 0 ? a : Graph::reverse_arc(a);
       const double nd = d + length_[static_cast<std::size_t>(path_arc)];
-      if (nd < bi_dist_[side][static_cast<std::size_t>(v)]) {
-        bi_dist_[side][static_cast<std::size_t>(v)] = nd;
-        bi_par_[side][static_cast<std::size_t>(v)] = path_arc;
-        heap[side].emplace(nd, v);
-      }
-      const double other = bi_dist_[side ^ 1][static_cast<std::size_t>(v)];
-      const double cand =
-          bi_dist_[side][static_cast<std::size_t>(v)] + other;
-      if (other < kInf && cand < mu) {
+      double& dv = mine[static_cast<std::size_t>(v)];
+      if (!(nd < dv)) continue;
+      if (dv == kInf) touched[side].push_back(v);
+      dv = nd;
+      par[side][static_cast<std::size_t>(v)] = path_arc;
+      heap[side].push(nd, v);
+      // A meeting candidate changes only when one of its two labels does,
+      // and every label change is checked here, so re-checking unchanged
+      // pairs (which can never beat mu again) is skipped. An unreached
+      // other side makes cand +inf, which never beats mu either.
+      const double cand = nd + theirs[static_cast<std::size_t>(v)];
+      if (cand < mu) {
         mu = cand;
         meet = v;
       }
@@ -164,14 +203,14 @@ double GkSolver::bidirectional_path(int s, int t, double vol,
   // t..meet reversed, then the forward half meet..s in walking order.
   const std::size_t first = arcs_out.size();
   for (int v = meet; v != t;) {
-    const int a = bi_par_[1][static_cast<std::size_t>(v)];  // arc v -> next
+    const int a = par[1][static_cast<std::size_t>(v)];  // arc v -> next
     arcs_out.emplace_back(a, vol);
     v = g.arc_to(a);
   }
   std::reverse(arcs_out.begin() + static_cast<std::ptrdiff_t>(first),
                arcs_out.end());
   for (int v = meet; v != s;) {
-    const int a = bi_par_[0][static_cast<std::size_t>(v)];  // arc prev -> v
+    const int a = par[0][static_cast<std::size_t>(v)];  // arc prev -> v
     arcs_out.emplace_back(a, vol);
     v = g.arc_from(a);
   }
@@ -307,11 +346,21 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
 
   // Per-slot scratch, one slot per block position (fixed block size =>
   // the partition, and therefore the result, never depends on the pool).
+  // The graph is fixed for the solver's life, so the kept-clean arrays are
+  // filled on the first solve only and stay clean across solves.
   scratch_.resize(kBlockSize);
   for (Scratch& sc : scratch_) {
+    sc.tent.resize(n, kInf);
+    sc.parent.resize(n, -1);
+    sc.is_target.resize(n, 0);
     sc.node_vol.assign(n, 0.0);  // kept zeroed between uses
     sc.order.resize(n);
     sc.cur_dist.resize(n);
+    for (int side = 0; side < 2; ++side) {
+      sc.bi_dist[side].resize(n, kInf);
+      sc.bi_par[side].resize(n, -1);
+      sc.bi_settled[side].resize(n, 0);
+    }
   }
 
   // Fleischer's shortest-path tree reuse: per-group cached routed trees
@@ -445,8 +494,7 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
         if (groups_[gi].sinks.size() == 1) {
           rebuild_single(gi, sc);
         } else {
-          dijkstra_to_targets(g, groups_[gi].src, length_, groups_[gi].sinks,
-                              sc.dist, sc.parent, sc.tent, sc.is_target);
+          dijkstra_to_targets(groups_[gi].src, groups_[gi].sinks, sc);
           build_cache(gi, sc);
         }
         sc.rebuilt = true;
@@ -486,8 +534,7 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
                 grp.sinks[0].second * demand_scale * rebuild_single(gi, sc);
             return;
           }
-          dijkstra_to_targets(g, grp.src, length_, grp.sinks, sc.dist,
-                              sc.parent, sc.tent, sc.is_target);
+          dijkstra_to_targets(grp.src, grp.sinks, sc);
           double acc = 0.0;
           for (const auto& [dst, demand] : grp.sinks) {
             acc +=

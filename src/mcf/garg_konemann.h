@@ -17,6 +17,13 @@
 //     (1 + eps) staleness budget of their build-time shortest distances.
 //     Single-sink sources (matching TMs) rebuild with a bidirectional
 //     Dijkstra;
+//   * both shortest-path kernels allocate nothing per call: each scratch
+//     slot owns its heaps (a 4-ary min-heap on (key, node), which pops in
+//     exactly the order of the binary std::priority_queue it replaced, so
+//     settle order and tie-breaks are unchanged), its label arrays are
+//     sized once per solve and kept clean between calls (each call resets
+//     only the entries it touched, on every exit), and arc heads come from
+//     the graph's CSR head array (Graph::out_heads);
 //   * a primal/dual pair certifies accuracy: the primal value is
 //     completed_phases / max_congestion (a feasible concurrent flow); the
 //     dual bound is min D(l)/alpha(l) over the periodic exact sweeps, which
@@ -64,6 +71,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "mcf/min_heap.h"
 #include "tm/traffic_matrix.h"
 
 namespace tb {
@@ -99,9 +107,10 @@ class GkSolver {
 
   /// Copying clones the session identity — the bound graph, the working
   /// per-arc capacities, and the warm state (the previous solve's final
-  /// lengths) — but none of the per-solve transient buffers, which every
-  /// solve reassigns before use: a copy's next solve is bitwise the solve
-  /// the original would run. This is what ThroughputEngine::fork_session
+  /// lengths) — but none of the per-solve transient buffers, which the
+  /// copy's first solve sizes and fills before use (the kept-clean scratch
+  /// arrays start at their fill value): a copy's next solve is bitwise the
+  /// solve the original would run. This is what ThroughputEngine::fork_session
   /// copies per failure scenario, so it stays O(arcs), not O(scratch).
   GkSolver(const GkSolver& other)
       : g_(other.g_),
@@ -146,18 +155,34 @@ class GkSolver {
   /// Per-slot scratch for the block-parallel shortest-path work: one slot
   /// per block position, touched by exactly one task at a time, so slots
   /// never alias across threads and the per-slot arithmetic is identical
-  /// whether a block runs serial or parallel.
+  /// whether a block runs serial or parallel. Every array is sized once per
+  /// solve; the heaps keep their storage across calls, so the kernels
+  /// allocate nothing once they have grown. "Kept clean" arrays hold their
+  /// fill value between calls: a kernel records each entry it writes in a
+  /// touched list and resets exactly those on every exit, the throw
+  /// included.
   struct Scratch {
-    std::vector<double> dist;      // settled distances
-    std::vector<double> tent;      // heap keys
-    std::vector<int> parent;
-    std::vector<char> is_target;
+    // dijkstra_to_targets
+    std::vector<double> dist;      // settled distances, +inf elsewhere;
+                                   // reassigned per call (build_cache
+                                   // sorts all n nodes by it)
+    std::vector<double> tent;      // heap keys (kept clean at +inf)
+    std::vector<int> parent;       // tree arcs, meaningful at settled nodes
+    std::vector<char> is_target;   // kept clean at 0
+    std::vector<int> touched;      // nodes whose `tent` this call lowered
+    MinHeap4 heap;
+    // tree build and walk
     std::vector<double> node_vol;  // tree-volume push scratch (kept zeroed)
     std::vector<int> order;
     std::vector<double> cur_dist;  // cached-tree walk scratch
-    std::vector<double> bi_dist[2];   // bidirectional: tentative labels
-    std::vector<int> bi_par[2];       // path arcs (forward orientation)
-    std::vector<char> bi_settled[2];
+    // bidirectional_path, one entry per side (0 forward from s, 1 backward
+    // from t)
+    std::vector<double> bi_dist[2];    // tentative labels (kept clean: +inf)
+    std::vector<int> bi_par[2];        // path arcs, forward orientation
+                                       // (kept clean: -1)
+    std::vector<char> bi_settled[2];   // kept clean: 0
+    std::vector<int> bi_touched[2];    // nodes this call labelled
+    MinHeap4 bi_heap[2];
     bool rebuilt = false;  // this slot's group re-ran a shortest-path build
   };
 
@@ -174,6 +199,17 @@ class GkSolver {
   std::vector<TreeCache> tree_cache_;  // one per group
   std::vector<double> alpha_part_;     // per-group sweep terms, reduced in
                                        // group order after the barrier
+
+  /// Dijkstra from `src` under the current lengths that stops once every
+  /// sink of `targets` is settled (multi-sink groups). Leaves sc.dist (the
+  /// exact distance of every settled node, +inf elsewhere) and sc.parent
+  /// (the shortest-path tree arc into every settled node but `src`); every
+  /// settled sink's tree path passes only through settled nodes, which is
+  /// all the routing needs. Failed arcs carry length +inf and so never
+  /// relax anything.
+  void dijkstra_to_targets(int src,
+                           const std::vector<std::pair<int, double>>& targets,
+                           Scratch& sc);
 
   /// Exact shortest s->t path under the current lengths via bidirectional
   /// Dijkstra (single-sink groups): meet-in-the-middle

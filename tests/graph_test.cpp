@@ -66,6 +66,36 @@ TEST(Graph, MultigraphDegrees) {
   EXPECT_EQ(g.num_edges(), 2);
 }
 
+TEST(Graph, OutHeadsAlignWithOutArcs) {
+  // Multigraph: parallel edges in both orientations, so one node's
+  // out-arcs mix even (u->v) and odd (v->u) arc ids with repeated heads.
+  Graph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(1, 0);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  g.add_edge(3, 1);
+  const auto expect_aligned = [&g] {
+    for (int v = 0; v < g.num_nodes(); ++v) {
+      const auto arcs = g.out_arcs(v);
+      const auto heads = g.out_heads(v);
+      ASSERT_EQ(heads.size(), arcs.size()) << "node " << v;
+      for (std::size_t i = 0; i < arcs.size(); ++i) {
+        EXPECT_EQ(heads[i], g.arc_to(arcs[i])) << "node " << v << " slot " << i;
+      }
+    }
+  };
+  g.finalize();
+  expect_aligned();
+  // Mutation invalidates the CSR; the second finalize() rebuilds the heads
+  // along with the arcs.
+  g.add_edge(2, 3);
+  g.add_edge(3, 2);
+  g.finalize();
+  EXPECT_EQ(g.degree(3), 3);
+  expect_aligned();
+}
+
 TEST(Algorithms, BfsDistancesOnRing) {
   Graph g = ring(8);
   const std::vector<int> d = bfs_distances(g, 0);

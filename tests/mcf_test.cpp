@@ -1,19 +1,28 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <queue>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/registry.h"
 #include "mcf/engine.h"
 #include "mcf/garg_konemann.h"
+#include "mcf/min_heap.h"
 #include "mcf/paths.h"
 #include "mcf/throughput.h"
 #include "tm/synthetic.h"
 #include "topo/fattree.h"
 #include "topo/hypercube.h"
 #include "topo/jellyfish.h"
+#include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace tb {
 namespace {
@@ -252,6 +261,85 @@ TEST(GargKonemann, PhasesDijkstrasAndThroughputBitsArePinned) {
       EXPECT_EQ(hexfloat(r.throughput), hexfloat(c.throughput));
       EXPECT_EQ(hexfloat(r.upper_bound), hexfloat(c.upper_bound));
     }
+  }
+}
+
+TEST(GargKonemann, DisconnectedThrowLeavesNoStaleLabels) {
+  // The shortest-path kernels keep their label arrays clean between calls
+  // by resetting what each call touched; the reset must also run when a
+  // call throws. Isolate a node so some demand is disconnected, let solve
+  // throw, restore the capacities, and the next solve on the same session
+  // must be bitwise a fresh solver's. LM reaches the bidirectional search,
+  // A2A the multi-target Dijkstra.
+  const Network hc = make_hypercube(4);
+  const Graph& g = hc.graph;
+  ThreadPool pool(2);
+  for (const auto* tm_name : {"lm", "a2a"}) {
+    const TrafficMatrix tm = std::string(tm_name) == "lm"
+                                 ? longest_matching(hc)
+                                 : all_to_all(hc);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE(std::string(tm_name) + (p ? " pooled" : " serial"));
+      mcf::GkOptions opts;
+      opts.epsilon = 0.1;
+      opts.pool = p;
+      const mcf::GkResult fresh = mcf::GkSolver(g).solve(tm, opts);
+      mcf::GkSolver session(g);
+      const int isolated = 5;
+      std::vector<int> cut;
+      for (const int a : g.out_arcs(isolated)) cut.push_back(a >> 1);
+      for (const int e : cut) session.set_edge_capacity(e, 0.0);
+      EXPECT_THROW(session.solve(tm, opts), std::runtime_error);
+      for (const int e : cut) session.set_edge_capacity(e, g.edge_cap(e));
+      const mcf::GkResult again = session.solve(tm, opts);
+      EXPECT_EQ(hexfloat(again.throughput), hexfloat(fresh.throughput));
+      EXPECT_EQ(hexfloat(again.upper_bound), hexfloat(fresh.upper_bound));
+      EXPECT_EQ(again.phases, fresh.phases);
+      EXPECT_EQ(again.dijkstras, fresh.dijkstras);
+      EXPECT_EQ(again.arc_flow, fresh.arc_flow);
+    }
+  }
+}
+
+TEST(MinHeap4, PopsInStdPriorityQueueOrder) {
+  // Seeded push/pop streams over few distinct keys and nodes, so equal
+  // keys and duplicate (key, node) entries are common: the 4-ary heap must
+  // expose the same top and pop the same sequence as the binary
+  // std::priority_queue the GK kernels used before it.
+  using Entry = std::pair<double, int>;
+  mcf::MinHeap4 heap;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> ref;
+    heap.clear();  // reused across streams, as a scratch slot reuses it
+    const int distinct_keys = 1 + static_cast<int>(rng.next_u64(8));
+    for (int op = 0; op < 2000; ++op) {
+      if (ref.empty() || rng.next_bool(0.55)) {
+        const double key =
+            0.25 * static_cast<double>(rng.next_u64(
+                       static_cast<std::uint64_t>(distinct_keys)));
+        const int node = static_cast<int>(rng.next_u64(6));
+        ref.emplace(key, node);
+        heap.push(key, node);
+      } else {
+        ref.pop();
+        heap.pop();
+      }
+      ASSERT_EQ(heap.empty(), ref.empty());
+      if (!ref.empty()) {
+        ASSERT_EQ(heap.top().key, ref.top().first) << "op " << op;
+        ASSERT_EQ(heap.top().node, ref.top().second) << "op " << op;
+      }
+    }
+    while (!ref.empty()) {
+      ASSERT_FALSE(heap.empty());
+      ASSERT_EQ(heap.top().key, ref.top().first);
+      ASSERT_EQ(heap.top().node, ref.top().second);
+      ref.pop();
+      heap.pop();
+    }
+    EXPECT_TRUE(heap.empty());
   }
 }
 
