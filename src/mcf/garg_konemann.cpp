@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "util/thread_pool.h"
 
@@ -25,12 +26,16 @@ constexpr long kMaxPhases = 200'000;
 /// kernels' touched-list resets, so their label arrays are clean again
 /// whatever way a call ends.
 template <class F>
-struct OnExit {
-  F f;
-  ~OnExit() { f(); }
+class OnExit {
+ public:
+  explicit OnExit(F f) : f_(std::move(f)) {}
+  OnExit(const OnExit&) = delete;
+  OnExit& operator=(const OnExit&) = delete;
+  ~OnExit() { f_(); }
+
+ private:
+  F f_;
 };
-template <class F>
-OnExit(F) -> OnExit<F>;
 
 }  // namespace
 
