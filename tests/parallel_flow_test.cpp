@@ -5,7 +5,11 @@
 // leak. Suites are named ParallelFlow* so the tsan preset picks them up.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -68,6 +72,24 @@ void expect_cut_eq(const StCut& a, const StCut& b, const std::string& what) {
   EXPECT_EQ(a.source_side, b.source_side) << what;
   EXPECT_EQ(a.cut_edges, b.cut_edges) << what;
   expect_stats_eq(a.stats, b.stats, what);
+}
+
+/// `v` in C99 hexfloat ("%a"), so a failed bit-exact comparison shows
+/// every bit, in the same notation as the expected literals.
+std::string hexfloat(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+/// FNV-1a over `n` bytes, folded into `h`.
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
 }
 
 /// The thread configurations every equivalence below must agree across:
@@ -269,6 +291,71 @@ TEST(ParallelFlow, LargeInstanceAgreesWithDinicAndIsBitwiseAcrossThreads) {
       expect_cut_eq(cuts[i], serial[i],
                     "pair " + std::to_string(i) + " threads=" +
                         std::to_string(threads));
+    }
+  }
+}
+
+TEST(ParallelFlow, CountersAndCutBitsArePinned) {
+  // Pins the battery's push-relabel trajectory across commits: summed work
+  // counters, the bits of every cut value and every source side, over the
+  // A2A demand pairs of four ~64-server instances, serial and on the
+  // shared pool. A change that moves a trajectory updates these values
+  // and says why.
+  struct Case {
+    Family family;
+    long pushes;
+    long relabels;
+    long global_relabels;
+    long gap_jumps;
+    double min_value;
+    double sum_value;
+    std::uint64_t value_hash;
+    std::uint64_t side_hash;
+  };
+  const Case cases[] = {
+      {Family::Jellyfish, 79212, 19319, 2016, 0, 0x1p+3, 0x1.f8p+13,
+       0xa9fd17127e2c7325ULL, 0xaa1a45eece4530a5ULL},
+      {Family::FatTree, 1728, 0, 153, 0, 0x1.8p+1, 0x1.cbp+8,
+       0xe8013c24e563803dULL, 0x943a759b73044fa4ULL},
+      {Family::SlimFly, 27483, 1404, 1225, 0, 0x1.cp+2, 0x1.0bf8p+13,
+       0x1e955c42aec5dd09ULL, 0x79307a9c01448704ULL},
+      {Family::Hypercube, 131514, 36842, 2016, 0, 0x1.8p+2, 0x1.7ap+13,
+       0xc856fe2d464d3f25ULL, 0xaa1a45eece4530a5ULL},
+  };
+  for (const Case& c : cases) {
+    const Network net = family_representative(c.family, 64, /*seed=*/1);
+    const std::vector<std::pair<int, int>> pairs =
+        cuts::distinct_demand_pairs(all_to_all(net));
+    ASSERT_FALSE(pairs.empty());
+    for (const int threads : {1, 0}) {
+      SCOPED_TRACE(family_name(c.family) + " threads=" +
+                   std::to_string(threads));
+      const std::vector<StCut> cuts =
+          CutBattery(net.graph, {threads}).solve(pairs);
+      ASSERT_EQ(cuts.size(), pairs.size());
+      MaxFlowStats total;
+      double min_value = cuts.front().value;
+      double sum_value = 0.0;
+      std::uint64_t value_hash = 0xcbf29ce484222325ULL;
+      std::uint64_t side_hash = 0xcbf29ce484222325ULL;
+      for (const StCut& cut : cuts) {
+        total.add(cut.stats);
+        min_value = std::min(min_value, cut.value);
+        sum_value += cut.value;
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &cut.value, sizeof bits);
+        value_hash = fnv1a(value_hash, &bits, sizeof bits);
+        side_hash =
+            fnv1a(side_hash, cut.source_side.data(), cut.source_side.size());
+      }
+      EXPECT_EQ(total.pushes, c.pushes);
+      EXPECT_EQ(total.relabels, c.relabels);
+      EXPECT_EQ(total.global_relabels, c.global_relabels);
+      EXPECT_EQ(total.gap_jumps, c.gap_jumps);
+      EXPECT_EQ(hexfloat(min_value), hexfloat(c.min_value));
+      EXPECT_EQ(hexfloat(sum_value), hexfloat(c.sum_value));
+      EXPECT_EQ(value_hash, c.value_hash);
+      EXPECT_EQ(side_hash, c.side_hash);
     }
   }
 }
