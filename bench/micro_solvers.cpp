@@ -105,7 +105,7 @@ void BM_StMaxFlowHighestLabel(benchmark::State& state) {
   const int target = static_cast<int>(state.range(0));
   const Network net =
       family_representative(Family::Jellyfish, target, /*seed=*/1);
-  flow::FlowNetwork fn = flow::FlowNetwork::from_graph(net.graph);
+  flow::FlowNetwork fn(net.graph);
   const int s = 0;
   const int t = fn.num_nodes() - 1;
   for (auto _ : state) {

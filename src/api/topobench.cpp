@@ -1,5 +1,6 @@
 #include "api/topobench.h"
 
+#include <cmath>
 #include <istream>
 #include <stdexcept>
 #include <utility>
@@ -71,6 +72,10 @@ std::optional<double> parse_paren_param(const std::string& spec,
     return std::nullopt;
   }
   if (pos != body.size()) return std::nullopt;
+  if (!std::isfinite(v)) {
+    throw std::invalid_argument("build_scenario: " + param +
+                                " must be finite, got \"" + spec + "\"");
+  }
   return v;
 }
 

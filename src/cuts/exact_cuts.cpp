@@ -71,22 +71,4 @@ CutResult sparsest_cut_st_mincut(const Graph& g, const TrafficMatrix& tm,
   return best;
 }
 
-CutResult sparsest_cut_flow_lower_bound(const Graph& g,
-                                        const TrafficMatrix& tm,
-                                        const flow::FlowOptions& flow) {
-  CutResult r;
-  r.method = "flow-lower-bound";
-  r.bound = CutBound::Lower;
-  const double total = tm.total_demand();
-  if (total <= 0.0 || g.num_nodes() < 2) {
-    r.sparsity = kInf;
-    return r;
-  }
-  const flow::StCut gmc = flow::global_min_cut(g, flow);
-  r.sparsity = gmc.value / total;
-  r.side = gmc.source_side;
-  r.flow_stats = gmc.stats;
-  return r;
-}
-
 }  // namespace tb::cuts

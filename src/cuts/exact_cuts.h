@@ -1,9 +1,7 @@
 // Exact max-flow/min-cut powered cut estimators (src/flow/). Unlike the
 // Appendix C heuristics, these carry certificates: every returned cut is a
-// real cut (so its sparsity upper-bounds throughput), the single-pair case
-// is provably the sparsest cut, and the flow lower bound brackets the
-// optimum from below, turning the heuristic battery's answer into an
-// interval instead of a point estimate.
+// real cut (so its sparsity upper-bounds throughput), and the single-pair
+// case is provably the sparsest cut.
 #pragma once
 
 #include <cstdint>
@@ -42,14 +40,5 @@ std::vector<std::pair<int, int>> sample_demand_pairs(
 CutResult sparsest_cut_st_mincut(const Graph& g, const TrafficMatrix& tm,
                                  int max_pairs = 8, std::uint64_t seed = 1,
                                  const flow::FlowOptions& flow = {});
-
-/// Certified lower bound on the sparsest-cut value: every cut has capacity
-/// >= the global min cut and crossing demand <= the total demand, so
-/// sparsest >= global_min_cut / total_demand. Tagged CutBound::Lower;
-/// `side` holds the global min cut (which attains the capacity, not
-/// necessarily the bound). Infinite on an empty TM.
-CutResult sparsest_cut_flow_lower_bound(const Graph& g,
-                                        const TrafficMatrix& tm,
-                                        const flow::FlowOptions& flow = {});
 
 }  // namespace tb::cuts

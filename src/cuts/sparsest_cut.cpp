@@ -14,8 +14,6 @@ namespace tb::cuts {
 
 const char* to_string(CutBound b) {
   switch (b) {
-    case CutBound::Lower:
-      return "lower";
     case CutBound::Upper:
       return "upper";
     case CutBound::Exact:

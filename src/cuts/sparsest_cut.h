@@ -27,9 +27,8 @@ namespace tb::cuts {
 /// (sparsest cut / bisection): `Exact` certifies equality (complete
 /// enumeration, or a max-flow argument covering every candidate cut),
 /// `Upper` certifies value >= optimum (every heuristic returns a genuine
-/// cut, so its value still upper-bounds throughput), `Lower` certifies
-/// value <= optimum (flow-duality bounds that are not themselves cuts).
-enum class CutBound { Lower, Upper, Exact };
+/// cut, so its value still upper-bounds throughput).
+enum class CutBound { Upper, Exact };
 
 const char* to_string(CutBound b);
 

@@ -7,7 +7,7 @@
 namespace tb::flow {
 
 CutBattery::CutBattery(const Graph& g, const FlowOptions& opts)
-    : g_(&g), opts_(opts), proto_(FlowNetwork::from_graph(g)) {}
+    : opts_(opts), proto_(g) {}
 
 std::vector<StCut> CutBattery::solve(
     const std::vector<std::pair<int, int>>& pairs) const {
@@ -22,11 +22,11 @@ std::vector<StCut> CutBattery::solve(
       std::max<std::size_t>(1, (pairs.size() + 15) / 16);
   const std::size_t blocks = (pairs.size() + per_block - 1) / per_block;
   const auto run_block = [&](std::size_t b) {
-    FlowNetwork net = proto_;  // task-local residual copy
+    FlowNetwork net = proto_;  // task-local residuals over the shared graph
     const std::size_t lo = b * per_block;
     const std::size_t hi = std::min(lo + per_block, pairs.size());
     for (std::size_t i = lo; i < hi; ++i) {
-      out[i] = st_min_cut(*g_, net, pairs[i].first, pairs[i].second);
+      out[i] = st_min_cut(net, pairs[i].first, pairs[i].second);
     }
   };
   if (pool != nullptr && blocks > 1) {

@@ -1,9 +1,9 @@
 // The parallel exact-cut engine: batches of s-t terminal pairs solved
-// concurrently. Each task solves on its own FlowNetwork residual copy
-// (reset between the pairs of its block, so repeated solves are O(arcs
-// pushed)), and the reduction to the best cut is ordered and
-// index-deterministic. The contract, relied on by global_min_cut and the
-// cuts/ estimators ported onto the battery:
+// concurrently. Each task solves on its own copy of the FlowNetwork's
+// residuals over the one shared Graph (reset between the pairs of its
+// block, so repeated solves are O(arcs pushed)), and the reduction to the
+// best cut is ordered and index-deterministic. The contract, relied on by
+// global_min_cut and the cuts/ estimators ported onto the battery:
 //
 //   solve(pairs)[i] is bitwise identical to a serial st_min_cut loop over
 //   `pairs` on one reused network, for ANY thread configuration — every
@@ -25,7 +25,7 @@ namespace tb::flow {
 
 class CutBattery {
  public:
-  /// Builds the prototype network once (FlowNetwork::from_graph).
+  /// Builds the prototype network once; `g` must outlive the battery.
   explicit CutBattery(const Graph& g, const FlowOptions& opts = {});
 
   /// Exact min cut for every terminal pair, in pair order.
@@ -40,7 +40,6 @@ class CutBattery {
   double tolerance() const noexcept { return proto_.tolerance(); }
 
  private:
-  const Graph* g_;
   FlowOptions opts_;
   FlowNetwork proto_;
 };

@@ -4,58 +4,18 @@
 
 namespace tb::flow {
 
-FlowNetwork FlowNetwork::from_graph(const Graph& g) {
+FlowNetwork::FlowNetwork(const Graph& g) : g_(&g) {
   if (!g.finalized()) {
-    throw std::logic_error("FlowNetwork::from_graph: graph not finalized");
+    throw std::invalid_argument("FlowNetwork: graph not finalized");
   }
-  FlowNetwork net(g.num_nodes());
-  for (int e = 0; e < g.num_edges(); ++e) {
-    net.add_arc_pair(g.edge_u(e), g.edge_v(e), g.edge_cap(e), g.edge_cap(e));
+  res_.resize(static_cast<std::size_t>(g.num_arcs()));
+  double max_cap = 0.0;
+  for (int a = 0; a < g.num_arcs(); ++a) {
+    res_[static_cast<std::size_t>(a)] = g.arc_cap(a);
+    if (g.arc_cap(a) > max_cap) max_cap = g.arc_cap(a);
   }
-  net.finalize();
-  return net;
-}
-
-FlowNetwork FlowNetwork::from_network(const Network& net) {
-  return from_graph(net.graph);
-}
-
-int FlowNetwork::add_arc_pair(int u, int v, double cap_uv, double cap_vu) {
-  if (u < 0 || u >= num_nodes_ || v < 0 || v >= num_nodes_ || u == v) {
-    throw std::invalid_argument("FlowNetwork::add_arc_pair: bad endpoints");
-  }
-  if (cap_uv < 0.0 || cap_vu < 0.0) {
-    throw std::invalid_argument("FlowNetwork::add_arc_pair: negative capacity");
-  }
-  const int a = num_arcs();
-  tail_.push_back(u);
-  head_.push_back(v);
-  cap_.push_back(cap_uv);
-  tail_.push_back(v);
-  head_.push_back(u);
-  cap_.push_back(cap_vu);
-  if (cap_uv > max_cap_) max_cap_ = cap_uv;
-  if (cap_vu > max_cap_) max_cap_ = cap_vu;
-  finalized_ = false;
-  return a;
-}
-
-void FlowNetwork::finalize() {
-  if (finalized_) return;
-  res_ = cap_;
-  dirty_.assign(cap_.size(), 0);
-  touched_.clear();
-  offset_.assign(static_cast<std::size_t>(num_nodes_) + 1, 0);
-  for (const int u : tail_) ++offset_[static_cast<std::size_t>(u) + 1];
-  for (std::size_t v = 1; v < offset_.size(); ++v) offset_[v] += offset_[v - 1];
-  adj_.resize(tail_.size());
-  std::vector<int> fill(offset_.begin(), offset_.end() - 1);
-  for (int a = 0; a < num_arcs(); ++a) {
-    adj_[static_cast<std::size_t>(
-        fill[static_cast<std::size_t>(tail_[static_cast<std::size_t>(a)])]++)] =
-        a;
-  }
-  finalized_ = true;
+  tol_ = 1e-12 * (max_cap > 1.0 ? max_cap : 1.0);
+  dirty_.assign(res_.size(), 0);
 }
 
 }  // namespace tb::flow

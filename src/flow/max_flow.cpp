@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -17,6 +18,7 @@ class HighestLabelSolver {
  public:
   HighestLabelSolver(FlowNetwork& net, int s, int t, MaxFlowStats& stats)
       : net_(net),
+        g_(net.graph()),
         s_(s),
         t_(t),
         stats_(stats),
@@ -34,11 +36,13 @@ class HighestLabelSolver {
   }
 
   double run() {
-    for (const int a : net_.out_arcs(s_)) {
-      const double d = net_.residual(a);
+    const std::span<const int> arcs = g_.out_arcs(s_);
+    const std::span<const int> heads = g_.out_heads(s_);
+    for (std::size_t i = 0; i < arcs.size(); ++i) {
+      const double d = net_.residual(arcs[i]);
       if (d > tol_) {
-        net_.push(a, d);
-        excess_[static_cast<std::size_t>(net_.arc_to(a))] += d;
+        net_.push(arcs[i], d);
+        excess_[static_cast<std::size_t>(heads[i])] += d;
         ++stats_.pushes;
       }
     }
@@ -77,7 +81,8 @@ class HighestLabelSolver {
   }
 
   void discharge(int u) {
-    const std::span<const int> arcs = net_.out_arcs(u);
+    const std::span<const int> arcs = g_.out_arcs(u);
+    const std::span<const int> heads = g_.out_heads(u);
     while (excess_[static_cast<std::size_t>(u)] > tol_) {
       if (current_[static_cast<std::size_t>(u)] >=
           static_cast<int>(arcs.size())) {
@@ -86,9 +91,10 @@ class HighestLabelSolver {
         current_[static_cast<std::size_t>(u)] = 0;
         continue;
       }
-      const int a = arcs[static_cast<std::size_t>(
-          current_[static_cast<std::size_t>(u)])];
-      const int v = net_.arc_to(a);
+      const auto i =
+          static_cast<std::size_t>(current_[static_cast<std::size_t>(u)]);
+      const int a = arcs[i];
+      const int v = heads[i];
       if (net_.residual(a) > tol_ &&
           height_[static_cast<std::size_t>(u)] ==
               height_[static_cast<std::size_t>(v)] + 1) {
@@ -107,12 +113,14 @@ class HighestLabelSolver {
 
   void relabel(int u) {
     ++stats_.relabels;
-    work_ += static_cast<long>(net_.out_arcs(u).size()) + 12;
+    const std::span<const int> arcs = g_.out_arcs(u);
+    const std::span<const int> heads = g_.out_heads(u);
+    work_ += static_cast<long>(arcs.size()) + 12;
     const int old_h = height_[static_cast<std::size_t>(u)];
     int min_h = std::numeric_limits<int>::max();
-    for (const int a : net_.out_arcs(u)) {
-      if (net_.residual(a) > tol_) {
-        min_h = std::min(min_h, height_[static_cast<std::size_t>(net_.arc_to(a))]);
+    for (std::size_t i = 0; i < arcs.size(); ++i) {
+      if (net_.residual(arcs[i]) > tol_) {
+        min_h = std::min(min_h, height_[static_cast<std::size_t>(heads[i])]);
       }
     }
     const int new_h =
@@ -161,10 +169,12 @@ class HighestLabelSolver {
       queue.push_back(root);
       for (std::size_t i = 0; i < queue.size(); ++i) {
         const int u = queue[i];
-        for (const int a : net_.out_arcs(u)) {
-          const int v = net_.arc_to(a);
+        const std::span<const int> arcs = g_.out_arcs(u);
+        const std::span<const int> heads = g_.out_heads(u);
+        for (std::size_t j = 0; j < arcs.size(); ++j) {
+          const int v = heads[j];
           if (height_[static_cast<std::size_t>(v)] == unreached &&
-              net_.residual(FlowNetwork::reverse_arc(a)) > tol_ && v != s_) {
+              net_.residual(Graph::reverse_arc(arcs[j])) > tol_ && v != s_) {
             height_[static_cast<std::size_t>(v)] =
                 height_[static_cast<std::size_t>(u)] + 1;
             queue.push_back(v);
@@ -189,6 +199,7 @@ class HighestLabelSolver {
   }
 
   FlowNetwork& net_;
+  const Graph& g_;
   const int s_;
   const int t_;
   MaxFlowStats& stats_;
@@ -208,9 +219,6 @@ class HighestLabelSolver {
 }  // namespace
 
 double max_flow(FlowNetwork& net, int s, int t, MaxFlowStats* stats) {
-  if (!net.finalized()) {
-    throw std::invalid_argument("max_flow: network not finalized");
-  }
   const int n = net.num_nodes();
   if (s < 0 || s >= n || t < 0 || t >= n || s == t) {
     throw std::invalid_argument("max_flow: bad terminals");

@@ -44,7 +44,7 @@ struct FlowOptions {
 
 /// Maximum s-t flow value. Mutates `net`'s residual state in place; the
 /// resulting flow is read back per arc via FlowNetwork::flow(). Throws
-/// std::invalid_argument on bad terminals or an unfinalized network.
+/// std::invalid_argument on bad terminals.
 double max_flow(FlowNetwork& net, int s, int t, MaxFlowStats* stats = nullptr);
 
 }  // namespace tb::flow

@@ -1,6 +1,7 @@
 #include "flow/min_cut.h"
 
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -12,14 +13,17 @@ namespace {
 
 /// Nodes reachable from s through residual capacity > tol.
 std::vector<std::uint8_t> residual_source_side(const FlowNetwork& net, int s) {
-  std::vector<std::uint8_t> side(static_cast<std::size_t>(net.num_nodes()), 0);
+  const Graph& g = net.graph();
+  std::vector<std::uint8_t> side(static_cast<std::size_t>(g.num_nodes()), 0);
   side[static_cast<std::size_t>(s)] = 1;
   std::vector<int> queue{s};
   const double tol = net.tolerance();
   for (std::size_t i = 0; i < queue.size(); ++i) {
-    for (const int a : net.out_arcs(queue[i])) {
-      const int v = net.arc_to(a);
-      if (!side[static_cast<std::size_t>(v)] && net.residual(a) > tol) {
+    const std::span<const int> arcs = g.out_arcs(queue[i]);
+    const std::span<const int> heads = g.out_heads(queue[i]);
+    for (std::size_t j = 0; j < arcs.size(); ++j) {
+      const int v = heads[j];
+      if (!side[static_cast<std::size_t>(v)] && net.residual(arcs[j]) > tol) {
         side[static_cast<std::size_t>(v)] = 1;
         queue.push_back(v);
       }
@@ -28,8 +32,9 @@ std::vector<std::uint8_t> residual_source_side(const FlowNetwork& net, int s) {
   return side;
 }
 
-StCut extract_cut(const Graph& g, FlowNetwork& net, int s, double value,
+StCut extract_cut(const FlowNetwork& net, int s, double value,
                   MaxFlowStats stats) {
+  const Graph& g = net.graph();
   StCut cut;
   cut.value = value;
   cut.stats = stats;
@@ -59,18 +64,15 @@ StCut extract_cut(const Graph& g, FlowNetwork& net, int s, double value,
 }  // namespace
 
 StCut st_min_cut(const Graph& g, int s, int t) {
-  FlowNetwork net = FlowNetwork::from_graph(g);
-  return st_min_cut(g, net, s, t);
+  FlowNetwork net(g);
+  return st_min_cut(net, s, t);
 }
 
-StCut st_min_cut(const Graph& g, FlowNetwork& net, int s, int t) {
-  if (net.num_nodes() != g.num_nodes() || net.num_arcs() != g.num_arcs()) {
-    throw std::invalid_argument("st_min_cut: network does not mirror graph");
-  }
+StCut st_min_cut(FlowNetwork& net, int s, int t) {
   net.reset();
   MaxFlowStats stats;
   const double value = max_flow(net, s, t, &stats);
-  return extract_cut(g, net, s, value, stats);
+  return extract_cut(net, s, value, stats);
 }
 
 StCut global_min_cut(const Graph& g, const FlowOptions& opts) {

@@ -27,10 +27,10 @@ struct StCut {
 /// disagrees with the flow value (the verification contract).
 StCut st_min_cut(const Graph& g, int s, int t);
 
-/// Same, reusing a prebuilt FlowNetwork::from_graph(g) — reset and solved
-/// in place, so callers cutting many terminal pairs of one graph skip the
-/// per-pair network construction. `net` must mirror `g`.
-StCut st_min_cut(const Graph& g, FlowNetwork& net, int s, int t);
+/// Same, on a prebuilt FlowNetwork of the graph — reset and solved in
+/// place, so callers cutting many terminal pairs of one graph skip the
+/// per-pair network construction.
+StCut st_min_cut(FlowNetwork& net, int s, int t);
 
 /// Global minimum cut: the smallest s-t cut over all terminal pairs,
 /// computed as min over t != 0 of st_min_cut(0, t) (every cut separates

@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
 
 namespace tb {
@@ -10,7 +11,9 @@ int Graph::add_edge(int u, int v, double cap) {
   if (u < 0 || v < 0 || u >= num_nodes_ || v >= num_nodes_) {
     throw std::out_of_range("Graph::add_edge: node id out of range");
   }
-  if (cap <= 0) throw std::invalid_argument("Graph::add_edge: cap <= 0");
+  if (!std::isfinite(cap) || cap <= 0) {
+    throw std::invalid_argument("Graph::add_edge: cap must be finite and > 0");
+  }
   edge_u_.push_back(u);
   edge_v_.push_back(v);
   cap_.push_back(cap);

@@ -24,7 +24,8 @@ class Graph {
   explicit Graph(int n) : num_nodes_(n) {}
 
   /// Add an undirected edge u-v with capacity `cap` in each direction.
-  /// Self loops are rejected; parallel edges are allowed (multigraph).
+  /// Self loops and non-finite or non-positive capacities are rejected
+  /// (std::invalid_argument); parallel edges are allowed (multigraph).
   /// Returns the edge id. Invalidates the CSR until finalize().
   int add_edge(int u, int v, double cap = 1.0);
 

@@ -13,7 +13,8 @@ namespace tb::mcf {
 
 std::vector<int> sampled_risk_groups(const ScenarioSpec& spec,
                                      int num_groups) {
-  if (spec.random_group_fraction < 0.0 || spec.random_group_fraction > 1.0) {
+  if (!(spec.random_group_fraction >= 0.0 &&
+        spec.random_group_fraction <= 1.0)) {
     throw std::invalid_argument(
         "apply_scenario: random_group_fraction must be in [0, 1]");
   }
@@ -72,12 +73,14 @@ void ThroughputEngine::apply_scenario(const ScenarioSpec& spec) {
     throw std::invalid_argument(
         "apply_scenario: capacity_factor must be in (0, 1]");
   }
-  if (spec.random_edge_fraction < 0.0 || spec.random_edge_fraction > 1.0) {
+  if (!(spec.random_edge_fraction >= 0.0 &&
+        spec.random_edge_fraction <= 1.0)) {
     throw std::invalid_argument(
         "apply_scenario: random_edge_fraction must be in [0, 1]");
   }
-  if (!(spec.tm_scale > 0.0)) {
-    throw std::invalid_argument("apply_scenario: tm_scale must be > 0");
+  if (!(spec.tm_scale > 0.0) || !std::isfinite(spec.tm_scale)) {
+    throw std::invalid_argument(
+        "apply_scenario: tm_scale must be finite and > 0");
   }
   if (!(spec.installed_fraction > 0.0) || spec.installed_fraction > 1.0) {
     throw std::invalid_argument(

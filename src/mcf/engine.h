@@ -79,10 +79,10 @@ struct ScenarioSpec {
   /// separate stream, so enabling groups never perturbs the edge sampler.
   double random_group_fraction = 0.0;
   std::uint64_t seed = 0;
-  /// Traffic surge: every demand is scaled by tm_scale (> 0) before the
-  /// solve. Applied to the input TM inside the engine — capacities are
-  /// untouched, so the revert contract is unaffected. For the exact LP,
-  /// throughput scales exactly by 1/tm_scale.
+  /// Traffic surge: every demand is scaled by tm_scale (finite, > 0)
+  /// before the solve. Applied to the input TM inside the engine —
+  /// capacities are untouched, so the revert contract is unaffected. For
+  /// the exact LP, throughput scales exactly by 1/tm_scale.
   double tm_scale = 1.0;
   /// Incremental expansion, in (0, 1]: below 1 only the first
   /// k = max(2, min(n, round(installed_fraction * n))) switches are

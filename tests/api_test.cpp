@@ -71,6 +71,13 @@ TEST(ApiFactoriesTest, ScenarioSpecsParseAndRejectLoudly) {
   // not after the service has built the topology.
   EXPECT_THROW(build_scenario("degrade(c=0)"), std::invalid_argument);
   EXPECT_THROW(build_scenario("meteor()"), std::invalid_argument);
+  // Non-finite parameters (requests arrive as text, and stod reads "nan"
+  // and "inf") are rejected, never turned into a scenario or a cache key.
+  for (const char* spec :
+       {"fail(f=nan)", "fail(f=inf)", "groups(f=nan)", "groups(f=-inf)",
+        "degrade(c=nan)", "surge(x=inf)", "surge(x=nan)"}) {
+    EXPECT_THROW(build_scenario(spec), std::invalid_argument) << spec;
+  }
 }
 
 TEST(ApiServiceTest, AnswerTiersProgressSolvedMemoryStore) {

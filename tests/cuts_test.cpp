@@ -204,8 +204,7 @@ TEST(ExactCuts, CappedBruteForceIsTaggedUpper) {
 TEST(ExactCuts, HeuristicsNeverBelowExactCutsOnSmallGraphs) {
   // The satellite property: on graphs small enough for complete
   // enumeration, no estimator — heuristic, exact s-t, or bisection — may
-  // report a value below the true sparsest cut, and the flow lower bound
-  // must bracket it from below.
+  // report a value below the true sparsest cut.
   for (const std::uint64_t seed : {1ULL, 4ULL, 9ULL, 23ULL}) {
     const Network jf = make_jellyfish(12, 3, 1, seed);
     for (const TrafficMatrix& tm :
@@ -223,10 +222,6 @@ TEST(ExactCuts, HeuristicsNeverBelowExactCutsOnSmallGraphs) {
         EXPECT_GE(r.sparsity + 1e-12, exact.sparsity)
             << r.method << " seed " << seed << " tm " << tm.name;
       }
-      const cuts::CutResult lower =
-          cuts::sparsest_cut_flow_lower_bound(jf.graph, tm);
-      EXPECT_EQ(lower.bound, cuts::CutBound::Lower);
-      EXPECT_LE(lower.sparsity, exact.sparsity + 1e-12) << "seed " << seed;
     }
   }
 }

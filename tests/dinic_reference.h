@@ -1,6 +1,6 @@
 // Test-local Dinic max flow: BFS level graph + DFS blocking flow with
-// current-arc pointers. Deliberately simple and built on FlowNetwork's
-// public API only, so it shares no logic with the push-relabel engine in
+// current-arc pointers. Deliberately simple and built on the public
+// FlowNetwork and Graph APIs only, so it shares no logic with the push-relabel engine in
 // flow/max_flow.cpp that the tests cross-check against it.
 #pragma once
 
@@ -49,8 +49,8 @@ class Dinic {
     std::vector<int> queue{s_};
     for (std::size_t i = 0; i < queue.size(); ++i) {
       const int u = queue[i];
-      for (const int a : net_.out_arcs(u)) {
-        const int v = net_.arc_to(a);
+      for (const int a : net_.graph().out_arcs(u)) {
+        const int v = net_.graph().arc_to(a);
         if (level_[static_cast<std::size_t>(v)] < 0 &&
             net_.residual(a) > tol_) {
           level_[static_cast<std::size_t>(v)] =
@@ -64,13 +64,13 @@ class Dinic {
 
   double augment(int u, double limit) {
     if (u == t_) return limit;
-    const std::span<const int> arcs = net_.out_arcs(u);
+    const std::span<const int> arcs = net_.graph().out_arcs(u);
     for (; current_[static_cast<std::size_t>(u)] <
            static_cast<int>(arcs.size());
          ++current_[static_cast<std::size_t>(u)]) {
       const int a = arcs[static_cast<std::size_t>(
           current_[static_cast<std::size_t>(u)])];
-      const int v = net_.arc_to(a);
+      const int v = net_.graph().arc_to(a);
       if (net_.residual(a) <= tol_ ||
           level_[static_cast<std::size_t>(v)] !=
               level_[static_cast<std::size_t>(u)] + 1) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -269,6 +270,24 @@ TEST(Engine, RejectedScenarioLeavesEngineUnchanged) {
   EXPECT_EQ(engine.failed_group_count(), 1);
   EXPECT_EQ(engine.failed_edge_count(), failed_edges);
   EXPECT_EQ(engine.arc_capacities(), degraded);
+
+  // Non-finite fractions and surge factors are rejected the same way.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int field = 0; field < 3; ++field) {
+    for (const double v : {nan, inf}) {
+      mcf::ScenarioSpec non_finite;
+      if (field == 0) non_finite.random_edge_fraction = v;
+      if (field == 1) non_finite.random_group_fraction = v;
+      if (field == 2) non_finite.tm_scale = v;
+      EXPECT_THROW(engine.apply_scenario(non_finite), std::invalid_argument)
+          << "field " << field << " value " << v;
+      EXPECT_TRUE(engine.scenario_active());
+      EXPECT_EQ(engine.failed_group_count(), 1);
+      EXPECT_EQ(engine.failed_edge_count(), failed_edges);
+      EXPECT_EQ(engine.arc_capacities(), degraded);
+    }
+  }
 }
 
 TEST(Engine, CapacityDegradationScalesLpThroughputExactly) {

@@ -59,20 +59,21 @@ TEST(FlowNetwork, MirrorsGraphArcIds) {
   g.add_edge(0, 1, 2.0);
   g.add_edge(1, 2, 3.0);
   g.finalize();
-  const FlowNetwork net = FlowNetwork::from_graph(g);
+  const FlowNetwork net(g);
+  EXPECT_EQ(&net.graph(), &g);
   ASSERT_EQ(net.num_nodes(), 3);
   ASSERT_EQ(net.num_arcs(), 4);
   for (int a = 0; a < net.num_arcs(); ++a) {
-    EXPECT_EQ(net.arc_from(a), g.arc_from(a));
-    EXPECT_EQ(net.arc_to(a), g.arc_to(a));
-    EXPECT_DOUBLE_EQ(net.capacity(a), g.arc_cap(a));
+    EXPECT_EQ(net.capacity(a), g.arc_cap(a));
+    EXPECT_EQ(net.residual(a), g.arc_cap(a));
+    EXPECT_EQ(net.flow(a), 0.0);
   }
-  EXPECT_DOUBLE_EQ(net.max_capacity(), 3.0);
+  EXPECT_EQ(net.tolerance(), 3e-12);
 }
 
 TEST(MaxFlow, PathCarriesBottleneckCapacity) {
   const Graph g = path_graph(4);
-  FlowNetwork net = FlowNetwork::from_graph(g);
+  FlowNetwork net(g);
   EXPECT_DOUBLE_EQ(flow::max_flow(net, 0, 3), 1.0);
   net.reset();
   EXPECT_DOUBLE_EQ(dinic_max_flow(net, 0, 3), 1.0);
@@ -83,24 +84,29 @@ TEST(MaxFlow, ParallelEdgesAggregate) {
   g.add_edge(0, 1, 1.0);
   g.add_edge(0, 1, 0.5);
   g.finalize();
-  FlowNetwork net = FlowNetwork::from_graph(g);
+  FlowNetwork net(g);
   EXPECT_DOUBLE_EQ(flow::max_flow(net, 0, 1), 1.5);
 }
 
 TEST(MaxFlow, DirectedAsymmetricPairs) {
-  // Classic crossover where the max flow must cancel flow over the middle
-  // arc: s->a, s->b, a->t, b->t of capacity 1 plus a->b of capacity 1.
-  FlowNetwork net(4);
+  // Classic crossover on undirected links: s-a and a-t carry 2, s-b and
+  // b-t carry 1, and the a-b link (capacity 1) must carry a's surplus
+  // unit to b. The flow on a-b runs one way; its reverse arc carries none.
+  Graph g(4);
   const int s = 0, a = 1, b = 2, t = 3;
-  net.add_arc_pair(s, a, 1.0);
-  net.add_arc_pair(s, b, 1.0);
-  net.add_arc_pair(a, t, 1.0);
-  net.add_arc_pair(b, t, 1.0);
-  net.add_arc_pair(a, b, 1.0);
-  net.finalize();
-  EXPECT_DOUBLE_EQ(flow::max_flow(net, s, t), 2.0);
+  g.add_edge(s, a, 2.0);
+  g.add_edge(s, b, 1.0);
+  g.add_edge(a, t, 1.0);
+  g.add_edge(b, t, 2.0);
+  const int ab = g.add_edge(a, b, 1.0);
+  g.finalize();
+  FlowNetwork net(g);
+  EXPECT_DOUBLE_EQ(flow::max_flow(net, s, t), 3.0);
+  EXPECT_DOUBLE_EQ(net.flow(2 * ab), 1.0);
+  EXPECT_DOUBLE_EQ(net.flow(2 * ab + 1), 0.0);
   net.reset();
-  EXPECT_DOUBLE_EQ(dinic_max_flow(net, s, t), 2.0);
+  EXPECT_DOUBLE_EQ(dinic_max_flow(net, s, t), 3.0);
+  EXPECT_DOUBLE_EQ(net.flow(2 * ab), 1.0);
 }
 
 TEST(MaxFlow, DisconnectedPairHasZeroFlow) {
@@ -108,13 +114,13 @@ TEST(MaxFlow, DisconnectedPairHasZeroFlow) {
   g.add_edge(0, 1);
   g.add_edge(2, 3);
   g.finalize();
-  FlowNetwork net = FlowNetwork::from_graph(g);
+  FlowNetwork net(g);
   EXPECT_DOUBLE_EQ(flow::max_flow(net, 0, 3), 0.0);
 }
 
 TEST(MaxFlow, ResetAllowsResolving) {
   const Graph g = random_graph(12, 18, 7);
-  FlowNetwork net = FlowNetwork::from_graph(g);
+  FlowNetwork net(g);
   const double first = flow::max_flow(net, 0, 11);
   net.reset();
   const double second = flow::max_flow(net, 0, 11);
@@ -124,13 +130,13 @@ TEST(MaxFlow, ResetAllowsResolving) {
 TEST(MaxFlow, FlowConservationAndCapacityRespected) {
   const Graph g = random_graph(16, 30, 3);
   const int s = 0, t = 15;
-  FlowNetwork net = FlowNetwork::from_graph(g);
+  FlowNetwork net(g);
   const double value = flow::max_flow(net, s, t);
   std::vector<double> net_out(static_cast<std::size_t>(g.num_nodes()), 0.0);
   for (int a = 0; a < net.num_arcs(); ++a) {
     EXPECT_LE(net.flow(a), net.capacity(a) + 1e-9);
-    net_out[static_cast<std::size_t>(net.arc_from(a))] += net.flow(a);
-    net_out[static_cast<std::size_t>(net.arc_to(a))] -= net.flow(a);
+    net_out[static_cast<std::size_t>(g.arc_from(a))] += net.flow(a);
+    net_out[static_cast<std::size_t>(g.arc_to(a))] -= net.flow(a);
   }
   for (int v = 0; v < g.num_nodes(); ++v) {
     if (v == s || v == t) continue;
@@ -144,8 +150,8 @@ TEST(MaxFlow, PushRelabelMatchesDinicOnRandomGraphs) {
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL, 5ULL, 6ULL}) {
     const int n = 8 + static_cast<int>(seed) * 4;
     const Graph g = random_graph(n, 3 * n, seed);
-    FlowNetwork hl = FlowNetwork::from_graph(g);
-    FlowNetwork di = FlowNetwork::from_graph(g);
+    FlowNetwork hl(g);
+    FlowNetwork di(g);
     MaxFlowStats hl_stats;
     const double a = flow::max_flow(hl, 0, n - 1, &hl_stats);
     test_ref::Dinic dinic(di, 0, n - 1);
@@ -168,7 +174,7 @@ TEST(MinCut, MaxFlowEqualsMinCutCapacity) {
     double recomputed = 0.0;
     for (const int e : cut.cut_edges) recomputed += g.edge_cap(e);
     EXPECT_NEAR(recomputed, cut.cut_capacity, 1e-12);
-    FlowNetwork di = FlowNetwork::from_graph(g);
+    FlowNetwork di(g);
     EXPECT_NEAR(dinic_max_flow(di, 0, 13), cut.value,
                 1e-9 * (1.0 + cut.value));
     EXPECT_EQ(cut.source_side[0], 1);
@@ -195,17 +201,12 @@ TEST(MinCut, CutEdgesDisconnectTerminals) {
 
 TEST(MinCut, PrebuiltNetworkOverloadMatchesAndResets) {
   const Graph g = random_graph(12, 20, 31);
-  FlowNetwork net = FlowNetwork::from_graph(g);
-  const StCut a = flow::st_min_cut(g, net, 0, 11);
+  FlowNetwork net(g);
+  const StCut a = flow::st_min_cut(net, 0, 11);
   EXPECT_DOUBLE_EQ(a.value, flow::st_min_cut(g, 0, 11).value);
   // A second pair on the same network must solve from a clean reset.
-  const StCut b = flow::st_min_cut(g, net, 3, 9);
+  const StCut b = flow::st_min_cut(net, 3, 9);
   EXPECT_DOUBLE_EQ(b.value, flow::st_min_cut(g, 3, 9).value);
-  FlowNetwork mismatched(2);
-  mismatched.add_arc_pair(0, 1, 1.0);
-  mismatched.finalize();
-  EXPECT_THROW(flow::st_min_cut(g, mismatched, 0, 11),
-               std::invalid_argument);
 }
 
 TEST(MinCut, BridgeIsTheGlobalMinCut) {
@@ -233,7 +234,7 @@ TEST(MinCut, HypercubeStCutIsDegree) {
   const Network hc = make_hypercube(4);
   const StCut cut = flow::st_min_cut(hc.graph, 0, 15);
   EXPECT_DOUBLE_EQ(cut.value, 4.0);
-  const FlowNetwork net = FlowNetwork::from_network(hc);
+  const FlowNetwork net(hc.graph);
   EXPECT_EQ(net.num_nodes(), hc.graph.num_nodes());
   EXPECT_EQ(net.num_arcs(), hc.graph.num_arcs());
 }
@@ -253,16 +254,13 @@ TEST(MinCut, MatchesExactLpSingleCommodityThroughput) {
 
 TEST(MaxFlow, InvalidInputsThrow) {
   const Graph g = path_graph(3);
-  FlowNetwork net = FlowNetwork::from_graph(g);
+  FlowNetwork net(g);
   EXPECT_THROW(flow::max_flow(net, 0, 0), std::invalid_argument);
   EXPECT_THROW(flow::max_flow(net, -1, 2), std::invalid_argument);
   EXPECT_THROW(flow::max_flow(net, 0, 3), std::invalid_argument);
-  FlowNetwork unfinalized(2);
-  unfinalized.add_arc_pair(0, 1, 1.0);
-  EXPECT_THROW(flow::max_flow(unfinalized, 0, 1),
-               std::invalid_argument);
-  EXPECT_THROW(FlowNetwork(2).add_arc_pair(0, 0, 1.0), std::invalid_argument);
-  EXPECT_THROW(FlowNetwork(2).add_arc_pair(0, 1, -1.0), std::invalid_argument);
+  Graph unfinalized(2);
+  unfinalized.add_edge(0, 1);
+  EXPECT_THROW(FlowNetwork{unfinalized}, std::invalid_argument);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "graph/algorithms.h"
@@ -45,6 +46,14 @@ TEST(Graph, RejectsSelfLoopAndBadIds) {
   EXPECT_THROW(g.add_edge(0, 0), std::invalid_argument);
   EXPECT_THROW(g.add_edge(0, 5), std::out_of_range);
   EXPECT_THROW(g.add_edge(0, 1, -1.0), std::invalid_argument);
+  EXPECT_THROW(g.add_edge(0, 1, 0.0), std::invalid_argument);
+  EXPECT_THROW(g.add_edge(0, 1, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(g.add_edge(0, 1, std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(g.add_edge(0, 1, -std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_EQ(g.num_edges(), 0);
 }
 
 TEST(Graph, DegreeAndAdjacency) {

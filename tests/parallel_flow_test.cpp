@@ -100,11 +100,11 @@ std::vector<int> thread_ladder() { return {1, 0, 2, 4}; }
 /// pairs (0, t) in order, the first strict minimum wins, and the loop
 /// stops at a zero cut (nothing can beat it).
 StCut serial_global_min_cut(const Graph& g) {
-  FlowNetwork net = FlowNetwork::from_graph(g);
+  FlowNetwork net(g);
   bool have_best = false;
   StCut best;
   for (int t = 1; t < g.num_nodes(); ++t) {
-    StCut cut = flow::st_min_cut(g, net, 0, t);
+    StCut cut = flow::st_min_cut(net, 0, t);
     if (!have_best || cut.value < best.value) {
       best = std::move(cut);
       have_best = true;
@@ -203,10 +203,10 @@ TEST(ParallelFlow, BatteryMatchesSerialLoop) {
     pairs.emplace_back(s, t);
   }
   // Reference: the pre-battery idiom — one reused network, serial loop.
-  FlowNetwork net = FlowNetwork::from_graph(g);
+  FlowNetwork net(g);
   std::vector<StCut> loop;
   for (const auto& [s, t] : pairs) {
-    loop.push_back(flow::st_min_cut(g, net, s, t));
+    loop.push_back(flow::st_min_cut(net, s, t));
   }
   for (const int threads : thread_ladder()) {
     FlowOptions fo;
@@ -241,14 +241,14 @@ TEST(ParallelFlow, BestIndexMatchesSerialSelection) {
 
 TEST(ParallelFlow, TouchedArcResetRestoresCapacitiesExactly) {
   const Graph g = random_graph(30, 80, /*seed=*/21);
-  FlowNetwork net = FlowNetwork::from_graph(g);
+  FlowNetwork net(g);
   (void)flow::max_flow(net, 0, g.num_nodes() - 1);
   net.reset();
   for (int a = 0; a < net.num_arcs(); ++a) {
     EXPECT_EQ(net.residual(a), net.capacity(a)) << "arc " << a;
   }
   // A reused (reset) network must be indistinguishable from a fresh one.
-  FlowNetwork fresh = FlowNetwork::from_graph(g);
+  FlowNetwork fresh(g);
   MaxFlowStats reused_stats;
   MaxFlowStats fresh_stats;
   const double reused = flow::max_flow(net, 1, 7, &reused_stats);
@@ -278,7 +278,7 @@ TEST(ParallelFlow, LargeInstanceAgreesWithDinicAndIsBitwiseAcrossThreads) {
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     // The battery's cut (certified by st_min_cut) against an independent
     // max flow.
-    FlowNetwork di_net = FlowNetwork::from_graph(g);
+    FlowNetwork di_net(g);
     const double di_value =
         test_ref::dinic_max_flow(di_net, pairs[i].first, pairs[i].second);
     EXPECT_NEAR(serial[i].value, di_value, 1e-9 * (1.0 + di_value))
