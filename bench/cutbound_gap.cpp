@@ -38,12 +38,7 @@ int main() {
 
   exp::Runner runner;
   const exp::ResultSet rs = runner.run(sweep, exp::RunOptions::from_env());
-  // A sharded run (TOPOBENCH_SHARD=i/n) holds a partial grid: emit the
-  // mergeable slice — the summary table's max-gap line needs every cell.
-  if (exp::csv_mode() || rs.slice()) {
-    rs.emit(std::cout, caption);
-    return 0;
-  }
+  if (rs.emit(std::cout, caption)) return 0;
 
   Table table({"topology", "switches", "tm", "throughput", "cut_bound",
                "cut_method", "gap"});

@@ -197,12 +197,7 @@ int main(int argc, char** argv) {
 
   exp::Runner runner;
   const exp::ResultSet rs = runner.run(sweep, exp::RunOptions::from_env());
-  // A sharded run (TOPOBENCH_SHARD=i/n) holds a partial grid: emit the
-  // mergeable slice instead of the per-cell table.
-  if (exp::csv_mode() || rs.slice()) {
-    rs.emit(std::cout, caption);
-    return 0;
-  }
+  if (rs.emit(std::cout, caption)) return 0;
 
   Table table({"topology", "tm", "scenario", "failed_links", "throughput",
                "drop"});

@@ -66,13 +66,8 @@ void run_panel(const std::string& panel, std::vector<Network> nets,
   }
   exp::Runner runner;
   const exp::ResultSet rs = runner.run(sweep, exp::RunOptions::from_env());
-  // A sharded run (TOPOBENCH_SHARD=i/n) holds a partial grid: emit the
-  // mergeable slice — the derived panel table needs every cell. Note a
-  // sharded fig02 shards each panel's grid independently.
-  if (exp::csv_mode() || rs.slice()) {
-    rs.emit(std::cout, caption);
-    return;
-  }
+  // A sharded fig02 shards each panel's grid independently.
+  if (rs.emit(std::cout, caption)) return;
   Table table({"network", "servers", "A2A", "RM(10)", "RM(2)", "RM(1)",
                "Kodialam", "LM", "LowerBound"});
   for (const exp::TopoSpec& topo : sweep.topologies) {

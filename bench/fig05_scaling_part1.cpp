@@ -22,13 +22,8 @@ int main() {
       /*max_servers=*/500);
   exp::Runner runner;
   const exp::ResultSet rs = runner.run(sweep, exp::RunOptions::from_env());
-  // A sharded run (TOPOBENCH_SHARD=i/n) holds a partial grid: emit the
-  // mergeable slice — the pivot needs every cell.
-  if (exp::csv_mode() || rs.slice()) {
-    rs.emit(std::cout, caption);
-  } else {
-    exp::relative_pivot(rs, sweep).print(std::cout, caption);
-    std::cout << '\n';
-  }
+  if (rs.emit(std::cout, caption)) return 0;
+  exp::relative_pivot(rs, sweep).print(std::cout, caption);
+  std::cout << '\n';
   return 0;
 }

@@ -42,12 +42,7 @@ int main() {
   // the pool for each cell's own solves (same bytes either way).
   exp::Runner runner(/*parallel=*/false);
   const exp::ResultSet rs = runner.run(sweep, exp::RunOptions::from_env());
-  // A sharded run (TOPOBENCH_SHARD=i/n) holds a partial grid: emit the
-  // mergeable slice — the derived figure table needs every cell.
-  if (exp::csv_mode() || rs.slice()) {
-    rs.emit(std::cout, caption);
-    return 0;
-  }
+  if (rs.emit(std::cout, caption)) return 0;
 
   Table table({"q", "servers", "switches", "rel_LM", "rel_path_len",
                "rel_A2A"});

@@ -12,7 +12,6 @@
 #include <variant>
 
 #include "util/env.h"
-#include "util/table.h"
 
 namespace tb::exp {
 namespace {
@@ -41,9 +40,9 @@ struct Column {
 };
 
 /// The uniform record's columns, in CSV order: the one place a column is
-/// spelled. The header, CSV row, parser, table view and JSON object are all
-/// loops over this list, and the store's schema hash is the header's hash,
-/// so adding a column is adding one entry here.
+/// spelled. The header, CSV row, parser and JSON object are all loops over
+/// this list, and the store's schema hash is the header's hash, so adding
+/// a column is adding one entry here.
 constexpr Column kColumns[] = {
     {"cell", Kind::Int, &CellResult::cell},
     {"topology", Kind::Label, &CellResult::topology},
@@ -155,21 +154,19 @@ bool is_na(const Column& c, const T& v) {
   }
 }
 
-/// Column `c` of `r` as text: the CSV field (doubles %.17g, labels quoted,
-/// an empty label empty), or with `table` the human-readable cell (doubles
-/// to 4 significant digits). Other NA sentinels are "na" in both.
-std::string field_text(const Column& c, const CellResult& r, bool table) {
+/// Column `c` of `r` as its CSV field: doubles %.17g, labels quoted (an
+/// empty label empty), other NA sentinels "na".
+std::string field_text(const Column& c, const CellResult& r) {
   return std::visit(
       [&](auto m) -> std::string {
         const auto& v = r.*m;
         using T = std::decay_t<decltype(v)>;
         if constexpr (std::is_same_v<T, std::string>) {
-          if (!table) return csv_quote(v);
-          return is_na(c, v) ? "na" : v;
+          return csv_quote(v);
         } else if (is_na(c, v)) {
           return "na";
         } else if constexpr (std::is_same_v<T, double>) {
-          return table ? Table::fmt(v, 4) : num(v);
+          return num(v);
         } else {
           return std::to_string(v);
         }
@@ -196,10 +193,10 @@ json::Value field_json(const Column& c, const CellResult& r) {
       c.member);
 }
 
-/// Strict inverse of field_text's CSV form: a numeric field must be
-/// consumed whole ("0.5x" and "abc" are errors, an unsigned column rejects
-/// a sign), and "na" is the only spelling of NA, accepted only by the kinds
-/// that have a sentinel.
+/// Strict inverse of field_text: a numeric field must be consumed whole
+/// ("0.5x" and "abc" are errors, an unsigned column rejects a sign), and
+/// "na" is the only spelling of NA, accepted only by the kinds that have a
+/// sentinel.
 void parse_field(const Column& c, const std::string& s, CellResult& r) {
   std::visit(
       [&](auto m) {
@@ -254,7 +251,7 @@ std::string csv_row(const CellResult& r) {
   std::string row;
   for (const Column& c : kColumns) {
     if (&c != kColumns) row += ',';
-    row += field_text(c, r, /*table=*/false);
+    row += field_text(c, r);
   }
   return row;
 }
@@ -338,27 +335,14 @@ ResultSet ResultSet::from_csv(const std::string& csv) {
   return rs;
 }
 
-void ResultSet::emit(std::ostream& os, const std::string& caption) const {
+bool ResultSet::emit(std::ostream& os, const std::string& caption) const {
   // A slice is only meaningful as CSV (the "#!" header + mergeable rows),
   // so a sharded run emits CSV even without TOPOBENCH_CSV=1.
-  if (csv_mode() || slice_) {
-    os << "# " << caption << '\n';
-    if (slice_) os << slice_header_line(*slice_) << '\n';
-    os << to_csv();
-  } else {
-    std::vector<std::string> names;
-    for (const Column& c : kColumns) names.emplace_back(c.name);
-    Table table(std::move(names));
-    for (const CellResult& r : rows_) {
-      std::vector<std::string> cells;
-      for (const Column& c : kColumns) {
-        cells.push_back(field_text(c, r, /*table=*/true));
-      }
-      table.add_row(std::move(cells));
-    }
-    table.print(os, caption);
-  }
-  os << '\n';
+  if (!csv_mode() && !slice_) return false;
+  os << "# " << caption << '\n';
+  if (slice_) os << slice_header_line(*slice_) << '\n';
+  os << to_csv() << '\n';
+  return true;
 }
 
 bool csv_mode() { return env::flag_knob("TOPOBENCH_CSV", false); }

@@ -106,19 +106,22 @@ class ResultSet {
   const std::optional<SliceMeta>& slice() const noexcept { return slice_; }
   void set_slice(const SliceMeta& meta) { slice_ = meta; }
 
-  /// CSV to `os` when TOPOBENCH_CSV=1 or this is a slice (prefixed
-  /// "# caption" and, for slices, the "#!" header), otherwise an aligned
-  /// human-readable table.
-  void emit(std::ostream& os, const std::string& caption) const;
+  /// The drivers' one output rule. When TOPOBENCH_CSV=1 or this is a
+  /// slice (a slice holds a partial grid, which no figure table can be
+  /// derived from), writes "# caption", the "#!" header if sliced, the CSV
+  /// and a blank line to `os`, and returns true. Otherwise writes nothing
+  /// and returns false: the caller prints its figure table.
+  bool emit(std::ostream& os, const std::string& caption) const;
 
  private:
   std::vector<CellResult> rows_;
   std::optional<SliceMeta> slice_;
 };
 
-/// True when TOPOBENCH_CSV=1: drivers print the uniform ResultSet CSV
-/// instead of their derived figure tables. Strict loader semantics: any
-/// value other than "0"/"1" throws std::invalid_argument (see util/env.h).
+/// True when TOPOBENCH_CSV=1: ResultSet::emit writes the uniform CSV, and
+/// the hand-rolled drivers print their own tables as CSV. Strict loader
+/// semantics: any value other than "0"/"1" throws std::invalid_argument
+/// (see util/env.h).
 bool csv_mode();
 
 // --- single-record codec -------------------------------------------------

@@ -128,11 +128,10 @@ std::string solver_label(const mcf::SolveOptions& opts) {
 
 namespace {
 
-/// Shared CellResult scaffolding of a cell: identity columns + stats.
-void fill_cell_identity(CellResult& r, std::size_t cell_index,
-                        const std::string& topo_label, const Network& net,
-                        const std::string& tm_label, std::uint64_t cell_seed,
-                        const mcf::SolveOptions& solve) {
+/// Shared CellResult scaffolding of a cell: its identity columns.
+void fill_cell_identity(CellResult& r, const Sweep& sweep,
+                        std::size_t cell_index, const std::string& topo_label,
+                        const Network& net, const std::string& tm_label) {
   r.cell = cell_index;
   // The spec label, not net.name: the label is the identity rows and cache
   // keys agree on, and caller-authored specs may name instances freely.
@@ -140,8 +139,15 @@ void fill_cell_identity(CellResult& r, std::size_t cell_index,
   r.servers = net.total_servers();
   r.switches = net.graph.num_nodes();
   r.tm = tm_label;
-  r.seed = cell_seed;
-  r.solver = solver_label(solve);
+  r.seed = mix_seed(sweep.base_seed, cell_index);
+  r.solver = solver_label(sweep.solve);
+  // The sweep's requested configuration, never the execution-time merge
+  // with RunOptions::solver_threads: TOPOBENCH_SOLVER_THREADS (like
+  // TOPOBENCH_THREADS) is a pure execution knob, and the determinism
+  // entries require it to move no CSV byte. Recording the request also
+  // keeps stored bytes identical across env settings (ResultStore::put
+  // throws on a byte mismatch for the same key).
+  r.solver_threads = sweep.solve.solver_threads;
 }
 
 void record_stats(CellResult& r, const mcf::SolverStats& s) {
@@ -149,7 +155,6 @@ void record_stats(CellResult& r, const mcf::SolverStats& s) {
   r.phases = s.phases;
   r.dijkstras = s.dijkstras;
   r.warm = s.warm_start ? 1 : 0;
-  r.solver_threads = s.solver_threads;
 }
 
 }  // namespace
@@ -160,9 +165,8 @@ CellResult Runner::eval_cell(const Sweep& sweep,
                              const TmSpec& tm_spec,
                              std::size_t cell_index) const {
   CellResult r;
-  const std::uint64_t cell_seed = mix_seed(sweep.base_seed, cell_index);
-  fill_cell_identity(r, cell_index, topo_label, net, tm_spec.label, cell_seed,
-                     solve);
+  fill_cell_identity(r, sweep, cell_index, topo_label, net, tm_spec.label);
+  const std::uint64_t cell_seed = r.seed;
   const TrafficMatrix tm = tm_spec.build(net, mix_seed(cell_seed, 0));
   if (sweep.trials <= 0) {
     r.trials = 0;
@@ -242,8 +246,7 @@ void Runner::eval_failure_group(const Sweep& sweep,
     worker->apply_scenario(spec);
     const mcf::ThroughputResult t = worker->warm_solve(tm, solve);
     CellResult& r = out[index];
-    fill_cell_identity(r, index, topo_label, net, tm_spec.label,
-                       mix_seed(sweep.base_seed, index), solve);
+    fill_cell_identity(r, sweep, index, topo_label, net, tm_spec.label);
     r.trials = 0;
     r.scenario = point.label;
     r.throughput = t.throughput;
@@ -299,7 +302,7 @@ ResultSet Runner::run_impl(const Sweep& sweep, const RunOptions& opts,
   // RunOptions::solver_threads seeds the intra-solve threading knob when
   // the sweep leaves it at 0; never part of cache identity (results are
   // thread-invariant by the solver determinism contracts) and never
-  // recorded — the solver_threads column echoes sweep.solve below.
+  // recorded — fill_cell_identity echoes sweep.solve in the column.
   mcf::SolveOptions solve = sweep.solve;
   if (solve.solver_threads == 0) {
     solve.solver_threads = opts.solver_threads;
@@ -394,16 +397,6 @@ ResultSet Runner::run_impl(const Sweep& sweep, const RunOptions& opts,
     ThreadPool::shared().parallel_for(0, units.size(), eval_unit);
   } else {
     for (std::size_t u = 0; u < units.size(); ++u) eval_unit(u);
-  }
-
-  // The solver_threads column echoes the sweep's requested configuration,
-  // never the execution-time merge above: TOPOBENCH_SOLVER_THREADS (like
-  // TOPOBENCH_THREADS) is a pure execution knob, and the determinism
-  // entries require it to move no CSV byte. Normalizing before the
-  // write-through also keeps stored bytes identical across env settings
-  // (ResultStore::put throws on a byte mismatch for the same key).
-  for (const std::size_t index : misses) {
-    out[index].solver_threads = sweep.solve.solver_threads;
   }
 
   {

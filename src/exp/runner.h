@@ -28,10 +28,17 @@
 // own cell's stream mix_seed(base, cell, trials + 2). Groups run
 // concurrently, and so do the scenarios of a group (inline when the group
 // itself runs on a pool worker); per-scenario results are independent of
-// group shape, so the determinism contract is unchanged. Requires absolute mode
-// (trials == 0, no cut bounds). Growth stages (exp::growth_scenarios) are
-// ordinary points of this axis: each fails its uninstalled node tail, and
-// the point's growth_step fills that column.
+// group shape, so the determinism contract is unchanged. Growth stages
+// (exp::growth_scenarios) are ordinary points of this axis: each fails its
+// uninstalled node tail, and the point's growth_step fills that column.
+//
+// Failures mode requires absolute mode (trials == 0) and no cut bounds;
+// Runner::run throws otherwise (validate_modes). A degraded cell has no
+// same-equipment random-graph counterpart: the scenario's sampled edge ids
+// and risk groups do not map onto a random graph's edges, so there is no
+// relative column to report. The cut estimators read the Graph's
+// capacities, not the scenario's working capacities, so a cut bound would
+// certify the intact network, not the degraded one.
 //
 // Dispatch: every mode runs through one loop over evaluation units — a
 // (topology, TM) failure group in failures mode, a single cold cell

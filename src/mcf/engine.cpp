@@ -242,7 +242,6 @@ ThroughputResult ThroughputEngine::run(const TrafficMatrix& tm,
     // all) makes 0 the exact optimum of the concurrent-flow LP.
     ThroughputResult zero;
     zero.solver = "disconnected";
-    zero.stats.solver_threads = opts.solver_threads;
     return zero;
   }
 
@@ -277,7 +276,6 @@ ThroughputResult ThroughputEngine::run(const TrafficMatrix& tm,
     ThroughputResult res = throughput_exact_lp(net_->graph, *effective,
                                                session);
     res.stats.warm_start = warm_used;
-    res.stats.solver_threads = opts.solver_threads;
     return res;
   }
 
@@ -306,7 +304,6 @@ ThroughputResult ThroughputEngine::run(const TrafficMatrix& tm,
   // "Warm" records that a warm solve was requested, not that the lengths
   // were seeded (that happens only when the commodity fingerprint matched).
   res.stats.warm_start = warm;
-  res.stats.solver_threads = opts.solver_threads;
   return res;
 }
 

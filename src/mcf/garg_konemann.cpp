@@ -476,7 +476,6 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
   long phase = 0;
   long dijkstras = 0;
   long next_sweep = 1;  // adaptive exact-sweep schedule
-  long best_window_phases = 0;
   double best_window_congestion = kInf;
   bool best_is_window = false;
   double best_gap_seen = kInf;
@@ -585,7 +584,6 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
       if (pw > primal) {
         primal = pw;
         best_is_window = true;
-        best_window_phases = phase - snap_phase;
         best_window_congestion = cong_window;
       }
     }
@@ -630,7 +628,6 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
   res.upper_bound *= demand_scale;
   res.arc_flow.resize(static_cast<std::size_t>(num_arcs));
   if (best_is_window && best_window_congestion > 0.0) {
-    (void)best_window_phases;
     for (int a = 0; a < num_arcs; ++a) {
       res.arc_flow[static_cast<std::size_t>(a)] =
           (flow_[static_cast<std::size_t>(a)] -

@@ -54,10 +54,6 @@ struct SolverStats {
   long phases = 0;      ///< GK multiplicative-weights phases
   long dijkstras = 0;   ///< GK shortest-path-tree computations
   bool warm_start = false;  ///< solve was seeded from a previous solution
-  /// The solve's SolveOptions::solver_threads configuration (0 = shared
-  /// pool). The requested value, not a measured worker count, so recorded
-  /// results stay byte-identical across machines and pool sizes.
-  int solver_threads = 0;
 };
 
 struct ThroughputResult {

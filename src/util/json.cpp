@@ -263,6 +263,15 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
+/// %.17g rendering of a finite double; non-finite values render as "null"
+/// (JSON has no NaN/Infinity literals).
+std::string number_to_string(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
 void dump_to(const Value& v, std::string& out) {
   switch (v.kind) {
     case Kind::Null:
@@ -426,13 +435,6 @@ std::string escape(const std::string& s) {
     }
   }
   return out;
-}
-
-std::string number_to_string(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
 }
 
 }  // namespace tb::json

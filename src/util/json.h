@@ -70,9 +70,4 @@ std::string dump(const Value& v);
 /// mandatory escapes, \n \r \t, and \u00XX for remaining control bytes.
 std::string escape(const std::string& s);
 
-/// %.17g rendering of a finite double; non-finite values render as "null"
-/// (JSON has no NaN/Infinity literals). Shared by dump() and the server's
-/// hand-written emitters so every number is formatted by one function.
-std::string number_to_string(double v);
-
 }  // namespace tb::json

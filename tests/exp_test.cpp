@@ -395,23 +395,6 @@ TEST(Results, JsonEscapesControlCharactersAndNonFinite) {
   EXPECT_NE(json.find("\"cut_bound\": null"), std::string::npos);
 }
 
-TEST(Results, TableViewMatchesGolden) {
-  ::unsetenv("TOPOBENCH_CSV");  // the aligned table, not CSV
-  exp::ResultSet rs;
-  rs.add(sentinel_columns());
-  rs.add(all_columns_set());
-  std::ostringstream os;
-  rs.emit(os, "golden");
-  // clang-format off
-  EXPECT_EQ(os.str(),
-      "# golden\n"
-      "cell  topology        servers  switches  tm     seed                  solver        trials  throughput  random_mean  random_ci95  relative  relative_ci95  cut_bound  cut_gap  cut_method        scenario     failed_links  throughput_drop  risk_group  tm_scale  growth_step  pivots  phases  dijkstras  pushes  relabels  global_relabels  warm  solver_threads\n"
-      "0     Hypercube(d=4)  16       16        A2A    123                   gk(eps=0.05)  0       0.5000      na           na           na        na             na         na       na                na           na            na               na          na        na           0       0       0          0       0         0                0     0\n"
-      "7     BCube(n=2,k=3)  24       12        RM(5)  18446744073709551557  exact-lp      3       0.8125      0.7500       0.0100       1.0833    0.0200         1.5000     0.6875   st-mincut(exact)  fail(f=0.1)  5             0.1250           2           1.5000    3            101     202     303        404     505       606              1     4\n"
-      "\n");
-  // clang-format on
-}
-
 /// csv_row of a comma-free record with column `index` replaced by `value`.
 std::string row_with(std::size_t index, const std::string& value) {
   exp::CellResult r = sentinel_columns();

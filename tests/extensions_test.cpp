@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "graph/algorithms.h"
-#include "topo/butterfly.h"
 #include "topo/hypercube.h"
 #include "topo/io.h"
 #include "topo/torus.h"
@@ -72,29 +71,6 @@ TEST(Torus, Size2DimensionsAvoidParallelEdges) {
   const Network net = make_torus({2, 2, 2}, 1);
   const Network hc = make_hypercube(3);
   EXPECT_EQ(net.graph.num_edges(), hc.graph.num_edges());
-}
-
-TEST(Butterfly, StructureAndServerPlacement) {
-  const int k = 2;
-  const int stages = 4;
-  const Network net = make_butterfly(k, stages);
-  net.validate();
-  const int per_stage = 8;  // k^(stages-1)
-  EXPECT_EQ(net.graph.num_nodes(), per_stage * stages);
-  EXPECT_EQ(net.total_servers(), 2 * per_stage * k);
-  // First/last stages have degree k (one direction), middle 2k.
-  for (int r = 0; r < per_stage; ++r) {
-    EXPECT_EQ(net.graph.degree(r), k);
-    EXPECT_EQ(net.graph.degree((stages - 1) * per_stage + r), k);
-    EXPECT_EQ(net.graph.degree(per_stage + r), 2 * k);
-  }
-}
-
-TEST(Butterfly, UnflattenedMatchesPaperNaming) {
-  // 5-ary 3-stage butterfly: 25 switches per stage, 3 stages.
-  const Network net = make_butterfly(5, 3);
-  EXPECT_EQ(net.graph.num_nodes(), 75);
-  EXPECT_EQ(net.total_servers(), 2 * 25 * 5);
 }
 
 TEST(IO, EdgeListRoundTrip) {

@@ -291,7 +291,7 @@ exp::Sweep structured_sweep() {
   return s;
 }
 
-TEST(ScenarioFleet, BatchMatchesSerialBitwiseForStructuredScenarios) {
+TEST(FailureGroup, BatchMatchesSerialBitwiseForStructuredScenarios) {
   // The group contract for the structured scenario kinds: one shared
   // baseline + forked warm solves must be bitwise the one-at-a-time
   // engine answers, for groups, surge, node failure and compound.
@@ -311,7 +311,7 @@ TEST(ScenarioFleet, BatchMatchesSerialBitwiseForStructuredScenarios) {
   EXPECT_EQ(rs.rows()[1].failed_links, 0);  // surge fails nothing
 }
 
-TEST(ScenarioFleet, ParallelAndInlineFanoutAgree) {
+TEST(FailureGroup, ParallelAndInlineFanoutAgree) {
   // A single (topology, TM) group with serial solves: the per-scenario
   // fan-out is the only parallel level, and it must not move a byte.
   exp::Sweep sweep = structured_sweep();

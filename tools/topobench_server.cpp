@@ -98,6 +98,32 @@ tb::api::Topology parse_topology(const Value& v) {
           : 1);
 }
 
+/// The optional fields a query and a sweep share (solver, epsilon, trials,
+/// cut_bounds, seed), decoded into `q` with one set of checks.
+template <class Q>
+void parse_solve_fields(const Value& req, Q& q) {
+  if (const Value* solver = req.find("solver")) {
+    q.solver = parse_solver(solver->as_string("solver"));
+  }
+  if (const Value* eps = req.find("epsilon")) {
+    const double e = eps->as_number("epsilon");
+    if (!(e > 0.0) || e > 1.0) {
+      throw std::invalid_argument("epsilon must be in (0, 1]");
+    }
+    q.epsilon = e;
+  }
+  if (const Value* trials = req.find("trials")) {
+    q.trials = static_cast<int>(trials->as_int("trials", 0, 100));
+  }
+  if (const Value* cb = req.find("cut_bounds")) {
+    q.cut_bounds = cb->as_bool("cut_bounds");
+  }
+  if (const Value* seed_field = req.find("seed")) {
+    q.seed = static_cast<std::uint64_t>(
+        seed_field->as_int("seed", 0, 1000000000L));
+  }
+}
+
 class Server {
  public:
   explicit Server(tb::api::ServiceConfig cfg) : service_(std::move(cfg)) {}
@@ -183,27 +209,9 @@ class Server {
     const Value* tm = req.find("tm");
     if (tm == nullptr) throw std::invalid_argument("query needs a \"tm\"");
     q.tm = tb::api::build_tm(tm->as_string("tm"));
-    if (const Value* solver = req.find("solver")) {
-      q.solver = parse_solver(solver->as_string("solver"));
-    }
-    if (const Value* eps = req.find("epsilon")) {
-      const double e = eps->as_number("epsilon");
-      if (!(e > 0.0) || e > 1.0) {
-        throw std::invalid_argument("epsilon must be in (0, 1]");
-      }
-      q.epsilon = e;
-    }
-    if (const Value* trials = req.find("trials")) {
-      q.trials = static_cast<int>(trials->as_int("trials", 0, 100));
-    }
-    if (const Value* cb = req.find("cut_bounds")) {
-      q.cut_bounds = cb->as_bool("cut_bounds");
-    }
+    parse_solve_fields(req, q);
     if (const Value* scenario = req.find("scenario")) {
       q.scenario = tb::api::build_scenario(scenario->as_string("scenario"));
-    }
-    if (const Value* seed_field = req.find("seed")) {
-      q.seed = static_cast<std::uint64_t>(seed_field->as_int("seed", 0, 1000000000L));
     }
     return q;
   }
@@ -233,22 +241,7 @@ class Server {
     for (const Value& t : tms->items) {
       q.tms.push_back(tb::api::build_tm(t.as_string("tms[]")));
     }
-    if (const Value* solver = req.find("solver")) {
-      q.solver = parse_solver(solver->as_string("solver"));
-    }
-    if (const Value* eps = req.find("epsilon")) {
-      const double e = eps->as_number("epsilon");
-      if (!(e > 0.0) || e > 1.0) {
-        throw std::invalid_argument("epsilon must be in (0, 1]");
-      }
-      q.epsilon = e;
-    }
-    if (const Value* trials = req.find("trials")) {
-      q.trials = static_cast<int>(trials->as_int("trials", 0, 100));
-    }
-    if (const Value* cb = req.find("cut_bounds")) {
-      q.cut_bounds = cb->as_bool("cut_bounds");
-    }
+    parse_solve_fields(req, q);
     if (const Value* scenarios = req.find("scenarios")) {
       if (scenarios->kind != tb::json::Kind::Array) {
         throw std::invalid_argument("\"scenarios\" must be an array");
@@ -257,9 +250,6 @@ class Server {
         q.scenarios.push_back(
             tb::api::build_scenario(s.as_string("scenarios[]")));
       }
-    }
-    if (const Value* seed_field = req.find("seed")) {
-      q.seed = static_cast<std::uint64_t>(seed_field->as_int("seed", 0, 1000000000L));
     }
     const tb::api::SweepResult r = service_.sweep(q);
     resp.set("cells", Value::number_v(static_cast<double>(r.results.size())));
