@@ -13,7 +13,7 @@
 //       Relative throughput vs same-equipment random graphs.
 //
 // Numeric arguments are strict: target_servers in [4, 100000], seed in
-// [0, 2^63), epsilon in (0, 0.5), trials in [1, 100].
+// [0, 2^63), epsilon in [0.0001, 0.3], trials in [1, 100].
 //
 // Exit status: 0 ok, 1 data error (unreadable/invalid input), 2 usage.
 #include <climits>
@@ -39,7 +39,7 @@ int usage() {
   }
   std::cerr << "\ntm specs: a2a rm(<k>) lm kodialam\n"
             << "numbers: target_servers in [4, 100000], seed >= 0, epsilon "
-               "in (0, 0.5), trials in [1, 100]\n";
+               "in [0.0001, 0.3], trials in [1, 100]\n";
   return 2;
 }
 
@@ -82,7 +82,8 @@ int main(int argc, char** argv) {
     if (cmd == "eval") {
       if (argc < 4) return usage();
       tb::api::Query q;
-      if (argc > 4 && !examples::parse_double(argv[4], 0.0, 0.5, &q.epsilon)) {
+      if (argc > 4 && (!examples::parse_double(argv[4], 0.0, 1.0, &q.epsilon) ||
+                       !tb::mcf::epsilon_in_range(q.epsilon))) {
         return bad_arg("epsilon", argv[4]);
       }
       q.topology = load(argv[2]);

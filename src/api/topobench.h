@@ -121,7 +121,8 @@ struct Query {
   Topology topology;
   Traffic tm;
   Solver solver = Solver::Auto;
-  double epsilon = 0.03;     ///< GK certified-gap target
+  double epsilon = 0.03;     ///< GK certified-gap target, in
+                             ///< [mcf::kMinEpsilon, mcf::kMaxEpsilon]
   int trials = 0;            ///< >0: relative mode
   bool cut_bounds = false;   ///< also compute certified cut upper bounds
   std::optional<Scenario> scenario;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -158,7 +159,10 @@ std::vector<ScenarioPoint> growth_scenarios(int steps) {
 }
 
 double eps_knob(double fallback) {
-  return env::double_knob("TOPOBENCH_EPS", fallback, 0.0, 0.5);
+  const double eps = env::double_knob(
+      "TOPOBENCH_EPS", fallback, 0.0, std::numeric_limits<double>::infinity());
+  mcf::check_epsilon(eps, "TOPOBENCH_EPS");
+  return eps;
 }
 
 int trials_knob(int fallback) {

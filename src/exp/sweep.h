@@ -159,7 +159,8 @@ std::vector<ScenarioPoint> growth_scenarios(int steps);
 // through util/env's strict policy and is the one place its accepted range
 // is stated: unset means the caller's `fallback`, and a malformed or
 // out-of-range value throws std::invalid_argument naming the variable.
-//   TOPOBENCH_EPS            — GK certified-gap target, in (0, 0.5)
+//   TOPOBENCH_EPS            — GK certified-gap target, in [0.0001, 0.3]
+//                              (mcf::kMinEpsilon, mcf::kMaxEpsilon)
 //   TOPOBENCH_TRIALS         — random-graph samples per data point,
 //                              in [1, 100]
 //   TOPOBENCH_TARGET_SERVERS — representative-instance size target,

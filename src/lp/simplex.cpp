@@ -8,10 +8,11 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/thread_pool.h"
-
 namespace tb::lp {
 namespace {
+
+constexpr double kPivotTol = 1e-9;  // minimum magnitude for a pivot element
+constexpr double kCostTol = 1e-8;   // reduced-cost optimality tolerance
 
 /// Internal standard form: min c'x, A x = b (b >= 0), x >= 0. Artificial
 /// variables carry a Big-M cost; the basis inverse is kept dense.
@@ -216,7 +217,7 @@ Result solve(const Problem& p, const Options& opts) {
     res.x.assign(static_cast<std::size_t>(p.num_vars), 0.0);
     for (int j = 0; j < p.num_vars; ++j) {
       const double c = s.cost[static_cast<std::size_t>(j)];
-      if (c < -opts.cost_tol) {
+      if (c < -kCostTol) {
         res.status = Status::Unbounded;
         return res;
       }
@@ -266,23 +267,6 @@ Result solve(const Problem& p, const Options& opts) {
   std::vector<double> y(static_cast<std::size_t>(m));
   std::vector<double> d(static_cast<std::size_t>(m));
 
-  // Deterministic parallel scans (see Options::pool): per-iteration work
-  // whose slots are independent — BTRAN in fixed blocks of kBtranBlock
-  // entries of y, FTRAN rows, basis-inverse row updates — runs on the pool
-  // with the serial path's per-slot arithmetic, and pricing is partitioned
-  // into fixed column ranges reduced in range order with the serial
-  // comparison semantics. The partitions are compile-time constants and
-  // both gates depend only on the problem shape, never the pool size, so
-  // the solve is bitwise invariant across thread counts (pool == nullptr
-  // included).
-  ThreadPool* pool = opts.pool;
-  constexpr int kPriceRange = 256;  // columns per pricing range (fixed)
-  constexpr std::size_t kBtranBlock = 64;  // y entries per BTRAN block (fixed)
-  const bool par_rows = pool != nullptr && m >= 256;
-  const bool par_price = pool != nullptr && n >= 2 * kPriceRange;
-  std::vector<std::pair<double, int>> price_best;  // (best rc, column)/range
-  std::vector<std::pair<int, double>> cost_rows;   // (row, nonzero c_B[row])
-
   long degenerate_streak = 0;
   bool bland = false;
 
@@ -293,97 +277,44 @@ Result solve(const Problem& p, const Options& opts) {
     // cost 0). Each y[j] sums the same terms in ascending row order as a
     // full column dot would; the skipped terms are exactly zero, so y is
     // bitwise unchanged by the skip.
-    cost_rows.clear();
+    std::fill(y.begin(), y.end(), 0.0);
     for (int i = 0; i < m; ++i) {
       const double c =
           s.cost[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])];
-      if (c != 0.0) cost_rows.emplace_back(i, c);
-    }
-    const auto btran_block = [&](std::size_t blk) {
-      const std::size_t j0 = blk * kBtranBlock;
-      const std::size_t j1 = std::min(static_cast<std::size_t>(m),
-                                      j0 + kBtranBlock);
-      for (std::size_t j = j0; j < j1; ++j) y[j] = 0.0;
-      for (const auto& [i, c] : cost_rows) {
-        const double* row = &binv[static_cast<std::size_t>(i) * m];
-        for (std::size_t j = j0; j < j1; ++j) y[j] += c * row[j];
-      }
-    };
-    const std::size_t nblocks =
-        (static_cast<std::size_t>(m) + kBtranBlock - 1) / kBtranBlock;
-    if (par_rows) {
-      pool->parallel_for(0, nblocks, btran_block);
-    } else {
-      for (std::size_t blk = 0; blk < nblocks; ++blk) btran_block(blk);
+      if (c == 0.0) continue;
+      const double* row = &binv[static_cast<std::size_t>(i) * m];
+      for (int j = 0; j < m; ++j) y[static_cast<std::size_t>(j)] += c * row[j];
     }
 
-    // Pricing.
+    // Pricing: Dantzig (most negative reduced cost), or under Bland's rule
+    // the first improving column.
     int entering = -1;
-    double best_rc = -opts.cost_tol;
-    const auto price_column = [&](int j, double& best, int& ent) {
+    double best_rc = -kCostTol;
+    for (int j = 0; j < n; ++j) {
+      if (in_basis[static_cast<std::size_t>(j)]) continue;
       double rc = s.cost[static_cast<std::size_t>(j)];
       for (const auto& [i, v] : s.cols[static_cast<std::size_t>(j)]) {
         rc -= y[static_cast<std::size_t>(i)] * v;
       }
       if (bland) {
-        if (rc < -opts.cost_tol && ent < 0) ent = j;
-      } else if (rc < best) {
-        best = rc;
-        ent = j;
-      }
-    };
-    if (par_price) {
-      const int nranges = (n + kPriceRange - 1) / kPriceRange;
-      price_best.assign(static_cast<std::size_t>(nranges), {0.0, -1});
-      const auto price_range = [&](std::size_t rg) {
-        const int j0 = static_cast<int>(rg) * kPriceRange;
-        const int j1 = std::min(n, j0 + kPriceRange);
-        double best = -opts.cost_tol;
-        int ent = -1;
-        for (int j = j0; j < j1; ++j) {
-          if (in_basis[static_cast<std::size_t>(j)]) continue;
-          price_column(j, best, ent);
-          if (bland && ent >= 0) break;
-        }
-        price_best[rg] = {best, ent};
-      };
-      pool->parallel_for(0, static_cast<std::size_t>(nranges), price_range);
-      // Range-order reduction with the serial strict-< semantics: the
-      // winner is exactly the column the single-threaded scan would pick.
-      for (const auto& [best, ent] : price_best) {
-        if (ent < 0) continue;
-        if (bland) {
-          entering = ent;
+        if (rc < -kCostTol) {
+          entering = j;
           break;
         }
-        if (best < best_rc) {
-          best_rc = best;
-          entering = ent;
-        }
-      }
-    } else {
-      for (int j = 0; j < n; ++j) {
-        if (in_basis[static_cast<std::size_t>(j)]) continue;
-        price_column(j, best_rc, entering);
-        if (bland && entering >= 0) break;
+      } else if (rc < best_rc) {
+        best_rc = rc;
+        entering = j;
       }
     }
     if (entering < 0) break;  // optimal
 
-    // FTRAN: d = Binv * A[entering], one independent dot per row (the
-    // per-row accumulation order matches the serial entry-outer loop).
+    // FTRAN: d = Binv * A[entering], one dot per row.
     const auto& ecol = s.cols[static_cast<std::size_t>(entering)];
-    const auto ftran_row = [&](std::size_t r) {
+    for (int r = 0; r < m; ++r) {
+      const double* row = &binv[static_cast<std::size_t>(r) * m];
       double acc = 0.0;
-      for (const auto& [i, v] : ecol) {
-        acc += v * binv[r * m + static_cast<std::size_t>(i)];
-      }
-      d[r] = acc;
-    };
-    if (par_rows) {
-      pool->parallel_for(0, static_cast<std::size_t>(m), ftran_row, 64);
-    } else {
-      for (int r = 0; r < m; ++r) ftran_row(static_cast<std::size_t>(r));
+      for (const auto& [i, v] : ecol) acc += v * row[i];
+      d[static_cast<std::size_t>(r)] = acc;
     }
 
     // Ratio test.
@@ -391,7 +322,7 @@ Result solve(const Problem& p, const Options& opts) {
     double theta = std::numeric_limits<double>::infinity();
     for (int i = 0; i < m; ++i) {
       const double di = d[static_cast<std::size_t>(i)];
-      if (di > opts.pivot_tol) {
+      if (di > kPivotTol) {
         const double ratio = xb[static_cast<std::size_t>(i)] / di;
         const bool better =
             ratio < theta - 1e-12 ||
@@ -431,17 +362,11 @@ Result solve(const Problem& p, const Options& opts) {
 
     double* lrow = &binv[static_cast<std::size_t>(leave) * m];
     for (int j = 0; j < m; ++j) lrow[j] /= piv;
-    const auto eliminate_row = [&](std::size_t i) {
-      if (static_cast<int>(i) == leave) return;
-      const double f = d[i];
-      if (f == 0.0) return;
-      double* row = &binv[i * m];
+    for (int i = 0; i < m; ++i) {
+      const double f = d[static_cast<std::size_t>(i)];
+      if (i == leave || f == 0.0) continue;
+      double* row = &binv[static_cast<std::size_t>(i) * m];
       for (int j = 0; j < m; ++j) row[j] -= f * lrow[j];
-    };
-    if (par_rows) {
-      pool->parallel_for(0, static_cast<std::size_t>(m), eliminate_row, 64);
-    } else {
-      for (int i = 0; i < m; ++i) eliminate_row(static_cast<std::size_t>(i));
     }
 
     in_basis[static_cast<std::size_t>(basis[static_cast<std::size_t>(leave)])] = 0;

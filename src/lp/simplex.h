@@ -9,7 +9,9 @@
 // objective magnitude), so feasibility and optimality are reached in one
 // phase. Dantzig pricing with a Bland's-rule anti-cycling fallback, and
 // dual extraction (the duals certify optimality in tests via the
-// sparsest-cut relaxation of Theorem 3).
+// sparsest-cut relaxation of Theorem 3). The solve is serial: at the sizes
+// the Auto dispatch sends here, per-pivot scans are too short to pay for a
+// thread pool's hand-off.
 //
 // Intended scale: a few thousand rows/columns — exact throughput on small
 // networks, path-restricted LPs (Fig 15), and the Kodialam TM LP. Large
@@ -20,10 +22,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-namespace tb {
-class ThreadPool;
-}  // namespace tb
 
 namespace tb::lp {
 
@@ -74,23 +72,12 @@ struct Result {
 
 struct Options {
   long max_iterations = 0;   ///< 0 means automatic (50 * (rows + cols) + 5000)
-  double pivot_tol = 1e-9;   ///< minimum magnitude for a pivot element
-  double cost_tol = 1e-8;    ///< reduced-cost optimality tolerance
   /// Candidate starting basis (a previous Result::basis from a same-shaped
   /// problem). Tried opportunistically: if it is the wrong size, singular,
   /// or infeasible for this instance, the solver silently falls back to
   /// the cold slack/artificial start. Never affects correctness — only the
   /// pivot count.
   const std::vector<int>* warm_basis = nullptr;
-  /// When set, the per-iteration independent scans run on this pool, gated
-  /// on problem size: pricing (reduced costs over fixed 256-column ranges,
-  /// from 512 columns) and, from 256 rows, BTRAN (fixed 64-entry blocks of
-  /// y), FTRAN and the basis-inverse update (both per row). The
-  /// partitioning is a compile-time constant and every reduction is
-  /// applied in range order with the serial comparison semantics, so the
-  /// chosen pivots (and therefore the whole solve) are bitwise identical
-  /// to the serial path for any pool size.
-  ThreadPool* pool = nullptr;
 };
 
 /// Solve the LP. The returned x satisfies all rows within ~1e-6.

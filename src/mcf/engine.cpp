@@ -212,6 +212,12 @@ ThroughputResult ThroughputEngine::warm_solve(const TrafficMatrix& tm,
 
 ThroughputResult ThroughputEngine::run(const TrafficMatrix& tm,
                                        const SolveOptions& opts, bool warm) {
+  check_epsilon(opts.epsilon, "ThroughputEngine: epsilon");
+  if (tm.demands.empty()) {
+    // Both kernels reject this too, with different messages; an empty TM
+    // (e.g. any TM on a single switch) has one answer whichever Auto picks.
+    throw std::invalid_argument("ThroughputEngine: empty traffic matrix");
+  }
   validate_tm(tm, *net_, /*check_hose=*/false);
 
   // The scenario's TM perturbation is applied to the input matrix per
@@ -264,7 +270,6 @@ ThroughputResult ThroughputEngine::run(const TrafficMatrix& tm,
       (opts.kind == SolverKind::Auto &&
        net_->graph.num_nodes() <= kExactMaxSwitches &&
        lp_size_within(num_sources, net_->graph.num_arcs(), kExactMaxLpSize));
-  ThreadPool* const pool = ThreadPool::resolve(opts.solver_threads);
   if (use_exact) {
     ExactLpSession session;
     if (scenario_active_) session.arc_caps = &gk_.arc_capacities();
@@ -272,7 +277,6 @@ ThroughputResult ThroughputEngine::run(const TrafficMatrix& tm,
     if (warm && !lp_basis_.empty()) session.warm_basis = &lp_basis_;
     session.basis_out = &lp_basis_;
     session.warm_started_out = &warm_used;
-    session.pool = pool;
     ThroughputResult res = throughput_exact_lp(net_->graph, *effective,
                                                session);
     res.stats.warm_start = warm_used;
@@ -281,7 +285,7 @@ ThroughputResult ThroughputEngine::run(const TrafficMatrix& tm,
 
   GkOptions gkopts;
   gkopts.epsilon = opts.epsilon;
-  gkopts.pool = pool;
+  gkopts.pool = ThreadPool::resolve(opts.solver_threads);
   // A warm solve seeds the lengths from the previous solve only when this
   // TM routes the same commodity pairs (failure scenarios, scaled demands):
   // across *different* TMs the previous bottleneck shape misleads more than

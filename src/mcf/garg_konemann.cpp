@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "mcf/throughput.h"
 #include "util/thread_pool.h"
 
 namespace tb::mcf {
@@ -279,7 +280,7 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
   }
   const double demand_scale = max_out > min_cap ? min_cap / max_out : 1.0;
 
-  const double eps = std::clamp(opts.epsilon, 1e-4, 0.3);
+  const double eps = std::clamp(opts.epsilon, kMinEpsilon, kMaxEpsilon);
   // Multiplicative step. The classic analysis wants eps/3; since we certify
   // the primal/dual gap explicitly, a more aggressive step only affects how
   // fast the certificate closes, not its validity.

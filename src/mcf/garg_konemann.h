@@ -82,7 +82,8 @@ namespace tb::mcf {
 
 struct GkOptions {
   double epsilon = 0.05;       ///< target certified relative gap; must be
-                               ///< > 0 (solve clamps it to [1e-4, 0.3])
+                               ///< > 0 (solve clamps it to [kMinEpsilon,
+                               ///< kMaxEpsilon], mcf/throughput.h)
   /// Pool for the per-block parallelism; null runs serially. Never affects
   /// results (see the determinism contract above) — only which threads do
   /// the work.

@@ -1,5 +1,6 @@
 #include "mcf/throughput.h"
 
+#include <cstdio>
 #include <map>
 #include <stdexcept>
 #include <vector>
@@ -8,6 +9,14 @@
 #include "lp/simplex.h"
 
 namespace tb::mcf {
+
+void check_epsilon(double eps, const std::string& what) {
+  if (epsilon_in_range(eps)) return;
+  char range[64];
+  std::snprintf(range, sizeof(range), " must be in [%g, %g]", kMinEpsilon,
+                kMaxEpsilon);
+  throw std::invalid_argument(what + range);
+}
 
 ThroughputResult throughput_exact_lp(const Graph& g, const TrafficMatrix& tm,
                                      const ExactLpSession& session) {
@@ -78,7 +87,6 @@ ThroughputResult throughput_exact_lp(const Graph& g, const TrafficMatrix& tm,
 
   lp::Options lopts;
   lopts.warm_basis = session.warm_basis;
-  lopts.pool = session.pool;
   const lp::Result sol = lp::solve(prob, lopts);
   if (sol.status != lp::Status::Optimal) {
     throw std::runtime_error(std::string("throughput_exact_lp: LP status ") +

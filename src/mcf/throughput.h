@@ -20,10 +20,6 @@
 #include "tm/traffic_matrix.h"
 #include "topo/network.h"
 
-namespace tb {
-class ThreadPool;
-}  // namespace tb
-
 namespace tb::mcf {
 
 enum class SolverKind { Auto, ExactLP, GargKonemann };
@@ -33,15 +29,33 @@ inline constexpr int kExactMaxSwitches = 36;
 /// ...and only if sources*arcs fits this.
 inline constexpr long kExactMaxLpSize = 4096;
 
+/// The GK certified-gap targets GkSolver honours, bounds included. The
+/// engine rejects an epsilon outside [kMinEpsilon, kMaxEpsilon] for every
+/// SolverKind, and the server, TOPOBENCH_EPS and topobench_cli accept
+/// exactly this range.
+inline constexpr double kMinEpsilon = 1e-4;
+inline constexpr double kMaxEpsilon = 0.3;
+
+/// kMinEpsilon <= eps <= kMaxEpsilon (false for NaN).
+inline bool epsilon_in_range(double eps) noexcept {
+  return eps >= kMinEpsilon && eps <= kMaxEpsilon;
+}
+
+/// Throws std::invalid_argument("<what> must be in [0.0001, 0.3]") unless
+/// epsilon_in_range(eps).
+void check_epsilon(double eps, const std::string& what);
+
 struct SolveOptions {
   SolverKind kind = SolverKind::Auto;
-  double epsilon = 0.03;        ///< GK certified gap target
-  /// Intra-solve worker threads, resolved by ThreadPool::resolve: 0 runs on
-  /// the process-shared pool (TOPOBENCH_THREADS), 1 is the serial solve,
-  /// N > 1 a process-shared dedicated N-worker pool. By the determinism
-  /// contracts (garg_konemann.h, lp::Options::pool) every setting produces
-  /// bitwise identical results — the count only chooses which threads do
-  /// the work. The experiment runner seeds it from TOPOBENCH_SOLVER_THREADS.
+  double epsilon = 0.03;  ///< GK certified gap target, in [kMinEpsilon, kMaxEpsilon]
+  /// Intra-solve worker threads for GkSolver, resolved by
+  /// ThreadPool::resolve: 0 runs on the process-shared pool
+  /// (TOPOBENCH_THREADS), 1 is the serial solve, N > 1 a process-shared
+  /// dedicated N-worker pool. By GK's determinism contract
+  /// (garg_konemann.h) every setting produces bitwise identical results —
+  /// the count only chooses which threads do the work. ExactLP ignores it:
+  /// the simplex is serial. The experiment runner seeds it from
+  /// TOPOBENCH_SOLVER_THREADS.
   int solver_threads = 0;
 };
 
@@ -88,9 +102,6 @@ struct ExactLpSession {
   std::vector<int>* basis_out = nullptr;
   /// When set, receives whether the solve actually started warm.
   bool* warm_started_out = nullptr;
-  /// Pool for the simplex's deterministic parallel scans (see
-  /// lp::Options::pool); null keeps them serial.
-  ThreadPool* pool = nullptr;
 };
 
 /// The ExactLP kernel on a bare graph. ThroughputEngine calls it with its

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "exp/runner.h"
@@ -342,6 +343,154 @@ TEST(Engine, FleetCellReportsDropAndStats) {
   EXPECT_EQ(dead.phases, 0);  // no solver ran
   EXPECT_NEAR(dead.throughput_drop, 1.0, 1e-12);
 }
+
+
+// ---------------------------------------------------------------------------
+// Degenerate inputs: one defined answer per row, whichever kernel the
+// engine dispatches to (Auto, ExactLP and GK alike).
+
+class DegenerateInput : public ::testing::TestWithParam<mcf::SolverKind> {
+ protected:
+  mcf::SolveOptions opts(double eps = 0.05) const {
+    mcf::SolveOptions o;
+    o.kind = GetParam();
+    o.epsilon = eps;
+    return o;
+  }
+};
+
+/// `solve` must throw std::invalid_argument whose message is `what`.
+template <class F>
+void expect_rejected(F&& solve, const std::string& what) {
+  try {
+    (void)solve();
+    ADD_FAILURE() << "accepted; expected \"" << what << '"';
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), what);
+  }
+}
+
+const char* const kEmptyTm = "ThroughputEngine: empty traffic matrix";
+
+TEST_P(DegenerateInput, SingleSwitchHasNoTrafficToRoute) {
+  // Every server pair shares the one switch, so the switch-level TM is
+  // empty: the same answer as an empty TM.
+  Network net;
+  net.name = "single";
+  Graph g(1);
+  g.finalize();
+  net.graph = std::move(g);
+  attach_servers_uniform(net, 4);
+  const TrafficMatrix tm = all_to_all(net);
+  EXPECT_TRUE(tm.demands.empty());
+  mcf::ThroughputEngine engine(net);
+  expect_rejected([&] { return engine.solve(tm, opts()); }, kEmptyTm);
+}
+
+TEST_P(DegenerateInput, EmptyTmIsRejectedOnce) {
+  const Network hc = make_hypercube(3);
+  mcf::ThroughputEngine engine(hc);
+  const TrafficMatrix empty;
+  expect_rejected([&] { return engine.solve(empty, opts()); }, kEmptyTm);
+  expect_rejected([&] { return engine.warm_solve(empty, opts()); }, kEmptyTm);
+  mcf::ScenarioSpec degrade;
+  degrade.capacity_factor = 0.5;
+  engine.apply_scenario(degrade);
+  expect_rejected([&] { return engine.solve(empty, opts()); }, kEmptyTm);
+  // A scenario that drops every demand of a non-empty TM keeps its
+  // documented answer: nothing survives, so 0 is the exact optimum.
+  TrafficMatrix one;
+  one.demands = {{0, 1, 1.0}};
+  mcf::ScenarioSpec fail_node;
+  fail_node.failed_nodes = {0};
+  engine.apply_scenario(fail_node);
+  const mcf::ThroughputResult r = engine.solve(one, opts());
+  EXPECT_EQ(r.solver, "disconnected");
+  EXPECT_EQ(r.throughput, 0.0);
+}
+
+TEST_P(DegenerateInput, DuplicateCommoditiesActAsTheirSum) {
+  // Every LM demand listed twice at half its amount is the same TM.
+  const Network jf = make_jellyfish(16, 4, 1, 4);
+  const TrafficMatrix merged = longest_matching(jf);
+  TrafficMatrix dup;
+  for (int copy = 0; copy < 2; ++copy) {
+    for (Demand d : merged.demands) {
+      d.amount /= 2.0;
+      dup.demands.push_back(d);
+    }
+  }
+  mcf::SolveOptions exact = opts();
+  exact.kind = mcf::SolverKind::ExactLP;
+  const mcf::ThroughputResult ref =
+      mcf::ThroughputEngine(jf).solve(merged, exact);
+  const mcf::ThroughputResult r = mcf::ThroughputEngine(jf).solve(dup, opts());
+  if (r.solver == "exact-lp") {
+    // The LP aggregates demands by (source, sink): the same LP, bitwise.
+    EXPECT_EQ(r.throughput, ref.throughput);
+    EXPECT_EQ(r.stats.pivots, ref.stats.pivots);
+  } else {
+    // GK routes the copies as separate commodities, so its bits differ,
+    // but its certificate still brackets the exact optimum.
+    EXPECT_EQ(r.solver, "garg-konemann");
+    EXPECT_LE(r.throughput, ref.throughput * (1.0 + 1e-9));
+    EXPECT_GE(r.upper_bound, ref.throughput * (1.0 - 1e-9));
+  }
+}
+
+TEST_P(DegenerateInput, AllLinksFailedIsDisconnected) {
+  const Network hc = make_hypercube(3);
+  mcf::ThroughputEngine engine(hc);
+  mcf::ScenarioSpec spec;
+  spec.random_edge_fraction = 1.0;
+  engine.apply_scenario(spec);
+  EXPECT_EQ(engine.failed_edge_count(), hc.graph.num_edges());
+  const mcf::ThroughputResult r = engine.solve(all_to_all(hc), opts());
+  EXPECT_EQ(r.solver, "disconnected");
+  EXPECT_EQ(r.throughput, 0.0);
+  EXPECT_EQ(r.upper_bound, 0.0);
+}
+
+TEST_P(DegenerateInput, EpsilonOutsideTheHonouredRangeIsRejected) {
+  // One demand over one link: every kernel is exact at once, so the range
+  // ends cost nothing to solve.
+  Network net;
+  net.name = "pair";
+  Graph g(2);
+  g.add_edge(0, 1);
+  g.finalize();
+  net.graph = std::move(g);
+  attach_servers_uniform(net, 1);
+  TrafficMatrix tm;
+  tm.demands = {{0, 1, 1.0}};
+  mcf::ThroughputEngine engine(net);
+  for (const double eps : {mcf::kMinEpsilon, mcf::kMaxEpsilon}) {
+    const mcf::ThroughputResult r = engine.solve(tm, opts(eps));
+    EXPECT_NEAR(r.throughput, 1.0, eps) << eps;
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double eps :
+       {std::nextafter(mcf::kMinEpsilon, 0.0),
+        std::nextafter(mcf::kMaxEpsilon, 1.0), 0.5, 0.0, -0.1, inf,
+        std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(eps);
+    expect_rejected([&] { return engine.solve(tm, opts(eps)); },
+                    "ThroughputEngine: epsilon must be in [0.0001, 0.3]");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, DegenerateInput,
+    ::testing::Values(mcf::SolverKind::Auto, mcf::SolverKind::ExactLP,
+                      mcf::SolverKind::GargKonemann),
+    [](const ::testing::TestParamInfo<mcf::SolverKind>& param) {
+      switch (param.param) {
+        case mcf::SolverKind::Auto: return std::string("Auto");
+        case mcf::SolverKind::ExactLP: return std::string("ExactLP");
+        case mcf::SolverKind::GargKonemann: return std::string("GK");
+      }
+      return std::string("?");
+    });
 
 }  // namespace
 }  // namespace tb

@@ -117,9 +117,9 @@ TEST(ExactLp, FatTreeIsNonBlocking) {
 
 TEST(ExactLp, PivotsAndThroughputBitsArePinned) {
   // Pins the simplex's pivot sequence across commits: exact pivot counts
-  // and throughput bits, serial and on the shared pool. hypercube(4) x A2A
-  // has 368 rows, so it takes the pooled BTRAN/FTRAN/update path. A change
-  // that moves the pivot sequence updates these values and says why.
+  // and throughput bits, with solver_threads 1 and 0 (the simplex is serial
+  // and ignores it). hypercube(4) x A2A has 368 rows. A change that moves
+  // the pivot sequence updates these values and says why.
   struct Case {
     const char* name;
     const Network* net;

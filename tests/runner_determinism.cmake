@@ -44,8 +44,8 @@ endfunction()
 run_mode(${driver_name}_det_serial.csv TOPOBENCH_THREADS=1)
 run_mode(${driver_name}_det_default.csv)
 run_mode(${driver_name}_det_four.csv TOPOBENCH_THREADS=4)
-# Intra-solve threading (dedicated 4-worker solver pools under the GK and
-# simplex scans and the cut battery) must not move a byte either.
+# Intra-solve threading (dedicated 4-worker solver pools under GK and the
+# cut battery) must not move a byte either.
 run_mode(${driver_name}_det_solver4.csv TOPOBENCH_SOLVER_THREADS=4)
 
 foreach(other ${driver_name}_det_default.csv ${driver_name}_det_four.csv

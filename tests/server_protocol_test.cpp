@@ -176,5 +176,35 @@ TEST(ServerProtocolTest, MalformedRequestsAnswerInBandAndExitNonzero) {
   EXPECT_NE(out.find("\"id\": \"q7\""), std::string::npos);
 }
 
+TEST(ServerProtocolTest, EpsilonOutsideTheHonouredRangeAnswersInBand) {
+  // GK honours epsilon in [mcf::kMinEpsilon, mcf::kMaxEpsilon]; a value
+  // outside it is an error, not a silent clamp that files the same bits
+  // under a second label.
+  const std::string cell =
+      R"("topology": {"family": "hypercube", "servers": 16}, "tm": "a2a")";
+  const std::vector<std::string> script = {
+      R"({"op": "query", "id": 1, )" + cell + R"(, "epsilon": 0.3})",
+      R"({"op": "query", "id": 2, )" + cell + R"(, "epsilon": 0.5})",
+      R"({"op": "query", "id": 3, )" + cell + R"(, "epsilon": 0.00009})",
+      R"({"op": "sweep", "id": 4, "topologies": [{"family": "hypercube", )"
+      R"("servers": 16}], "tms": ["a2a"], "epsilon": 1})",
+  };
+  int rc = -1;
+  const std::string out = run_server("epsilon", script, &rc);
+  EXPECT_EQ(rc, 1);
+  std::stringstream lines(out);
+  std::string line;
+  std::vector<json::Value> responses;
+  while (std::getline(lines, line)) responses.push_back(json::parse(line));
+  ASSERT_EQ(responses.size(), 4u);
+  EXPECT_TRUE(responses[0].find("ok")->as_bool("ok"));
+  for (std::size_t i = 1; i < responses.size(); ++i) {
+    EXPECT_FALSE(responses[i].find("ok")->as_bool("ok")) << i;
+    EXPECT_EQ(responses[i].find("error")->as_string("error"),
+              "epsilon must be in [0.0001, 0.3]")
+        << i;
+  }
+}
+
 }  // namespace
 }  // namespace tb

@@ -13,7 +13,8 @@
 //   {"op": "query", "topology": {"family": "hypercube", "servers": 16,
 //        "seed": 1}, "tm": "a2a", "solver": "auto", "epsilon": 0.03,
 //        "trials": 0, "cut_bounds": false, "scenario": "fail(f=0.1)",
-//        "seed": 1}                               one cell
+//        "seed": 1}                               one cell; epsilon in
+//                                                 [0.0001, 0.3]
 //   {"op": "sweep", "topologies": [<topology>...], "tms": ["a2a", ...],
 //        "scenarios": ["degrade(c=0.9)", ...], ...}  a grid, one batch
 //   {"op": "stats"}                               cumulative tier counters
@@ -107,9 +108,7 @@ void parse_solve_fields(const Value& req, Q& q) {
   }
   if (const Value* eps = req.find("epsilon")) {
     const double e = eps->as_number("epsilon");
-    if (!(e > 0.0) || e > 1.0) {
-      throw std::invalid_argument("epsilon must be in (0, 1]");
-    }
+    tb::mcf::check_epsilon(e, "epsilon");
     q.epsilon = e;
   }
   if (const Value* trials = req.find("trials")) {
