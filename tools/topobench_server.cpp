@@ -282,6 +282,11 @@ class Server {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // The daemon speaks only through iostreams (serve() flushes after every
+  // response), so the standard streams need not stay in step with stdio.
+  // Synced, std::getline reads a request one locked getc at a time, which
+  // cost ~5 us of a ~13 us memory-hit round trip.
+  std::ios::sync_with_stdio(false);
   std::string store_override;
   bool have_store_override = false;
   bool read_only_override = false;
