@@ -47,7 +47,8 @@ void check_epsilon(double eps, const std::string& what);
 
 struct SolveOptions {
   SolverKind kind = SolverKind::Auto;
-  double epsilon = 0.03;  ///< GK certified gap target, in [kMinEpsilon, kMaxEpsilon]
+  /// GK certified gap target, in [kMinEpsilon, kMaxEpsilon].
+  double epsilon = 0.03;
   /// Intra-solve worker threads for GkSolver, resolved by
   /// ThreadPool::resolve: 0 runs on the process-shared pool
   /// (TOPOBENCH_THREADS), 1 is the serial solve, N > 1 a process-shared
