@@ -38,7 +38,20 @@ class OnExit {
   F f_;
 };
 
+/// Smallest graphs, in arcs, on which the pooled block scans beat the
+/// serial loops: the serial-vs-pooled curve in docs/ARCHITECTURE.md ("GK's
+/// pool cutoff"). Multi-sink groups run a full Dijkstra and a tree build
+/// per rebuild; single-sink groups run a short bidirectional search, so
+/// their blocks hold less work to spread.
+constexpr int kPoolMinArcsMultiSink = 1024;
+constexpr int kPoolMinArcsSingleSink = 4096;
+
 }  // namespace
+
+bool gk_pool_pays(int num_arcs, bool multi_sink) noexcept {
+  return num_arcs >=
+         (multi_sink ? kPoolMinArcsMultiSink : kPoolMinArcsSingleSink);
+}
 
 GkSolver::GkSolver(const Graph& g) : g_(&g) {
   assert(g.finalized());
@@ -228,9 +241,7 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
   const Graph& g = *g_;
   const int num_arcs = g.num_arcs();
   const auto n = static_cast<std::size_t>(g.num_nodes());
-  if (!(opts.epsilon > 0.0)) {  // also rejects NaN
-    throw std::invalid_argument("GkSolver::solve: epsilon must be > 0");
-  }
+  check_epsilon(opts.epsilon, "GkSolver::solve: epsilon");
   if (tm.demands.empty()) {
     throw std::invalid_argument("GkSolver::solve: empty traffic matrix");
   }
@@ -280,7 +291,7 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
   }
   const double demand_scale = max_out > min_cap ? min_cap / max_out : 1.0;
 
-  const double eps = std::clamp(opts.epsilon, kMinEpsilon, kMaxEpsilon);
+  const double eps = opts.epsilon;
   // Multiplicative step. The classic analysis wants eps/3; since we certify
   // the primal/dual gap explicitly, a more aggressive step only affects how
   // fast the certificate closes, not its validity.
@@ -471,8 +482,14 @@ GkResult GkSolver::solve(const TrafficMatrix& tm, const GkOptions& opts,
   GkResult res;
   res.upper_bound = kInf;
   res.warm_started = warm_seeded;
+  // One decision per solve (gk_pool_pays): below the cutoff the blocks
+  // run serially even when a pool is given.
   ThreadPool* const pool = opts.pool;
-  const bool par = pool != nullptr && pool->size() > 1;
+  const bool multi_sink =
+      std::any_of(groups_.begin(), groups_.end(),
+                  [](const SourceGroup& grp) { return grp.sinks.size() > 1; });
+  const bool par = pool != nullptr && pool->size() > 1 &&
+                   gk_pool_pays(num_arcs, multi_sink);
 
   long phase = 0;
   long dijkstras = 0;

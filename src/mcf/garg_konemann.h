@@ -49,7 +49,12 @@
 // path choice, never the primal/dual certificates.
 // GkOptions::pool selects the pool; null runs every block serially (the
 // engine resolves SolveOptions::solver_threads into it via
-// ThreadPool::resolve).
+// ThreadPool::resolve). Each solve decides once whether the pool pays:
+// gk_pool_pays, a pure function of the graph's arc count and whether any
+// source has more than one sink, sends the blocks to the pool only above
+// a measured size cutoff; below it a pooled solve runs the serial loops,
+// since handing a block to the pool costs more than its searches. Either
+// way the bits are those of the serial solve.
 //
 // GkSolver is the session form used by mcf::ThroughputEngine: it binds to
 // one graph, owns working per-arc capacities (the scenario layer degrades
@@ -81,14 +86,20 @@ class ThreadPool;
 namespace tb::mcf {
 
 struct GkOptions {
-  double epsilon = 0.05;       ///< target certified relative gap; must be
-                               ///< > 0 (solve clamps it to [kMinEpsilon,
-                               ///< kMaxEpsilon], mcf/throughput.h)
-  /// Pool for the per-block parallelism; null runs serially. Never affects
-  /// results (see the determinism contract above) — only which threads do
-  /// the work.
+  double epsilon = 0.05;       ///< target certified relative gap, in
+                               ///< [kMinEpsilon, kMaxEpsilon]
+                               ///< (mcf/throughput.h); solve rejects others
+  /// Pool for the per-block parallelism; null runs serially, and so does
+  /// any graph below gk_pool_pays' cutoff. Never affects results (see the
+  /// determinism contract above) — only which threads do the work.
   ThreadPool* pool = nullptr;
 };
+
+/// Whether a solve on `num_arcs` arcs sends its block scans to the pool:
+/// true from a measured size cutoff up, which is lower when some source
+/// has more than one sink (`multi_sink`). The cutoffs come from the
+/// serial-vs-pooled curve in docs/ARCHITECTURE.md ("GK's pool cutoff").
+bool gk_pool_pays(int num_arcs, bool multi_sink) noexcept;
 
 struct GkResult {
   double throughput = 0.0;     ///< certified feasible concurrent flow value
@@ -131,8 +142,9 @@ class GkSolver {
   /// `warm` seeds arc lengths from the previous solve on this solver (no-op
   /// on the first solve). Demands between nodes disconnected under the
   /// working capacities throw std::runtime_error — callers with failure
-  /// scenarios should pre-check (ThroughputEngine does). A NaN or
-  /// non-positive opts.epsilon throws std::invalid_argument.
+  /// scenarios should pre-check (ThroughputEngine does). An opts.epsilon
+  /// outside [kMinEpsilon, kMaxEpsilon] (NaN included) throws
+  /// std::invalid_argument.
   GkResult solve(const TrafficMatrix& tm, const GkOptions& opts = {},
                  bool warm = false);
 

@@ -52,7 +52,9 @@ struct SolveOptions {
   /// Intra-solve worker threads for GkSolver, resolved by
   /// ThreadPool::resolve: 0 runs on the process-shared pool
   /// (TOPOBENCH_THREADS), 1 is the serial solve, N > 1 a process-shared
-  /// dedicated N-worker pool. By GK's determinism contract
+  /// dedicated N-worker pool. GK uses the threads only on graphs above its
+  /// measured size cutoff (mcf::gk_pool_pays); below it every setting runs
+  /// the serial solve. By GK's determinism contract
   /// (garg_konemann.h) every setting produces bitwise identical results —
   /// the count only chooses which threads do the work. ExactLP ignores it:
   /// the simplex is serial. The experiment runner seeds it from

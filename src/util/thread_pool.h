@@ -1,9 +1,11 @@
 // A small fixed-size thread pool with a blocking parallel_for.
 //
-// The solvers parallelize per-source shortest-path batches and the experiment
-// runner parallelizes independent trials. We deliberately keep the model
-// simple: submit closures, or run an index-range parallel_for that blocks
-// until every index is processed. parallel_for schedules dynamically:
+// GK parallelizes its per-source shortest-path blocks, but only on graphs
+// above a measured size cutoff (mcf::gk_pool_pays); the cut battery and the
+// bisection's refinement parallelize their independent cuts, and the
+// experiment runner its independent cells and trials. We deliberately keep
+// the model simple: submit closures, or run an index-range parallel_for that
+// blocks until every index is processed. parallel_for schedules dynamically:
 // workers claim `grain`-sized chunks from one shared cursor until none
 // remain, so which thread runs which index varies from run to run. Bodies
 // never touch overlapping state and reductions are performed by the caller

@@ -92,10 +92,59 @@ INSTANTIATE_TEST_SUITE_P(Registry, ThreadedEquivalence,
                          });
 
 // ---------------------------------------------------------------------------
-// GkSolver directly: a null pool (serial) and an explicit pool agree.
+// Above GK's pool cutoff: the registry cases above (24 servers) all fall
+// below it and run serially at every thread count, so this is the engine
+// case whose block scans really go to the pool.
+
+TEST(ThreadedEquivalence, GkAbovePoolCutoffIsBitwiseIdentical) {
+  const Network jf = make_jellyfish(128, 8, 1, 9);
+  ASSERT_TRUE(mcf::gk_pool_pays(jf.graph.num_arcs(), /*multi_sink=*/true));
+  const TrafficMatrix a2a = all_to_all(jf);
+  // Cold A2A, then a warm A2A: the same pairs, so the lengths are seeded.
+  const auto run_chain = [&](int threads) {
+    mcf::ThroughputEngine engine(jf);
+    std::vector<mcf::ThroughputResult> chain;
+    chain.push_back(engine.solve(a2a, gk_opts(threads)));
+    chain.push_back(engine.warm_solve(a2a, gk_opts(threads)));
+    return chain;
+  };
+  const std::vector<mcf::ThroughputResult> serial = run_chain(1);
+  EXPECT_GT(serial[0].throughput, 0.0);
+  EXPECT_TRUE(serial[1].stats.warm_start);
+  for (const int threads : {2, 4, 0}) {
+    const std::vector<mcf::ThroughputResult> pooled = run_chain(threads);
+    const std::string what = jf.name + " @ " + std::to_string(threads);
+    expect_same_result(serial[0], pooled[0], what + " (cold)");
+    expect_same_result(serial[1], pooled[1], what + " (warm)");
+  }
+}
+
+// The cutoff splits the sizes the repo runs: the benchmark's adversary
+// searches (64 servers) and the server workload's cells (16 and 32
+// servers) stay below it for either sink structure; the case above is
+// pooled.
+TEST(GkPoolCutoff, BenchmarkSizesRunSerially) {
+  for (const Family f : {Family::FatTree, Family::Hypercube,
+                         Family::Jellyfish, Family::Dragonfly}) {
+    for (const int servers : {16, 32, 64}) {
+      const Network net = family_representative(f, servers, 1);
+      for (const bool multi_sink : {false, true}) {
+        EXPECT_FALSE(mcf::gk_pool_pays(net.graph.num_arcs(), multi_sink))
+            << net.name << " multi_sink=" << multi_sink;
+      }
+    }
+  }
+  const Network jf = make_jellyfish(128, 8, 1, 9);
+  EXPECT_TRUE(mcf::gk_pool_pays(jf.graph.num_arcs(), true));
+  EXPECT_FALSE(mcf::gk_pool_pays(jf.graph.num_arcs(), false));
+}
+
+// ---------------------------------------------------------------------------
+// GkSolver directly: a null pool (serial) and an explicit pool agree, on
+// a graph above the pool cutoff.
 
 TEST(ThreadedEquivalence, GkSerialAndPooledAgree) {
-  const Network jf = make_jellyfish(32, 4, 1, 9);
+  const Network jf = make_jellyfish(128, 8, 1, 9);
   const TrafficMatrix tm = all_to_all(jf);
   ThreadPool pool(4);
   mcf::GkOptions serial;

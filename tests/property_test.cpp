@@ -198,10 +198,11 @@ TEST(FailureInjection, DisconnectedDemandThrows) {
   TrafficMatrix tm;
   tm.demands = {{0, 3, 1.0}};
   EXPECT_THROW(mcf::GkSolver(g).solve(tm), std::runtime_error);
-  // A NaN or non-positive epsilon is rejected by name before any routing
-  // (NaN used to surface as the disconnected-demand error above).
+  // An epsilon outside [kMinEpsilon, kMaxEpsilon] is rejected by name
+  // before any routing (NaN used to surface as the disconnected-demand
+  // error above).
   tm.demands = {{0, 1, 1.0}};
-  for (const double bad : {std::nan(""), 0.0, -0.5}) {
+  for (const double bad : {std::nan(""), 0.0, -0.5, 0.5, 5e-5}) {
     mcf::GkOptions opts;
     opts.epsilon = bad;
     try {
