@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "cuts/bisection.h"
 #include "cuts/exact_cuts.h"
 #include "cuts/sparsest_cut.h"
+#include "core/registry.h"
+#include "graph/partition.h"
 #include "mcf/engine.h"
 #include "mcf/throughput.h"
 #include "tm/synthetic.h"
@@ -250,6 +255,287 @@ TEST(ExactCuts, BisectionBoundTagsFollowThePath) {
   int ones = 0;
   for (const auto s : kl.side) ones += s;
   EXPECT_EQ(ones, 12);
+}
+
+// FNV-1a over the 0/1 membership bytes.
+std::uint64_t side_hash(const std::vector<std::uint8_t>& side) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : side) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string pin_line(const std::string& cell, const std::string& what,
+                     double value, const std::vector<std::uint8_t>* side) {
+  char buf[96];
+  if (side != nullptr) {
+    std::snprintf(buf, sizeof buf, " %a %016llx", value,
+                  static_cast<unsigned long long>(side_hash(*side)));
+  } else {
+    std::snprintf(buf, sizeof buf, " %a", value);
+  }
+  return cell + " " + what + buf;
+}
+
+/// Every cut estimator's value (hexfloat) and side (hash) on BCube, DCell,
+/// FatTree, Hypercube and Jellyfish instances of 16-48 servers under
+/// A2A/RM(1)/LM. Two instances have <= 14 nodes, so their brute force is
+/// complete; Hypercube(d=4) (16 nodes) takes the exact bisection path.
+std::vector<std::string> estimator_pins() {
+  std::vector<Network> nets;
+  nets.push_back(family_representative(Family::BCube, 16, 1));
+  nets.push_back(family_representative(Family::DCell, 20, 1));
+  nets.push_back(family_representative(Family::FatTree, 16, 1));
+  nets.push_back(family_representative(Family::Hypercube, 16, 1));
+  nets.push_back(family_representative(Family::Jellyfish, 32, 1));
+  nets.push_back(make_hypercube(3, 2));
+  nets.back().name += "x2";
+  nets.push_back(make_jellyfish(14, 4, 2, 1));
+  std::vector<std::string> lines;
+  for (const Network& net : nets) {
+    const Graph& g = net.graph;
+    for (const TrafficMatrix& tm : {all_to_all(net), random_matching(net, 1, 1),
+                                    longest_matching(net)}) {
+      const std::string cell = net.name + " " + tm.name;
+      std::vector<cuts::CutResult> rs = {
+          cuts::sparsest_cut_brute_force(g, tm),
+          cuts::sparsest_cut_one_node(g, tm),
+          cuts::sparsest_cut_two_node(g, tm),
+          cuts::sparsest_cut_expanding(g, tm),
+          cuts::sparsest_cut_eigenvector(g, tm),
+          cuts::sparsest_cut_st_mincut(g, tm),
+          cuts::bisection_sparsity(g, tm)};
+      if (g.num_nodes() <= 14) {
+        rs.push_back(cuts::sparsest_cut_brute_force(g, tm, 1L << 20));
+        EXPECT_EQ(rs.back().bound, cuts::CutBound::Exact) << cell;
+        rs.back().method += "-complete";
+      }
+      rs.push_back(cuts::bisection_sparsity(g, tm, /*exact_max=*/0));
+      rs.back().method += "-kl";
+      for (const cuts::CutResult& r : rs) {
+        lines.push_back(pin_line(cell, r.method + "/" + cuts::to_string(r.bound),
+                                 r.sparsity, &r.side));
+      }
+    }
+    const BipartitionResult kl = min_bisection(g);
+    lines.push_back(pin_line(net.name, "min_bisection", kl.cut_capacity,
+                             &kl.side));
+    lines.push_back(pin_line(net.name, "bisection_capacity",
+                             cuts::bisection_capacity(g), nullptr));
+    lines.push_back(pin_line(net.name, "bisection_capacity-kl",
+                             cuts::bisection_capacity(g, /*exact_max=*/0),
+                             nullptr));
+  }
+  return lines;
+}
+
+TEST(SparseCut, EstimatorBitsAndSidesArePinned) {
+  // Recorded before incremental cut evaluation: every value and side must
+  // stay bit-identical however the candidates are priced.
+  const std::vector<std::string> kPinned = {
+      "BCube(n=2,k=3) A2A brute-force/upper 0x1.1111111111111p+2 4ae0045900fc1905",
+      "BCube(n=2,k=3) A2A one-node/upper 0x1.1111111111111p+2 57a3e9bec8b15e24",
+      "BCube(n=2,k=3) A2A two-node/upper 0x1.1111111111111p+2 5cfc9ca56ba79ea5",
+      "BCube(n=2,k=3) A2A expanding/upper 0x1.8p+1 1cefcfb027a39869",
+      "BCube(n=2,k=3) A2A eigenvector/upper 0x1p+1 2f0f96c83bce12f9",
+      "BCube(n=2,k=3) A2A st-mincut/upper 0x1.1111111111111p+2 57a3e9bec8b15e24",
+      "BCube(n=2,k=3) A2A bisection/upper 0x1p+1 8d4666b3da55398d",
+      "BCube(n=2,k=3) A2A bisection-kl/upper 0x1p+1 8d4666b3da55398d",
+      "BCube(n=2,k=3) RM(1) brute-force/upper 0x1p+2 4ae0045900fc1905",
+      "BCube(n=2,k=3) RM(1) one-node/upper 0x1p+2 57a3e9bec8b15e24",
+      "BCube(n=2,k=3) RM(1) two-node/upper 0x1p+2 d5eb7d6c2966b7df",
+      "BCube(n=2,k=3) RM(1) expanding/upper 0x1.3333333333333p+1 1cefcfb027a39869",
+      "BCube(n=2,k=3) RM(1) eigenvector/upper 0x1p+1 2a6f92f2e26c8713",
+      "BCube(n=2,k=3) RM(1) st-mincut/upper 0x1p+2 57a3e9bec8b15e24",
+      "BCube(n=2,k=3) RM(1) bisection/upper 0x1p+1 8d4666b3da55398d",
+      "BCube(n=2,k=3) RM(1) bisection-kl/upper 0x1p+1 8d4666b3da55398d",
+      "BCube(n=2,k=3) LM brute-force/upper 0x1p+2 4ae0045900fc1905",
+      "BCube(n=2,k=3) LM one-node/upper 0x1p+2 57a3e9bec8b15e24",
+      "BCube(n=2,k=3) LM two-node/upper 0x1p+2 d5eb7d6c2966b7df",
+      "BCube(n=2,k=3) LM expanding/upper 0x1.8p+0 1cefcfb027a39869",
+      "BCube(n=2,k=3) LM eigenvector/upper 0x1p+0 2f0f96c83bce12f9",
+      "BCube(n=2,k=3) LM st-mincut/upper 0x1p+2 57a3e9bec8b15e24",
+      "BCube(n=2,k=3) LM bisection/upper 0x1p+0 8d4666b3da55398d",
+      "BCube(n=2,k=3) LM bisection-kl/upper 0x1p+0 8d4666b3da55398d",
+      "BCube(n=2,k=3) min_bisection 0x1p+3 8d4666b3da55398d",
+      "BCube(n=2,k=3) bisection_capacity 0x1p+3",
+      "BCube(n=2,k=3) bisection_capacity-kl 0x1p+3",
+      "DCell(n=4,l=1) A2A brute-force/upper 0x1.30c30c30c30ccp+1 3b15b175c0d236d6",
+      "DCell(n=4,l=1) A2A one-node/upper 0x1.0d79435e50d78p+1 bb968dd28b363eac",
+      "DCell(n=4,l=1) A2A two-node/upper 0x1.1c71c71c71c6fp+0 4512a01ce17889cf",
+      "DCell(n=4,l=1) A2A expanding/upper 0x1.aaaaaaaaaaab9p-1 057d40dc8d38e628",
+      "DCell(n=4,l=1) A2A eigenvector/upper 0x1.e79e79e79e7adp-1 66edc1557460a1bb",
+      "DCell(n=4,l=1) A2A st-mincut/upper 0x1.0d79435e50d78p+1 bb968dd28b363eac",
+      "DCell(n=4,l=1) A2A bisection/upper 0x1.333333333333ep+0 b0673145a5bb3c88",
+      "DCell(n=4,l=1) A2A bisection-kl/upper 0x1.333333333333ep+0 b0673145a5bb3c88",
+      "DCell(n=4,l=1) RM(1) brute-force/upper 0x1.aaaaaaaaaaaabp+0 3b15b175c0d236d6",
+      "DCell(n=4,l=1) RM(1) one-node/upper 0x1p+1 bb968dd28b363eac",
+      "DCell(n=4,l=1) RM(1) two-node/upper 0x1p+0 4512a01ce17889cf",
+      "DCell(n=4,l=1) RM(1) expanding/upper 0x1.999999999999ap-1 3e5c763fc6abaa20",
+      "DCell(n=4,l=1) RM(1) eigenvector/upper 0x1p+0 e339a72057a3474f",
+      "DCell(n=4,l=1) RM(1) st-mincut/upper 0x1p+1 adbdd619a8c5971e",
+      "DCell(n=4,l=1) RM(1) bisection/upper 0x1p+0 b0673145a5bb3c88",
+      "DCell(n=4,l=1) RM(1) bisection-kl/upper 0x1p+0 b0673145a5bb3c88",
+      "DCell(n=4,l=1) LM brute-force/upper 0x1.aaaaaaaaaaaabp+0 3b15b175c0d236d6",
+      "DCell(n=4,l=1) LM one-node/upper 0x1p+1 bb968dd28b363eac",
+      "DCell(n=4,l=1) LM two-node/upper 0x1p+0 4512a01ce17889cf",
+      "DCell(n=4,l=1) LM expanding/upper 0x1p-1 057d40dc8d38e628",
+      "DCell(n=4,l=1) LM eigenvector/upper 0x1.5555555555555p-1 66edc1557460a1bb",
+      "DCell(n=4,l=1) LM st-mincut/upper 0x1p+1 adbdd619a8c5971e",
+      "DCell(n=4,l=1) LM bisection/upper 0x1.8p-1 38f4369e450ac6e5",
+      "DCell(n=4,l=1) LM bisection-kl/upper 0x1.8p-1 38f4369e450ac6e5",
+      "DCell(n=4,l=1) min_bisection 0x1.8p+2 b0673145a5bb3c88",
+      "DCell(n=4,l=1) bisection_capacity 0x1.8p+2",
+      "DCell(n=4,l=1) bisection_capacity-kl 0x1.8p+2",
+      "FatTree(k=4) A2A brute-force/upper 0x1p+2 ae5ab5207fb80177",
+      "FatTree(k=4) A2A one-node/upper 0x1.2492492492492p+1 0c593f1b0d139064",
+      "FatTree(k=4) A2A two-node/upper 0x1.5555555555555p+1 df141618a0e241cf",
+      "FatTree(k=4) A2A expanding/upper 0x1.2492492492492p+1 0c593f1b0d139064",
+      "FatTree(k=4) A2A eigenvector/upper 0x1.2492492492492p+1 9faeb704c872d2c2",
+      "FatTree(k=4) A2A st-mincut/upper 0x1.2492492492492p+1 0c593f1b0d139064",
+      "FatTree(k=4) A2A bisection/upper 0x1p+2 642ee9439cd8e28b",
+      "FatTree(k=4) A2A bisection-kl/upper 0x1p+2 642ee9439cd8e28b",
+      "FatTree(k=4) RM(1) brute-force/upper 0x1.4p+1 8168ab554296473f",
+      "FatTree(k=4) RM(1) one-node/upper 0x1p+1 0c593f1b0d139064",
+      "FatTree(k=4) RM(1) two-node/upper 0x1p+1 df141618a0e241cf",
+      "FatTree(k=4) RM(1) expanding/upper 0x1p+1 0c593f1b0d139064",
+      "FatTree(k=4) RM(1) eigenvector/upper 0x1p+1 9faeb704c872d2c2",
+      "FatTree(k=4) RM(1) st-mincut/upper 0x1p+1 0c593f1b0d139064",
+      "FatTree(k=4) RM(1) bisection/upper 0x1p+2 7cd64999a0af1217",
+      "FatTree(k=4) RM(1) bisection-kl/upper 0x1p+2 7cd64999a0af1217",
+      "FatTree(k=4) LM brute-force/upper 0x1p+1 4694530fee2d34e6",
+      "FatTree(k=4) LM one-node/upper 0x1p+1 0c593f1b0d139064",
+      "FatTree(k=4) LM two-node/upper 0x1p+1 df141618a0e241cf",
+      "FatTree(k=4) LM expanding/upper 0x1p+1 0c593f1b0d139064",
+      "FatTree(k=4) LM eigenvector/upper 0x1p+1 9faeb704c872d2c2",
+      "FatTree(k=4) LM st-mincut/upper 0x1p+1 0c593f1b0d139064",
+      "FatTree(k=4) LM bisection/upper 0x1p+2 642ee9439cd8e28b",
+      "FatTree(k=4) LM bisection-kl/upper 0x1p+2 642ee9439cd8e28b",
+      "FatTree(k=4) min_bisection 0x1p+3 642ee9439cd8e28b",
+      "FatTree(k=4) bisection_capacity 0x1p+3",
+      "FatTree(k=4) bisection_capacity-kl 0x1p+3",
+      "Hypercube(d=4) A2A brute-force/upper 0x1.4514514514514p+1 9fc22f7ac903f13a",
+      "Hypercube(d=4) A2A one-node/upper 0x1.1111111111111p+2 392209f14dea4c24",
+      "Hypercube(d=4) A2A two-node/upper 0x1.b6db6db6db6dbp+1 5b07441e7da0c85f",
+      "Hypercube(d=4) A2A expanding/upper 0x1.bed61bed61bedp+1 2fde7fe5f4d1af96",
+      "Hypercube(d=4) A2A eigenvector/upper 0x1p+1 c17a47b57561484d",
+      "Hypercube(d=4) A2A st-mincut/upper 0x1.1111111111111p+2 392209f14dea4c24",
+      "Hypercube(d=4) A2A bisection/exact 0x1p+1 9790210c17b78b85",
+      "Hypercube(d=4) A2A bisection-kl/upper 0x1p+1 9790210c17b78b85",
+      "Hypercube(d=4) RM(1) brute-force/upper 0x1.2aaaaaaaaaaabp+1 a81eb2bc6ce9ea43",
+      "Hypercube(d=4) RM(1) one-node/upper 0x1p+2 392209f14dea4c24",
+      "Hypercube(d=4) RM(1) two-node/upper 0x1.8p+1 5b07441e7da0c85f",
+      "Hypercube(d=4) RM(1) expanding/upper 0x1.8p+1 2fde7fe5f4d1af96",
+      "Hypercube(d=4) RM(1) eigenvector/upper 0x1p+1 c17a47b57561484d",
+      "Hypercube(d=4) RM(1) st-mincut/upper 0x1p+2 392209f14dea4c24",
+      "Hypercube(d=4) RM(1) bisection/exact 0x1p+1 27afd649e35ec2d1",
+      "Hypercube(d=4) RM(1) bisection-kl/upper 0x1p+1 9fc2307ac903f2ed",
+      "Hypercube(d=4) LM brute-force/upper 0x1.6db6db6db6db7p+0 9fc22f7ac903f13a",
+      "Hypercube(d=4) LM one-node/upper 0x1p+2 392209f14dea4c24",
+      "Hypercube(d=4) LM two-node/upper 0x1.8p+1 5b07441e7da0c85f",
+      "Hypercube(d=4) LM expanding/upper 0x1.3333333333333p+1 2fde7fe5f4d1af96",
+      "Hypercube(d=4) LM eigenvector/upper 0x1p+0 c17a47b57561484d",
+      "Hypercube(d=4) LM st-mincut/upper 0x1p+2 392209f14dea4c24",
+      "Hypercube(d=4) LM bisection/exact 0x1p+0 9790210c17b78b85",
+      "Hypercube(d=4) LM bisection-kl/upper 0x1p+0 9790210c17b78b85",
+      "Hypercube(d=4) min_bisection 0x1p+3 9790210c17b78b85",
+      "Hypercube(d=4) bisection_capacity 0x1p+3",
+      "Hypercube(d=4) bisection_capacity-kl 0x1p+3",
+      "Jellyfish(n=32,r=7) A2A brute-force/upper 0x1.6aaaaaaaaaaabp+2 32e66ea5191ef5eb",
+      "Jellyfish(n=32,r=7) A2A one-node/upper 0x1.ce739ce739ce7p+2 07295d91aa94b524",
+      "Jellyfish(n=32,r=7) A2A two-node/upper 0x1.999999999999ap+2 fe0e4a0234c1eabd",
+      "Jellyfish(n=32,r=7) A2A expanding/upper 0x1.1555555555555p+2 a89e5de69a7bf02f",
+      "Jellyfish(n=32,r=7) A2A eigenvector/upper 0x1.f1f1f1f1f1f1fp+1 ee2cba32d6f925dc",
+      "Jellyfish(n=32,r=7) A2A st-mincut/upper 0x1.ce739ce739ce7p+2 584eb43d82b8e2aa",
+      "Jellyfish(n=32,r=7) A2A bisection/upper 0x1.ep+1 e62a76c4bb660925",
+      "Jellyfish(n=32,r=7) A2A bisection-kl/upper 0x1.ep+1 e62a76c4bb660925",
+      "Jellyfish(n=32,r=7) RM(1) brute-force/upper 0x1.4p+2 f7f8774e3cdaeea1",
+      "Jellyfish(n=32,r=7) RM(1) one-node/upper 0x1.cp+2 07295d91aa94b524",
+      "Jellyfish(n=32,r=7) RM(1) two-node/upper 0x1.8p+2 fe0e4a0234c1eabd",
+      "Jellyfish(n=32,r=7) RM(1) expanding/upper 0x1.db6db6db6db6ep+1 a89e5de69a7bf02f",
+      "Jellyfish(n=32,r=7) RM(1) eigenvector/upper 0x1.8cccccccccccdp+1 5a2f4e1edb5b5b12",
+      "Jellyfish(n=32,r=7) RM(1) st-mincut/upper 0x1.cp+2 07295d91aa94b524",
+      "Jellyfish(n=32,r=7) RM(1) bisection/upper 0x1.aaaaaaaaaaaabp+1 e62a76c4bb660925",
+      "Jellyfish(n=32,r=7) RM(1) bisection-kl/upper 0x1.aaaaaaaaaaaabp+1 e62a76c4bb660925",
+      "Jellyfish(n=32,r=7) LM brute-force/upper 0x1.4p+2 1ca501bbe3fefb9b",
+      "Jellyfish(n=32,r=7) LM one-node/upper 0x1.cp+2 07295d91aa94b524",
+      "Jellyfish(n=32,r=7) LM two-node/upper 0x1.8p+2 fe0e4a0234c1eabd",
+      "Jellyfish(n=32,r=7) LM expanding/upper 0x1.ap+1 a89e5de69a7bf02f",
+      "Jellyfish(n=32,r=7) LM eigenvector/upper 0x1.2db6db6db6db7p+1 5f18ee5a2c329080",
+      "Jellyfish(n=32,r=7) LM st-mincut/upper 0x1.cp+2 584eb43d82b8e2aa",
+      "Jellyfish(n=32,r=7) LM bisection/upper 0x1.2762762762762p+1 e62a76c4bb660925",
+      "Jellyfish(n=32,r=7) LM bisection-kl/upper 0x1.2762762762762p+1 e62a76c4bb660925",
+      "Jellyfish(n=32,r=7) min_bisection 0x1.ep+4 e62a76c4bb660925",
+      "Jellyfish(n=32,r=7) bisection_capacity 0x1.ep+4",
+      "Jellyfish(n=32,r=7) bisection_capacity-kl 0x1.ep+4",
+      "Hypercube(d=3)x2 A2A brute-force/exact 0x1p+1 e77ae5d24eadd455",
+      "Hypercube(d=3)x2 A2A one-node/upper 0x1.b6db6db6db6dbp+1 89cd31291d2aefa4",
+      "Hypercube(d=3)x2 A2A two-node/upper 0x1.5555555555555p+1 4f1facb36efec27f",
+      "Hypercube(d=3)x2 A2A expanding/upper 0x1.8p+1 1283f488d742b8d7",
+      "Hypercube(d=3)x2 A2A eigenvector/upper 0x1p+1 d8dd1229b774fc79",
+      "Hypercube(d=3)x2 A2A st-mincut/upper 0x1.b6db6db6db6dbp+1 89cd31291d2aefa4",
+      "Hypercube(d=3)x2 A2A bisection/exact 0x1p+1 e77ae5d24eadd455",
+      "Hypercube(d=3)x2 A2A brute-force-complete/exact 0x1p+1 e77ae5d24eadd455",
+      "Hypercube(d=3)x2 A2A bisection-kl/upper 0x1p+1 e77ae5d24eadd455",
+      "Hypercube(d=3)x2 RM(1) brute-force/exact 0x1.8p+0 6c28db07905b4ea7",
+      "Hypercube(d=3)x2 RM(1) one-node/upper 0x1.8p+1 89cd31291d2aefa4",
+      "Hypercube(d=3)x2 RM(1) two-node/upper 0x1p+1 4f1facb36efec27f",
+      "Hypercube(d=3)x2 RM(1) expanding/upper 0x1.8p+0 4b1a4488f69756c7",
+      "Hypercube(d=3)x2 RM(1) eigenvector/upper 0x1p+1 cc34f9ff3a2b56b5",
+      "Hypercube(d=3)x2 RM(1) st-mincut/upper 0x1.8p+1 89cd31291d2aefa4",
+      "Hypercube(d=3)x2 RM(1) bisection/exact 0x1.8p+0 6c28db07905b4ea7",
+      "Hypercube(d=3)x2 RM(1) brute-force-complete/exact 0x1.8p+0 6c28db07905b4ea7",
+      "Hypercube(d=3)x2 RM(1) bisection-kl/upper 0x1p+1 e77ae5d24eadd455",
+      "Hypercube(d=3)x2 LM brute-force/exact 0x1p+0 e77ae5d24eadd455",
+      "Hypercube(d=3)x2 LM one-node/upper 0x1.8p+1 89cd31291d2aefa4",
+      "Hypercube(d=3)x2 LM two-node/upper 0x1p+1 4f1facb36efec27f",
+      "Hypercube(d=3)x2 LM expanding/upper 0x1.8p+0 1283f488d742b8d7",
+      "Hypercube(d=3)x2 LM eigenvector/upper 0x1p+0 d8dd1229b774fc79",
+      "Hypercube(d=3)x2 LM st-mincut/upper 0x1.8p+1 89cd31291d2aefa4",
+      "Hypercube(d=3)x2 LM bisection/exact 0x1p+0 e77ae5d24eadd455",
+      "Hypercube(d=3)x2 LM brute-force-complete/exact 0x1p+0 e77ae5d24eadd455",
+      "Hypercube(d=3)x2 LM bisection-kl/upper 0x1p+0 e77ae5d24eadd455",
+      "Hypercube(d=3)x2 min_bisection 0x1p+2 e77ae5d24eadd455",
+      "Hypercube(d=3)x2 bisection_capacity 0x1p+2",
+      "Hypercube(d=3)x2 bisection_capacity-kl 0x1p+2",
+      "Jellyfish(n=14,r=4) A2A brute-force/exact 0x1.0cccccccccccap+1 0884ce9d4547d1bf",
+      "Jellyfish(n=14,r=4) A2A one-node/upper 0x1.13b13b13b13b3p+2 8c81d205214c3384",
+      "Jellyfish(n=14,r=4) A2A two-node/upper 0x1.c000000000002p+1 81c555a57c1a6c35",
+      "Jellyfish(n=14,r=4) A2A expanding/upper 0x1.3e93e93e93e9p+1 d1e5e54f2d2d8936",
+      "Jellyfish(n=14,r=4) A2A eigenvector/upper 0x1.0cccccccccccap+1 0884ce9d4547d1bf",
+      "Jellyfish(n=14,r=4) A2A st-mincut/upper 0x1.13b13b13b13b3p+2 8c81d205214c3384",
+      "Jellyfish(n=14,r=4) A2A bisection/exact 0x1.249249249248ep+1 c7217fce6cd1bb76",
+      "Jellyfish(n=14,r=4) A2A brute-force-complete/exact 0x1.0cccccccccccap+1 0884ce9d4547d1bf",
+      "Jellyfish(n=14,r=4) A2A bisection-kl/upper 0x1.249249249248ep+1 43e6f09fb8e0d5d4",
+      "Jellyfish(n=14,r=4) RM(1) brute-force/exact 0x1.999999999999ap+0 1255a20d3459afd7",
+      "Jellyfish(n=14,r=4) RM(1) one-node/upper 0x1p+2 8c81d205214c3384",
+      "Jellyfish(n=14,r=4) RM(1) two-node/upper 0x1.8p+1 81c555a57c1a6c35",
+      "Jellyfish(n=14,r=4) RM(1) expanding/upper 0x1p+1 7b707125e6ba9ddc",
+      "Jellyfish(n=14,r=4) RM(1) eigenvector/upper 0x1p+1 39ccef0fc6bedbe2",
+      "Jellyfish(n=14,r=4) RM(1) st-mincut/upper 0x1p+2 8c81d205214c3384",
+      "Jellyfish(n=14,r=4) RM(1) bisection/exact 0x1p+1 7467b8ce0a57bebe",
+      "Jellyfish(n=14,r=4) RM(1) brute-force-complete/exact 0x1.999999999999ap+0 1255a20d3459afd7",
+      "Jellyfish(n=14,r=4) RM(1) bisection-kl/upper 0x1p+1 650e0ce4d621e444",
+      "Jellyfish(n=14,r=4) LM brute-force/exact 0x1.2492492492492p+0 c07ba745a2b0e688",
+      "Jellyfish(n=14,r=4) LM one-node/upper 0x1p+2 8c81d205214c3384",
+      "Jellyfish(n=14,r=4) LM two-node/upper 0x1.8p+1 81c555a57c1a6c35",
+      "Jellyfish(n=14,r=4) LM expanding/upper 0x1.999999999999ap+0 d1e5e54f2d2d8936",
+      "Jellyfish(n=14,r=4) LM eigenvector/upper 0x1.2492492492492p+0 36f2e9bb471e1c16",
+      "Jellyfish(n=14,r=4) LM st-mincut/upper 0x1p+2 8c81d205214c3384",
+      "Jellyfish(n=14,r=4) LM bisection/exact 0x1.2492492492492p+0 c7217fce6cd1bb76",
+      "Jellyfish(n=14,r=4) LM brute-force-complete/exact 0x1.2492492492492p+0 c07ba745a2b0e688",
+      "Jellyfish(n=14,r=4) LM bisection-kl/upper 0x1.2492492492492p+0 650e0ce4d621e444",
+      "Jellyfish(n=14,r=4) min_bisection 0x1p+3 43e6f09fb8e0d5d4",
+      "Jellyfish(n=14,r=4) bisection_capacity 0x1p+3",
+      "Jellyfish(n=14,r=4) bisection_capacity-kl 0x1p+3",
+  };
+  const std::vector<std::string> lines = estimator_pins();
+  ASSERT_EQ(lines.size(), kPinned.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(lines[i], kPinned[i]) << "line " << i;
+  }
 }
 
 }  // namespace
