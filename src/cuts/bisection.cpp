@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "cuts/cut_tracker.h"
 #include "cuts/exact_cuts.h"
 #include "flow/cut_battery.h"
 #include "flow/min_cut.h"
@@ -16,25 +17,27 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+using detail::CutTracker;
+
 /// Enumerate all balanced subsets containing node 0 (to halve the space)
-/// and call visit(side).
+/// and call visit(cut) with the tracker on each; every recursion step sets
+/// or unsets one node.
 template <typename Visit>
-void for_each_balanced(int n, Visit&& visit) {
+void for_each_balanced(CutTracker& cut, int n, Visit&& visit) {
   const int half = n / 2;
-  std::vector<int> members;  // nodes on side 1, node 0 always on side 0
-  std::vector<std::uint8_t> side(static_cast<std::size_t>(n), 0);
+  int members = 0;  // nodes on side 1, node 0 always on side 0
   const auto rec = [&](auto&& self, int next) -> void {
-    if (static_cast<int>(members.size()) == half) {
-      visit(side);
+    if (members == half) {
+      visit(static_cast<const CutTracker&>(cut));
       return;
     }
-    if (n - next < half - static_cast<int>(members.size())) return;
+    if (n - next < half - members) return;
     for (int v = next; v < n; ++v) {
-      members.push_back(v);
-      side[static_cast<std::size_t>(v)] = 1;
+      ++members;
+      cut.flip(v);
       self(self, v + 1);
-      side[static_cast<std::size_t>(v)] = 0;
-      members.pop_back();
+      cut.flip(v);
+      --members;
     }
   };
   rec(rec, 1);
@@ -111,11 +114,13 @@ CutResult bisection_sparsity(const Graph& g, const TrafficMatrix& tm,
   best.sparsity = kInf;
   if (n <= exact_max) {
     best.bound = CutBound::Exact;
-    for_each_balanced(n, [&](const std::vector<std::uint8_t>& side) {
-      const double s = cut_sparsity(g, tm, side);
+    CutTracker tracker(g, &tm);
+    for_each_balanced(tracker, n, [&](const CutTracker& cut) {
+      if (cut.sparsity_cannot_beat(best.sparsity)) return;
+      const double s = cut_sparsity(g, tm, cut.side());
       if (s < best.sparsity) {
         best.sparsity = s;
-        best.side = side;
+        best.side = cut.side();
       }
     });
   } else {
@@ -140,8 +145,10 @@ double bisection_capacity(const Graph& g, int exact_max, int kl_restarts,
   const int n = g.num_nodes();
   if (n <= exact_max) {
     double best = kInf;
-    for_each_balanced(n, [&](const std::vector<std::uint8_t>& side) {
-      const double c = cut_capacity(g, side);
+    CutTracker tracker(g, nullptr);
+    for_each_balanced(tracker, n, [&](const CutTracker& cut) {
+      if (cut.capacity_cannot_beat(best)) return;
+      const double c = cut_capacity(g, cut.side());
       if (c < best) best = c;
     });
     return best;

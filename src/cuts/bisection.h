@@ -1,7 +1,10 @@
 // Bisection bandwidth (paper §II-B): the capacity of the worst-case cut
 // dividing the network into two equal halves. NP-hard, so:
 //  * n <= `exact_max`: exhaustive enumeration of balanced subsets,
-//    minimizing TM-relative sparsity directly (CutBound::Exact);
+//    minimizing TM-relative sparsity directly (CutBound::Exact); each step
+//    sets or unsets one node of the private cut tracker, and a subset is
+//    priced with cut_sparsity (cut_capacity) unless the tracker proves it
+//    cannot beat the best so far (the bound is in sparsest_cut.h);
 //  * larger n: Kernighan-Lin capacity minimization over random restarts,
 //    sharpened by exact s-t min cuts — up to `st_pairs` sampled demand
 //    pairs are cut exactly (src/flow/), rebalanced into bisections, and

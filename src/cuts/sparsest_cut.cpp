@@ -1,11 +1,11 @@
 #include "cuts/sparsest_cut.h"
 
 #include <algorithm>
-#include <cassert>
+#include <bit>
 #include <limits>
 #include <numeric>
-#include <stdexcept>
 
+#include "cuts/cut_tracker.h"
 #include "cuts/exact_cuts.h"
 #include "graph/algorithms.h"
 #include "graph/spectral.h"
@@ -24,6 +24,8 @@ const char* to_string(CutBound b) {
 
 namespace {
 
+using detail::CutTracker;
+
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Track the best (lowest-sparsity) cut seen.
@@ -36,6 +38,14 @@ struct Best {
       sparsity = s;
       side = candidate;
     }
+  }
+
+  /// Price the tracker's cut with cut_sparsity and offer it, unless the
+  /// tracker proves it cannot beat the best (sparsest_cut.h).
+  void consider(const Graph& g, const TrafficMatrix& tm,
+                const CutTracker& cut) {
+    if (cut.sparsity_cannot_beat(sparsity)) return;
+    offer(cut_sparsity(g, tm, cut.side()), cut.side());
   }
 };
 
@@ -85,23 +95,23 @@ CutResult sparsest_cut_brute_force(const Graph& g, const TrafficMatrix& tm,
                                    long max_cuts) {
   const int n = g.num_nodes();
   Best best;
-  std::vector<std::uint8_t> side(static_cast<std::size_t>(n), 0);
+  CutTracker cut(g, &tm);
   // Node n-1 pinned to side 1 to halve the space; subsets enumerated in
   // binary counting order over the remaining n-1 bits, capped at max_cuts.
   const long total =
       n - 1 >= 62 ? std::numeric_limits<long>::max()
                   : (1L << (n - 1)) - 1;  // exclude the empty set
   const long cuts = std::min(total, max_cuts);
-  side[static_cast<std::size_t>(n - 1)] = 1;
+  cut.flip(n - 1);
   // mask never has bits at or above 63 set, so nodes beyond bit 62 stay on
-  // side 0 (shifting a long by >= 64 would be undefined behavior).
-  const int mask_bits = std::min(n - 1, 63);
+  // side 0. Stepping from mask-1 to mask flips exactly the bits of
+  // mask ^ (mask-1): two per step, amortised.
   for (long mask = 1; mask <= cuts; ++mask) {
-    for (int v = 0; v < mask_bits; ++v) {
-      side[static_cast<std::size_t>(v)] =
-          static_cast<std::uint8_t>((mask >> v) & 1);
+    for (auto diff = static_cast<unsigned long>(mask ^ (mask - 1)); diff != 0;
+         diff &= diff - 1) {
+      cut.flip(std::countr_zero(diff));
     }
-    best.offer(cut_sparsity(g, tm, side), side);
+    best.consider(g, tm, cut);
   }
   return finish(std::move(best), "brute-force",
                 total <= max_cuts ? CutBound::Exact : CutBound::Upper);
@@ -110,11 +120,11 @@ CutResult sparsest_cut_brute_force(const Graph& g, const TrafficMatrix& tm,
 CutResult sparsest_cut_one_node(const Graph& g, const TrafficMatrix& tm) {
   const int n = g.num_nodes();
   Best best;
-  std::vector<std::uint8_t> side(static_cast<std::size_t>(n), 0);
+  CutTracker cut(g, &tm);
   for (int v = 0; v < n; ++v) {
-    side.assign(static_cast<std::size_t>(n), 0);
-    side[static_cast<std::size_t>(v)] = 1;
-    best.offer(cut_sparsity(g, tm, side), side);
+    cut.flip(v);
+    best.consider(g, tm, cut);
+    cut.clear();
   }
   return finish(std::move(best), "one-node");
 }
@@ -122,14 +132,15 @@ CutResult sparsest_cut_one_node(const Graph& g, const TrafficMatrix& tm) {
 CutResult sparsest_cut_two_node(const Graph& g, const TrafficMatrix& tm) {
   const int n = g.num_nodes();
   Best best;
-  std::vector<std::uint8_t> side(static_cast<std::size_t>(n), 0);
+  CutTracker cut(g, &tm);
   for (int u = 0; u < n; ++u) {
+    cut.flip(u);
     for (int v = u + 1; v < n; ++v) {
-      side.assign(static_cast<std::size_t>(n), 0);
-      side[static_cast<std::size_t>(u)] = 1;
-      side[static_cast<std::size_t>(v)] = 1;
-      best.offer(cut_sparsity(g, tm, side), side);
+      cut.flip(v);
+      best.consider(g, tm, cut);
+      cut.flip(v);
     }
+    cut.clear();
   }
   return finish(std::move(best), "two-node");
 }
@@ -137,17 +148,19 @@ CutResult sparsest_cut_two_node(const Graph& g, const TrafficMatrix& tm) {
 CutResult sparsest_cut_expanding(const Graph& g, const TrafficMatrix& tm) {
   const int n = g.num_nodes();
   Best best;
-  std::vector<std::uint8_t> side(static_cast<std::size_t>(n), 0);
+  CutTracker cut(g, &tm);
   for (int v = 0; v < n; ++v) {
     const std::vector<int> dist = bfs_distances(g, v);
     const int max_d = *std::max_element(dist.begin(), dist.end());
+    // The ball of radius r is the ball of radius r-1 plus the nodes at
+    // distance exactly r.
     for (int radius = 0; radius < max_d; ++radius) {
       for (int u = 0; u < n; ++u) {
-        side[static_cast<std::size_t>(u)] =
-            dist[static_cast<std::size_t>(u)] <= radius ? 1 : 0;
+        if (dist[static_cast<std::size_t>(u)] == radius) cut.flip(u);
       }
-      best.offer(cut_sparsity(g, tm, side), side);
+      best.consider(g, tm, cut);
     }
+    cut.clear();
   }
   return finish(std::move(best), "expanding");
 }
@@ -162,10 +175,10 @@ CutResult sparsest_cut_eigenvector(const Graph& g, const TrafficMatrix& tm) {
            spec.vector[static_cast<std::size_t>(b)];
   });
   Best best;
-  std::vector<std::uint8_t> side(static_cast<std::size_t>(n), 0);
+  CutTracker cut(g, &tm);
   for (int prefix = 1; prefix < n; ++prefix) {
-    side[static_cast<std::size_t>(order[static_cast<std::size_t>(prefix - 1)])] = 1;
-    best.offer(cut_sparsity(g, tm, side), side);
+    cut.flip(order[static_cast<std::size_t>(prefix - 1)]);
+    best.consider(g, tm, cut);
   }
   return finish(std::move(best), "eigenvector");
 }

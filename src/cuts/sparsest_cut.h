@@ -11,6 +11,42 @@
 //   * an eigenvector sweep over the normalized-Laplacian Fiedler vector.
 // Table II reports which estimator finds the winning cut; Fig 3 plots the
 // winner against LP throughput.
+//
+// Incremental evaluation. The enumerating estimators (brute force, one-
+// and two-node, expanding, eigenvector, and the exact bisection paths of
+// bisection.h) walk their candidates with a private cut tracker
+// (cut_tracker.h): flipping node v updates the crossing capacity and the
+// crossing demand per direction in O(deg(v) + demands at v). cut_sparsity
+// stays the only value that reaches a result: a candidate is skipped only
+// when the bound below proves that cut_sparsity of it is not < the best so
+// far, and every other candidate is priced with cut_sparsity and offered
+// as before. Ties never replace the best (strict <), so values, sides,
+// winners and bound tags are the bits a plain cut_sparsity loop returns.
+//
+// The bound. Let u = 2^-53, E the edge count and P the demand count, and
+// C, D the exact real crossing capacity and demand of one direction.
+//  * cut_sparsity sums at most E (resp. P) non-negative terms left to
+//    right, so its C' >= C(1 - g_E) and D' <= D(1 + g_P), with
+//    g_k = ku / (1 - ku) (Higham, recursive summation).
+//  * Rounding is monotone and `best` is a double, so fl(C'/D') >= best iff
+//    C'/D' >= best; a direction with D' = 0 contributes infinity.
+//  * The tracker's sums satisfy |c - C| <= e_c and |d - D| <= e_d. Each
+//    flip adds to e twice its true rounding bound: 2 g_deg times the
+//    node's incident magnitude for the local delta, 2u times the new sum
+//    for the update, plus DBL_MIN against an underflowed product. The
+//    factor 2 covers the rounding of e's own arithmetic.
+//  * A direction is cleared when, in floating point,
+//    lo = c - e_c >= DBL_MIN and lo >= best * (d + e_d) * K, with
+//    K = 1 + (E + P + 8) * 2^-52. Then C >= lo / (1 + u) and, as
+//    lo >= DBL_MIN absorbs the products' underflow,
+//    best * D * K (1 - u)^3 <= lo (1 + 2^-52). So C' >= best * D' whenever
+//    K (1 - u)^3 (1 - g_E) >= (1 + g_P)(1 + u)(1 + 2^-52); to first order
+//    K has (E + P + 10) u to spare, far above the second-order terms while
+//    (E + P) u is small.
+//  * A candidate is skipped only when both directions are cleared (and
+//    never while best is infinite, or when a demand is negative or not
+//    finite). Capacity-only pricing (bisection_capacity against
+//    cut_capacity) uses the same test with d + e_d = 1.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +80,8 @@ struct CutResult {
 
 /// Sparsity of one cut. Directed: min over both orientations of
 /// (arc capacity crossing) / (demand crossing); infinity when no demand
-/// crosses. `side` holds 0/1 per node.
+/// crosses. `side` holds 0/1 per node. Every estimator's value is this
+/// function's result on the cut it reports.
 double cut_sparsity(const Graph& g, const TrafficMatrix& tm,
                     const std::vector<std::uint8_t>& side);
 

@@ -43,6 +43,8 @@ double kernighan_lin_refine(const Graph& g, std::vector<std::uint8_t>& side,
   assert(g.finalized());
   const int n = g.num_nodes();
   double best_cut = cut_capacity(g, side);
+  std::vector<double> gain_b(static_cast<std::size_t>(n), 0.0);
+  std::vector<double> w_a(static_cast<std::size_t>(n), 0.0);  // w(a, .)
 
   for (int pass = 0; pass < max_passes; ++pass) {
     // One KL pass: greedily swap the best (a in 0-side, b in 1-side) pair,
@@ -55,34 +57,44 @@ double kernighan_lin_refine(const Graph& g, std::vector<std::uint8_t>& side,
 
     const int rounds = n / 2;
     for (int r = 0; r < rounds; ++r) {
-      // Pick the best unlocked pair by combined gain. O(n^2) pair scan is
-      // avoided by choosing best single nodes per side and correcting for
-      // a possible shared edge.
+      // Pick the best unlocked pair (a on side 0, b on side 1) by combined
+      // gain ga + gb - 2 w(a,b); ties go to the first pair in (a, b) order.
+      // gb is computed once per round, and a's edge weights to every b
+      // come from one scan of out_arcs(a) in arc order: the same sums, in
+      // the same order, as summing per pair.
+      for (int b = 0; b < n; ++b) {
+        if (!locked[static_cast<std::size_t>(b)] &&
+            work[static_cast<std::size_t>(b)] == 1) {
+          gain_b[static_cast<std::size_t>(b)] = move_gain(g, work, b);
+        }
+      }
       int best_a = -1;
       int best_b = -1;
       double best_gain = -std::numeric_limits<double>::infinity();
-      // Collect top candidates per side.
       for (int a = 0; a < n; ++a) {
         if (locked[static_cast<std::size_t>(a)] ||
             work[static_cast<std::size_t>(a)] != 0) {
           continue;
         }
         const double ga = move_gain(g, work, a);
+        for (const int arc : g.out_arcs(a)) {
+          w_a[static_cast<std::size_t>(g.arc_to(arc))] += g.arc_cap(arc);
+        }
         for (int b = 0; b < n; ++b) {
           if (locked[static_cast<std::size_t>(b)] ||
               work[static_cast<std::size_t>(b)] != 1) {
             continue;
           }
-          double w_ab = 0.0;
-          for (const int arc : g.out_arcs(a)) {
-            if (g.arc_to(arc) == b) w_ab += g.arc_cap(arc);
-          }
-          const double gain = ga + move_gain(g, work, b) - 2.0 * w_ab;
+          const double gain = ga + gain_b[static_cast<std::size_t>(b)] -
+                              2.0 * w_a[static_cast<std::size_t>(b)];
           if (gain > best_gain) {
             best_gain = gain;
             best_a = a;
             best_b = b;
           }
+        }
+        for (const int arc : g.out_arcs(a)) {
+          w_a[static_cast<std::size_t>(g.arc_to(arc))] = 0.0;
         }
       }
       if (best_a < 0) break;

@@ -18,7 +18,11 @@ struct BipartitionResult {
 };
 
 /// One KL refinement pass from the given starting assignment (modified in
-/// place); returns the final cut capacity.
+/// place); returns the final cut capacity. A round picks the unlocked pair
+/// (a on side 0, b on side 1) of highest gain g_a + g_b - 2 w(a, b), first
+/// in (a, b) order on ties. Each g_b is computed once per round and a's
+/// weights w(a, .) come from one scan of a's arcs, so a round costs
+/// O(n^2 + arcs) and sums every gain in the same order as a per-pair scan.
 double kernighan_lin_refine(const Graph& g, std::vector<std::uint8_t>& side,
                             int max_passes = 16);
 

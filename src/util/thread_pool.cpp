@@ -117,9 +117,16 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   // Wait for every chunk, not just the first failure: rethrowing while
   // chunks still run would unwind the caller's frame (and `body`'s
   // captures) under live workers.
-  std::unique_lock<std::mutex> lock(job->mu);
-  job->done_cv.wait(lock, [&job] { return job->done == job->chunks; });
-  if (job->error) std::rethrow_exception(job->error);
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(job->mu);
+    job->done_cv.wait(lock, [&job] { return job->done == job->chunks; });
+    // Take the exception out of the job under its lock: a helper may still
+    // hold the job and drop the last reference to it after we return, and
+    // that must not free the exception the caller is reading.
+    error = std::move(job->error);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 ThreadPool& ThreadPool::shared() {

@@ -1,21 +1,29 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "cuts/bisection.h"
+#include "cuts/cut_tracker.h"
 #include "cuts/exact_cuts.h"
 #include "cuts/sparsest_cut.h"
 #include "core/registry.h"
+#include "graph/algorithms.h"
 #include "graph/partition.h"
+#include "graph/spectral.h"
 #include "mcf/engine.h"
 #include "mcf/throughput.h"
 #include "tm/synthetic.h"
 #include "topo/hypercube.h"
 #include "topo/jellyfish.h"
 #include "topo/natural.h"
+#include "util/rng.h"
 
 namespace tb {
 namespace {
@@ -535,6 +543,308 @@ TEST(SparseCut, EstimatorBitsAndSidesArePinned) {
   ASSERT_EQ(lines.size(), kPinned.size());
   for (std::size_t i = 0; i < lines.size(); ++i) {
     EXPECT_EQ(lines[i], kPinned[i]) << "line " << i;
+  }
+}
+
+
+// --- incremental cut evaluation (cuts/cut_tracker.h) -------------------------
+
+using cuts::detail::CutTracker;
+
+struct Instance {
+  Graph g;
+  TrafficMatrix tm;
+};
+
+/// How random_instance draws capacities: uniform in [0.1, 3.7]; all 0.1
+/// (many exact ties); or from {0.1, 0.2, 0.3}, whose sums round
+/// differently by summation order (0.1 + 0.2 != 0.3), so cuts of equal
+/// real sparsity price a few ulps apart.
+enum class Caps { Random, Uniform, Mixed };
+
+/// A connected random multigraph on n nodes (a ring plus n random chords)
+/// with non-dyadic capacities, and a TM of 1/h demands between random host
+/// pairs plus some 1/3 (or, with Caps::Mixed, 1/6 and 2/3) demands, a
+/// duplicate and a self demand.
+Instance random_instance(int n, std::uint64_t seed, Caps caps) {
+  Rng rng(seed);
+  const auto cap = [&] {
+    switch (caps) {
+      case Caps::Uniform:
+        return 0.1;
+      case Caps::Mixed:
+        return 0.1 * static_cast<double>(1 + rng.next_u64(3));
+      case Caps::Random:
+        break;
+    }
+    return rng.next_double(0.1, 3.7);
+  };
+  Instance inst{Graph(n), {}};
+  for (int v = 0; v < n; ++v) inst.g.add_edge(v, (v + 1) % n, cap());
+  for (int k = 0; k < n; ++k) {
+    const int u = static_cast<int>(rng.next_u64(static_cast<std::uint64_t>(n)));
+    const int w = static_cast<int>(rng.next_u64(static_cast<std::uint64_t>(n)));
+    if (u != w) inst.g.add_edge(u, w, cap());
+  }
+  inst.g.finalize();
+  const int h = n - 1;  // node n-1 sends and receives nothing
+  for (int u = 0; u < h; ++u) {
+    for (int w = 0; w < h; ++w) {
+      if (u != w && rng.next_bool(0.5)) {
+        inst.tm.demands.push_back({u, w, 1.0 / h});
+      }
+    }
+  }
+  const double extra[3] = {1.0 / 3.0, 1.0 / 6.0, 2.0 / 3.0};
+  for (int k = 0; k < n; ++k) {
+    inst.tm.demands.push_back(
+        {static_cast<int>(rng.next_u64(static_cast<std::uint64_t>(h))),
+         static_cast<int>(rng.next_u64(static_cast<std::uint64_t>(h))),
+         caps == Caps::Mixed ? extra[rng.next_u64(3)] : extra[0]});
+  }
+  inst.tm.demands.push_back(inst.tm.demands.front());
+  inst.tm.demands.push_back({0, 0, 1.0 / 3.0});
+  return inst;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(CutTracker, TrackedSumsStayWithinTheirBounds) {
+  // After every flip, each tracked sum lies within its drift bound of a
+  // long-double recount (widened by the recount's own summation bound),
+  // and the bound stays far below the values it bounds.
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL, 5ULL, 6ULL}) {
+    const int n = 9 + static_cast<int>(seed);
+    const Instance inst =
+        random_instance(n, seed, static_cast<Caps>(seed % 3));
+    const Graph& g = inst.g;
+    CutTracker cut(g, &inst.tm);
+    Rng rng(mix_seed(seed, 0xF11));
+    const long double ulp = std::numeric_limits<long double>::epsilon();
+    double total_cap = 0.0;
+    for (int e = 0; e < g.num_edges(); ++e) total_cap += g.edge_cap(e);
+    for (int step = 0; step < 3000; ++step) {
+      cut.flip(static_cast<int>(rng.next_u64(static_cast<std::uint64_t>(n))));
+      const std::vector<std::uint8_t>& side = cut.side();
+      long double cap = 0.0L;
+      long double cap_mag = 0.0L;
+      for (int e = 0; e < g.num_edges(); ++e) {
+        cap_mag += g.edge_cap(e);
+        if (side[static_cast<std::size_t>(g.edge_u(e))] !=
+            side[static_cast<std::size_t>(g.edge_v(e))]) {
+          cap += g.edge_cap(e);
+        }
+      }
+      long double dem[2] = {0.0L, 0.0L};
+      long double dem_mag = 0.0L;
+      for (const Demand& d : inst.tm.demands) {
+        dem_mag += d.amount;
+        const std::uint8_t ss = side[static_cast<std::size_t>(d.src)];
+        if (ss != side[static_cast<std::size_t>(d.dst)]) dem[ss] += d.amount;
+      }
+      const long double recount_slack =
+          2.0L * static_cast<long double>(g.num_edges() +
+                                          inst.tm.demands.size()) *
+          ulp * (cap_mag + dem_mag);
+      ASSERT_LE(std::fabs(static_cast<long double>(cut.capacity()) - cap),
+                cut.capacity_error() + recount_slack)
+          << "seed " << seed << " step " << step;
+      for (int dir = 0; dir < 2; ++dir) {
+        ASSERT_LE(std::fabs(static_cast<long double>(cut.demand(dir)) -
+                            dem[dir]),
+                  cut.demand_error(dir) + recount_slack)
+            << "seed " << seed << " step " << step << " dir " << dir;
+      }
+    }
+    EXPECT_LT(cut.capacity_error(), 1e-9 * total_cap) << "seed " << seed;
+    EXPECT_LT(cut.demand_error(0), 1e-9) << "seed " << seed;
+  }
+}
+
+TEST(CutTracker, SkippedCutsNeverBeatTheRunningBest) {
+  // Exhaustively on <= 12 nodes: whenever the tracker says a cut cannot
+  // beat the running best, its from-scratch price is indeed not below it.
+  // The tightest such best is the next double above the cut's own price;
+  // there the tracker must never skip.
+  for (std::uint64_t seed = 11; seed < 29; ++seed) {
+    const int n = 8 + static_cast<int>(seed % 5);
+    const Instance inst =
+        random_instance(n, seed, static_cast<Caps>(seed % 3));
+    CutTracker cut(inst.g, &inst.tm);
+    CutTracker cap_only(inst.g, nullptr);
+    const double kInf = std::numeric_limits<double>::infinity();
+    double best = kInf;
+    double best_cap = best;
+    long skipped = 0;
+    long skipped_cap = 0;
+    for (long mask = 1; mask < (1L << n) - 1; ++mask) {
+      for (auto diff = static_cast<unsigned long>(mask ^ (mask - 1));
+           diff != 0; diff &= diff - 1) {
+        cut.flip(std::countr_zero(diff));
+        cap_only.flip(std::countr_zero(diff));
+      }
+      const double s = cuts::cut_sparsity(inst.g, inst.tm, cut.side());
+      ASSERT_FALSE(cut.sparsity_cannot_beat(std::nextafter(s, kInf)))
+          << "seed " << seed << " mask " << mask;
+      if (cut.sparsity_cannot_beat(best)) {
+        ++skipped;
+        ASSERT_FALSE(s < best) << "seed " << seed << " mask " << mask;
+      }
+      best = std::min(best, s);
+      const double c = cut_capacity(inst.g, cap_only.side());
+      ASSERT_FALSE(cap_only.capacity_cannot_beat(std::nextafter(c, kInf)))
+          << "seed " << seed << " mask " << mask;
+      if (cap_only.capacity_cannot_beat(best_cap)) {
+        ++skipped_cap;
+        ASSERT_FALSE(c < best_cap) << "seed " << seed << " mask " << mask;
+      }
+      best_cap = std::min(best_cap, c);
+    }
+    // The bound is not vacuous: most candidates are skipped.
+    EXPECT_GT(skipped, (1L << n) / 2) << "seed " << seed;
+    EXPECT_GT(skipped_cap, (1L << n) / 2) << "seed " << seed;
+  }
+}
+
+/// The battery's orders, each priced by a plain cut_sparsity loop.
+struct PlainBest {
+  double sparsity = std::numeric_limits<double>::infinity();
+  std::vector<std::uint8_t> side;
+  void offer(const Graph& g, const TrafficMatrix& tm,
+             const std::vector<std::uint8_t>& candidate) {
+    const double s = cuts::cut_sparsity(g, tm, candidate);
+    if (s < sparsity) {
+      sparsity = s;
+      side = candidate;
+    }
+  }
+};
+
+PlainBest plain_brute_force(const Graph& g, const TrafficMatrix& tm,
+                            long max_cuts) {
+  const int n = g.num_nodes();
+  PlainBest best;
+  std::vector<std::uint8_t> side(static_cast<std::size_t>(n), 0);
+  side[static_cast<std::size_t>(n - 1)] = 1;
+  const long cuts = std::min((1L << (n - 1)) - 1, max_cuts);
+  for (long mask = 1; mask <= cuts; ++mask) {
+    for (int v = 0; v < n - 1; ++v) {
+      side[static_cast<std::size_t>(v)] =
+          static_cast<std::uint8_t>((mask >> v) & 1);
+    }
+    best.offer(g, tm, side);
+  }
+  return best;
+}
+
+PlainBest plain_node_pairs(const Graph& g, const TrafficMatrix& tm,
+                           bool pairs) {
+  const int n = g.num_nodes();
+  PlainBest best;
+  for (int u = 0; u < n; ++u) {
+    for (int v = pairs ? u + 1 : u; v < n; ++v) {
+      std::vector<std::uint8_t> side(static_cast<std::size_t>(n), 0);
+      side[static_cast<std::size_t>(u)] = 1;
+      side[static_cast<std::size_t>(v)] = 1;
+      best.offer(g, tm, side);
+      if (!pairs) break;
+    }
+  }
+  return best;
+}
+
+PlainBest plain_expanding(const Graph& g, const TrafficMatrix& tm) {
+  const int n = g.num_nodes();
+  PlainBest best;
+  std::vector<std::uint8_t> side(static_cast<std::size_t>(n), 0);
+  for (int v = 0; v < n; ++v) {
+    const std::vector<int> dist = bfs_distances(g, v);
+    const int max_d = *std::max_element(dist.begin(), dist.end());
+    for (int radius = 0; radius < max_d; ++radius) {
+      for (int u = 0; u < n; ++u) {
+        side[static_cast<std::size_t>(u)] =
+            dist[static_cast<std::size_t>(u)] <= radius ? 1 : 0;
+      }
+      best.offer(g, tm, side);
+    }
+  }
+  return best;
+}
+
+PlainBest plain_eigenvector(const Graph& g, const TrafficMatrix& tm) {
+  const int n = g.num_nodes();
+  const SpectralResult spec = fiedler_vector(g);
+  std::vector<int> order(static_cast<std::size_t>(n));
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&spec](int a, int b) {
+    return spec.vector[static_cast<std::size_t>(a)] <
+           spec.vector[static_cast<std::size_t>(b)];
+  });
+  PlainBest best;
+  std::vector<std::uint8_t> side(static_cast<std::size_t>(n), 0);
+  for (int prefix = 1; prefix < n; ++prefix) {
+    side[static_cast<std::size_t>(order[static_cast<std::size_t>(prefix - 1)])] = 1;
+    best.offer(g, tm, side);
+  }
+  return best;
+}
+
+/// Balanced subsets with node 0 on side 0, in bisection.cpp's recursion
+/// order; prices both sparsity and capacity.
+void plain_balanced(const Graph& g, const TrafficMatrix& tm, PlainBest& best,
+                    double& best_cap) {
+  const int n = g.num_nodes();
+  const int half = n / 2;
+  int members = 0;
+  std::vector<std::uint8_t> side(static_cast<std::size_t>(n), 0);
+  const auto rec = [&](auto&& self, int next) -> void {
+    if (members == half) {
+      best.offer(g, tm, side);
+      best_cap = std::min(best_cap, cut_capacity(g, side));
+      return;
+    }
+    if (n - next < half - members) return;
+    for (int v = next; v < n; ++v) {
+      ++members;
+      side[static_cast<std::size_t>(v)] = 1;
+      self(self, v + 1);
+      side[static_cast<std::size_t>(v)] = 0;
+      --members;
+    }
+  };
+  rec(rec, 1);
+}
+
+TEST(CutTracker, EstimatorsMatchPlainCutSparsityLoops) {
+  // Each enumeration returns bitwise the value and side that pricing every
+  // candidate of the same order with cut_sparsity returns.
+  for (const std::uint64_t seed : {21ULL, 22ULL, 23ULL, 24ULL, 25ULL, 26ULL}) {
+    const int n = 10 + static_cast<int>(seed % 6);
+    const Instance inst =
+        random_instance(n, seed, static_cast<Caps>(seed % 3));
+    const Graph& g = inst.g;
+    const TrafficMatrix& tm = inst.tm;
+    const auto check = [&](const cuts::CutResult& r, const PlainBest& ref) {
+      EXPECT_EQ(bits(r.sparsity), bits(ref.sparsity))
+          << r.method << " seed " << seed;
+      EXPECT_EQ(r.side, ref.side) << r.method << " seed " << seed;
+    };
+    check(cuts::sparsest_cut_brute_force(g, tm, 1L << 20),
+          plain_brute_force(g, tm, 1L << 20));
+    check(cuts::sparsest_cut_brute_force(g, tm, 300),
+          plain_brute_force(g, tm, 300));
+    check(cuts::sparsest_cut_one_node(g, tm), plain_node_pairs(g, tm, false));
+    check(cuts::sparsest_cut_two_node(g, tm), plain_node_pairs(g, tm, true));
+    check(cuts::sparsest_cut_expanding(g, tm), plain_expanding(g, tm));
+    check(cuts::sparsest_cut_eigenvector(g, tm), plain_eigenvector(g, tm));
+    PlainBest balanced;
+    double balanced_cap = std::numeric_limits<double>::infinity();
+    plain_balanced(g, tm, balanced, balanced_cap);
+    const cuts::CutResult bis = cuts::bisection_sparsity(g, tm);
+    ASSERT_EQ(bis.bound, cuts::CutBound::Exact);
+    check(bis, balanced);
+    EXPECT_EQ(bits(cuts::bisection_capacity(g)), bits(balanced_cap))
+        << "seed " << seed;
   }
 }
 
