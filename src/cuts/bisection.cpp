@@ -28,7 +28,7 @@ void for_each_balanced(CutTracker& cut, int n, Visit&& visit) {
   int members = 0;  // nodes on side 1, node 0 always on side 0
   const auto rec = [&](auto&& self, int next) -> void {
     if (members == half) {
-      visit(static_cast<const CutTracker&>(cut));
+      visit(cut);
       return;
     }
     if (n - next < half - members) return;
