@@ -151,10 +151,22 @@ CutResult sparsest_cut_expanding(const Graph& g, const TrafficMatrix& tm) {
   CutTracker cut(g, &tm);
   for (int v = 0; v < n; ++v) {
     const std::vector<int> dist = bfs_distances(g, v);
-    const int max_d = *std::max_element(dist.begin(), dist.end());
+    // Balls up to the farthest node, excluding the whole node set. On a
+    // disconnected graph the farthest is kUnreachable: stop after the ball
+    // of the largest finite distance (v's component) instead.
+    int max_finite = 0;
+    bool all_reached = true;
+    for (const int du : dist) {
+      if (du == kUnreachable) {
+        all_reached = false;
+      } else {
+        max_finite = std::max(max_finite, du);
+      }
+    }
+    const int radii = all_reached ? max_finite : max_finite + 1;
     // The ball of radius r is the ball of radius r-1 plus the nodes at
     // distance exactly r.
-    for (int radius = 0; radius < max_d; ++radius) {
+    for (int radius = 0; radius < radii; ++radius) {
       for (int u = 0; u < n; ++u) {
         if (dist[static_cast<std::size_t>(u)] == radius) cut.flip(u);
       }

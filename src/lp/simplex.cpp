@@ -111,83 +111,110 @@ Standardized standardize(const Problem& p) {
   return s;
 }
 
-/// Attempt a warm start from candidate basis `cand` (a prior Result::basis
-/// of a same-shaped problem): build the dense basis matrix, invert it by
-/// Gauss-Jordan with partial pivoting, and accept only if it is nonsingular
-/// and the implied basic solution is primal feasible. On success fills
-/// basis/binv/xb; on any failure leaves them untouched and returns false so
-/// the caller falls back to the cold slack/artificial start.
-bool try_warm_basis(const Standardized& s, const std::vector<int>& cand,
-                    std::vector<int>& basis, std::vector<double>& binv,
-                    std::vector<double>& xb) {
+/// The cold start: per row, its slack if one exists with +1 coefficient,
+/// else its artificial, so Binv is the identity (slack/artificial columns
+/// are unit vectors) and x_B = b.
+void cold_start(const Standardized& s, std::vector<int>& basis,
+                std::vector<double>& binv, std::vector<double>& xb) {
+  const int m = s.m;
+  basis.assign(static_cast<std::size_t>(m), -1);
+  for (int j = s.num_struct; j < s.n; ++j) {
+    const auto& col = s.cols[static_cast<std::size_t>(j)];
+    if (col.size() == 1 && col[0].second == 1.0) {
+      const int i = col[0].first;
+      if (basis[static_cast<std::size_t>(i)] == -1) {
+        basis[static_cast<std::size_t>(i)] = j;
+      }
+    }
+  }
+  std::fill(binv.begin(), binv.end(), 0.0);
+  for (int i = 0; i < m; ++i) {
+    if (basis[static_cast<std::size_t>(i)] == -1) {
+      throw std::logic_error("lp::solve: missing initial basis column");
+    }
+    binv[static_cast<std::size_t>(i) * m + static_cast<std::size_t>(i)] = 1.0;
+  }
+  xb = s.b;
+}
+
+/// FTRAN: d = Binv * A[j], one dot per row.
+void ftran(const Standardized& s, const std::vector<double>& binv, int j,
+           std::vector<double>& d) {
+  const int m = s.m;
+  const auto& col = s.cols[static_cast<std::size_t>(j)];
+  for (int r = 0; r < m; ++r) {
+    const double* row = &binv[static_cast<std::size_t>(r) * m];
+    double acc = 0.0;
+    for (const auto& [i, v] : col) acc += v * row[i];
+    d[static_cast<std::size_t>(r)] = acc;
+  }
+}
+
+/// Basis change on Binv: the column whose FTRAN is `d` replaces the basic
+/// column of row `leave`. Only the rows with d[i] != 0 change.
+void update_binv(int m, const std::vector<double>& d, int leave,
+                 std::vector<double>& binv) {
+  const double piv = d[static_cast<std::size_t>(leave)];
+  double* lrow = &binv[static_cast<std::size_t>(leave) * m];
+  for (int j = 0; j < m; ++j) lrow[j] /= piv;
+  for (int i = 0; i < m; ++i) {
+    const double f = d[static_cast<std::size_t>(i)];
+    if (i == leave || f == 0.0) continue;
+    double* row = &binv[static_cast<std::size_t>(i) * m];
+    for (int j = 0; j < m; ++j) row[j] -= f * lrow[j];
+  }
+}
+
+/// Warm start from candidate basis `cand` (a prior Result::basis of a
+/// same-shaped problem, or a caller-built basis in the same numbering).
+/// Starts from the cold basis cold_start() left in basis/binv and pivots
+/// each candidate column that is not already basic into a row whose basic
+/// column is not a candidate, choosing the largest |d| (the first on ties);
+/// the dense update is the simplex's own, so no second m x m buffer exists.
+/// Accepts only if every column finds a pivot above kPivotTol (the
+/// candidate is nonsingular) and x_B = Binv b >= -1e-7 (primal feasible).
+/// On failure returns false with basis/binv partly pivoted: the caller must
+/// run cold_start() again.
+bool import_basis(const Standardized& s, const std::vector<int>& cand,
+                  std::vector<int>& basis, std::vector<double>& binv,
+                  std::vector<double>& xb, std::vector<double>& d) {
   const int m = s.m;
   if (static_cast<int>(cand.size()) != m) return false;
-  std::vector<std::uint8_t> used(static_cast<std::size_t>(s.n), 0);
+  std::vector<std::uint8_t> wanted(static_cast<std::size_t>(s.n), 0);
   for (const int j : cand) {
-    if (j < 0 || j >= s.n || used[static_cast<std::size_t>(j)]) return false;
-    used[static_cast<std::size_t>(j)] = 1;
+    if (j < 0 || j >= s.n || wanted[static_cast<std::size_t>(j)]) return false;
+    wanted[static_cast<std::size_t>(j)] = 1;
   }
-  // Augmented [B | I], row-major; Gauss-Jordan turns it into [I | B^-1].
-  const auto w = static_cast<std::size_t>(2 * m);
-  std::vector<double> aug(static_cast<std::size_t>(m) * w, 0.0);
-  for (int c = 0; c < m; ++c) {
-    for (const auto& [r, v] : s.cols[static_cast<std::size_t>(cand[c])]) {
-      aug[static_cast<std::size_t>(r) * w + static_cast<std::size_t>(c)] = v;
-    }
-  }
-  for (int i = 0; i < m; ++i) {
-    aug[static_cast<std::size_t>(i) * w + static_cast<std::size_t>(m + i)] =
-        1.0;
-  }
-  for (int col = 0; col < m; ++col) {
-    int piv = -1;
-    double best = 1e-9;
-    for (int r = col; r < m; ++r) {
-      const double v = std::abs(
-          aug[static_cast<std::size_t>(r) * w + static_cast<std::size_t>(col)]);
+  // The cold columns; each candidate is visited once, and a column leaving
+  // below is never a candidate, so this needs no update.
+  std::vector<std::uint8_t> cold(static_cast<std::size_t>(s.n), 0);
+  for (const int j : basis) cold[static_cast<std::size_t>(j)] = 1;
+  for (const int j : cand) {
+    if (cold[static_cast<std::size_t>(j)]) continue;
+    ftran(s, binv, j, d);
+    int leave = -1;
+    double best = kPivotTol;
+    for (int r = 0; r < m; ++r) {
+      if (wanted[static_cast<std::size_t>(basis[static_cast<std::size_t>(r)])]) {
+        continue;
+      }
+      const double v = std::abs(d[static_cast<std::size_t>(r)]);
       if (v > best) {
         best = v;
-        piv = r;
+        leave = r;
       }
     }
-    if (piv < 0) return false;  // singular candidate basis
-    if (piv != col) {
-      for (std::size_t j = 0; j < w; ++j) {
-        std::swap(aug[static_cast<std::size_t>(piv) * w + j],
-                  aug[static_cast<std::size_t>(col) * w + j]);
-      }
-    }
-    double* prow = &aug[static_cast<std::size_t>(col) * w];
-    const double inv = 1.0 / prow[col];
-    for (std::size_t j = 0; j < w; ++j) prow[j] *= inv;
-    for (int r = 0; r < m; ++r) {
-      if (r == col) continue;
-      double* row = &aug[static_cast<std::size_t>(r) * w];
-      const double f = row[col];
-      if (f == 0.0) continue;
-      for (std::size_t j = 0; j < w; ++j) row[j] -= f * prow[j];
-    }
+    if (leave < 0) return false;  // singular candidate basis
+    update_binv(m, d, leave, binv);
+    basis[static_cast<std::size_t>(leave)] = j;
   }
-  // xb = B^-1 b must be (near-)nonnegative for a primal-feasible start.
-  std::vector<double> cand_xb(static_cast<std::size_t>(m), 0.0);
+  // x_B = Binv b must be (near-)nonnegative for a primal-feasible start.
   for (int i = 0; i < m; ++i) {
+    const double* row = &binv[static_cast<std::size_t>(i) * m];
     double acc = 0.0;
-    for (int j = 0; j < m; ++j) {
-      acc += aug[static_cast<std::size_t>(i) * w +
-                 static_cast<std::size_t>(m + j)] *
-             s.b[static_cast<std::size_t>(j)];
-    }
+    for (int j = 0; j < m; ++j) acc += row[j] * s.b[static_cast<std::size_t>(j)];
     if (acc < -1e-7) return false;
-    cand_xb[static_cast<std::size_t>(i)] = std::max(acc, 0.0);
-  }
-  basis = cand;
-  xb = std::move(cand_xb);
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < m; ++j) {
-      binv[static_cast<std::size_t>(i) * m + static_cast<std::size_t>(j)] =
-          aug[static_cast<std::size_t>(i) * w +
-              static_cast<std::size_t>(m + j)];
-    }
+    xb[static_cast<std::size_t>(i)] = std::max(acc, 0.0);
   }
   return true;
 }
@@ -227,35 +254,19 @@ Result solve(const Problem& p, const Options& opts) {
     return res;
   }
 
-  std::vector<int> basis(static_cast<std::size_t>(m), -1);
+  std::vector<int> basis;
   std::vector<double> binv(static_cast<std::size_t>(m) *
                                static_cast<std::size_t>(m),
                            0.0);
   std::vector<double> xb;
-  if (opts.warm_basis != nullptr &&
-      try_warm_basis(s, *opts.warm_basis, basis, binv, xb)) {
-    res.warm_started = true;
-  } else {
-    // Cold start: per row, its slack if one exists with +1 coefficient,
-    // else its artificial. Binv is the identity (slack/artificial columns
-    // are unit vectors).
-    basis.assign(static_cast<std::size_t>(m), -1);
-    for (int j = s.num_struct; j < n; ++j) {
-      const auto& col = s.cols[static_cast<std::size_t>(j)];
-      if (col.size() == 1 && col[0].second == 1.0) {
-        const int i = col[0].first;
-        if (basis[static_cast<std::size_t>(i)] == -1) {
-          basis[static_cast<std::size_t>(i)] = j;
-        }
-      }
+  std::vector<double> d(static_cast<std::size_t>(m));
+  cold_start(s, basis, binv, xb);
+  if (opts.warm_basis != nullptr) {
+    if (import_basis(s, *opts.warm_basis, basis, binv, xb, d)) {
+      res.warm_started = true;
+    } else {
+      cold_start(s, basis, binv, xb);
     }
-    for (int i = 0; i < m; ++i) {
-      if (basis[static_cast<std::size_t>(i)] == -1) {
-        throw std::logic_error("lp::solve: missing initial basis column");
-      }
-      binv[static_cast<std::size_t>(i) * m + static_cast<std::size_t>(i)] = 1.0;
-    }
-    xb = s.b;
   }
 
   std::vector<std::uint8_t> in_basis(static_cast<std::size_t>(n), 0);
@@ -265,7 +276,6 @@ Result solve(const Problem& p, const Options& opts) {
                             ? opts.max_iterations
                             : 50L * (m + n) + 5000L;
   std::vector<double> y(static_cast<std::size_t>(m));
-  std::vector<double> d(static_cast<std::size_t>(m));
 
   long degenerate_streak = 0;
   bool bland = false;
@@ -308,14 +318,7 @@ Result solve(const Problem& p, const Options& opts) {
     }
     if (entering < 0) break;  // optimal
 
-    // FTRAN: d = Binv * A[entering], one dot per row.
-    const auto& ecol = s.cols[static_cast<std::size_t>(entering)];
-    for (int r = 0; r < m; ++r) {
-      const double* row = &binv[static_cast<std::size_t>(r) * m];
-      double acc = 0.0;
-      for (const auto& [i, v] : ecol) acc += v * row[i];
-      d[static_cast<std::size_t>(r)] = acc;
-    }
+    ftran(s, binv, entering, d);
 
     // Ratio test.
     int leave = -1;
@@ -349,7 +352,6 @@ Result solve(const Problem& p, const Options& opts) {
     }
 
     // Pivot: update xb and Binv.
-    const double piv = d[static_cast<std::size_t>(leave)];
     for (int i = 0; i < m; ++i) {
       if (i == leave) continue;
       xb[static_cast<std::size_t>(i)] -= theta * d[static_cast<std::size_t>(i)];
@@ -360,14 +362,7 @@ Result solve(const Problem& p, const Options& opts) {
     }
     xb[static_cast<std::size_t>(leave)] = theta;
 
-    double* lrow = &binv[static_cast<std::size_t>(leave) * m];
-    for (int j = 0; j < m; ++j) lrow[j] /= piv;
-    for (int i = 0; i < m; ++i) {
-      const double f = d[static_cast<std::size_t>(i)];
-      if (i == leave || f == 0.0) continue;
-      double* row = &binv[static_cast<std::size_t>(i) * m];
-      for (int j = 0; j < m; ++j) row[j] -= f * lrow[j];
-    }
+    update_binv(m, d, leave, binv);
 
     in_basis[static_cast<std::size_t>(basis[static_cast<std::size_t>(leave)])] = 0;
     basis[static_cast<std::size_t>(leave)] = entering;

@@ -4,11 +4,15 @@
 // The paper computes throughput with Gurobi; Gurobi is proprietary, so this
 // module provides the exact-LP substrate from scratch. It is a revised
 // simplex with sparse constraint columns and a dense explicit basis inverse,
-// updated by Gauss-Jordan elimination on every pivot. GE/EQ rows get
-// artificial columns priced at a Big-M cost (1e7 times the largest
-// objective magnitude), so feasibility and optimality are reached in one
-// phase. Dantzig pricing with a Bland's-rule anti-cycling fallback, and
-// dual extraction (the duals certify optimality in tests via the
+// updated in place on every pivot (the pivot row scaled, every row with a
+// nonzero FTRAN entry eliminated). GE/EQ rows get artificial columns priced
+// at a Big-M cost (1e7 times the largest objective magnitude), so
+// feasibility and optimality are reached in one phase. The cold start is
+// the slack/artificial identity basis; a caller's starting basis
+// (Options::warm_basis) is imported by pivoting its columns into that
+// identity with the same FTRAN and update, so no second dense matrix is
+// ever built. Dantzig pricing with a Bland's-rule anti-cycling fallback,
+// and dual extraction (the duals certify optimality in tests via the
 // sparsest-cut relaxation of Theorem 3). The solve is serial: at the sizes
 // the Auto dispatch sends here, per-pivot scans are too short to pay for a
 // thread pool's hand-off.
@@ -57,13 +61,17 @@ struct Result {
   std::vector<double> x;     ///< primal solution, size num_vars
   std::vector<double> dual;  ///< dual value per input row (sign per sense)
   long iterations = 0;
-  /// Optimal basis: one internal column index per row, in row order. The
-  /// numbering covers structural variables [0, num_vars) followed by the
-  /// slack/surplus/artificial columns the standardizer appends, so it is
-  /// stable across solves of problems with identical shape (same variable
-  /// count and same row-sense sequence). Feed it back via
+  /// Optimal basis: m internal column indices, one per basis position.
+  /// Internal columns are numbered, after the standardizer turns every
+  /// negative-rhs row around (LE <-> GE):
+  ///   [0, num_vars)   structural variables;
+  ///   then            one slack (LE row) or surplus (GE row) per LE/GE
+  ///                   row, in row order;
+  ///   then            one artificial per GE/EQ row, in row order.
+  /// The numbering is stable across solves of problems with identical shape
+  /// (same variable count and same row-sense sequence). Feed it back via
   /// Options::warm_basis to re-solve a nearby instance without the
-  /// slack-basis cold start. Empty unless status == Optimal.
+  /// slack/artificial cold start. Empty unless status == Optimal.
   std::vector<int> basis;
   /// True when the solve actually started from Options::warm_basis (the
   /// candidate basis was nonsingular and primal feasible).
@@ -72,11 +80,16 @@ struct Result {
 
 struct Options {
   long max_iterations = 0;   ///< 0 means automatic (50 * (rows + cols) + 5000)
-  /// Candidate starting basis (a previous Result::basis from a same-shaped
-  /// problem). Tried opportunistically: if it is the wrong size, singular,
-  /// or infeasible for this instance, the solver silently falls back to
-  /// the cold slack/artificial start. Never affects correctness — only the
-  /// pivot count.
+  /// Candidate starting basis: m distinct internal column indices in
+  /// Result::basis numbering, in any order — a previous Result::basis from
+  /// a same-shaped problem, or a basis the caller built from the problem's
+  /// structure. Imported by pivoting each candidate column into the cold
+  /// slack/artificial identity basis. Tried opportunistically: if it is
+  /// the wrong size, repeats a column or names one out of range, is
+  /// singular, or is infeasible for this instance (x_B < -1e-7), the
+  /// solver discards the partial import and runs the cold
+  /// slack/artificial start. Never affects correctness — only the pivot
+  /// count.
   const std::vector<int>* warm_basis = nullptr;
 };
 

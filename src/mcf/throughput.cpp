@@ -1,5 +1,6 @@
 #include "mcf/throughput.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <stdexcept>
@@ -17,6 +18,58 @@ void check_epsilon(double eps, const std::string& what) {
                 kMaxEpsilon);
   throw std::invalid_argument(what + range);
 }
+
+namespace {
+
+/// A primal-feasible starting basis for the LP throughput_exact_lp builds,
+/// in lp::Result::basis numbering: structurals [0, num_vars), then the
+/// slack of each capacity row (the LE rows, num_vars + a for arc a), then
+/// the artificial of each conservation row (the EQ rows, in row order).
+/// Each capacity row keeps its slack; conservation row (s, v) takes the
+/// flow variable of the arc into v on a BFS tree from s, or its artificial
+/// when v is unreachable from s. The basis is block-triangular (slacks over
+/// each source's tree incidence), and its basic solution is x_B = (cap, 0),
+/// feasible with no artificial above 0, where the cold start puts a
+/// zero-valued Big-M artificial in every conservation row and pivots most
+/// of them out degenerately. lp::solve checks the candidate, so a wrong
+/// guess (a negative capacity flips its row's sense) costs pivots only.
+std::vector<int> spanning_tree_basis(const Graph& g,
+                                     const std::map<int, int>& base_of_source,
+                                     int num_vars) {
+  const int n = g.num_nodes();
+  const int num_arcs = g.num_arcs();
+  std::vector<int> basis;
+  basis.reserve(static_cast<std::size_t>(num_arcs) +
+                base_of_source.size() * static_cast<std::size_t>(n - 1));
+  for (int a = 0; a < num_arcs; ++a) basis.push_back(num_vars + a);
+  std::vector<int> tree_arc(static_cast<std::size_t>(n));
+  std::vector<int> queue;
+  queue.reserve(static_cast<std::size_t>(n));
+  int artificial = num_vars + num_arcs;  // of the next conservation row
+  for (const auto& [s, base] : base_of_source) {
+    std::fill(tree_arc.begin(), tree_arc.end(), -1);
+    queue.assign(1, s);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const int u = queue[head];
+      for (const int a : g.out_arcs(u)) {
+        const int v = g.arc_to(a);
+        if (v != s && tree_arc[static_cast<std::size_t>(v)] < 0) {
+          tree_arc[static_cast<std::size_t>(v)] = a;
+          queue.push_back(v);
+        }
+      }
+    }
+    for (int v = 0; v < n; ++v) {
+      if (v == s) continue;
+      const int a = tree_arc[static_cast<std::size_t>(v)];
+      basis.push_back(a >= 0 ? base + a : artificial);
+      ++artificial;
+    }
+  }
+  return basis;
+}
+
+}  // namespace
 
 ThroughputResult throughput_exact_lp(const Graph& g, const TrafficMatrix& tm,
                                      const ExactLpSession& session) {
@@ -86,7 +139,13 @@ ThroughputResult throughput_exact_lp(const Graph& g, const TrafficMatrix& tm,
   }
 
   lp::Options lopts;
-  lopts.warm_basis = session.warm_basis;
+  std::vector<int> tree_basis;
+  if (session.warm_basis != nullptr) {
+    lopts.warm_basis = session.warm_basis;
+  } else {
+    tree_basis = spanning_tree_basis(g, base_of_source, prob.num_vars);
+    lopts.warm_basis = &tree_basis;
+  }
   const lp::Result sol = lp::solve(prob, lopts);
   if (sol.status != lp::Status::Optimal) {
     throw std::runtime_error(std::string("throughput_exact_lp: LP status ") +
@@ -94,7 +153,9 @@ ThroughputResult throughput_exact_lp(const Graph& g, const TrafficMatrix& tm,
   }
   if (session.basis_out != nullptr) *session.basis_out = sol.basis;
   if (session.warm_started_out != nullptr) {
-    *session.warm_started_out = sol.warm_started;
+    // Only a caller's basis counts as warm; the tree start is a cold solve.
+    *session.warm_started_out =
+        session.warm_basis != nullptr && sol.warm_started;
   }
   ThroughputResult res;
   res.throughput = sol.x[static_cast<std::size_t>(t_var)];

@@ -99,11 +99,15 @@ struct ExactLpSession {
   /// id; 0 forces the arc unused). Size must be num_arcs when set.
   const std::vector<double>* arc_caps = nullptr;
   /// Candidate starting basis from a previous same-shaped solve; tried
-  /// opportunistically (see lp::Options::warm_basis).
+  /// opportunistically (see lp::Options::warm_basis). When null, the solve
+  /// starts from a feasible spanning-tree basis the kernel builds itself
+  /// (throughput.cpp); a rejected candidate falls back to lp::solve's
+  /// Big-M slack/artificial start.
   const std::vector<int>* warm_basis = nullptr;
   /// When set, receives the optimal basis for reuse by the next solve.
   std::vector<int>* basis_out = nullptr;
-  /// When set, receives whether the solve actually started warm.
+  /// When set, receives whether the solve actually started from
+  /// warm_basis. The spanning-tree start is a cold solve: false.
   bool* warm_started_out = nullptr;
 };
 

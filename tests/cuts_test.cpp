@@ -123,6 +123,30 @@ TEST(SparsestCut, EigenvectorFindsBarbellBridge) {
   EXPECT_NEAR(r.sparsity, 1.0 / 2.5, 1e-9);
 }
 
+TEST(SparsestCut, ExpandingReturnsOnDisconnectedGraphs) {
+  // Two triangles with demand across them: every ball stops at its own
+  // component, whose cut carries demand and no capacity. A node the BFS
+  // marks kUnreachable once made the radius loop walk ~2^31 radii per
+  // source; a hang fails under the suite's per-test timeout.
+  Graph g(6);
+  for (const int base : {0, 3}) {
+    g.add_edge(base, base + 1);
+    g.add_edge(base + 1, base + 2);
+    g.add_edge(base + 2, base);
+  }
+  g.finalize();
+  TrafficMatrix tm;
+  tm.demands = {{0, 4, 1.0}, {5, 1, 1.0}, {0, 1, 1.0}};
+  const cuts::CutResult r = cuts::sparsest_cut_expanding(g, tm);
+  EXPECT_EQ(r.sparsity, 0.0);
+  ASSERT_EQ(r.side.size(), 6u);
+  EXPECT_EQ(r.side[0], r.side[1]);
+  EXPECT_EQ(r.side[0], r.side[2]);
+  EXPECT_NE(r.side[0], r.side[3]);
+  EXPECT_EQ(r.side[3], r.side[4]);
+  EXPECT_EQ(r.side[3], r.side[5]);
+}
+
 TEST(SparsestCut, SurveyReportsWinners) {
   const Network jf = make_jellyfish(12, 3, 1, 9);
   const TrafficMatrix tm = longest_matching(jf);

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "lp/simplex.h"
 
 namespace tb::lp {
@@ -151,6 +155,60 @@ TEST(Simplex, WarmBasisResolvesWithoutPivots) {
   ASSERT_EQ(fallback.status, Status::Optimal);
   EXPECT_FALSE(fallback.warm_started);
   EXPECT_NEAR(fallback.objective, 33.0, 1e-8);
+}
+
+/// Exact bit pattern of a double, so -0.0 and 0.0 compare unequal.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// A rejected candidate must leave nothing behind: the fallback is the cold
+/// solve, bit for bit, whatever the import pivoted before it gave up.
+void expect_cold_fallback(const Problem& p, const std::vector<int>& cand) {
+  const Result cold = solve(p);
+  ASSERT_EQ(cold.status, Status::Optimal);
+  Options opts;
+  opts.warm_basis = &cand;
+  const Result r = solve(p, opts);
+  ASSERT_EQ(r.status, Status::Optimal);
+  EXPECT_FALSE(r.warm_started);
+  EXPECT_EQ(bits(r.objective), bits(cold.objective));
+  EXPECT_EQ(r.iterations, cold.iterations);
+  EXPECT_EQ(r.basis, cold.basis);
+  ASSERT_EQ(r.dual.size(), cold.dual.size());
+  for (std::size_t i = 0; i < r.dual.size(); ++i) {
+    EXPECT_EQ(bits(r.dual[i]), bits(cold.dual[i])) << "row " << i;
+  }
+  ASSERT_EQ(r.x.size(), cold.x.size());
+  for (std::size_t j = 0; j < r.x.size(); ++j) {
+    EXPECT_EQ(bits(r.x[j]), bits(cold.x[j])) << "var " << j;
+  }
+}
+
+TEST(Simplex, RejectedWarmBasisFallsBackToTheColdSolve) {
+  // max 3x + 5y + 7w  s.t. x + w <= 4, 2y + 2w <= 12, 3x + 2y + 5w <= 18,
+  // x + y >= 1. On the three LE rows column w is column x plus column y;
+  // the GE row's artificial covers the fourth. Internal numbering:
+  // x, y, w = 0, 1, 2; slacks of the LE rows 3, 4, 5; the GE row's surplus
+  // 6 and its artificial 7.
+  Problem p;
+  p.maximize = true;
+  const int x = p.add_var(3.0);
+  const int y = p.add_var(5.0);
+  const int w = p.add_var(7.0);
+  p.add_row({{{x, 1.0}, {w, 1.0}}, Sense::LE, 4.0});
+  p.add_row({{{y, 2.0}, {w, 2.0}}, Sense::LE, 12.0});
+  p.add_row({{{x, 3.0}, {y, 2.0}, {w, 5.0}}, Sense::LE, 18.0});
+  p.add_row({{{x, 1.0}, {y, 1.0}}, Sense::GE, 1.0});
+  {
+    // Distinct but dependent columns (w = x + y - artificial): x and y
+    // pivot in, then w has no pivot left among the rows still open.
+    SCOPED_TRACE("singular");
+    expect_cold_fallback(p, {x, y, w, 7});
+  }
+  {
+    // Nonsingular, but x = 6 from the third row leaves slack 3 at -2.
+    SCOPED_TRACE("infeasible");
+    expect_cold_fallback(p, {3, 4, x, 7});
+  }
 }
 
 TEST(Simplex, IterationLimitIsReported) {

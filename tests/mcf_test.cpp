@@ -119,7 +119,7 @@ TEST(ExactLp, PivotsAndThroughputBitsArePinned) {
   // Pins the simplex's pivot sequence across commits: exact pivot counts
   // and throughput bits, with solver_threads 1 and 0 (the simplex is serial
   // and ignores it). hypercube(4) x A2A has 368 rows. A change that moves
-  // the pivot sequence updates these values and says why.
+  // the pivot sequence updates these values and says why in CHANGES.md.
   struct Case {
     const char* name;
     const Network* net;
@@ -130,10 +130,10 @@ TEST(ExactLp, PivotsAndThroughputBitsArePinned) {
   const Network hc = make_hypercube(4);
   const Network jf = make_jellyfish(16, 4, 1, 4);
   const Case cases[] = {
-      {"hypercube(4) a2a", &hc, all_to_all(hc), 1079, 0x1.000000000047p+1},
-      {"jellyfish lm", &jf, longest_matching(jf), 802, 0x1.ffffffffffffdp-1},
-      {"jellyfish rm", &jf, random_matching(jf, 1, 3), 1270,
-       0x1.5555555555683p+0},
+      {"hypercube(4) a2a", &hc, all_to_all(hc), 426, 0x1.0000000000024p+1},
+      {"jellyfish lm", &jf, longest_matching(jf), 266, 0x1p+0},
+      {"jellyfish rm", &jf, random_matching(jf, 1, 3), 565,
+       0x1.5555555555561p+0},
   };
   for (const Case& c : cases) {
     for (const int threads : {1, 0}) {
@@ -147,6 +147,90 @@ TEST(ExactLp, PivotsAndThroughputBitsArePinned) {
       EXPECT_EQ(hexfloat(r.throughput), hexfloat(c.throughput));
     }
   }
+}
+
+/// The ExactLP solve from the Big-M all-artificial start: a session basis
+/// of the wrong size, which lp::solve rejects for its cold start.
+mcf::ThroughputResult big_m_exact_lp(const Graph& g, const TrafficMatrix& tm) {
+  const std::vector<int> wrong_size;
+  bool warm = true;
+  mcf::ExactLpSession session;
+  session.warm_basis = &wrong_size;
+  session.warm_started_out = &warm;
+  mcf::ThroughputResult r = mcf::throughput_exact_lp(g, tm, session);
+  EXPECT_FALSE(warm);
+  return r;
+}
+
+/// Every registry ladder instance of 4-48 servers that Auto sends to
+/// ExactLP and `pick` selects, x A2A / RM(1) / LM: the default
+/// spanning-tree start and the Big-M start reach the same optimum, and the
+/// tree start pivots less in total. A tree-started solve is still a cold
+/// solve (warm_start false). Returns the number of cells compared.
+int expect_tree_start_agrees(
+    const std::function<bool(const std::string&)>& pick) {
+  long tree_pivots = 0;
+  long big_m_pivots = 0;
+  int cells = 0;
+  for (const Family f : all_families()) {
+    for (const Network& net : family_instances(f, 4, 48, 1)) {
+      if (!pick(net.name)) continue;
+      for (const TrafficMatrix& tm :
+           {all_to_all(net), random_matching(net, 1, 1), longest_matching(net)}) {
+        const auto tree = mcf::ThroughputEngine(net).solve(tm);
+        if (tree.solver != "exact-lp") continue;
+        SCOPED_TRACE(net.name + " " + tm.name);
+        const auto big_m = big_m_exact_lp(net.graph, tm);
+        EXPECT_FALSE(tree.stats.warm_start);
+        EXPECT_NEAR(tree.throughput, big_m.throughput,
+                    1e-9 * big_m.throughput);
+        tree_pivots += tree.stats.pivots;
+        big_m_pivots += big_m.stats.pivots;
+        ++cells;
+      }
+    }
+  }
+  EXPECT_LT(tree_pivots, big_m_pivots);
+  return cells;
+}
+
+// DCell(n=5,l=1)'s three cells take as long as all the others together,
+// so they run as a test of their own, in parallel under ctest -j.
+constexpr const char* kLargestDCell = "DCell(n=5,l=1)";
+
+TEST(ExactLp, TreeStartAgreesWithBigMStart) {
+  EXPECT_EQ(expect_tree_start_agrees([](const std::string& name) {
+              return name != kLargestDCell;
+            }),
+            24);
+}
+
+TEST(ExactLp, TreeStartAgreesWithBigMStartOnLargestDCell) {
+  EXPECT_EQ(expect_tree_start_agrees([](const std::string& name) {
+              return name == kLargestDCell;
+            }),
+            3);
+}
+
+TEST(ExactLp, TreeStartKeepsArtificialsOfUnreachableRows) {
+  // Two rings, demands inside the first only: every conservation row of a
+  // second-ring node is unreachable from its source and keeps its
+  // artificial in the starting basis, at value 0.
+  Graph g(8);
+  for (int v = 0; v < 4; ++v) {
+    g.add_edge(v, (v + 1) % 4);
+    g.add_edge(4 + v, 4 + (v + 1) % 4);
+  }
+  g.finalize();
+  TrafficMatrix tm;
+  tm.demands = {{0, 2, 1.0}, {1, 3, 1.0}, {2, 0, 1.0}};
+  // Fewer pivots shows the tree basis was accepted: a rejected candidate
+  // runs the Big-M start itself.
+  const auto tree = mcf::throughput_exact_lp(g, tm);
+  const auto big_m = big_m_exact_lp(g, tm);
+  EXPECT_NEAR(tree.throughput, 1.0, 1e-9);
+  EXPECT_NEAR(tree.throughput, big_m.throughput, 1e-9);
+  EXPECT_LT(tree.stats.pivots, big_m.stats.pivots);
 }
 
 TEST(GargKonemann, MatchesExactOnSmallInstances) {
