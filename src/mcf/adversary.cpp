@@ -13,6 +13,14 @@ namespace tb::mcf {
 
 namespace {
 
+/// Relative margin a candidate must beat the incumbent by: 1e-9, the tie
+/// rule best_sparse_cut uses for its winners. ExactLP returns one optimum
+/// with a few ulps of rounding that depend on the TM, so a plain `<` would
+/// accept a TM whose throughput equals the incumbent's up to that noise.
+bool strictly_lower(double thr, double incumbent) {
+  return thr < incumbent * (1.0 - 1e-9);
+}
+
 /// Aggregate the slot permutation into a switch-level TM: slot i (attached
 /// to slot_node[i]) sends 1 unit to slot perm[i]'s switch; intra-switch
 /// pairs carry no network traffic and drop out. std::map iteration gives
@@ -71,7 +79,7 @@ WorstCaseResult worst_case_matching(const Network& net,
     if (cur.demands.empty()) continue;  // all slots mapped intra-switch
     double cur_thr = engine.warm_solve(cur, opts.solve).throughput;
     ++out.solves;
-    if (cur_thr < out.throughput) {
+    if (strictly_lower(cur_thr, out.throughput)) {
       out.throughput = cur_thr;
       out.tm = cur;
       ++out.improvements;
@@ -92,13 +100,14 @@ WorstCaseResult worst_case_matching(const Network& net,
       }
       const double thr = engine.warm_solve(cand, opts.solve).throughput;
       ++out.solves;
-      // Strict decrease only: ties and regressions revert the swap, keeping
-      // the accepted trajectory independent of float noise in equal solves.
-      if (thr < cur_thr) {
+      // Strict decrease only: ties (within the 1e-9 relative margin) and
+      // regressions revert the swap, keeping the accepted trajectory
+      // independent of float noise in equal solves.
+      if (strictly_lower(thr, cur_thr)) {
         cur_thr = thr;
         cur = std::move(cand);
         ++out.improvements;
-        if (cur_thr < out.throughput) {
+        if (strictly_lower(cur_thr, out.throughput)) {
           out.throughput = cur_thr;
           out.tm = cur;
         }

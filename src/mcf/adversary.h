@@ -3,14 +3,18 @@
 // examples-only refinement loop into the engine as a maximizing scenario.
 // A deterministic seeded local search over host matchings — starting from
 // the longest-matching candidate and seeded random restarts, proposing
-// pair swaps and keeping strict throughput decreases — reports the worst
-// matching TM found and its throughput. Every candidate is solved on one
-// ThroughputEngine session (warm-start chaining), so the search costs far
-// less than a fresh engine per candidate.
+// pair swaps and keeping throughput decreases of more than 1e-9 relative —
+// reports the worst matching TM found and its throughput. Every candidate
+// is warm-solved on one ThroughputEngine session, so the search builds one
+// engine, not one per candidate: GK seeds its arc lengths from the
+// previous solve when the commodity set matches, and ExactLP starts every
+// solve from its spanning-tree basis.
 //
 // Determinism: the proposal stream is Rng(mix_seed(seed, restart)); ties
-// never move (strict-decrease acceptance); aggregation orders demands by
-// (src, dst). Same network + options => bitwise identical result.
+// never move — a candidate within 1e-9 relative of the incumbent (ExactLP
+// rounding noise on an equal optimum) is a tie; aggregation orders
+// demands by (src, dst). Same network + options => bitwise identical
+// result.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +40,7 @@ struct WorstCaseResult {
   double throughput = 0.0;   ///< its throughput under opts.solve
   double initial = 0.0;      ///< throughput of the longest-matching candidate
   long solves = 0;           ///< candidate evaluations performed
-  long improvements = 0;     ///< accepted strict decreases
+  long improvements = 0;     ///< accepted decreases (beyond 1e-9 relative)
 };
 
 /// Search the space of host matchings (each server slot sends 1 unit to a

@@ -51,7 +51,6 @@ ThroughputEngine::ThroughputEngine(const Network& net)
 ThroughputEngine::ThroughputEngine(const ThroughputEngine& base, bool)
     : net_(base.net_),
       gk_(base.gk_),
-      lp_basis_(base.lp_basis_),
       gk_tm_fingerprint_(base.gk_tm_fingerprint_) {}
 
 std::unique_ptr<ThroughputEngine> ThroughputEngine::fork_session() const {
@@ -270,43 +269,38 @@ ThroughputResult ThroughputEngine::run(const TrafficMatrix& tm,
       (opts.kind == SolverKind::Auto &&
        net_->graph.num_nodes() <= kExactMaxSwitches &&
        lp_size_within(num_sources, net_->graph.num_arcs(), kExactMaxLpSize));
-  if (use_exact) {
-    ExactLpSession session;
-    if (scenario_active_) session.arc_caps = &gk_.arc_capacities();
-    bool warm_used = false;
-    if (warm && !lp_basis_.empty()) session.warm_basis = &lp_basis_;
-    session.basis_out = &lp_basis_;
-    session.warm_started_out = &warm_used;
-    ThroughputResult res = throughput_exact_lp(net_->graph, *effective,
-                                               session);
-    res.stats.warm_start = warm_used;
-    return res;
-  }
-
-  GkOptions gkopts;
-  gkopts.epsilon = opts.epsilon;
-  gkopts.pool = ThreadPool::resolve(opts.solver_threads);
-  // A warm solve seeds the lengths from the previous solve only when this
-  // TM routes the same commodity pairs (failure scenarios, scaled demands):
-  // across *different* TMs the previous bottleneck shape misleads more than
-  // it helps — empirically it inflates trivially-converging instances by
-  // orders of magnitude. Unseeded, a warm solve is bitwise the cold solve.
-  std::uint64_t fp = 0x9e3779b97f4a7c15ULL;
-  for (const Demand& d : effective->demands) {
-    fp += mix_seed(static_cast<std::uint64_t>(d.src),
-                   static_cast<std::uint64_t>(d.dst));
-  }
-  const bool seed_lengths = warm && fp == gk_tm_fingerprint_;
-  const GkResult r = gk_.solve(*effective, gkopts, seed_lengths);
-  gk_tm_fingerprint_ = fp;
   ThroughputResult res;
-  res.throughput = r.throughput;
-  res.upper_bound = r.upper_bound;
-  res.solver = "garg-konemann";
-  res.stats.phases = r.phases;
-  res.stats.dijkstras = r.dijkstras;
-  // "Warm" records that a warm solve was requested, not that the lengths
-  // were seeded (that happens only when the commodity fingerprint matched).
+  if (use_exact) {
+    res = throughput_exact_lp(
+        net_->graph, *effective,
+        scenario_active_ ? &gk_.arc_capacities() : nullptr);
+  } else {
+    GkOptions gkopts;
+    gkopts.epsilon = opts.epsilon;
+    gkopts.pool = ThreadPool::resolve(opts.solver_threads);
+    // A warm solve seeds the lengths from the previous solve only when this
+    // TM routes the same commodity pairs (failure scenarios, scaled
+    // demands): across *different* TMs the previous bottleneck shape
+    // misleads more than it helps — empirically it inflates
+    // trivially-converging instances by orders of magnitude. Unseeded, a
+    // warm solve is bitwise the cold solve.
+    std::uint64_t fp = 0x9e3779b97f4a7c15ULL;
+    for (const Demand& d : effective->demands) {
+      fp += mix_seed(static_cast<std::uint64_t>(d.src),
+                     static_cast<std::uint64_t>(d.dst));
+    }
+    const bool seed_lengths = warm && fp == gk_tm_fingerprint_;
+    const GkResult r = gk_.solve(*effective, gkopts, seed_lengths);
+    gk_tm_fingerprint_ = fp;
+    res.throughput = r.throughput;
+    res.upper_bound = r.upper_bound;
+    res.solver = "garg-konemann";
+    res.stats.phases = r.phases;
+    res.stats.dijkstras = r.dijkstras;
+  }
+  // "Warm" records that a warm solve was requested, on both kernels: an
+  // ExactLP solve always starts from its spanning-tree basis, and GK seeds
+  // its lengths only when the commodity fingerprint matched.
   res.stats.warm_start = warm;
   return res;
 }

@@ -9,20 +9,21 @@
 //   * the preprocessed CSR graph (borrowed from the Network, which must
 //     outlive the engine);
 //   * the GargKonemann session (GkSolver): working per-arc capacities and
-//     every arc-length / flow / Dijkstra buffer, reused between solves;
-//   * the last ExactLP optimal basis, reused as a simplex warm start.
+//     every arc-length / flow / Dijkstra buffer, reused between solves.
 //
 // Auto dispatch between the two kernels (GkSolver::solve and
 // throughput_exact_lp) happens only here. solve() is a cold solve: on an
 // unperturbed engine it is bitwise identical to a fresh engine's solve,
-// whatever the engine solved before. warm_solve() seeds the solver from
-// the previous solution (GK arc lengths; the LP basis): for ladders of
-// nearby instances (degraded-capacity variants, scaled demands) the
-// certified gap closes in far fewer phases. GK lengths are seeded only
-// when the commodity set matches the previous solve's; otherwise a warm
-// GK solve is bitwise the cold one. Seeded results agree with cold ones
-// within the certified primal/dual gap, not bitwise — the ExactLP path
-// stays exact either way.
+// whatever the engine solved before. warm_solve() seeds GK from the
+// previous solution's arc lengths: for ladders of nearby instances
+// (degraded-capacity variants, scaled demands) the certified gap closes in
+// far fewer phases. GK lengths are seeded only when the commodity set
+// matches the previous solve's; otherwise a warm GK solve is bitwise the
+// cold one. Seeded results agree with cold ones within the certified
+// primal/dual gap, not bitwise. The engine holds no LP state: every
+// ExactLP solve, cold or warm, starts from throughput_exact_lp's
+// spanning-tree basis, so a warm ExactLP solve is bitwise the cold solve
+// under the same capacities.
 //
 // The scenario layer models degraded networks (paper's robustness
 // discussion): ScenarioSpec describes link/node failure sets, uniform
@@ -112,12 +113,11 @@ class ThroughputEngine {
   ThroughputResult solve(const TrafficMatrix& tm,
                          const SolveOptions& opts = {});
 
-  /// Like solve(), but seeds the solver from the previous solution on this
-  /// engine (GK arc lengths when the commodity set matches / ExactLP
-  /// basis). Falls back to a cold start when no previous solution exists.
-  /// ThroughputResult::stats.warm_start records, on ExactLP, whether the
-  /// basis was actually used; on GK, only that warm was requested — not
-  /// that the lengths were seeded.
+  /// Like solve(), but seeds GK from the previous solution on this engine
+  /// (its arc lengths, when the commodity set matches). Falls back to a
+  /// cold start when no previous solution exists; an ExactLP warm solve is
+  /// the cold solve. ThroughputResult::stats.warm_start records, on both
+  /// kernels, only that warm was requested — not that lengths were seeded.
   ThroughputResult warm_solve(const TrafficMatrix& tm,
                               const SolveOptions& opts = {});
 
@@ -134,8 +134,8 @@ class ThroughputEngine {
   /// Fork a lightweight clone of this session for evaluating independent
   /// perturbations concurrently (the runner's per-scenario sessions): the
   /// clone shares the immutable topology and copies only per-arc working
-  /// state — capacities, warm GK lengths, the LP basis — so its next
-  /// warm_solve seeds exactly as this engine's would. Throws
+  /// state — capacities and warm GK lengths — so its next warm_solve seeds
+  /// exactly as this engine's would. Throws
   /// std::logic_error while a scenario is active (fork the intact
   /// baseline, then apply scenarios to the clones).
   std::unique_ptr<ThroughputEngine> fork_session() const;
@@ -177,9 +177,6 @@ class ThroughputEngine {
   int failed_edge_count_ = 0;
   int failed_group_count_ = 0;
   double tm_scale_ = 1.0;
-
-  // ExactLP warm state: last optimal basis (empty until an LP solve).
-  std::vector<int> lp_basis_;
 
   // Commodity-set fingerprint of the last GK solve: length seeding is only
   // sound-and-useful between *nearby* instances — same (src, dst) pairs

@@ -72,12 +72,12 @@ std::vector<int> spanning_tree_basis(const Graph& g,
 }  // namespace
 
 ThroughputResult throughput_exact_lp(const Graph& g, const TrafficMatrix& tm,
-                                     const ExactLpSession& session) {
+                                     const std::vector<double>* arc_caps) {
   if (!g.finalized()) throw std::logic_error("throughput_exact_lp: graph not finalized");
   const int n = g.num_nodes();
   const int num_arcs = g.num_arcs();
-  if (session.arc_caps != nullptr &&
-      session.arc_caps->size() != static_cast<std::size_t>(num_arcs)) {
+  if (arc_caps != nullptr &&
+      arc_caps->size() != static_cast<std::size_t>(num_arcs)) {
     throw std::invalid_argument("throughput_exact_lp: arc_caps size mismatch");
   }
 
@@ -101,14 +101,13 @@ ThroughputResult throughput_exact_lp(const Graph& g, const TrafficMatrix& tm,
     for (int a = 0; a < num_arcs; ++a) prob.add_var(0.0);
   }
 
-  // Capacity rows: sum_s f[s][a] <= c(a) (the session's working capacity
-  // when one is active — a failed arc's row pins its flow to 0).
+  // Capacity rows: sum_s f[s][a] <= c(a) (the caller's working capacity
+  // when given — a failed arc's row pins its flow to 0).
   for (int a = 0; a < num_arcs; ++a) {
     lp::Row row;
     row.sense = lp::Sense::LE;
-    row.rhs = session.arc_caps != nullptr
-                  ? (*session.arc_caps)[static_cast<std::size_t>(a)]
-                  : g.arc_cap(a);
+    row.rhs = arc_caps != nullptr ? (*arc_caps)[static_cast<std::size_t>(a)]
+                                  : g.arc_cap(a);
     for (const auto& [s, base] : base_of_source) {
       (void)s;
       row.terms.emplace_back(base + a, 1.0);
@@ -138,24 +137,14 @@ ThroughputResult throughput_exact_lp(const Graph& g, const TrafficMatrix& tm,
     }
   }
 
+  const std::vector<int> tree_basis =
+      spanning_tree_basis(g, base_of_source, prob.num_vars);
   lp::Options lopts;
-  std::vector<int> tree_basis;
-  if (session.warm_basis != nullptr) {
-    lopts.warm_basis = session.warm_basis;
-  } else {
-    tree_basis = spanning_tree_basis(g, base_of_source, prob.num_vars);
-    lopts.warm_basis = &tree_basis;
-  }
+  lopts.warm_basis = &tree_basis;
   const lp::Result sol = lp::solve(prob, lopts);
   if (sol.status != lp::Status::Optimal) {
     throw std::runtime_error(std::string("throughput_exact_lp: LP status ") +
                              lp::status_name(sol.status));
-  }
-  if (session.basis_out != nullptr) *session.basis_out = sol.basis;
-  if (session.warm_started_out != nullptr) {
-    // Only a caller's basis counts as warm; the tree start is a cold solve.
-    *session.warm_started_out =
-        session.warm_basis != nullptr && sol.warm_started;
   }
   ThroughputResult res;
   res.throughput = sol.x[static_cast<std::size_t>(t_var)];

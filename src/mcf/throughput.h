@@ -70,7 +70,7 @@ struct SolverStats {
   long pivots = 0;      ///< revised-simplex pivots (ExactLP)
   long phases = 0;      ///< GK multiplicative-weights phases
   long dijkstras = 0;   ///< GK shortest-path-tree computations
-  bool warm_start = false;  ///< solve was seeded from a previous solution
+  bool warm_start = false;  ///< a warm solve was requested (warm_solve)
 };
 
 struct ThroughputResult {
@@ -91,31 +91,15 @@ inline bool lp_size_within(long num_sources, int num_arcs,
          static_cast<long long>(max_lp_size);
 }
 
-/// Session hooks for the exact LP, used by ThroughputEngine: degraded
-/// per-arc capacities (scenario layer) and simplex basis reuse between
-/// nearby solves. All pointers are optional and may be null.
-struct ExactLpSession {
-  /// Working per-arc capacities overriding the graph's own (index = arc
-  /// id; 0 forces the arc unused). Size must be num_arcs when set.
-  const std::vector<double>* arc_caps = nullptr;
-  /// Candidate starting basis from a previous same-shaped solve; tried
-  /// opportunistically (see lp::Options::warm_basis). When null, the solve
-  /// starts from a feasible spanning-tree basis the kernel builds itself
-  /// (throughput.cpp); a rejected candidate falls back to lp::solve's
-  /// Big-M slack/artificial start.
-  const std::vector<int>* warm_basis = nullptr;
-  /// When set, receives the optimal basis for reuse by the next solve.
-  std::vector<int>* basis_out = nullptr;
-  /// When set, receives whether the solve actually started from
-  /// warm_basis. The spanning-tree start is a cold solve: false.
-  bool* warm_started_out = nullptr;
-};
-
-/// The ExactLP kernel on a bare graph. ThroughputEngine calls it with its
-/// session hooks (capacity override + basis reuse); tests and the theory
-/// benches call it with none.
-ThroughputResult throughput_exact_lp(const Graph& g, const TrafficMatrix& tm,
-                                     const ExactLpSession& session = {});
+/// The ExactLP kernel on a bare graph: the source-aggregated edge-flow LP,
+/// solved from a feasible spanning-tree basis the kernel builds itself
+/// (throughput.cpp), so the result depends only on the instance.
+/// `arc_caps`, when set, overrides the graph's per-arc capacities (index =
+/// arc id; 0 forces the arc unused; size must be num_arcs):
+/// ThroughputEngine passes its scenario-degraded working capacities.
+ThroughputResult throughput_exact_lp(
+    const Graph& g, const TrafficMatrix& tm,
+    const std::vector<double>* arc_caps = nullptr);
 
 /// Volumetric upper bound from §II-B: total capacity divided by total
 /// demand-weighted shortest-path length. Any feasible throughput is <= this.

@@ -121,18 +121,41 @@ TEST(Engine, UnseededWarmSolveEqualsColdBitwise) {
   EXPECT_FALSE(cold.stats.warm_start);
 }
 
-TEST(Engine, ExactLpWarmBasisReusesSolution) {
-  // Re-solving the same small instance warm must stay exact and start
-  // from the previous optimal basis (0 extra pivots for an unchanged LP).
+TEST(Engine, ExactLpWarmSolveEqualsColdBitwise) {
+  // The engine keeps no LP state: every ExactLP solve starts from the
+  // spanning-tree basis, so a warm solve, after another TM or after a
+  // scenario, is bitwise a fresh engine's cold solve under the same
+  // capacities. warm_start still records that warm was requested.
   const Network hc = make_hypercube(3);
   const TrafficMatrix tm = all_to_all(hc);
-  mcf::ThroughputEngine engine(hc);
-  const auto cold = engine.solve(tm);
-  ASSERT_EQ(cold.solver, "exact-lp");
-  const auto warm = engine.warm_solve(tm);
-  EXPECT_TRUE(warm.stats.warm_start);
-  EXPECT_NEAR(warm.throughput, cold.throughput, 1e-9);
-  EXPECT_EQ(warm.stats.pivots, 0);
+  const auto expect_equal = [](const mcf::ThroughputResult& warm,
+                               const mcf::ThroughputResult& cold) {
+    ASSERT_EQ(cold.solver, "exact-lp");
+    EXPECT_EQ(warm.solver, cold.solver);
+    EXPECT_EQ(warm.throughput, cold.throughput);
+    EXPECT_EQ(warm.stats.pivots, cold.stats.pivots);
+    EXPECT_TRUE(warm.stats.warm_start);
+    EXPECT_FALSE(cold.stats.warm_start);
+  };
+  {
+    SCOPED_TRACE("after another TM");
+    mcf::ThroughputEngine engine(hc);
+    (void)engine.solve(random_matching(hc, 1, 3));
+    expect_equal(engine.warm_solve(tm), mcf::ThroughputEngine(hc).solve(tm));
+  }
+  {
+    SCOPED_TRACE("after apply_scenario");
+    mcf::ScenarioSpec spec;
+    spec.random_edge_fraction = 0.1;
+    spec.seed = 5;
+    mcf::ThroughputEngine engine(hc);
+    (void)engine.solve(tm);
+    engine.apply_scenario(spec);
+    ASSERT_GT(engine.failed_edge_count(), 0);
+    mcf::ThroughputEngine fresh(hc);
+    fresh.apply_scenario(spec);
+    expect_equal(engine.warm_solve(tm), fresh.solve(tm));
+  }
 }
 
 TEST(Engine, ScenarioFailedEdgesReduceThroughputAndRevertExactly) {

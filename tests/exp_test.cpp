@@ -10,6 +10,8 @@
 #include "core/evaluator.h"
 #include "exp/runner.h"
 #include "exp/sweep.h"
+#include "fleet_reference.h"
+#include "mcf/engine.h"
 #include "pool_test_env.h"
 #include "tm/synthetic.h"
 #include "util/json.h"
@@ -525,7 +527,22 @@ TEST(Runner, FailureCellsFillScenarioColumnsDeterministically) {
   exp::Runner serial(/*parallel=*/false);
   const exp::ResultSet rs = serial.run(sweep, exp::RunOptions{});
   ASSERT_EQ(rs.size(), 4u);  // 1 topo x 2 tms x 2 scenarios
+  const std::shared_ptr<const Network> net = sweep.topologies[0].build();
   for (const exp::CellResult& r : rs.rows()) {
+    // Every cell here is ExactLP, which keeps no state between solves: a
+    // failure row is bitwise a fresh engine's apply_scenario and cold solve
+    // of the group's TM (built from its scenario-0 cell stream).
+    const std::size_t group = r.cell / sweep.scenarios.size();
+    const std::size_t floor = group * sweep.scenarios.size();
+    const TrafficMatrix tm = sweep.tms[group % sweep.tms.size()].build(
+        *net, mix_seed(mix_seed(sweep.base_seed, floor), 0));
+    mcf::ThroughputEngine fresh(*net);
+    fresh.apply_scenario(test_ref::runner_spec(sweep, r.cell));
+    const mcf::ThroughputResult cold = fresh.solve(tm, sweep.solve);
+    ASSERT_EQ(cold.solver, "exact-lp") << r.scenario;
+    EXPECT_EQ(r.throughput, cold.throughput) << r.scenario << " " << r.tm;
+    EXPECT_EQ(r.pivots, cold.stats.pivots) << r.scenario << " " << r.tm;
+    EXPECT_EQ(r.warm, 1) << r.scenario;
     EXPECT_FALSE(r.scenario.empty());
     EXPECT_GE(r.failed_links, 0);
     EXPECT_FALSE(std::isnan(r.throughput_drop)) << r.scenario;

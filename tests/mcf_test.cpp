@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <map>
 #include <queue>
 #include <set>
 #include <stdexcept>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "core/registry.h"
+#include "lp/simplex.h"
 #include "mcf/engine.h"
 #include "mcf/garg_konemann.h"
 #include "mcf/min_heap.h"
@@ -149,16 +151,52 @@ TEST(ExactLp, PivotsAndThroughputBitsArePinned) {
   }
 }
 
-/// The ExactLP solve from the Big-M all-artificial start: a session basis
-/// of the wrong size, which lp::solve rejects for its cold start.
+/// Reference for throughput_exact_lp's LP, solved by a plain lp::solve from
+/// the Big-M all-artificial start. Same variables (t, then one flow per
+/// source and arc) and rows (capacities, then conservation per source and
+/// node), built from the definition rather than through the kernel.
 mcf::ThroughputResult big_m_exact_lp(const Graph& g, const TrafficMatrix& tm) {
-  const std::vector<int> wrong_size;
-  bool warm = true;
-  mcf::ExactLpSession session;
-  session.warm_basis = &wrong_size;
-  session.warm_started_out = &warm;
-  mcf::ThroughputResult r = mcf::throughput_exact_lp(g, tm, session);
-  EXPECT_FALSE(warm);
+  std::map<int, std::map<int, double>> by_source;
+  for (const Demand& d : tm.demands) {
+    if (d.src != d.dst && d.amount > 0.0) by_source[d.src][d.dst] += d.amount;
+  }
+  lp::Problem prob;
+  const int t_var = prob.add_var(1.0);
+  std::map<int, int> base_of_source;
+  for (const auto& entry : by_source) {
+    base_of_source[entry.first] = prob.num_vars;
+    for (int a = 0; a < g.num_arcs(); ++a) prob.add_var(0.0);
+  }
+  for (int a = 0; a < g.num_arcs(); ++a) {
+    lp::Row row;
+    row.rhs = g.arc_cap(a);
+    for (const auto& [s, base] : base_of_source) {
+      row.terms.emplace_back(base + a, 1.0);
+    }
+    prob.add_row(std::move(row));
+  }
+  for (const auto& [s, sinks] : by_source) {
+    const int base = base_of_source[s];
+    for (int v = 0; v < g.num_nodes(); ++v) {
+      if (v == s) continue;
+      lp::Row row;
+      row.sense = lp::Sense::EQ;
+      for (const int a : g.out_arcs(v)) {
+        row.terms.emplace_back(base + Graph::reverse_arc(a), 1.0);
+        row.terms.emplace_back(base + a, -1.0);
+      }
+      const auto it = sinks.find(v);
+      if (it != sinks.end()) row.terms.emplace_back(t_var, -it->second);
+      prob.add_row(std::move(row));
+    }
+  }
+  const lp::Result sol = lp::solve(prob);
+  EXPECT_EQ(sol.status, lp::Status::Optimal);
+  mcf::ThroughputResult r;
+  r.throughput = sol.x.at(static_cast<std::size_t>(t_var));
+  r.upper_bound = r.throughput;
+  r.solver = "exact-lp";
+  r.stats.pivots = sol.iterations;
   return r;
 }
 

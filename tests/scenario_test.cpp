@@ -546,7 +546,7 @@ TEST(Adversary, SearchIsDeterministicAndNoWorseThanLm) {
   }
 
   // The longest-matching candidate anchors the search: the result can only
-  // be at least as hard (strict-decrease acceptance).
+  // be at least as hard (decreases are accepted, never increases).
   EXPECT_GT(a.initial, 0.0);
   EXPECT_LE(a.throughput, a.initial + 1e-12);
   EXPECT_GT(a.solves, 0);
@@ -561,6 +561,24 @@ TEST(Adversary, SearchIsDeterministicAndNoWorseThanLm) {
     EXPECT_GE(d.dst, 0);
     EXPECT_LT(d.dst, jf.graph.num_nodes());
     EXPECT_GT(d.amount, 0.0);
+  }
+}
+
+TEST(Adversary, RoundingNoiseIsNotAnImprovement) {
+  // On Hypercube(d=4) the LM anchor's throughput, 1, is the worst any
+  // matching reaches; ExactLP returns equal optima with a few ulps of
+  // TM-dependent rounding (the anchor reads 0x1.0000000000018p+0, a
+  // candidate 0x1.ffffffffffffep-1). Such a candidate is a tie, so the
+  // anchor survives the default search bitwise.
+  const Network hc = make_hypercube(4);
+  const mcf::WorstCaseResult r = mcf::worst_case_matching(hc);
+  EXPECT_EQ(r.throughput, r.initial);
+  const TrafficMatrix lm = longest_matching(hc);
+  ASSERT_EQ(r.tm.demands.size(), lm.demands.size());
+  for (std::size_t i = 0; i < lm.demands.size(); ++i) {
+    EXPECT_EQ(r.tm.demands[i].src, lm.demands[i].src);
+    EXPECT_EQ(r.tm.demands[i].dst, lm.demands[i].dst);
+    EXPECT_EQ(r.tm.demands[i].amount, lm.demands[i].amount);
   }
 }
 
