@@ -8,9 +8,11 @@
 // performance, but no better than random graphs.
 //
 // Runs on the experiment runner: TOPOBENCH_CSV=1 emits the uniform cell
-// CSV.
+// CSV, TOPOBENCH_MAX_SERVERS (default 256) drops the larger dimensions for
+// smoke runs.
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/runner.h"
@@ -26,12 +28,15 @@ int main() {
   sweep.trials = exp::trials_knob(2);
   sweep.base_seed = 5000;
   sweep.tms = {exp::longest_matching_tm()};
+  const int max_servers = exp::max_servers_knob(256);
   std::vector<int> extras;  // per topology, in sweep order
   std::vector<int> degrees;
   for (const int extra : {5, 6, 7}) {
     for (int dim = 5; dim <= 8; ++dim) {
-      sweep.topologies.push_back(exp::instance_spec(
-          make_long_hop(dim, extra, /*servers_per_switch=*/1, /*seed=*/7)));
+      Network net =
+          make_long_hop(dim, extra, /*servers_per_switch=*/1, /*seed=*/7);
+      if (net.total_servers() > max_servers) continue;
+      sweep.topologies.push_back(exp::instance_spec(std::move(net)));
       extras.push_back(extra);
       degrees.push_back(dim + extra);
     }

@@ -179,6 +179,15 @@ CutResult sparsest_cut_expanding(const Graph& g, const TrafficMatrix& tm) {
 
 CutResult sparsest_cut_eigenvector(const Graph& g, const TrafficMatrix& tm) {
   const int n = g.num_nodes();
+  // The normalized Laplacian is undefined at a node without capacity; such
+  // a node is a component of its own, whose cut the other members price.
+  for (int u = 0; u < n; ++u) {
+    const auto arcs = g.out_arcs(u);
+    if (std::none_of(arcs.begin(), arcs.end(),
+                     [&g](int a) { return g.arc_cap(a) > 0.0; })) {
+      return finish(Best{}, "eigenvector");
+    }
+  }
   const SpectralResult spec = fiedler_vector(g);
   std::vector<int> order(static_cast<std::size_t>(n));
   std::iota(order.begin(), order.end(), 0);

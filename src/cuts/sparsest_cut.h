@@ -97,7 +97,9 @@ CutResult sparsest_cut_two_node(const Graph& g, const TrafficMatrix& tm);
 /// BFS balls of every radius around every node.
 CutResult sparsest_cut_expanding(const Graph& g, const TrafficMatrix& tm);
 
-/// Sweep cuts over the Fiedler-vector node ordering.
+/// Sweep cuts over the Fiedler-vector node ordering. Offers no cut
+/// (sparsity +inf, empty side) when some node has no positive-capacity arc,
+/// where the normalized Laplacian is undefined.
 CutResult sparsest_cut_eigenvector(const Graph& g, const TrafficMatrix& tm);
 
 struct SparseCutSurvey {

@@ -95,8 +95,4 @@ SpectralResult fiedler_vector(const Graph& g, int max_iter, double tol) {
   return result;
 }
 
-double normalized_spectral_gap(const Graph& g) {
-  return fiedler_vector(g).eigenvalue;
-}
-
 }  // namespace tb

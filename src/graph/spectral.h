@@ -1,8 +1,9 @@
 // Spectral tools: the eigenvector of the second-smallest eigenvalue of the
 // normalized Laplacian (the Fiedler direction). Paper Appendix C uses a
 // sweep over this vector as the most successful sparse-cut estimator (it
-// found 499 of 581 sparse cuts); Long Hop generator selection also maximizes
-// the spectral gap through this module.
+// found 499 of 581 sparse cuts). Long Hop generator selection does not use
+// this module: a Cayley graph on Z_2^dim has a closed-form integer spectrum
+// (topo/longhop.h).
 #pragma once
 
 #include <vector>
@@ -23,9 +24,5 @@ struct SpectralResult {
 /// connected and have no isolated nodes.
 SpectralResult fiedler_vector(const Graph& g, int max_iter = 3000,
                               double tol = 1e-10);
-
-/// Spectral gap proxy: lambda_2 of the normalized Laplacian. Larger means
-/// better expansion.
-double normalized_spectral_gap(const Graph& g);
 
 }  // namespace tb

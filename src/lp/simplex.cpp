@@ -165,8 +165,7 @@ void update_binv(int m, const std::vector<double>& d, int leave,
   }
 }
 
-/// Warm start from candidate basis `cand` (a prior Result::basis of a
-/// same-shaped problem, or a caller-built basis in the same numbering).
+/// Warm start from candidate basis `cand` (Options::warm_basis numbering).
 /// Starts from the cold basis cold_start() left in basis/binv and pivots
 /// each candidate column that is not already basic into a row whose basic
 /// column is not a candidate, choosing the largest |d| (the first on ties);
@@ -262,9 +261,7 @@ Result solve(const Problem& p, const Options& opts) {
   std::vector<double> d(static_cast<std::size_t>(m));
   cold_start(s, basis, binv, xb);
   if (opts.warm_basis != nullptr) {
-    if (import_basis(s, *opts.warm_basis, basis, binv, xb, d)) {
-      res.warm_started = true;
-    } else {
+    if (!import_basis(s, *opts.warm_basis, basis, binv, xb, d)) {
       cold_start(s, basis, binv, xb);
     }
   }
@@ -403,7 +400,6 @@ Result solve(const Problem& p, const Options& opts) {
         obj_sign * y[static_cast<std::size_t>(i)] *
         s.row_flip[static_cast<std::size_t>(i)];
   }
-  res.basis = basis;
   res.status = Status::Optimal;
   return res;
 }

@@ -61,29 +61,19 @@ struct Result {
   std::vector<double> x;     ///< primal solution, size num_vars
   std::vector<double> dual;  ///< dual value per input row (sign per sense)
   long iterations = 0;
-  /// Optimal basis: m internal column indices, one per basis position.
-  /// Internal columns are numbered, after the standardizer turns every
-  /// negative-rhs row around (LE <-> GE):
-  ///   [0, num_vars)   structural variables;
-  ///   then            one slack (LE row) or surplus (GE row) per LE/GE
-  ///                   row, in row order;
-  ///   then            one artificial per GE/EQ row, in row order.
-  /// The numbering is stable across solves of problems with identical shape
-  /// (same variable count and same row-sense sequence). Feed it back via
-  /// Options::warm_basis to re-solve a nearby instance without the
-  /// slack/artificial cold start. Empty unless status == Optimal.
-  std::vector<int> basis;
-  /// True when the solve actually started from Options::warm_basis (the
-  /// candidate basis was nonsingular and primal feasible).
-  bool warm_started = false;
 };
 
 struct Options {
   long max_iterations = 0;   ///< 0 means automatic (50 * (rows + cols) + 5000)
-  /// Candidate starting basis: m distinct internal column indices in
-  /// Result::basis numbering, in any order — a previous Result::basis from
-  /// a same-shaped problem, or a basis the caller built from the problem's
-  /// structure. Imported by pivoting each candidate column into the cold
+  /// Candidate starting basis: m distinct internal column indices, in any
+  /// order, typically built from the problem's structure. Internal columns
+  /// are numbered, after the standardizer turns every negative-rhs row
+  /// around (LE <-> GE):
+  ///   [0, num_vars)   structural variables;
+  ///   then            one slack (LE row) or surplus (GE row) per LE/GE
+  ///                   row, in row order;
+  ///   then            one artificial per GE/EQ row, in row order.
+  /// Imported by pivoting each candidate column into the cold
   /// slack/artificial identity basis. Tried opportunistically: if it is
   /// the wrong size, repeats a column or names one out of range, is
   /// singular, or is infeasible for this instance (x_B < -1e-7), the

@@ -22,18 +22,21 @@ void check_epsilon(double eps, const std::string& what) {
 namespace {
 
 /// A primal-feasible starting basis for the LP throughput_exact_lp builds,
-/// in lp::Result::basis numbering: structurals [0, num_vars), then the
-/// slack of each capacity row (the LE rows, num_vars + a for arc a), then
-/// the artificial of each conservation row (the EQ rows, in row order).
-/// Each capacity row keeps its slack; conservation row (s, v) takes the
-/// flow variable of the arc into v on a BFS tree from s, or its artificial
-/// when v is unreachable from s. The basis is block-triangular (slacks over
-/// each source's tree incidence), and its basic solution is x_B = (cap, 0),
-/// feasible with no artificial above 0, where the cold start puts a
-/// zero-valued Big-M artificial in every conservation row and pivots most
-/// of them out degenerately. lp::solve checks the candidate, so a wrong
-/// guess (a negative capacity flips its row's sense) costs pivots only.
+/// in the column numbering of lp::Options::warm_basis: structurals
+/// [0, num_vars), then the slack of each capacity row (the LE rows,
+/// num_vars + a for arc a), then the artificial of each conservation row
+/// (the EQ rows, in row order). Each capacity row keeps its slack;
+/// conservation row (s, v) takes the flow variable of the arc into v on a
+/// BFS tree from s over the live arcs (those with positive capacity in
+/// `arc_caps`, when given), or its artificial when v is unreachable from s
+/// through them. The basis is block-triangular (slacks over each source's
+/// tree incidence), and its basic solution is x_B = (cap, 0), feasible with
+/// no artificial above 0, where the cold start puts a zero-valued Big-M
+/// artificial in every conservation row and pivots most of them out
+/// degenerately. lp::solve checks the candidate, so a wrong guess (a
+/// negative capacity flips its row's sense) costs pivots only.
 std::vector<int> spanning_tree_basis(const Graph& g,
+                                     const std::vector<double>* arc_caps,
                                      const std::map<int, int>& base_of_source,
                                      int num_vars) {
   const int n = g.num_nodes();
@@ -52,6 +55,10 @@ std::vector<int> spanning_tree_basis(const Graph& g,
     for (std::size_t head = 0; head < queue.size(); ++head) {
       const int u = queue[head];
       for (const int a : g.out_arcs(u)) {
+        if (arc_caps != nullptr &&
+            (*arc_caps)[static_cast<std::size_t>(a)] <= 0.0) {
+          continue;  // a failed arc: its flow is pinned to 0
+        }
         const int v = g.arc_to(a);
         if (v != s && tree_arc[static_cast<std::size_t>(v)] < 0) {
           tree_arc[static_cast<std::size_t>(v)] = a;
@@ -138,7 +145,7 @@ ThroughputResult throughput_exact_lp(const Graph& g, const TrafficMatrix& tm,
   }
 
   const std::vector<int> tree_basis =
-      spanning_tree_basis(g, base_of_source, prob.num_vars);
+      spanning_tree_basis(g, arc_caps, base_of_source, prob.num_vars);
   lp::Options lopts;
   lopts.warm_basis = &tree_basis;
   const lp::Result sol = lp::solve(prob, lopts);

@@ -1,11 +1,13 @@
 #include "topo/longhop.h"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "graph/spectral.h"
 #include "util/rng.h"
 
 namespace tb {
@@ -24,7 +26,36 @@ Graph cayley_z2(int dim, const std::vector<std::uint32_t>& generators) {
   return g;
 }
 
+/// Character chi of Z_2^dim is an eigenvector of the Cayley graph's
+/// adjacency matrix with eigenvalue sum_{s in S} (-1)^popcount(chi & s).
+/// Returns (the largest nontrivial eigenvalue, the number of characters
+/// chi != 0 attaining it); smaller is better on both, in that order.
+std::pair<int, int> top_eigenvalue(
+    int dim, const std::vector<std::uint32_t>& generators) {
+  std::vector<int> sums(std::size_t{1} << dim, 0);
+  for (const std::uint32_t s : generators) {
+    for (std::uint32_t chi = 0; chi < sums.size(); ++chi) {
+      sums[chi] += (std::popcount(chi & s) & 1) != 0 ? -1 : 1;
+    }
+  }
+  const int top = *std::max_element(sums.begin() + 1, sums.end());
+  return {top, static_cast<int>(std::count(sums.begin() + 1, sums.end(), top))};
+}
+
 }  // namespace
+
+double cayley_spectral_gap(int dim,
+                           const std::vector<std::uint32_t>& generators) {
+  if (dim < 1 || dim > 16 || generators.empty() ||
+      std::any_of(generators.begin(), generators.end(),
+                  [dim](std::uint32_t s) { return s == 0 || s >> dim != 0; })) {
+    throw std::invalid_argument(
+        "cayley_spectral_gap: need dim in [1, 16] and generators in "
+        "[1, 2^dim)");
+  }
+  return 1.0 - static_cast<double>(top_eigenvalue(dim, generators).first) /
+                   static_cast<double>(generators.size());
+}
 
 Network make_long_hop(int dim, int extra_generators, int servers_per_switch,
                       std::uint64_t seed) {
@@ -43,34 +74,32 @@ Network make_long_hop(int dim, int extra_generators, int servers_per_switch,
 
   // Candidate pool: all vectors of Hamming weight >= 2 (the "long hops"),
   // shuffled deterministically so ties are broken reproducibly. For large
-  // dim we cap the pool at 4096 sampled candidates.
+  // dim we cap the pool at 4096 sampled candidates. The size check above
+  // leaves at least extra_generators candidates.
   std::vector<std::uint32_t> pool;
   for (std::uint32_t v = 1; v < space; ++v) {
-    if (__builtin_popcount(v) >= 2) pool.push_back(v);
+    if (std::popcount(v) >= 2) pool.push_back(v);
   }
   Rng rng(seed);
   rng.shuffle(pool);
   if (pool.size() > 4096) pool.resize(4096);
 
-  // Greedy: add the candidate that maximizes the normalized spectral gap.
-  // To keep construction cheap we score at most 24 candidates per step
-  // (the pool is pre-shuffled, so this is a random subset).
+  // Greedy: add the candidate with the smallest top eigenvalue (every
+  // candidate gives the same degree, so this is the largest gap), ties as in
+  // longhop.h. We score at most 24 candidates per step (the pool is
+  // pre-shuffled, so this is a random subset).
   for (int step = 0; step < extra_generators; ++step) {
-    double best_gap = -1.0;
-    std::size_t best_idx = pool.size();
+    std::pair<int, int> best{std::numeric_limits<int>::max(), 0};
+    std::size_t best_idx = 0;
     const std::size_t budget = std::min<std::size_t>(pool.size(), 24);
     for (std::size_t i = 0; i < budget; ++i) {
-      if (std::find(gens.begin(), gens.end(), pool[i]) != gens.end()) continue;
       gens.push_back(pool[i]);
-      const double gap = normalized_spectral_gap(cayley_z2(dim, gens));
+      const std::pair<int, int> top = top_eigenvalue(dim, gens);
       gens.pop_back();
-      if (gap > best_gap) {
-        best_gap = gap;
+      if (top < best) {
+        best = top;
         best_idx = i;
       }
-    }
-    if (best_idx == pool.size()) {
-      throw std::runtime_error("make_long_hop: candidate pool exhausted");
     }
     gens.push_back(pool[best_idx]);
     pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(best_idx));

@@ -147,6 +147,27 @@ TEST(SparsestCut, ExpandingReturnsOnDisconnectedGraphs) {
   EXPECT_EQ(r.side[3], r.side[5]);
 }
 
+TEST(DegenerateCut, IsolatedNode) {
+  // A triangle plus node 3 with no link, and demand into node 3: the cut
+  // around node 3 carries demand and no capacity, so the survey answers
+  // sparsity 0. The eigenvector member offers no cut there (the normalized
+  // Laplacian is undefined at a node without capacity) instead of throwing.
+  Graph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  g.add_edge(2, 0);
+  g.finalize();
+  TrafficMatrix tm;
+  tm.demands = {{0, 3, 1.0}, {1, 2, 1.0}};
+  const cuts::CutResult eig = cuts::sparsest_cut_eigenvector(g, tm);
+  EXPECT_EQ(eig.sparsity, std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(eig.side.empty());
+  const cuts::SparseCutSurvey survey = cuts::best_sparse_cut(g, tm);
+  EXPECT_EQ(survey.best.sparsity, 0.0);
+  ASSERT_EQ(survey.best.side.size(), 4u);
+  EXPECT_NE(survey.best.side[3], survey.best.side[0]);
+}
+
 TEST(SparsestCut, SurveyReportsWinners) {
   const Network jf = make_jellyfish(12, 3, 1, 9);
   const TrafficMatrix tm = longest_matching(jf);

@@ -117,8 +117,9 @@ TEST(Simplex, DualsMatchKnownValues) {
 }
 
 TEST(Simplex, WarmBasisResolvesWithoutPivots) {
-  // Re-solving the same LP from its optimal basis must take zero pivots;
-  // a perturbed-rhs re-solve stays optimal (warm or cold fallback alike).
+  // A candidate basis is accepted when the solve starts from it: from an
+  // optimal basis that takes zero pivots, and a perturbed-rhs re-solve whose
+  // optimum keeps the basis takes zero pivots too.
   Problem p;
   p.maximize = true;
   const int x = p.add_var(3.0);
@@ -128,32 +129,35 @@ TEST(Simplex, WarmBasisResolvesWithoutPivots) {
   p.add_row({{{x, 3.0}, {y, 2.0}}, Sense::LE, 18.0});
   const Result cold = solve(p);
   ASSERT_EQ(cold.status, Status::Optimal);
-  ASSERT_EQ(cold.basis.size(), 3u);
-  EXPECT_FALSE(cold.warm_started);
+  ASSERT_GT(cold.iterations, 0);
 
+  // Internal numbering: x, y = 0, 1; the LE rows' slacks 2, 3, 4. At the
+  // optimum (x, y) = (2, 6) only the first row has slack.
+  const std::vector<int> optimal = {x, y, 2};
   Options warm;
-  warm.warm_basis = &cold.basis;
+  warm.warm_basis = &optimal;
   const Result rerun = solve(p, warm);
   ASSERT_EQ(rerun.status, Status::Optimal);
-  EXPECT_TRUE(rerun.warm_started);
   EXPECT_EQ(rerun.iterations, 0);
   EXPECT_NEAR(rerun.objective, cold.objective, 1e-9);
 
-  // Shrink a rhs: same basis stays feasible here, so the warm start holds
-  // and the optimum tracks the new rhs.
+  // Shrink a rhs: the same basis stays feasible (x = 8/3 leaves the first
+  // row's slack at 4/3), so it is accepted and the optimum tracks the rhs.
   p.rows[1].rhs = 10.0;  // 2y <= 10 -> y = 5, x = 8/3 -> 33
   const Result shifted = solve(p, warm);
   ASSERT_EQ(shifted.status, Status::Optimal);
-  EXPECT_TRUE(shifted.warm_started);
+  EXPECT_EQ(shifted.iterations, 0);
   EXPECT_NEAR(shifted.objective, 33.0, 1e-8);
 
   // A garbage candidate basis must fall back to the cold start, not fail.
+  const Result shifted_cold = solve(p);
+  ASSERT_GT(shifted_cold.iterations, 0);
   const std::vector<int> bogus = {0, 0, 0};
   Options bad;
   bad.warm_basis = &bogus;
   const Result fallback = solve(p, bad);
   ASSERT_EQ(fallback.status, Status::Optimal);
-  EXPECT_FALSE(fallback.warm_started);
+  EXPECT_EQ(fallback.iterations, shifted_cold.iterations);
   EXPECT_NEAR(fallback.objective, 33.0, 1e-8);
 }
 
@@ -169,10 +173,8 @@ void expect_cold_fallback(const Problem& p, const std::vector<int>& cand) {
   opts.warm_basis = &cand;
   const Result r = solve(p, opts);
   ASSERT_EQ(r.status, Status::Optimal);
-  EXPECT_FALSE(r.warm_started);
   EXPECT_EQ(bits(r.objective), bits(cold.objective));
   EXPECT_EQ(r.iterations, cold.iterations);
-  EXPECT_EQ(r.basis, cold.basis);
   ASSERT_EQ(r.dual.size(), cold.dual.size());
   for (std::size_t i = 0; i < r.dual.size(); ++i) {
     EXPECT_EQ(bits(r.dual[i]), bits(cold.dual[i])) << "row " << i;
@@ -213,7 +215,7 @@ TEST(Simplex, RejectedWarmBasisFallsBackToTheColdSolve) {
 
 TEST(Simplex, IterationLimitIsReported) {
   // SimpleMaximize needs two pivots (y enters, then x); a one-pivot budget
-  // stops after the first and reports the limit, with no basis to reuse.
+  // stops after the first and reports the limit.
   Problem p;
   const int x = p.add_var(3.0);
   const int y = p.add_var(5.0);
@@ -226,7 +228,6 @@ TEST(Simplex, IterationLimitIsReported) {
   const Result r = solve(p, opts);
   EXPECT_EQ(r.status, Status::IterationLimit);
   EXPECT_EQ(r.iterations, 1);
-  EXPECT_TRUE(r.basis.empty());
 }
 
 TEST(Simplex, DuplicateTermsAreMerged) {

@@ -153,9 +153,12 @@ TEST(ExactLp, PivotsAndThroughputBitsArePinned) {
 
 /// Reference for throughput_exact_lp's LP, solved by a plain lp::solve from
 /// the Big-M all-artificial start. Same variables (t, then one flow per
-/// source and arc) and rows (capacities, then conservation per source and
-/// node), built from the definition rather than through the kernel.
-mcf::ThroughputResult big_m_exact_lp(const Graph& g, const TrafficMatrix& tm) {
+/// source and arc) and rows (capacities, or `arc_caps` when given, then
+/// conservation per source and node), built from the definition rather than
+/// through the kernel.
+mcf::ThroughputResult big_m_exact_lp(
+    const Graph& g, const TrafficMatrix& tm,
+    const std::vector<double>* arc_caps = nullptr) {
   std::map<int, std::map<int, double>> by_source;
   for (const Demand& d : tm.demands) {
     if (d.src != d.dst && d.amount > 0.0) by_source[d.src][d.dst] += d.amount;
@@ -169,7 +172,8 @@ mcf::ThroughputResult big_m_exact_lp(const Graph& g, const TrafficMatrix& tm) {
   }
   for (int a = 0; a < g.num_arcs(); ++a) {
     lp::Row row;
-    row.rhs = g.arc_cap(a);
+    row.rhs = arc_caps != nullptr ? (*arc_caps)[static_cast<std::size_t>(a)]
+                                  : g.arc_cap(a);
     for (const auto& [s, base] : base_of_source) {
       row.terms.emplace_back(base + a, 1.0);
     }
@@ -241,6 +245,28 @@ TEST(ExactLp, TreeStartAgreesWithBigMStart) {
               return name != kLargestDCell;
             }),
             24);
+
+  // A degraded network: Hypercube(d=3) with edge 0 (arcs 0 and 1, between
+  // nodes 0 and 1) failed. A BFS over every arc puts arc 0 in node 0's
+  // tree; the tree start keeps failed arcs out of its trees. Pinned
+  // pivots: over all arcs the trees took 36 (A2A) and 40 (LM).
+  const Network hc = make_hypercube(3);
+  std::vector<double> caps(static_cast<std::size_t>(hc.graph.num_arcs()));
+  for (int a = 0; a < hc.graph.num_arcs(); ++a) {
+    caps[static_cast<std::size_t>(a)] = hc.graph.arc_cap(a);
+  }
+  ASSERT_EQ(hc.graph.arc_from(0), 0);
+  ASSERT_EQ(hc.graph.arc_to(0), 1);
+  caps[0] = caps[1] = 0.0;
+  const std::pair<TrafficMatrix, long> degraded[] = {
+      {all_to_all(hc), 27}, {longest_matching(hc), 32}};
+  for (const auto& [tm, pivots] : degraded) {
+    SCOPED_TRACE("degraded " + tm.name);
+    const auto tree = mcf::throughput_exact_lp(hc.graph, tm, &caps);
+    const auto big_m = big_m_exact_lp(hc.graph, tm, &caps);
+    EXPECT_NEAR(tree.throughput, big_m.throughput, 1e-9 * big_m.throughput);
+    EXPECT_EQ(tree.stats.pivots, pivots);
+  }
 }
 
 TEST(ExactLp, TreeStartAgreesWithBigMStartOnLargestDCell) {

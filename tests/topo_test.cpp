@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <numeric>
 
+#include "core/registry.h"
 #include "graph/algorithms.h"
+#include "graph/spectral.h"
 #include "topo/bcube.h"
 #include "topo/dcell.h"
 #include "topo/dragonfly.h"
@@ -16,6 +18,7 @@
 #include "topo/natural.h"
 #include "topo/slimfly.h"
 #include "topo/theory_graphs.h"
+#include "util/rng.h"
 
 namespace tb {
 namespace {
@@ -259,14 +262,101 @@ TEST(LongHop, ZeroExtraIsHypercube) {
   EXPECT_EQ(diameter(lh.graph), 4);
 }
 
+/// The generator set of a Cayley graph on Z_2^dim: node 0's neighbours.
+std::vector<std::uint32_t> generators_of(const Network& net) {
+  std::vector<std::uint32_t> gens;
+  for (const int a : net.graph.out_arcs(0)) {
+    gens.push_back(static_cast<std::uint32_t>(net.graph.arc_to(a)));
+  }
+  std::sort(gens.begin(), gens.end());
+  return gens;
+}
+
 TEST(LongHop, ExtraGeneratorsRaiseGapAndDegree) {
   const Network lh = make_long_hop(5, 3, 1);
   lh.validate();
   for (int v = 0; v < lh.graph.num_nodes(); ++v) {
     EXPECT_EQ(lh.graph.degree(v), 8);
   }
-  // Long hops shrink the diameter below the hypercube's.
+  // Long hops raise the spectral gap above the hypercube's (2/dim) and
+  // shrink the diameter below it.
+  EXPECT_DOUBLE_EQ(cayley_spectral_gap(5, {1, 2, 4, 8, 16}), 0.4);
+  EXPECT_GT(cayley_spectral_gap(5, generators_of(lh)), 0.4);
   EXPECT_LT(diameter(lh.graph), 5);
+}
+
+/// The Cayley graph on Z_2^dim with generator set `gens`.
+Graph cayley_graph(int dim, const std::vector<std::uint32_t>& gens) {
+  Graph g(1 << dim);
+  for (int u = 0; u < (1 << dim); ++u) {
+    for (const std::uint32_t s : gens) {
+      const int v = u ^ static_cast<int>(s);
+      if (u < v) g.add_edge(u, v);
+    }
+  }
+  g.finalize();
+  return g;
+}
+
+TEST(LongHop, SpectralGapMatchesFiedler) {
+  // Seeded random generator sets, redrawn until the Cayley graph is
+  // connected: the closed form equals the power-iteration lambda_2.
+  Rng rng(34);
+  for (int dim = 3; dim <= 8; ++dim) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const auto size = std::min<std::size_t>(
+          static_cast<std::size_t>(dim) + rng.next_u64(6), (1u << dim) - 1);
+      std::vector<std::uint32_t> gens;
+      Graph g;
+      do {
+        gens.clear();
+        while (gens.size() < size) {
+          const auto s =
+              static_cast<std::uint32_t>(1 + rng.next_u64((1u << dim) - 1));
+          if (std::find(gens.begin(), gens.end(), s) == gens.end()) {
+            gens.push_back(s);
+          }
+        }
+        g = cayley_graph(dim, gens);
+      } while (!is_connected(g));
+      SCOPED_TRACE("dim " + std::to_string(dim) + " |S| " +
+                   std::to_string(gens.size()));
+      EXPECT_NEAR(cayley_spectral_gap(dim, gens), fiedler_vector(g).eigenvalue,
+                  1e-9);
+    }
+  }
+}
+
+TEST(LongHop, GeneratorsArePinned) {
+  // Registry seed 1 (dims 5-8) and one Fig. 8 instance (dim 8, 7 extra
+  // generators, seed 7): generator sets and exact gaps. A change to the
+  // pool, the budget or the tie rule moves these and says why in
+  // CHANGES.md.
+  struct Case {
+    std::vector<std::uint32_t> gens;
+    double gap;
+  };
+  const std::vector<Network> ladder =
+      family_instances(Family::LongHop, 0, 1 << 20, 1);
+  const Case registry[] = {
+      {{1, 2, 4, 8, 15, 16, 26, 28, 31}, 6.0 / 9.0},
+      {{1, 2, 4, 8, 15, 16, 27, 32, 50, 55, 62}, 6.0 / 11.0},
+      {{1, 2, 4, 8, 14, 16, 32, 55, 64, 95, 107, 114}, 8.0 / 12.0},
+      {{1, 2, 4, 8, 16, 32, 47, 60, 64, 114, 128, 159, 222, 251}, 6.0 / 14.0},
+  };
+  ASSERT_EQ(ladder.size(), 4u);
+  for (std::size_t i = 0; i < ladder.size(); ++i) {
+    SCOPED_TRACE(ladder[i].name);
+    const int dim = static_cast<int>(i) + 5;
+    EXPECT_EQ(generators_of(ladder[i]), registry[i].gens);
+    EXPECT_DOUBLE_EQ(cayley_spectral_gap(dim, registry[i].gens),
+                     registry[i].gap);
+  }
+  const Network fig8 = make_long_hop(8, 7, 1, 7);
+  const std::vector<std::uint32_t> fig8_gens = {
+      1, 2, 4, 8, 16, 32, 64, 87, 118, 124, 128, 133, 172, 200, 239};
+  EXPECT_EQ(generators_of(fig8), fig8_gens);
+  EXPECT_DOUBLE_EQ(cayley_spectral_gap(8, fig8_gens), 8.0 / 15.0);
 }
 
 TEST(SlimFly, MmsStructure) {
