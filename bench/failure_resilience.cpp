@@ -4,7 +4,9 @@
 // cold, applies the scenario as an incremental ThroughputEngine
 // perturbation, and re-solves warm from the baseline solution; the CSV
 // carries the scenario label, failed_links, risk_group, tm_scale, and
-// throughput_drop (1 - degraded/baseline) per cell.
+// throughput_drop (1 - degraded/baseline) per cell, plus a cut upper bound
+// priced on the degraded network (cut_bound / cut_gap / cut_method), a
+// check of the degraded throughput that shares no code with the solvers.
 //
 // Two failure models, selected by TOPOBENCH_FAIL_MODE:
 //   links  (default) — independent seeded random link failures, with a
@@ -25,9 +27,10 @@
 // perf-smoke job: both failure models on the same grid in one process,
 // recording the mean throughput-drop curve of each in a one-line JSON
 // written to argv[1] (and echoed to stdout). Exit status is non-zero when
-// any drop is non-finite or outside the certified-slack window, or when a
-// repeated correlated run is not byte-identical to the first (the bench's
-// own determinism smoke).
+// any drop is non-finite or outside the certified-slack window, when a
+// degraded cell's cut bound lies below its throughput, or when a repeated
+// correlated run is not byte-identical to the first (the bench's own
+// determinism smoke).
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -50,6 +53,7 @@ exp::Sweep base_sweep(int target, double eps) {
   exp::Sweep sweep;
   sweep.solve.epsilon = eps;
   sweep.base_seed = 31;
+  sweep.cut_bounds = true;
   for (const Family f : all_families()) {
     sweep.topologies.push_back(exp::representative_spec(f, target, /*seed=*/1));
   }
@@ -115,6 +119,12 @@ int comparison(const std::string& json_path, int target, double eps,
     exp::Runner runner;
     runs.push_back(runner.run(sweep, exp::RunOptions::from_env()));
     for (const exp::CellResult& r : runs.back().rows()) {
+      if (!(r.cut_bound >= r.throughput * (1.0 - 1e-9))) {
+        sane = false;
+        std::fprintf(stderr, "FAIL %s/%s/%s: cut bound %.17g below "
+                     "throughput %.17g\n", r.topology.c_str(), r.tm.c_str(),
+                     r.scenario.c_str(), r.cut_bound, r.throughput);
+      }
       if (std::isnan(r.throughput_drop)) continue;
       if (!std::isfinite(r.throughput_drop) || r.throughput_drop > 1.0 ||
           r.throughput_drop < -slack) {
@@ -200,13 +210,14 @@ int main(int argc, char** argv) {
   if (rs.emit(std::cout, caption)) return 0;
 
   Table table({"topology", "tm", "scenario", "failed_links", "throughput",
-               "drop"});
+               "drop", "cut_gap"});
+  const auto fmt_or_na = [](double v) {
+    return std::isnan(v) ? std::string("na") : Table::fmt(v, 3);
+  };
   for (const exp::CellResult& r : rs.rows()) {
     table.add_row({r.topology, r.tm, r.scenario,
                    std::to_string(r.failed_links), Table::fmt(r.throughput, 3),
-                   std::isnan(r.throughput_drop)
-                       ? "na"
-                       : Table::fmt(r.throughput_drop, 3)});
+                   fmt_or_na(r.throughput_drop), fmt_or_na(r.cut_gap)});
   }
   table.print(std::cout, caption);
   std::cout << '\n';

@@ -113,8 +113,8 @@ Scenario build_scenario(const std::string& spec);
 // --- queries -------------------------------------------------------------
 
 /// One throughput question. With `scenario` set the answer is the degraded
-/// throughput of that failure scenario (requires trials == 0 and
-/// cut_bounds == false); with trials > 0 the answer is relative mode
+/// throughput of that failure scenario (requires trials == 0); with
+/// trials > 0 the answer is relative mode
 /// (throughput vs `trials` same-equipment random graphs). The pair
 /// (query, seed) fully determines the result bytes.
 struct Query {

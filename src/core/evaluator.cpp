@@ -48,12 +48,12 @@ RelativeResult relative_throughput(const Network& net, const TrafficMatrix& tm,
   return res;
 }
 
-CutBoundResult cut_upper_bound(const Network& net, const TrafficMatrix& tm,
+CutBoundResult cut_upper_bound(const Graph& g, const TrafficMatrix& tm,
                                const CutBoundOptions& opts) {
   flow::FlowOptions fo;
   fo.threads = opts.solver_threads;
   const cuts::SparseCutSurvey survey = cuts::best_sparse_cut(
-      net.graph, tm, opts.brute_force_cap, opts.st_pairs, opts.seed, fo);
+      g, tm, opts.brute_force_cap, opts.st_pairs, opts.seed, fo);
   CutBoundResult r;
   r.bound = survey.best.sparsity;
   r.method = survey.best.method;
@@ -64,7 +64,7 @@ CutBoundResult cut_upper_bound(const Network& net, const TrafficMatrix& tm,
   // so skip the bisection work entirely in that case.
   if (opts.include_bisection && r.kind != cuts::CutBound::Exact) {
     const cuts::CutResult bis = cuts::bisection_sparsity(
-        net.graph, tm, /*exact_max=*/18, /*kl_restarts=*/8, opts.seed,
+        g, tm, /*exact_max=*/18, /*kl_restarts=*/8, opts.seed,
         /*st_pairs=*/4, fo);
     r.flow_stats.add(bis.flow_stats);
     if (bis.sparsity < r.bound) {

@@ -64,11 +64,12 @@ struct CutBoundResult {
   flow::MaxFlowStats flow_stats;  ///< max-flow work across all estimators
 };
 
-/// Best (lowest) cut-based throughput upper bound for (net, tm): the full
+/// Best (lowest) cut-based throughput upper bound for (g, tm): the full
 /// sparse-cut battery of best_sparse_cut — exact sampled s-t min cuts
 /// included — plus, optionally, the TM-relative bisection. Deterministic
-/// for a fixed seed.
-CutBoundResult cut_upper_bound(const Network& net, const TrafficMatrix& tm,
+/// for a fixed seed. Under a failure scenario the runner passes the
+/// engine's surviving graph and perturbed TM (mcf/engine.h).
+CutBoundResult cut_upper_bound(const Graph& g, const TrafficMatrix& tm,
                                const CutBoundOptions& opts = {});
 
 }  // namespace tb

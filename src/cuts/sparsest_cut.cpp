@@ -96,21 +96,29 @@ CutResult sparsest_cut_brute_force(const Graph& g, const TrafficMatrix& tm,
   const int n = g.num_nodes();
   Best best;
   CutTracker cut(g, &tm);
-  // Node n-1 pinned to side 1 to halve the space; subsets enumerated in
-  // binary counting order over the remaining n-1 bits, capped at max_cuts.
+  // Node n-1 pinned to side 1 to halve the space; the other n-1 nodes'
+  // side-1 set is a mask. Its 2^(n-1) - 1 proper cuts are every mask but
+  // all-ones (the whole node set, no cut): masks 1 .. 2^(n-1) - 2 in binary
+  // counting order, then mask 0 (node n-1 alone) last, so that a tie keeps
+  // an earlier winner. Capped at max_cuts.
   const long total =
       n - 1 >= 62 ? std::numeric_limits<long>::max()
-                  : (1L << (n - 1)) - 1;  // exclude the empty set
+                  : (1L << (n - 1)) - 1;
   const long cuts = std::min(total, max_cuts);
   cut.flip(n - 1);
   // mask never has bits at or above 63 set, so nodes beyond bit 62 stay on
   // side 0. Stepping from mask-1 to mask flips exactly the bits of
   // mask ^ (mask-1): two per step, amortised.
-  for (long mask = 1; mask <= cuts; ++mask) {
+  for (long mask = 1; mask <= std::min(cuts, total - 1); ++mask) {
     for (auto diff = static_cast<unsigned long>(mask ^ (mask - 1)); diff != 0;
          diff &= diff - 1) {
       cut.flip(std::countr_zero(diff));
     }
+    best.consider(g, tm, cut);
+  }
+  if (cuts == total && total > 0) {
+    cut.clear();
+    cut.flip(n - 1);
     best.consider(g, tm, cut);
   }
   return finish(std::move(best), "brute-force",
@@ -224,8 +232,9 @@ SparseCutSurvey best_sparse_cut(const Graph& g, const TrafficMatrix& tm,
     if (r.sparsity < survey.best.sparsity) survey.best = r;
   }
   // An exact member certifies the true optimum; the winning value then IS
-  // that optimum (nothing can come in lower), whichever method found it.
-  bool certified = false;
+  // that optimum (nothing can come in lower), whichever method found it. So
+  // does a best of 0: no cut is sparser.
+  bool certified = survey.best.sparsity == 0.0;
   for (const CutResult& r : results) {
     if (r.bound == CutBound::Exact) certified = true;
     if (r.sparsity <= survey.best.sparsity * (1.0 + 1e-9)) {

@@ -85,9 +85,10 @@ struct CutResult {
 double cut_sparsity(const Graph& g, const TrafficMatrix& tm,
                     const std::vector<std::uint8_t>& side);
 
-/// Exhaustive enumeration capped at `max_cuts` subsets (Appendix C caps at
-/// 10,000). Tagged CutBound::Exact when 2^(n-1) - 1 <= max_cuts (the
-/// enumeration was complete), CutBound::Upper otherwise.
+/// Exhaustive enumeration of the 2^(n-1) - 1 proper cuts, capped at
+/// `max_cuts` of them (Appendix C caps at 10,000). Tagged CutBound::Exact
+/// when 2^(n-1) - 1 <= max_cuts (the enumeration was complete),
+/// CutBound::Upper otherwise.
 CutResult sparsest_cut_brute_force(const Graph& g, const TrafficMatrix& tm,
                                    long max_cuts = 10'000);
 
@@ -113,7 +114,8 @@ struct SparseCutSurvey {
 /// exact sampled s-t min cuts of exact_cuts.h ("st-mincut", `st_pairs`
 /// terminal pairs drawn from `seed`) — and report the best cut. The best
 /// result is tagged CutBound::Exact when any exact member certified the
-/// optimum (complete brute force, or a single-pair TM). `flow` configures
+/// optimum (complete brute force, or a single-pair TM) or its sparsity is
+/// 0, below which no cut goes. `flow` configures
 /// the exact members' cut-battery threading; it never changes the
 /// survey's results, only how fast the flow solves run.
 SparseCutSurvey best_sparse_cut(const Graph& g, const TrafficMatrix& tm,

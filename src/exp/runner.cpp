@@ -38,9 +38,9 @@ std::string config_fingerprint(const Sweep& s) {
                 mcf::kExactMaxLpSize);
   std::string key = buf;
   if (s.cut_bounds) {
-    // Cut knobs enter the key only when they can affect the result, so
-    // disabled sweeps that differ in inert options still share entries.
-    const CutBoundOptions& c = s.cut_bound_opts;
+    // The runner prices cuts with the default knobs; they stay in the key so
+    // persisted store keys and slice fingerprints keep their bytes.
+    const CutBoundOptions c;
     std::snprintf(buf, sizeof(buf), "|cb|f%ld|q%d|b%d", c.brute_force_cap,
                   c.st_pairs, c.include_bisection ? 1 : 0);
     key += buf;
@@ -80,10 +80,6 @@ void validate_modes(const Sweep& sweep) {
     if (sweep.trials > 0) {
       throw std::invalid_argument(
           "Runner::run: failures mode requires absolute mode (trials == 0)");
-    }
-    if (sweep.cut_bounds) {
-      throw std::invalid_argument(
-          "Runner::run: failures mode does not support cut bounds");
     }
     for (const ScenarioPoint& p : sweep.scenarios) {
       if (p.label.empty()) {
@@ -157,6 +153,29 @@ void record_stats(CellResult& r, const mcf::SolverStats& s) {
   r.warm = s.warm_start ? 1 : 0;
 }
 
+/// The cut columns of a cell whose throughput is set, priced on the
+/// instance the cell solved: (g, tm). The cut sampler draws from the stream
+/// after the last random-graph trial, so enabling cut bounds perturbs no
+/// existing column.
+void fill_cut_columns(CellResult& r, const Graph& g, const TrafficMatrix& tm,
+                      int solver_threads) {
+  CutBoundOptions cb;
+  cb.seed = mix_seed(r.seed, static_cast<std::uint64_t>(r.trials) + 1);
+  // The cut estimators follow the solve's thread count. Never
+  // result-bearing (the battery is thread-invariant), so the fingerprint
+  // ignores it.
+  cb.solver_threads = solver_threads;
+  const CutBoundResult cut = cut_upper_bound(g, tm, cb);
+  r.pushes = cut.flow_stats.pushes;
+  r.relabels = cut.flow_stats.relabels;
+  r.global_relabels = cut.flow_stats.global_relabels;
+  r.cut_bound = cut.bound;
+  r.cut_gap = r.throughput > 0.0 ? cut.bound / r.throughput
+                                 : std::numeric_limits<double>::quiet_NaN();
+  r.cut_method =
+      cut.method + '(' + std::string(cuts::to_string(cut.kind)) + ')';
+}
+
 }  // namespace
 
 CellResult Runner::eval_cell(const Sweep& sweep,
@@ -189,24 +208,7 @@ CellResult Runner::eval_cell(const Sweep& sweep,
     record_stats(r, rel.topo_stats);
   }
   if (sweep.cut_bounds) {
-    // The cut sampler draws from the stream after the last random-graph
-    // trial, so enabling cut bounds perturbs no existing column.
-    CutBoundOptions cb = sweep.cut_bound_opts;
-    cb.seed = mix_seed(cell_seed, static_cast<std::uint64_t>(r.trials) + 1);
-    // The cut estimators follow the solve's thread count. Never
-    // result-bearing (the battery is thread-invariant), so the fingerprint
-    // ignores it.
-    cb.solver_threads = solve.solver_threads;
-    const CutBoundResult cut = cut_upper_bound(net, tm, cb);
-    r.pushes = cut.flow_stats.pushes;
-    r.relabels = cut.flow_stats.relabels;
-    r.global_relabels = cut.flow_stats.global_relabels;
-    r.cut_bound = cut.bound;
-    r.cut_gap = r.throughput > 0.0
-                    ? cut.bound / r.throughput
-                    : std::numeric_limits<double>::quiet_NaN();
-    r.cut_method =
-        cut.method + '(' + std::string(cuts::to_string(cut.kind)) + ')';
+    fill_cut_columns(r, net.graph, tm, solve.solver_threads);
   }
   return r;
 }
@@ -261,6 +263,10 @@ void Runner::eval_failure_group(const Sweep& sweep,
     r.tm_scale = spec.tm_scale;
     r.growth_step = point.growth_step;
     record_stats(r, t.stats);
+    if (sweep.cut_bounds) {
+      fill_cut_columns(r, worker->surviving_graph(), worker->scenario_tm(tm),
+                       solve.solver_threads);
+    }
   };
   // parallel_ gates the per-scenario fan-out as well as the group fan-out
   // in run_impl: a cell-serial runner keeps every cell on the calling

@@ -32,13 +32,12 @@
 // (exp::growth_scenarios) are ordinary points of this axis: each fails its
 // uninstalled node tail, and the point's growth_step fills that column.
 //
-// Failures mode requires absolute mode (trials == 0) and no cut bounds;
-// Runner::run throws otherwise (validate_modes). A degraded cell has no
-// same-equipment random-graph counterpart: the scenario's sampled edge ids
-// and risk groups do not map onto a random graph's edges, so there is no
-// relative column to report. The cut estimators read the Graph's
-// capacities, not the scenario's working capacities, so a cut bound would
-// certify the intact network, not the degraded one.
+// Failures mode requires absolute mode (trials == 0); Runner::run throws
+// otherwise (validate_modes). A degraded cell has no same-equipment
+// random-graph counterpart: the scenario's sampled edge ids and risk groups
+// do not map onto a random graph's edges, so there is no relative column to
+// report. With cut bounds, a degraded cell's cut is priced on the instance
+// its solve saw: the engine's surviving graph and perturbed TM.
 //
 // Dispatch: every mode runs through one loop over evaluation units — a
 // (topology, TM) failure group in failures mode, a single cold cell

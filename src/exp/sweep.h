@@ -63,13 +63,14 @@ struct Sweep {
   std::uint64_t base_seed = 1; ///< root of all per-cell seed streams
   bool cut_bounds = false;     ///< fill the cut_bound/cut_gap/cut_method
                                ///< columns via core's cut_upper_bound
-  CutBoundOptions cut_bound_opts;  ///< seed is overridden per cell
+                               ///< (default CutBoundOptions, per-cell seed)
   /// Failures mode: when non-empty, the grid gains a scenario axis — each
   /// (topology, TM) pair is evaluated once per scenario as a failure group
   /// (one baseline, forked warm solves; see runner.h), filling the
   /// scenario / failed_links / throughput_drop / risk_group / tm_scale /
-  /// growth_step columns (throughput is the degraded value). Requires absolute mode
-  /// (trials == 0) without cut bounds; the runner throws otherwise.
+  /// growth_step columns (throughput is the degraded value, and a cut bound
+  /// is priced on the degraded network). Requires absolute mode
+  /// (trials == 0); the runner throws otherwise.
   std::vector<ScenarioPoint> scenarios;
 };
 

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "graph/algorithms.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -158,6 +159,7 @@ void ThroughputEngine::apply_scenario(const ScenarioSpec& spec) {
 void ThroughputEngine::clear_scenario() {
   for (const auto& [e, base] : touched_) gk_.set_edge_capacity(e, base);
   touched_.clear();
+  surviving_.reset();
   node_failed_.clear();
   scenario_active_ = false;
   any_node_failed_ = false;
@@ -166,33 +168,43 @@ void ThroughputEngine::clear_scenario() {
   tm_scale_ = 1.0;
 }
 
-bool ThroughputEngine::demands_connected(const TrafficMatrix& tm) {
+const Graph& ThroughputEngine::surviving_graph() {
   const Graph& g = net_->graph;
-  const auto n = static_cast<std::size_t>(g.num_nodes());
-  const std::vector<double>& cap = gk_.arc_capacities();
-  comp_.assign(n, -1);
-  int next_comp = 0;
-  for (std::size_t s = 0; s < n; ++s) {
-    if (comp_[s] >= 0) continue;
-    const int c = next_comp++;
-    comp_[s] = c;
-    bfs_queue_.clear();
-    bfs_queue_.push_back(static_cast<int>(s));
-    for (std::size_t head = 0; head < bfs_queue_.size(); ++head) {
-      const int v = bfs_queue_[head];
-      for (const int a : g.out_arcs(v)) {
-        if (cap[static_cast<std::size_t>(a)] <= 0.0) continue;
-        const int w = g.arc_to(a);
-        if (comp_[static_cast<std::size_t>(w)] < 0) {
-          comp_[static_cast<std::size_t>(w)] = c;
-          bfs_queue_.push_back(w);
-        }
-      }
+  if (touched_.empty()) return g;
+  if (!surviving_) {
+    const std::vector<double>& cap = gk_.arc_capacities();
+    Graph& s = surviving_.emplace(g.num_nodes());
+    for (int e = 0; e < g.num_edges(); ++e) {
+      const double c = cap[static_cast<std::size_t>(2 * e)];
+      if (c > 0.0) s.add_edge(g.edge_u(e), g.edge_v(e), c);
     }
+    s.finalize();
   }
+  return *surviving_;
+}
+
+TrafficMatrix ThroughputEngine::scenario_tm(const TrafficMatrix& tm) const {
+  TrafficMatrix out;
+  out.name = tm.name;
+  out.demands.reserve(tm.demands.size());
+  for (Demand d : tm.demands) {
+    if (any_node_failed_ && (node_failed_[static_cast<std::size_t>(d.src)] ||
+                             node_failed_[static_cast<std::size_t>(d.dst)])) {
+      continue;
+    }
+    d.amount *= tm_scale_;
+    out.demands.push_back(d);
+  }
+  return out;
+}
+
+bool ThroughputEngine::demands_connected(const TrafficMatrix& tm) {
+  int num_components = 0;
+  const std::vector<int> comp =
+      connected_components(surviving_graph(), &num_components);
   for (const Demand& d : tm.demands) {
-    if (comp_[static_cast<std::size_t>(d.src)] !=
-        comp_[static_cast<std::size_t>(d.dst)]) {
+    if (comp[static_cast<std::size_t>(d.src)] !=
+        comp[static_cast<std::size_t>(d.dst)]) {
       return false;
     }
   }
@@ -220,29 +232,14 @@ ThroughputResult ThroughputEngine::run(const TrafficMatrix& tm,
   validate_tm(tm, *net_, /*check_hose=*/false);
 
   // The scenario's TM perturbation is applied to the input matrix per
-  // solve — capacities (and therefore the O(affected) revert list) are
-  // never involved: demands touching a failed node are dropped (they cannot
-  // be served; throughput is over the surviving commodities) and the rest
-  // are scaled by the surge factor. Uniform scaling keeps the commodity
-  // pairs identical, so GK length seeding below still applies.
-  const TrafficMatrix* effective = &tm;
+  // solve; capacities (and therefore the O(affected) revert list) are never
+  // involved.
   TrafficMatrix perturbed;
-  if (scenario_active_ && (tm_scale_ != 1.0 || any_node_failed_)) {
-    perturbed.name = tm.name;
-    perturbed.demands.reserve(tm.demands.size());
-    for (Demand d : tm.demands) {
-      if (any_node_failed_ && (node_failed_[static_cast<std::size_t>(d.src)] ||
-                               node_failed_[static_cast<std::size_t>(d.dst)])) {
-        continue;
-      }
-      d.amount *= tm_scale_;
-      perturbed.demands.push_back(d);
-    }
-    effective = &perturbed;
-  }
+  if (scenario_active_) perturbed = scenario_tm(tm);
+  const TrafficMatrix& effective = scenario_active_ ? perturbed : tm;
 
   if (scenario_active_ &&
-      (effective->demands.empty() || !demands_connected(*effective))) {
+      (effective.demands.empty() || !demands_connected(effective))) {
     // A demand the surviving capacities cannot serve (or no demands left at
     // all) makes 0 the exact optimum of the concurrent-flow LP.
     ThroughputResult zero;
@@ -257,7 +254,7 @@ ThroughputResult ThroughputEngine::run(const TrafficMatrix& tm,
   {
     std::vector<char> seen(static_cast<std::size_t>(net_->graph.num_nodes()),
                            0);
-    for (const Demand& d : effective->demands) {
+    for (const Demand& d : effective.demands) {
       if (!seen[static_cast<std::size_t>(d.src)]) {
         seen[static_cast<std::size_t>(d.src)] = 1;
         ++num_sources;
@@ -271,9 +268,7 @@ ThroughputResult ThroughputEngine::run(const TrafficMatrix& tm,
        lp_size_within(num_sources, net_->graph.num_arcs(), kExactMaxLpSize));
   ThroughputResult res;
   if (use_exact) {
-    res = throughput_exact_lp(
-        net_->graph, *effective,
-        scenario_active_ ? &gk_.arc_capacities() : nullptr);
+    res = throughput_exact_lp(surviving_graph(), effective);
   } else {
     GkOptions gkopts;
     gkopts.epsilon = opts.epsilon;
@@ -285,12 +280,12 @@ ThroughputResult ThroughputEngine::run(const TrafficMatrix& tm,
     // trivially-converging instances by orders of magnitude. Unseeded, a
     // warm solve is bitwise the cold solve.
     std::uint64_t fp = 0x9e3779b97f4a7c15ULL;
-    for (const Demand& d : effective->demands) {
+    for (const Demand& d : effective.demands) {
       fp += mix_seed(static_cast<std::uint64_t>(d.src),
                      static_cast<std::uint64_t>(d.dst));
     }
     const bool seed_lengths = warm && fp == gk_tm_fingerprint_;
-    const GkResult r = gk_.solve(*effective, gkopts, seed_lengths);
+    const GkResult r = gk_.solve(effective, gkopts, seed_lengths);
     gk_tm_fingerprint_ = fp;
     res.throughput = r.throughput;
     res.upper_bound = r.upper_bound;

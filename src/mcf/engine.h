@@ -33,10 +33,14 @@
 // repairs them in O(affected arcs). Failed arcs are never routed; demands
 // that a scenario disconnects make throughput exactly 0 (the concurrent
 // flow must serve every commodity), reported with solver = "disconnected".
+// GK routes on the working capacities (its warm lengths are indexed by the
+// intact arc ids); ExactLP and the runner's cut bounds get the scenario as
+// an ordinary instance, surviving_graph() with scenario_tm().
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "mcf/garg_konemann.h"
@@ -151,6 +155,18 @@ class ThroughputEngine {
   const std::vector<double>& arc_capacities() const noexcept {
     return gk_.arc_capacities();
   }
+  /// The network the active scenario leaves: the same node ids and only the
+  /// edges whose working capacity is > 0, at that capacity, in edge order.
+  /// The intact graph when no capacity is perturbed; otherwise derived at
+  /// most once per applied scenario. Valid until the next apply_scenario or
+  /// clear_scenario.
+  const Graph& surviving_graph();
+  /// `tm` as the active scenario routes it: demands with a failed endpoint
+  /// are dropped (they cannot be served; throughput is over the surviving
+  /// commodities) and the rest are scaled by the surge factor. Uniform
+  /// scaling keeps the commodity pairs, so GK length seeding still applies.
+  /// With no scenario active, a copy of `tm`.
+  TrafficMatrix scenario_tm(const TrafficMatrix& tm) const;
   const Network& network() const noexcept { return *net_; }
 
  private:
@@ -160,7 +176,7 @@ class ThroughputEngine {
   ThroughputResult run(const TrafficMatrix& tm, const SolveOptions& opts,
                        bool warm);
   /// True when every demand connects nodes in one component of the
-  /// surviving (capacity > 0) subgraph.
+  /// surviving graph.
   bool demands_connected(const TrafficMatrix& tm);
 
   const Network* net_;
@@ -171,6 +187,7 @@ class ThroughputEngine {
   // filtering, and the surge factor (applied to the input TM per solve,
   // never persisted into session state — clear_scenario just forgets it).
   std::vector<std::pair<int, double>> touched_;
+  std::optional<Graph> surviving_;  ///< surviving_graph(), once derived
   std::vector<char> node_failed_;
   bool scenario_active_ = false;
   bool any_node_failed_ = false;
@@ -183,10 +200,6 @@ class ThroughputEngine {
   // with perturbed capacities or scaled demands — so warm_solve seeds GK
   // lengths only when the fingerprint matches. 0 = no previous GK solve.
   std::uint64_t gk_tm_fingerprint_ = 0;
-
-  // Scratch for demands_connected (component labels per node).
-  std::vector<int> comp_;
-  std::vector<int> bfs_queue_;
 };
 
 }  // namespace tb::mcf

@@ -27,16 +27,13 @@ namespace {
 /// num_vars + a for arc a), then the artificial of each conservation row
 /// (the EQ rows, in row order). Each capacity row keeps its slack;
 /// conservation row (s, v) takes the flow variable of the arc into v on a
-/// BFS tree from s over the live arcs (those with positive capacity in
-/// `arc_caps`, when given), or its artificial when v is unreachable from s
-/// through them. The basis is block-triangular (slacks over each source's
-/// tree incidence), and its basic solution is x_B = (cap, 0), feasible with
-/// no artificial above 0, where the cold start puts a zero-valued Big-M
-/// artificial in every conservation row and pivots most of them out
-/// degenerately. lp::solve checks the candidate, so a wrong guess (a
+/// BFS tree from s, or its artificial when v is unreachable from s. The
+/// basis is block-triangular (slacks over each source's tree incidence),
+/// and its basic solution is x_B = (cap, 0), feasible with no artificial
+/// above 0, where the cold start puts a zero-valued Big-M artificial in
+/// every conservation row and pivots most of them out degenerately. lp::solve checks the candidate, so a wrong guess (a
 /// negative capacity flips its row's sense) costs pivots only.
 std::vector<int> spanning_tree_basis(const Graph& g,
-                                     const std::vector<double>* arc_caps,
                                      const std::map<int, int>& base_of_source,
                                      int num_vars) {
   const int n = g.num_nodes();
@@ -55,10 +52,6 @@ std::vector<int> spanning_tree_basis(const Graph& g,
     for (std::size_t head = 0; head < queue.size(); ++head) {
       const int u = queue[head];
       for (const int a : g.out_arcs(u)) {
-        if (arc_caps != nullptr &&
-            (*arc_caps)[static_cast<std::size_t>(a)] <= 0.0) {
-          continue;  // a failed arc: its flow is pinned to 0
-        }
         const int v = g.arc_to(a);
         if (v != s && tree_arc[static_cast<std::size_t>(v)] < 0) {
           tree_arc[static_cast<std::size_t>(v)] = a;
@@ -78,15 +71,10 @@ std::vector<int> spanning_tree_basis(const Graph& g,
 
 }  // namespace
 
-ThroughputResult throughput_exact_lp(const Graph& g, const TrafficMatrix& tm,
-                                     const std::vector<double>* arc_caps) {
+ThroughputResult throughput_exact_lp(const Graph& g, const TrafficMatrix& tm) {
   if (!g.finalized()) throw std::logic_error("throughput_exact_lp: graph not finalized");
   const int n = g.num_nodes();
   const int num_arcs = g.num_arcs();
-  if (arc_caps != nullptr &&
-      arc_caps->size() != static_cast<std::size_t>(num_arcs)) {
-    throw std::invalid_argument("throughput_exact_lp: arc_caps size mismatch");
-  }
 
   // Aggregate demands by source: D[s][v] = demand s -> v.
   std::map<int, std::map<int, double>> by_source;
@@ -108,13 +96,11 @@ ThroughputResult throughput_exact_lp(const Graph& g, const TrafficMatrix& tm,
     for (int a = 0; a < num_arcs; ++a) prob.add_var(0.0);
   }
 
-  // Capacity rows: sum_s f[s][a] <= c(a) (the caller's working capacity
-  // when given — a failed arc's row pins its flow to 0).
+  // Capacity rows: sum_s f[s][a] <= c(a).
   for (int a = 0; a < num_arcs; ++a) {
     lp::Row row;
     row.sense = lp::Sense::LE;
-    row.rhs = arc_caps != nullptr ? (*arc_caps)[static_cast<std::size_t>(a)]
-                                  : g.arc_cap(a);
+    row.rhs = g.arc_cap(a);
     for (const auto& [s, base] : base_of_source) {
       (void)s;
       row.terms.emplace_back(base + a, 1.0);
@@ -145,7 +131,7 @@ ThroughputResult throughput_exact_lp(const Graph& g, const TrafficMatrix& tm,
   }
 
   const std::vector<int> tree_basis =
-      spanning_tree_basis(g, arc_caps, base_of_source, prob.num_vars);
+      spanning_tree_basis(g, base_of_source, prob.num_vars);
   lp::Options lopts;
   lopts.warm_basis = &tree_basis;
   const lp::Result sol = lp::solve(prob, lopts);

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "tm/traffic_matrix.h"
 #include "topo/network.h"
@@ -93,13 +92,9 @@ inline bool lp_size_within(long num_sources, int num_arcs,
 
 /// The ExactLP kernel on a bare graph: the source-aggregated edge-flow LP,
 /// solved from a feasible spanning-tree basis the kernel builds itself
-/// (throughput.cpp), so the result depends only on the instance.
-/// `arc_caps`, when set, overrides the graph's per-arc capacities (index =
-/// arc id; 0 forces the arc unused; size must be num_arcs):
-/// ThroughputEngine passes its scenario-degraded working capacities.
-ThroughputResult throughput_exact_lp(
-    const Graph& g, const TrafficMatrix& tm,
-    const std::vector<double>* arc_caps = nullptr);
+/// (throughput.cpp), so the result depends only on the instance. Under a
+/// scenario, ThroughputEngine passes its surviving graph and perturbed TM.
+ThroughputResult throughput_exact_lp(const Graph& g, const TrafficMatrix& tm);
 
 /// Volumetric upper bound from §II-B: total capacity divided by total
 /// demand-weighted shortest-path length. Any feasible throughput is <= this.

@@ -13,6 +13,7 @@
 #include "cuts/cut_tracker.h"
 #include "cuts/exact_cuts.h"
 #include "cuts/sparsest_cut.h"
+#include "core/evaluator.h"
 #include "core/registry.h"
 #include "graph/algorithms.h"
 #include "graph/partition.h"
@@ -27,6 +28,8 @@
 
 namespace tb {
 namespace {
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 Graph barbell(int clique) {
   Graph g(2 * clique);
@@ -166,6 +169,138 @@ TEST(DegenerateCut, IsolatedNode) {
   EXPECT_EQ(survey.best.sparsity, 0.0);
   ASSERT_EQ(survey.best.side.size(), 4u);
   EXPECT_NE(survey.best.side[3], survey.best.side[0]);
+}
+
+TEST(SparsestCut, BruteForcePricesTheLastNodeAlone) {
+  // The enumeration pins node n-1 to side 1; the cut with node n-1 alone
+  // is the mask with no other node, which it once skipped, pricing the
+  // whole node set (no cut) instead.
+  Graph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  g.add_edge(2, 0);
+  g.finalize();
+  TrafficMatrix tm;
+  tm.demands = {{0, 3, 1.0}};
+  const cuts::CutResult brute = cuts::sparsest_cut_brute_force(g, tm);
+  EXPECT_EQ(brute.sparsity, 0.0);
+  EXPECT_EQ(brute.bound, cuts::CutBound::Exact);
+  EXPECT_EQ(brute.side, (std::vector<std::uint8_t>{0, 0, 0, 1}));
+  EXPECT_EQ(brute.sparsity, cuts::sparsest_cut_one_node(g, tm).sparsity);
+}
+
+/// A named degenerate cut input with its sparsest-cut optimum and its
+/// balanced-cut answers.
+struct DegenerateInput {
+  std::string name;
+  Graph g;
+  TrafficMatrix tm;
+  double optimum;
+  double bisection;
+  double bisection_capacity;
+};
+
+Graph cycle(int n) {
+  Graph g(n);
+  for (int v = 0; v < n; ++v) g.add_edge(v, (v + 1) % n);
+  g.finalize();
+  return g;
+}
+
+std::vector<DegenerateInput> degenerate_inputs() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<DegenerateInput> inputs;
+  {
+    Graph g(6);  // two triangles, demand across them
+    for (const int base : {0, 3}) {
+      g.add_edge(base, base + 1);
+      g.add_edge(base + 1, base + 2);
+      g.add_edge(base + 2, base);
+    }
+    g.finalize();
+    TrafficMatrix tm;
+    tm.demands = {{0, 4, 1.0}, {1, 2, 1.0}};
+    inputs.push_back({"two components", std::move(g), tm, 0.0, 0.0, 0.0});
+  }
+  {
+    Graph g(4);  // a triangle plus node 3 without links
+    g.add_edge(0, 1);
+    g.add_edge(1, 2);
+    g.add_edge(2, 0);
+    g.finalize();
+    TrafficMatrix tm;
+    tm.demands = {{0, 3, 1.0}, {1, 2, 1.0}};
+    inputs.push_back({"isolated node", std::move(g), tm, 0.0, 1.0, 2.0});
+  }
+  inputs.push_back({"no crossing demand", cycle(4), TrafficMatrix{}, kInf,
+                    kInf, 2.0});
+  {
+    Graph g(2);
+    g.add_edge(0, 1);
+    g.finalize();
+    TrafficMatrix tm;
+    tm.demands = {{0, 1, 1.0}};
+    inputs.push_back({"two nodes", std::move(g), tm, 1.0, 1.0, 1.0});
+  }
+  {
+    TrafficMatrix tm;
+    tm.demands = {{0, 2, 1.0}};
+    inputs.push_back({"one demand", cycle(5), tm, 2.0, 2.0, 2.0});
+  }
+  return inputs;
+}
+
+TEST(DegenerateCut, EveryEstimatorAnswers) {
+  // Every battery member and both balanced-cut estimators return without
+  // throwing, never below the optimum, and with the sparsity of the side
+  // they report; the survey finds the optimum and certifies it.
+  for (const DegenerateInput& in : degenerate_inputs()) {
+    SCOPED_TRACE(in.name);
+    const Graph& g = in.g;
+    const TrafficMatrix& tm = in.tm;
+    const std::vector<cuts::CutResult> members = {
+        cuts::sparsest_cut_brute_force(g, tm),
+        cuts::sparsest_cut_one_node(g, tm),
+        cuts::sparsest_cut_two_node(g, tm),
+        cuts::sparsest_cut_expanding(g, tm),
+        cuts::sparsest_cut_eigenvector(g, tm),
+        cuts::sparsest_cut_st_mincut(g, tm, 8, 1),
+        cuts::bisection_sparsity(g, tm)};
+    for (const cuts::CutResult& r : members) {
+      EXPECT_GE(r.sparsity, in.optimum) << r.method;
+      if (!r.side.empty()) {
+        EXPECT_EQ(bits(cuts::cut_sparsity(g, tm, r.side)), bits(r.sparsity))
+            << r.method;
+      }
+    }
+    EXPECT_EQ(members.front().sparsity, in.optimum);  // complete brute force
+    EXPECT_EQ(members.back().sparsity, in.bisection);
+    EXPECT_EQ(cuts::bisection_capacity(g), in.bisection_capacity);
+    const cuts::SparseCutSurvey survey = cuts::best_sparse_cut(g, tm);
+    EXPECT_EQ(survey.best.sparsity, in.optimum);
+    EXPECT_EQ(survey.best.bound, cuts::CutBound::Exact);
+  }
+}
+
+TEST(DegenerateCut, ZeroSparsityIsExact) {
+  // With the enumeration off, only a best of 0 certifies: no cut is
+  // sparser. cut_upper_bound then skips the bisection.
+  for (const DegenerateInput& in : degenerate_inputs()) {
+    SCOPED_TRACE(in.name);
+    const cuts::SparseCutSurvey survey =
+        cuts::best_sparse_cut(in.g, in.tm, /*brute_force_cap=*/0);
+    const bool single_pair = in.tm.demands.size() == 1;
+    EXPECT_EQ(survey.best.bound == cuts::CutBound::Exact,
+              in.optimum == 0.0 || single_pair);
+    CutBoundOptions cb;
+    cb.brute_force_cap = 0;
+    const CutBoundResult bound = cut_upper_bound(in.g, in.tm, cb);
+    if (in.optimum == 0.0) {
+      EXPECT_EQ(bound.bound, 0.0);
+      EXPECT_EQ(bound.kind, cuts::CutBound::Exact);
+      EXPECT_NE(bound.method, "bisection");
+    }
+  }
 }
 
 TEST(SparsestCut, SurveyReportsWinners) {
@@ -652,8 +787,6 @@ Instance random_instance(int n, std::uint64_t seed, Caps caps) {
   return inst;
 }
 
-std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
-
 TEST(CutTracker, TrackedSumsStayWithinTheirBounds) {
   // After every flip, each tracked sum lies within its drift bound of a
   // long-double recount (widened by the recount's own summation bound),
@@ -771,8 +904,11 @@ PlainBest plain_brute_force(const Graph& g, const TrafficMatrix& tm,
   PlainBest best;
   std::vector<std::uint8_t> side(static_cast<std::size_t>(n), 0);
   side[static_cast<std::size_t>(n - 1)] = 1;
-  const long cuts = std::min((1L << (n - 1)) - 1, max_cuts);
-  for (long mask = 1; mask <= cuts; ++mask) {
+  // Masks 1 .. 2^(n-1) - 2, then mask 0 (node n-1 alone) when complete.
+  const long total = (1L << (n - 1)) - 1;
+  const long cuts = std::min(total, max_cuts);
+  for (long k = 1; k <= cuts; ++k) {
+    const long mask = k < total ? k : 0;
     for (int v = 0; v < n - 1; ++v) {
       side[static_cast<std::size_t>(v)] =
           static_cast<std::uint8_t>((mask >> v) & 1);

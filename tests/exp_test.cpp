@@ -592,10 +592,14 @@ TEST(Runner, ModeValidationRejectsUnsupportedCombinations) {
   failures.scenarios = exp::random_failure_scenarios({0.1});
   EXPECT_THROW(runner.run(failures, exp::RunOptions{}),
                std::invalid_argument);  // trials > 0
+  // Cut bounds run in failures mode, priced on the degraded network.
   failures.trials = 0;
   failures.cut_bounds = true;
-  EXPECT_THROW(runner.run(failures, exp::RunOptions{}), std::invalid_argument);
-  failures.cut_bounds = false;
+  const exp::ResultSet with_cuts = runner.run(failures, exp::RunOptions{});
+  for (const exp::CellResult& r : with_cuts.rows()) {
+    EXPECT_FALSE(r.cut_method.empty());
+    EXPECT_GE(r.cut_bound, r.throughput * (1.0 - 1e-9)) << r.tm;
+  }
   failures.scenarios[0].label.clear();
   EXPECT_THROW(runner.run(failures, exp::RunOptions{}),
                std::invalid_argument);  // empty label

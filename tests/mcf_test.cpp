@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <functional>
 #include <map>
+#include <memory>
 #include <queue>
 #include <set>
 #include <stdexcept>
@@ -13,6 +14,8 @@
 #include <vector>
 
 #include "core/registry.h"
+#include "exp/runner.h"
+#include "exp/sweep.h"
 #include "lp/simplex.h"
 #include "mcf/engine.h"
 #include "mcf/garg_konemann.h"
@@ -153,12 +156,9 @@ TEST(ExactLp, PivotsAndThroughputBitsArePinned) {
 
 /// Reference for throughput_exact_lp's LP, solved by a plain lp::solve from
 /// the Big-M all-artificial start. Same variables (t, then one flow per
-/// source and arc) and rows (capacities, or `arc_caps` when given, then
-/// conservation per source and node), built from the definition rather than
-/// through the kernel.
-mcf::ThroughputResult big_m_exact_lp(
-    const Graph& g, const TrafficMatrix& tm,
-    const std::vector<double>* arc_caps = nullptr) {
+/// source and arc) and rows (capacities, then conservation per source and
+/// node), built from the definition rather than through the kernel.
+mcf::ThroughputResult big_m_exact_lp(const Graph& g, const TrafficMatrix& tm) {
   std::map<int, std::map<int, double>> by_source;
   for (const Demand& d : tm.demands) {
     if (d.src != d.dst && d.amount > 0.0) by_source[d.src][d.dst] += d.amount;
@@ -172,8 +172,7 @@ mcf::ThroughputResult big_m_exact_lp(
   }
   for (int a = 0; a < g.num_arcs(); ++a) {
     lp::Row row;
-    row.rhs = arc_caps != nullptr ? (*arc_caps)[static_cast<std::size_t>(a)]
-                                  : g.arc_cap(a);
+    row.rhs = g.arc_cap(a);
     for (const auto& [s, base] : base_of_source) {
       row.terms.emplace_back(base + a, 1.0);
     }
@@ -246,24 +245,26 @@ TEST(ExactLp, TreeStartAgreesWithBigMStart) {
             }),
             24);
 
-  // A degraded network: Hypercube(d=3) with edge 0 (arcs 0 and 1, between
-  // nodes 0 and 1) failed. A BFS over every arc puts arc 0 in node 0's
-  // tree; the tree start keeps failed arcs out of its trees. Pinned
-  // pivots: over all arcs the trees took 36 (A2A) and 40 (LM).
+  // A degraded network: Hypercube(d=3) with edge 0 (between nodes 0 and 1)
+  // failed. The engine hands ExactLP the surviving graph, which has no arc
+  // for the failed link, so neither the LP nor its starting trees see it.
+  // Pinned pivots.
   const Network hc = make_hypercube(3);
-  std::vector<double> caps(static_cast<std::size_t>(hc.graph.num_arcs()));
-  for (int a = 0; a < hc.graph.num_arcs(); ++a) {
-    caps[static_cast<std::size_t>(a)] = hc.graph.arc_cap(a);
-  }
-  ASSERT_EQ(hc.graph.arc_from(0), 0);
-  ASSERT_EQ(hc.graph.arc_to(0), 1);
-  caps[0] = caps[1] = 0.0;
+  ASSERT_EQ(hc.graph.edge_u(0), 0);
+  ASSERT_EQ(hc.graph.edge_v(0), 1);
+  mcf::ThroughputEngine engine(hc);
+  mcf::ScenarioSpec spec;
+  spec.failed_edges = {0};
+  engine.apply_scenario(spec);
+  const Graph& surviving = engine.surviving_graph();
+  ASSERT_EQ(surviving.num_edges(), hc.graph.num_edges() - 1);
+  ASSERT_FALSE(surviving.has_edge(0, 1));
   const std::pair<TrafficMatrix, long> degraded[] = {
-      {all_to_all(hc), 27}, {longest_matching(hc), 32}};
+      {all_to_all(hc), 23}, {longest_matching(hc), 27}};
   for (const auto& [tm, pivots] : degraded) {
     SCOPED_TRACE("degraded " + tm.name);
-    const auto tree = mcf::throughput_exact_lp(hc.graph, tm, &caps);
-    const auto big_m = big_m_exact_lp(hc.graph, tm, &caps);
+    const auto tree = mcf::throughput_exact_lp(surviving, tm);
+    const auto big_m = big_m_exact_lp(surviving, tm);
     EXPECT_NEAR(tree.throughput, big_m.throughput, 1e-9 * big_m.throughput);
     EXPECT_EQ(tree.stats.pivots, pivots);
   }
@@ -295,6 +296,77 @@ TEST(ExactLp, TreeStartKeepsArtificialsOfUnreachableRows) {
   EXPECT_NEAR(tree.throughput, 1.0, 1e-9);
   EXPECT_NEAR(tree.throughput, big_m.throughput, 1e-9);
   EXPECT_LT(tree.stats.pivots, big_m.stats.pivots);
+}
+
+/// Runs a failures-mode `sweep` and checks each degraded cell against its
+/// instance, rebuilt from the runner's seeding contract (exp/runner.h):
+/// with cut bounds, the cut bound is at least the throughput; an ExactLP
+/// cell (pivots > 0) agrees with the Big-M reference on the engine's
+/// surviving graph and perturbed TM, or, when the scenario leaves the
+/// instance intact, equals its baseline. Returns the number of ExactLP
+/// cells.
+int expect_degraded_cells_agree(const exp::Sweep& sweep) {
+  exp::Runner runner;
+  const exp::ResultSet rs = runner.run(sweep, exp::RunOptions{});
+  const std::vector<exp::Cell> cells = exp::expand(sweep);
+  const std::size_t per = sweep.scenarios.size();
+  int compared = 0;
+  for (const exp::CellResult& r : rs.rows()) {
+    SCOPED_TRACE(r.topology + " " + r.tm + " " + r.scenario);
+    if (sweep.cut_bounds) {
+      EXPECT_GE(r.cut_bound, r.throughput * (1.0 - 1e-9)) << r.cut_method;
+    }
+    if (r.pivots == 0) continue;  // a GK or a disconnected cell
+    const exp::Cell& c = cells[r.cell];
+    const std::shared_ptr<const Network> net = sweep.topologies[c.topo].build();
+    const std::size_t floor = r.cell / per * per;
+    const TrafficMatrix tm = sweep.tms[c.tm].build(
+        *net, mix_seed(mix_seed(sweep.base_seed, floor), 0));
+    mcf::ScenarioSpec spec = sweep.scenarios[c.scenario].spec;
+    spec.seed = mix_seed(mix_seed(sweep.base_seed, r.cell), 2);
+    mcf::ThroughputEngine engine(*net);
+    engine.apply_scenario(spec);
+    ++compared;
+    const Graph& surviving = engine.surviving_graph();
+    if (&surviving == &net->graph && spec.tm_scale == 1.0) {
+      EXPECT_EQ(r.throughput_drop, 0.0);
+      continue;
+    }
+    const auto big_m = big_m_exact_lp(surviving, engine.scenario_tm(tm));
+    EXPECT_NEAR(r.throughput, big_m.throughput, 1e-9 * big_m.throughput);
+  }
+  return compared;
+}
+
+TEST(ScenarioExactLp, HypercubeGrowthSweepSolvesTheSurvivingGraph) {
+  // The first two of 3 stages install 16 and 24 of Hypercube(d=5)'s 32
+  // switches. ExactLP once took the intact graph with the failed arcs'
+  // capacities overridden to 0, and this sweep stopped at the simplex
+  // iteration limit after minutes; on the surviving graph the partial
+  // stages take well under a second.
+  exp::Sweep sweep;
+  sweep.topologies = {exp::instance_spec(make_hypercube(5))};
+  sweep.tms = {exp::a2a_tm()};
+  sweep.solve.kind = mcf::SolverKind::ExactLP;
+  sweep.scenarios = exp::growth_scenarios(3);
+  EXPECT_EQ(expect_degraded_cells_agree(sweep), 3);
+}
+
+TEST(ScenarioExactLp, DegradedCellsRespectCutBoundsAndBigM) {
+  // Registry instances of at most 48 servers under link, group, degrade,
+  // surge and growth scenarios: the cut bound priced on each degraded
+  // network bounds its throughput, and the ExactLP cells match Big-M.
+  exp::Sweep sweep;
+  sweep.topologies = exp::ladder_specs(all_families(), 4, 48, 1);
+  sweep.tms = {exp::a2a_tm(), exp::random_matching_tm(1)};
+  sweep.solve.epsilon = 0.1;
+  sweep.cut_bounds = true;
+  sweep.scenarios = exp::random_failure_scenarios({0.1});
+  sweep.scenarios.push_back(exp::correlated_group_scenarios({0.25}).front());
+  sweep.scenarios.push_back(exp::degrade_scenario(0.5));
+  sweep.scenarios.push_back(exp::surge_scenario(1.5));
+  sweep.scenarios.push_back(exp::growth_scenarios(2).front());
+  EXPECT_GT(expect_degraded_cells_agree(sweep), 0);
 }
 
 TEST(GargKonemann, MatchesExactOnSmallInstances) {

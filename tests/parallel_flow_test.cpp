@@ -365,11 +365,11 @@ TEST(ParallelFlow, CutUpperBoundThreadsNeverChangeTheBound) {
   const TrafficMatrix tm = all_to_all(net);
   CutBoundOptions base;
   base.solver_threads = 1;
-  const CutBoundResult serial = cut_upper_bound(net, tm, base);
+  const CutBoundResult serial = cut_upper_bound(net.graph, tm, base);
   for (const int threads : thread_ladder()) {
     CutBoundOptions opts;
     opts.solver_threads = threads;
-    const CutBoundResult r = cut_upper_bound(net, tm, opts);
+    const CutBoundResult r = cut_upper_bound(net.graph, tm, opts);
     const std::string what = "threads=" + std::to_string(threads);
     EXPECT_EQ(r.bound, serial.bound) << what;
     EXPECT_EQ(r.method, serial.method) << what;

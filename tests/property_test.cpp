@@ -236,7 +236,7 @@ TEST_P(SeededInvariants, ThroughputNeverExceedsCutUpperBound) {
   // certified-feasible value — the whole battery must dominate.
   CutBoundOptions cb;
   cb.seed = mix_seed(seed, 2);
-  const CutBoundResult cut = cut_upper_bound(net, tm, cb);
+  const CutBoundResult cut = cut_upper_bound(net.graph, tm, cb);
   EXPECT_LE(thr, cut.bound * (1.0 + 1e-9))
       << net.name << " via " << cut.method;
 }

@@ -455,14 +455,19 @@ TEST(GrowthSweep, ShardedMergeReproducesUnshardedBytes) {
 
 TEST(GrowthSweep, ModeValidationRejectsBadCombos) {
   // Growth stages live on the scenario axis, so the failures-mode rules
-  // reject the same combinations.
+  // reject the same combinations. Cut bounds are priced on each stage's
+  // installed network.
   exp::Runner runner;
   exp::Sweep s = growth_sweep();
   s.trials = 2;
   EXPECT_THROW(runner.run(s, exp::RunOptions{}), std::invalid_argument);
   s = growth_sweep();
   s.cut_bounds = true;
-  EXPECT_THROW(runner.run(s, exp::RunOptions{}), std::invalid_argument);
+  const exp::ResultSet with_cuts = runner.run(s, exp::RunOptions{});
+  for (const exp::CellResult& r : with_cuts.rows()) {
+    EXPECT_FALSE(r.cut_method.empty()) << r.scenario;
+    EXPECT_GE(r.cut_bound, r.throughput * (1.0 - 1e-9)) << r.scenario;
+  }
   // The ladder needs a stage, and the engine an installed fraction in
   // (0, 1].
   EXPECT_THROW(exp::growth_scenarios(0), std::invalid_argument);
