@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -358,9 +361,16 @@ ResultSet Runner::run_impl(const Sweep& sweep, const RunOptions& opts,
   // cached re-run pays no build cost); cells of a topology share the
   // instance.
   std::vector<std::shared_ptr<const Network>> nets(sweep.topologies.size());
+  // A static cost estimate of one solve on each built topology: arcs x host
+  // nodes, the size of GK's per-source shortest-path work.
+  std::vector<std::uint64_t> solve_cost(sweep.topologies.size());
   for (const std::size_t index : misses) {
     const Cell& c = cells[index];
-    if (!nets[c.topo]) nets[c.topo] = sweep.topologies[c.topo].build();
+    if (nets[c.topo]) continue;
+    nets[c.topo] = sweep.topologies[c.topo].build();
+    solve_cost[c.topo] =
+        static_cast<std::uint64_t>(nets[c.topo]->graph.num_arcs()) *
+        nets[c.topo]->host_nodes().size();
   }
 
   // Evaluation units: the missing cells of one (topology, TM) pair form a
@@ -370,7 +380,7 @@ ResultSet Runner::run_impl(const Sweep& sweep, const RunOptions& opts,
   // nested solver parallelism inlines on pool workers — each writing only
   // its own cells' slots. Per-unit results are independent of
   // scheduling and cache state, so everything below the barrier is a
-  // deterministic reduction in cell order.
+  // deterministic reduction in cell order, whatever order units run in.
   const bool failures = !sweep.scenarios.empty();
   const auto unit_key = [&](std::size_t index) {
     const Cell& c = cells[index];
@@ -386,23 +396,49 @@ ResultSet Runner::run_impl(const Sweep& sweep, const RunOptions& opts,
     units.emplace_back(misses.data() + k, end - k);
     k = end;
   }
-  const auto eval_unit = [&](std::size_t u) {
-    const std::span<const std::size_t> unit = units[u];
-    const Cell& head = cells[unit.front()];
+  // Claim order: most expensive unit first (Graham's LPT rule), so a heavy
+  // cell never starts last and ends the run alone. A failure group costs
+  // one cold baseline plus one warm solve per missing scenario. The sort is
+  // stable, so equal estimates keep cell order.
+  const auto unit_cost = [&](std::size_t u) {
+    const std::uint64_t solves = failures ? units[u].size() + 1 : 1;
+    return solve_cost[cells[units[u].front()].topo] * solves;
+  };
+  std::vector<std::size_t> claim_order(units.size());
+  std::iota(claim_order.begin(), claim_order.end(), std::size_t{0});
+  std::stable_sort(claim_order.begin(), claim_order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return unit_cost(a) > unit_cost(b);
+                   });
+  // Every unit runs to completion even when another throws; errors are
+  // kept per unit, in cell order.
+  std::vector<std::exception_ptr> errors(units.size());
+  const auto eval_unit = [&](std::size_t k) {
+    const std::size_t u = claim_order[k];
+    const Cell& head = cells[units[u].front()];
     const std::string& label = sweep.topologies[head.topo].label;
     const Network& net = *nets[head.topo];
-    if (failures) {
-      eval_failure_group(sweep, solve, label, net, sweep.tms[head.tm], unit,
-                         out);
-      return;
+    try {
+      if (failures) {
+        eval_failure_group(sweep, solve, label, net, sweep.tms[head.tm],
+                           units[u], out);
+      } else {
+        out[head.index] = eval_cell(sweep, solve, label, net,
+                                    sweep.tms[head.tm], head.index);
+      }
+    } catch (...) {
+      errors[u] = std::current_exception();
     }
-    out[head.index] =
-        eval_cell(sweep, solve, label, net, sweep.tms[head.tm], head.index);
   };
   if (parallel_) {
     ThreadPool::shared().parallel_for(0, units.size(), eval_unit);
   } else {
-    for (std::size_t u = 0; u < units.size(); ++u) eval_unit(u);
+    for (std::size_t k = 0; k < units.size(); ++k) eval_unit(k);
+  }
+  // The lowest failing cell's error, whatever the claim order or thread
+  // count.
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
 
   {

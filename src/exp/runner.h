@@ -41,7 +41,16 @@
 //
 // Dispatch: every mode runs through one loop over evaluation units — a
 // (topology, TM) failure group in failures mode, a single cold cell
-// otherwise — claimed concurrently from the shared pool.
+// otherwise — claimed concurrently from the shared pool. Units are claimed
+// longest first (Graham's LPT rule) by a static estimate that reads no
+// clock: arcs x host nodes of the unit's topology, times (missing cells +
+// 1) for a failure group (one cold baseline plus one warm solve per
+// scenario). Equal estimates keep cell order, and a cell-serial runner
+// (Runner(false)) runs the same order on the calling thread. Only the claim
+// order moves; results are still assembled in cell order. Errors: every
+// unit runs to completion even if another throws, and run() rethrows the
+// exception of the failing unit that comes first in cell order, so the
+// reported error does not depend on the claim order or the thread count.
 //
 // Solver threading: Runner::run seeds SolveOptions::solver_threads from
 // TOPOBENCH_SOLVER_THREADS when the sweep leaves it 0. By the solver

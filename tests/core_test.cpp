@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <set>
 
 #include "core/evaluator.h"
@@ -8,6 +9,7 @@
 #include "pool_test_env.h"
 #include "tm/synthetic.h"
 #include "topo/hypercube.h"
+#include "topo/io.h"
 #include "topo/jellyfish.h"
 #include "util/thread_pool.h"
 
@@ -25,6 +27,39 @@ TEST(Registry, AllFamiliesHaveInstances) {
       net.validate();
       EXPECT_GE(net.total_servers(), prev) << family_name(f);
       prev = net.total_servers();
+    }
+  }
+}
+
+TEST(Registry, DeclaredServerCountsMatchBuiltInstances) {
+  // The registry selects rungs by their declared count before building
+  // them, so every declared count must be the built instance's.
+  for (const Family f : all_families()) {
+    const std::vector<long> declared = family_ladder_servers(f);
+    const std::vector<Network> nets = family_instances(f, 1, 1'000'000, 1);
+    ASSERT_EQ(declared.size(), nets.size()) << family_name(f);
+    for (std::size_t i = 0; i < nets.size(); ++i) {
+      EXPECT_EQ(declared[i], nets[i].total_servers()) << nets[i].name;
+    }
+  }
+}
+
+TEST(Registry, RepresentativeIsTheNearestLadderInstance) {
+  for (const Family f : all_families()) {
+    const std::vector<Network> nets = family_instances(f, 1, 1'000'000, 1);
+    ASSERT_FALSE(nets.empty()) << family_name(f);
+    for (const int target : {16, 64, 128}) {
+      // Nearest by built server count, the smaller instance on a tie.
+      std::size_t best = 0;
+      for (std::size_t i = 1; i < nets.size(); ++i) {
+        if (std::abs(nets[i].total_servers() - target) <
+            std::abs(nets[best].total_servers() - target)) {
+          best = i;
+        }
+      }
+      EXPECT_EQ(to_edge_list(family_representative(f, target, 1)),
+                to_edge_list(nets[best]))
+          << family_name(f) << " target " << target;
     }
   }
 }

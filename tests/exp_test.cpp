@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,6 +33,48 @@ exp::Sweep tiny_sweep(int trials, std::uint64_t base_seed = 5) {
   s.tms = {exp::a2a_tm(), exp::longest_matching_tm()};
   s.trials = trials;
   s.base_seed = base_seed;
+  return s;
+}
+
+/// A one-demand-per-host TM that logs "<network>/<label>" each time it is
+/// built, so a cell-serial run shows the order in which the runner claims
+/// its units.
+exp::TmSpec logging_tm(const std::string& label,
+                       std::vector<std::string>& log) {
+  return {label, [label, &log](const Network& net, std::uint64_t seed) {
+            log.push_back(net.name + "/" + label);
+            return random_matching(net, 1, seed);
+          }};
+}
+
+/// The runner's per-solve cost estimate: arcs x host nodes.
+std::uint64_t solve_cost(const exp::TopoSpec& spec) {
+  const std::shared_ptr<const Network> net = spec.build();
+  return static_cast<std::uint64_t>(net->graph.num_arcs()) *
+         net->host_nodes().size();
+}
+
+/// Five small topologies whose estimates are neither ascending nor
+/// descending in cell order, with one tie: Hypercube(d=4) and its renamed
+/// twin (1,024 each), FatTree(k=4) (512), DCell(4,1) (1,200),
+/// Hypercube(d=5) (5,120).
+std::vector<exp::TopoSpec> mixed_cost_topologies() {
+  const exp::TopoSpec hc16 = exp::representative_spec(Family::Hypercube, 16, 1);
+  Network twin = *hc16.build();
+  twin.name = "twin";
+  return {hc16, exp::instance_spec(std::move(twin)),
+          exp::representative_spec(Family::FatTree, 16, 1),
+          exp::representative_spec(Family::DCell, 20, 1),
+          exp::representative_spec(Family::Hypercube, 32, 1)};
+}
+
+exp::Sweep mixed_cost_sweep(std::vector<exp::TmSpec> tms) {
+  exp::Sweep s;
+  s.topologies = mixed_cost_topologies();
+  s.tms = std::move(tms);
+  s.solve.kind = mcf::SolverKind::GargKonemann;
+  s.solve.epsilon = 0.25;
+  s.base_seed = 11;
   return s;
 }
 
@@ -603,6 +647,103 @@ TEST(Runner, ModeValidationRejectsUnsupportedCombinations) {
   failures.scenarios[0].label.clear();
   EXPECT_THROW(runner.run(failures, exp::RunOptions{}),
                std::invalid_argument);  // empty label
+}
+
+TEST(Runner, CellSerialRunClaimsLongestFirstWithTiesInCellOrder) {
+  std::vector<std::string> log;
+  const exp::Sweep sweep =
+      mixed_cost_sweep({logging_tm("T0", log), logging_tm("T1", log)});
+  const std::vector<std::uint64_t> costs = {1024, 1024, 512, 1200, 5120};
+  for (std::size_t t = 0; t < costs.size(); ++t) {
+    ASSERT_EQ(solve_cost(sweep.topologies[t]), costs[t])
+        << sweep.topologies[t].label;
+  }
+  exp::Runner serial(/*parallel=*/false);
+  (void)serial.run(sweep, exp::RunOptions{});
+  // Highest estimate first; the tied Hypercube(d=4) and its twin, and the
+  // two TMs of each topology, keep cell order.
+  std::vector<std::string> expected;
+  for (const std::size_t t : {4, 3, 0, 1, 2}) {
+    for (const char* tm : {"T0", "T1"}) {
+      expected.push_back(sweep.topologies[t].label + "/" + tm);
+    }
+  }
+  EXPECT_EQ(log, expected);
+}
+
+TEST(Runner, CellSerialFailureGroupsClaimLongestFirst) {
+  std::vector<std::string> log;
+  exp::Sweep sweep = mixed_cost_sweep({logging_tm("T", log)});
+  sweep.scenarios = {exp::degrade_scenario(0.5), exp::degrade_scenario(0.8)};
+  exp::Runner serial(/*parallel=*/false);
+  // Cache cell 1, the second scenario of the first group: that group then
+  // has one missing cell and costs 1,024 x 2, below its twin's 1,024 x 3.
+  exp::RunOptions one_cell;
+  one_cell.shard = exp::ShardSpec{1, 10};
+  ASSERT_EQ(serial.run(sweep, one_cell).size(), 1u);
+  log.clear();
+  (void)serial.run(sweep, exp::RunOptions{});
+  EXPECT_EQ(serial.cache_stats().hits, 1u);
+  // One TM build per group, in claim order.
+  std::vector<std::string> expected;
+  for (const std::size_t t : {4, 3, 1, 0, 2}) {
+    expected.push_back(sweep.topologies[t].label + "/T");
+  }
+  EXPECT_EQ(log, expected);
+}
+
+TEST(Runner, PooledAndCellSerialRunsEmitIdenticalCsvInEveryMode) {
+  if (ThreadPool::shared().size() <= 1) {
+    GTEST_SKIP() << "shared pool has one worker (TOPOBENCH_THREADS "
+                    "override?); parallel path would not be exercised";
+  }
+  exp::Sweep cells = mixed_cost_sweep(
+      {exp::a2a_tm(), exp::random_matching_tm(1), exp::longest_matching_tm()});
+  exp::Sweep failures = cells;
+  failures.scenarios = exp::random_failure_scenarios({0.1});
+  failures.scenarios.push_back(exp::degrade_scenario(0.5));
+  exp::Runner serial(/*parallel=*/false);
+  exp::Runner pooled(/*parallel=*/true);
+  for (const exp::Sweep* sweep : {&cells, &failures}) {
+    const std::string reference =
+        serial.run(*sweep, exp::RunOptions{}).to_csv();
+    EXPECT_EQ(pooled.run(*sweep, exp::RunOptions{}).to_csv(), reference);
+    // A cache-hit re-run replays the same bytes on either runner.
+    EXPECT_EQ(serial.run(*sweep, exp::RunOptions{}).to_csv(), reference);
+    EXPECT_EQ(pooled.run(*sweep, exp::RunOptions{}).to_csv(), reference);
+  }
+  const std::size_t evaluated = exp::expand(cells).size() +
+                                exp::expand(failures).size();
+  EXPECT_EQ(serial.cache_stats().misses, evaluated);
+  EXPECT_EQ(pooled.cache_stats().misses, evaluated);
+  EXPECT_EQ(pooled.cache_stats().hits, evaluated);
+}
+
+TEST(Runner, ReportsTheLowestFailingCellWhateverTheClaimOrder) {
+  // Both topologies throw from the same TM; the larger one is claimed
+  // first, yet the reported error is the smaller one's, cell 1.
+  exp::Sweep sweep;
+  sweep.topologies = {exp::representative_spec(Family::Hypercube, 16, 1),
+                      exp::representative_spec(Family::Hypercube, 32, 1)};
+  ASSERT_LT(solve_cost(sweep.topologies[0]), solve_cost(sweep.topologies[1]));
+  const exp::TmSpec throws{
+      "throws", [](const Network& net, std::uint64_t) -> TrafficMatrix {
+        throw std::runtime_error("no TM for " + net.name);
+      }};
+  sweep.tms = {exp::random_matching_tm(1), throws};
+  for (const bool parallel : {false, true}) {
+    exp::Runner runner(parallel);
+    try {
+      (void)runner.run(sweep, exp::RunOptions{});
+      ADD_FAILURE() << "no exception, parallel=" << parallel;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "no TM for " + sweep.topologies[0].label)
+          << "parallel=" << parallel;
+    }
+    // A failed run caches nothing.
+    EXPECT_EQ(runner.cache_stats().misses, 0u);
+  }
 }
 
 TEST(Rng, ThreeWayMixMatchesNestedTwoWayMix) {
